@@ -18,18 +18,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .fields import (
-    CurlGaussian,
-    GridField,
-    GridSpec,
-    GridSpectrum,
-    RadialWindow,
-    check_divergence_free,
-    inverse_transform,
-    make_curl_gaussian,
-    spectral_transform,
-    transverse_project,
-)
+from .fields import CurlGaussian, RadialWindow, make_curl_gaussian
 from .spectral import (
     DeltaKernel,
     IntegralResult,

@@ -3,8 +3,9 @@
 One verb per capability: `energy` (input energy and damping factors),
 `teleport` (single protocol runs), `sweep` (full T/lambda grids), `density`
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
-cross-checks).  Exit codes: 0 success, 2 validation error, 3 numerical
-tolerance failure in verify, 4 I/O error.
+cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, an
+under-resolved grid, a degenerate field, a light-cone evaluation), 3
+numerical tolerance failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -48,14 +49,13 @@ EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
 
-def _add_common(parser: argparse.ArgumentParser, scenario_required: bool = True) -> None:
-    parser.add_argument("--scenario", required=scenario_required, help="scenario YAML path")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="worker pool size")
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True, help="scenario YAML path")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument(
-        "--format", choices=("csv", "binary"), default="csv", help="frame output format"
-    )
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,24 +66,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qetlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    energy = sub.add_parser("energy", help="input energy, damping factors, and field diagnostics")
+    _add_scenario(energy)
+
     for name, helptext in (
-        ("energy", "input energy, damping factors, and field diagnostics"),
         ("teleport", "run the configured protocol points and write records"),
         ("sweep", "alias of teleport for full T/lambda grids"),
-        ("density", "emit energy-density frames at the scenario times"),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+        _add_scenario(p)
+        _add_out(p)
+
+    density = sub.add_parser("density", help="emit energy-density frames at the scenario times")
+    _add_scenario(density)
+    _add_out(density)
+    density.add_argument(
+        "--format", choices=("csv", "binary"), default="csv", help="frame output format"
+    )
 
     demo = sub.add_parser("demo", help="self-contained demonstrations")
     demo_sub = demo.add_subparsers(dest="demo_name", required=True)
     neg = demo_sub.add_parser(
         "negative-energy", help="vacuum/two-photon interference along a line"
     )
-    _add_common(neg, scenario_required=False)
+    _add_out(neg)
 
     verify = sub.add_parser("verify", help="run the oracle cross-checks")
-    _add_common(verify, scenario_required=False)
     verify.add_argument(
         "--mc-samples", type=int, default=200_000, help="Monte Carlo samples per check"
     )
@@ -121,7 +129,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_teleport(args) -> int:
     scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
-    records = run_scenario(scenario, workers=args.workers)
+    records = run_scenario(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / scenario.results_name
@@ -138,7 +146,7 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_density(args) -> int:
     scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
-    frames = scenario_frames(scenario, workers=args.workers)
+    frames = scenario_frames(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame in frames:

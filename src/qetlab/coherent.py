@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CurlGaussianSpectrum, GridSpec, GridSpectrum, SpectrumSum, spectrum_add, spectrum_terms
+from .fields import spectrum_add, spectrum_terms
 from .spectral import weighted_pairing
 
 
@@ -34,11 +34,7 @@ class CoherentLabel:
 def _is_zero(sf) -> bool:
     if sf is None:
         return True
-    if isinstance(sf, (CurlGaussianSpectrum, SpectrumSum)):
-        return all(c * t.amplitude == 0.0 for c, t in spectrum_terms(sf))
-    if isinstance(sf, GridSpectrum):
-        return not np.any(sf.values)
-    return False
+    return all(c * t.amplitude == 0.0 for c, t in spectrum_terms(sf))
 
 
 def _scale(sf, factor: float):
@@ -52,10 +48,6 @@ def _add(a, b):
         return b
     if b is None:
         return a
-    if isinstance(a, GridSpectrum) or isinstance(b, GridSpectrum):
-        if not (isinstance(a, GridSpectrum) and isinstance(b, GridSpectrum)):
-            raise TypeError("cannot mix grid and closed-form label components")
-        return GridSpectrum(a.k_axes, a.values + b.values, dk=a.dk, origin=a.origin)
     return spectrum_add(a, b)
 
 
@@ -63,7 +55,7 @@ def _pairing_x(sf1, sf2) -> float:
     """int f.g d^3x via Parseval (zero if either profile is absent)."""
     if _is_zero(sf1) or _is_zero(sf2):
         return 0.0
-    value, _, _, _ = weighted_pairing(sf1, sf2, 0)
+    value, _, _ = weighted_pairing(sf1, sf2, 0)
     return value
 
 
@@ -71,7 +63,7 @@ def _weighted_norm(sf, power: int) -> float:
     """int d^3k/(2pi)^3 |k|^power |f~|^2, supporting power = -1 for the overlap."""
     if _is_zero(sf):
         return 0.0
-    value, _, _, _ = weighted_pairing(sf, sf, power)
+    value, _, _ = weighted_pairing(sf, sf, power)
     return value
 
 
@@ -112,16 +104,16 @@ def vacuum_overlap_with_gauge_displacement(q_profile) -> float:
     return float(np.exp(-0.25 * _weighted_norm(q_profile, 1)))
 
 
-def mean_electric_field(label: CoherentLabel, x, grid: GridSpec | None = None) -> np.ndarray:
+def mean_electric_field(label: CoherentLabel, x) -> np.ndarray:
     """<E(x)> on the labelled coherent state, from the annihilation-eigenvalue relation.
 
     Evaluates int d^3k/(2pi)^3 Re[(P(k) - i|k| Q(k)) e^{ik.x}] by direct k-grid
     sum; must reproduce the displacement p(x) at any sample point, which is the
     numerical content of the displaced-field relation.
     """
-    grid = grid or GridSpec(n=64, k_max=8.0)
     x = np.asarray(x, dtype=float).reshape(3)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    # 64 nodes per axis with Nyquist wavenumber 8
+    k = 2.0 * np.pi * np.fft.fftfreq(64, d=np.pi / 8.0)
     KX, KY, KZ = np.meshgrid(k, k, k, indexing="ij")
     kvec = np.stack([KX, KY, KZ], axis=-1)
     kmag = np.sqrt(np.sum(kvec * kvec, axis=-1))

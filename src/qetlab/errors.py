@@ -15,15 +15,15 @@ class CausalityError(ValidationError):
     """Wait time T too small for the fields to be causally decoupled."""
 
 
-class ResolutionError(ValueError):
+class ResolutionError(ValidationError):
     """Grid too coarse to resolve the field's spectral content."""
 
 
-class LightConeError(ValueError):
+class LightConeError(ValidationError):
     """Point evaluation requested on the light cone, where the kernel is distributional."""
 
 
-class DegenerateFieldError(ValueError):
+class DegenerateFieldError(ValidationError):
     """An operation profile with zero norm makes the protocol undefined."""
 
 

@@ -1,11 +1,11 @@
-"""Divergence-free shape fields, their Fourier transforms, and transversality checks.
+"""Divergence-free shape fields and their closed-form Fourier transforms.
 
-The workhorse family is the curl of a Gaussian-enveloped axial potential,
+The field family is the curl of a Gaussian-enveloped axial potential,
 
     a(x) = A * curl( exp(-|x-c|^2 / (2 sigma^2)) n ),
 
 which is divergence-free by construction and has a closed-form transform
-a~(k) = i psi~(k) (k x n).  Grid-sampled fields cover everything else.
+a~(k) = i psi~(k) (k x n), transverse at every k.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainccinv
 
-from .errors import ResolutionError, ValidationError
+from .errors import ValidationError
 
 # Tail mass outside the effective radius; the field is treated as supported
 # in the ball of that radius for all causality preconditions.
 TAIL_TOL = 1e-10
-
-# Default spectral grid: Nyquist at 8/sigma leaves Gaussian truncation < 1e-12.
-DEFAULT_GRID_N = 128
-DEFAULT_KMAX_PER_SIGMA = 8.0
 
 
 def _vec3(v, name: str) -> np.ndarray:
@@ -39,31 +35,6 @@ def _unit(v, name: str) -> np.ndarray:
     if norm == 0.0:
         raise ValidationError(f"{name} must be a nonzero vector")
     return arr / norm
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Cubic spectral grid: n nodes per axis, wavenumbers up to k_max."""
-
-    n: int = DEFAULT_GRID_N
-    k_max: float = DEFAULT_KMAX_PER_SIGMA
-
-    @property
-    def dx(self) -> float:
-        # position sampling at the Nyquist rate of the requested k_max
-        return float(np.pi / self.k_max)
-
-    @property
-    def extent(self) -> float:
-        return self.n * self.dx
-
-    def position_axes(self, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ax = (np.arange(self.n) - self.n // 2) * self.dx
-        return tuple(ax + c for c in np.asarray(center, dtype=float))
-
-    def k_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        return (k, k.copy(), k.copy())
 
 
 @dataclass(frozen=True)
@@ -220,69 +191,6 @@ def spectrum_add(a, b):
     return SpectrumSum(tuple(merged))
 
 
-class GridField:
-    """Vector field sampled on a uniform cubic position grid."""
-
-    def __init__(self, axes, values):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.values = np.asarray(values, dtype=float)
-        nx, ny, nz = (len(a) for a in self.axes)
-        if self.values.shape != (nx, ny, nz, 3):
-            raise ValidationError(
-                f"grid values shape {self.values.shape} does not match axes ({nx},{ny},{nz},3)"
-            )
-        for a in self.axes:
-            if len(a) < 2:
-                raise ValidationError("grid axes need at least 2 nodes")
-            steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValidationError("grid axes must be uniformly spaced")
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return tuple(float(a[1] - a[0]) for a in self.axes)
-
-    def effective_radius(self, tail_tol: float = TAIL_TOL) -> float:
-        """Radius about the L2 centroid containing 1 - tail_tol of the sampled L2 mass."""
-        xs, ys, zs = np.meshgrid(*self.axes, indexing="ij")
-        weight = np.sum(self.values * self.values, axis=-1).ravel()
-        total = float(np.sum(weight))
-        if total == 0.0:
-            return 0.0
-        pts = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-        centroid = (weight @ pts) / total
-        r = np.linalg.norm(pts - centroid, axis=-1)
-        order = np.argsort(r)
-        mass = np.cumsum(weight[order])
-        idx = int(np.searchsorted(mass, (1.0 - tail_tol) * total))
-        return float(r[order][min(idx, len(r) - 1)])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridField":
-        """Load (x,y,z,fx,fy,fz) rows; the points must form a complete lattice."""
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        data = np.atleast_2d(data)
-        if data.shape[1] != 6:
-            raise ValidationError(f"{path}: expected 6 columns (x,y,z,fx,fy,fz)")
-        axes = tuple(np.unique(data[:, i]) for i in range(3))
-        nx, ny, nz = (len(a) for a in axes)
-        if nx * ny * nz != data.shape[0]:
-            raise ValidationError(f"{path}: points do not form a complete grid")
-        values = np.full((nx, ny, nz, 3), np.nan)
-        idx = [np.searchsorted(axes[i], data[:, i]) for i in range(3)]
-        values[idx[0], idx[1], idx[2], :] = data[:, 3:6]
-        if np.any(np.isnan(values)):
-            raise ValidationError(f"{path}: duplicate or missing grid points")
-        return cls(axes, values)
-
-    def to_csv(self, path) -> None:
-        xs, ys, zs = np.meshgrid(*self.axes, indexing="ij")
-        flat = np.column_stack(
-            [xs.ravel(), ys.ravel(), zs.ravel(), self.values.reshape(-1, 3)]
-        )
-        np.savetxt(path, flat, delimiter=",", fmt="%.17g")
-
-
 def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:
     """Canonical divergence-free family member; see CurlGaussian."""
     return CurlGaussian(amplitude=float(amplitude), sigma=float(sigma), center=center, axis=axis)
@@ -308,183 +216,3 @@ class RadialWindow:
         roll = (r > self.radius) & (r < 2.0 * self.radius)
         out[roll] = 0.5 * (1.0 + np.cos(np.pi * (r[roll] - self.radius) / self.radius))
         return out
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    max_residual: float
-    scale: float
-    tol: float
-    passed: bool
-
-
-def check_divergence_free(field, tol: float = 1e-6, n: int = 13, extent: float | None = None) -> DivergenceReport:
-    """Central-difference divergence residual over a sample grid.
-
-    Passes iff max |div f| <= tol * (max |f| / length_scale).  Closed-form
-    fields are differenced with a step far below their envelope width, so
-    curl constructions pass well inside the default tolerance; grid-sampled
-    fields are differenced at their own spacing and pass at discretization
-    order.  Report only, never raises.
-    """
-    if isinstance(field, GridField):
-        values = field.values
-        hs = field.spacing
-        div = (
-            np.gradient(values[..., 0], hs[0], axis=0)
-            + np.gradient(values[..., 1], hs[1], axis=1)
-            + np.gradient(values[..., 2], hs[2], axis=2)
-        )
-        interior = div[1:-1, 1:-1, 1:-1]
-        max_residual = float(np.max(np.abs(interior))) if interior.size else float(np.max(np.abs(div)))
-        fmax = float(np.max(np.linalg.norm(values, axis=-1)))
-        length_scale = max(float(a[-1] - a[0]) for a in field.axes) / 4.0 or 1.0
-    else:
-        sigma = field.sigma
-        length_scale = sigma
-        half = extent if extent is not None else 3.0 * sigma
-        ax = np.linspace(-half, half, n)
-        xs, ys, zs = np.meshgrid(*(ax + c for c in field.center_vec), indexing="ij")
-        pts = np.stack([xs, ys, zs], axis=-1)
-        values = field(pts)
-        h = 1e-4 * sigma
-        div = np.zeros(pts.shape[:-1])
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            div += (field(pts + step)[..., axis] - field(pts - step)[..., axis]) / (2.0 * h)
-        max_residual = float(np.max(np.abs(div)))
-        fmax = float(np.max(np.linalg.norm(values, axis=-1)))
-
-    scale = fmax / length_scale if fmax > 0.0 else 1.0
-    return DivergenceReport(
-        max_residual=max_residual,
-        scale=scale,
-        tol=tol,
-        passed=bool(max_residual <= tol * scale),
-    )
-
-
-class GridSpectrum:
-    """Complex transverse amplitudes on an FFT-ordered cubic k-grid."""
-
-    def __init__(self, k_axes, values, dk: float, origin=(0.0, 0.0, 0.0)):
-        self.k_axes = tuple(np.asarray(a, dtype=float) for a in k_axes)
-        self.values = np.asarray(values, dtype=complex)
-        self.dk = float(dk)
-        self.origin = np.asarray(origin, dtype=float).reshape(3)
-        n = len(self.k_axes[0])
-        if self.values.shape != (n, n, n, 3):
-            raise ValidationError("spectrum values shape does not match k axes")
-
-    def k_mesh(self) -> np.ndarray:
-        kx, ky, kz = np.meshgrid(*self.k_axes, indexing="ij")
-        return np.stack([kx, ky, kz], axis=-1)
-
-    def k_magnitude(self) -> np.ndarray:
-        k = self.k_mesh()
-        return np.sqrt(np.sum(k * k, axis=-1))
-
-    def transversality_residual(self) -> float:
-        """Largest longitudinal amplitude |k^ . a~|, relative to the peak |a~|.
-
-        Normalizing by the peak (rather than nodewise) keeps round-off noise at
-        empty nodes from masquerading as longitudinal content.
-        """
-        k = self.k_mesh()
-        kmag = self.k_magnitude()
-        peak = float(np.max(np.linalg.norm(self.values, axis=-1)))
-        if peak == 0.0:
-            return 0.0
-        safe = np.where(kmag > 0.0, kmag, 1.0)
-        longitudinal = np.abs(np.sum(k * self.values, axis=-1)) / safe
-        longitudinal[kmag == 0.0] = 0.0
-        return float(np.max(longitudinal) / peak)
-
-    def hermitian_residual(self) -> float:
-        """max |a~(-k) - conj(a~(k))| relative to the peak amplitude."""
-        flipped = self.values.copy()
-        for axis in range(3):
-            flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
-        peak = float(np.max(np.abs(self.values)))
-        if peak == 0.0:
-            return 0.0
-        return float(np.max(np.abs(flipped - np.conj(self.values))) / peak)
-
-    def dc_amplitude(self) -> float:
-        return float(np.linalg.norm(self.values[0, 0, 0]))
-
-
-def spectral_transform(field, grid: GridSpec | None = None):
-    """Continuum Fourier transform of a shape field.
-
-    Closed-form fields return their analytic spectrum when no grid is given;
-    with a grid (or for grid-sampled fields) the discrete transform of position
-    samples is returned, normalized to approximate int f(x) e^{-ik.x} d^3x.
-    """
-    if isinstance(field, CurlGaussian) and grid is None:
-        return field.spectrum()
-
-    if isinstance(field, CurlGaussian):
-        if grid.k_max * field.sigma < 4.0:
-            raise ResolutionError(
-                f"k_max*sigma = {grid.k_max * field.sigma:.3g} < 4: spectral tail not captured"
-            )
-        needed = 2.0 * field.effective_radius * grid.k_max / np.pi
-        if grid.n < needed:
-            raise ResolutionError(
-                f"n = {grid.n} below Nyquist for k_max = {grid.k_max:.3g}: "
-                f"need n >= {int(np.ceil(needed))} to cover the support"
-            )
-        axes = grid.position_axes(field.center_vec)
-        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-        samples = field(np.stack([xs, ys, zs], axis=-1))
-        dx = grid.dx
-        k_axes = grid.k_axes()
-        origin = np.array([a[0] for a in axes])
-    elif isinstance(field, GridField):
-        hs = field.spacing
-        if not np.allclose(hs, hs[0]):
-            raise ResolutionError("grid-sampled transform requires cubic spacing")
-        dx = hs[0]
-        samples = field.values
-        k_axes = tuple(2.0 * np.pi * np.fft.fftfreq(len(ax), d=dx) for ax in field.axes)
-        origin = np.array([a[0] for a in field.axes])
-    else:
-        raise TypeError(f"unsupported field type: {type(field).__name__}")
-
-    spec = np.fft.fftn(samples, axes=(0, 1, 2)) * dx**3
-    # shift so the transform refers to absolute positions, not grid indices
-    kx, ky, kz = np.meshgrid(*k_axes, indexing="ij")
-    phase = np.exp(-1j * (kx * origin[0] + ky * origin[1] + kz * origin[2]))
-    spec = spec * phase[..., None]
-    return GridSpectrum(k_axes, spec, dk=float(k_axes[0][1] - k_axes[0][0]), origin=origin)
-
-
-def inverse_transform(spectrum: GridSpectrum) -> np.ndarray:
-    """Position samples from a grid spectrum (adjoint of spectral_transform).
-
-    Returns samples at positions origin + n*dx on the grid the spectrum was
-    built from.
-    """
-    n = len(spectrum.k_axes[0])
-    dk = spectrum.dk
-    dx = 2.0 * np.pi / (n * dk)
-    kx, ky, kz = np.meshgrid(*spectrum.k_axes, indexing="ij")
-    o = spectrum.origin
-    phase = np.exp(1j * (kx * o[0] + ky * o[1] + kz * o[2]))
-    vals = np.fft.ifftn(spectrum.values * phase[..., None], axes=(0, 1, 2)) / dx**3
-    return np.real(vals)
-
-
-def transverse_project(sf):
-    """Apply the projector I - kk^T/k^2 nodewise; k = 0 maps to 0. Idempotent."""
-    if isinstance(sf, (CurlGaussianSpectrum, SpectrumSum)):
-        return sf  # transverse by construction
-    k = sf.k_mesh()
-    k2 = np.sum(k * k, axis=-1)
-    safe = np.where(k2 > 0.0, k2, 1.0)
-    dot = np.sum(k * sf.values, axis=-1)
-    projected = sf.values - k * (dot / safe)[..., None]
-    projected[k2 == 0.0] = 0.0
-    return GridSpectrum(sf.k_axes, projected, dk=sf.dk, origin=sf.origin)

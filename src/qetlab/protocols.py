@@ -22,15 +22,15 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import CausalityError, DegenerateFieldError, ValidationError
-from .fields import CurlGaussian, check_divergence_free
+from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
+from .fields import CurlGaussian
 from .spectral import overlap_kernel, weighted_spectral_integral
 
 PI2_OVER_4 = np.pi**2 / 4.0
 
 # causal gate: wait until the light front has cleared both supports at the
-# few-sigma level; strict oracle-grade decoupling needs the full effective
-# radii plus a 6 sigma margin (see min_strict_wait)
+# few-sigma level; the Monte Carlo oracle demands more, the full effective
+# radii plus a sigma margin (see spectral.min_oracle_wait)
 CAUSAL_SIGMA_FACTOR = 3.0
 
 
@@ -69,17 +69,6 @@ def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
     return sep + CAUSAL_SIGMA_FACTOR * (a_m.sigma + f_o.sigma)
 
 
-def min_strict_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
-    """Wait time beyond which the decoupling commutators vanish at tail level."""
-    sep = float(np.linalg.norm(a_m.center_vec - f_o.center_vec))
-    return (
-        a_m.effective_radius
-        + f_o.effective_radius
-        + sep
-        + 6.0 * max(a_m.sigma, f_o.sigma)
-    )
-
-
 @dataclass(frozen=True)
 class SpinOutcome:
     E_m: float
@@ -102,17 +91,6 @@ class OscillatorOutcome:
     D_ho: float
 
 
-def _require_divergence_free(field) -> None:
-    if isinstance(field, CurlGaussian):
-        return  # curl construction is divergence-free identically
-    report = check_divergence_free(field)
-    if not report.passed:
-        raise ValidationError(
-            f"field is not divergence-free (residual {report.max_residual:.3e} "
-            f"vs allowed {report.tol * report.scale:.3e})"
-        )
-
-
 def damping_exponent(a_m, lam: float = 1.0) -> float:
     """I1 = int d^3k/(2pi)^3 |k| |a_m~|^2 at the scaled amplitude."""
     spectrum = a_m.spectrum() if isinstance(a_m, CurlGaussian) else a_m
@@ -124,7 +102,6 @@ def input_energy(a_m) -> float:
 
     The same value is the input energy for both probe types.
     """
-    _require_divergence_free(a_m)
     spectrum = a_m.spectrum() if isinstance(a_m, CurlGaussian) else a_m
     return 0.5 * weighted_spectral_integral(spectrum, 2).value
 
@@ -170,7 +147,7 @@ def _kernel_and_norms(cfg: ProtocolConfig) -> tuple[float, float, float]:
 def _check_assembly(direct: float, assembled: float, what: str) -> None:
     scale = max(abs(direct), abs(assembled), 1e-300)
     if abs(direct - assembled) > 1e-12 * scale:
-        raise AssertionError(
+        raise ToleranceFailure(
             f"{what}: optimized form {direct!r} vs damping-factor assembly {assembled!r}"
         )
 
@@ -246,13 +223,6 @@ def large_amplitude_limit(cfg: ProtocolConfig) -> float:
             return 0.0
         raise DegenerateFieldError("zero-norm operation profile with nonzero overlap")
     return K * K / (4.0 * I1 * xi)
-
-
-def damping_ratio(a_m, lam: float) -> float:
-    """D_ho/D_q = exp(2 lam^2 I1) / (1 + pi^2/4 + 2 lam^2 I1), the protocol ratio."""
-    I1 = damping_exponent(a_m, 1.0)
-    u = 2.0 * lam * lam * I1
-    return math.exp(u) / (1.0 + PI2_OVER_4 + u)
 
 
 def crossover_amplitude(cfg: ProtocolConfig, bracket_max: float = 64.0) -> float:

@@ -3,9 +3,8 @@
 Records emit as JSON Lines with a fixed key order; frames emit as CSV
 (t,x,y,z,eps columns, 17 significant digits, lossless round trip) or as a flat
 binary grid behind a small validated header.  Everything downstream of a
-(scenario, seed) pair is deterministic: sweep points are computed as
-independent tasks and merged in task order, so the worker count never changes
-the output bytes.
+(scenario, seed) pair is deterministic: sweep points run in a fixed task
+order, so repeated runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -13,13 +12,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__ as ENGINE_VERSION
 from .dynamics import DensityFrame, FrameGrid, default_frame_grid, energy_density_frame
 from .protocols import (
     ProtocolConfig,
@@ -67,8 +63,6 @@ class ResultRecord:
     E_o_prime: float | None
     D_ho: float
     ratio: float | None
-    engine_version: str = ENGINE_VERSION
-    elapsed_s: float = 0.0  # diagnostics only; never serialized
 
     def to_line(self) -> str:
         values = {
@@ -99,7 +93,6 @@ def _finite_or_none(v):
 
 
 def _run_point(scenario: Scenario, probe: str, lam: float, T: float) -> ResultRecord:
-    start = time.perf_counter()
     cfg = ProtocolConfig(a_m=scenario.a_m, f_o=scenario.f_o, T=T, lam=lam)
     eta = theta = E_o = None
     eta_p = theta_p = E_o_p = None
@@ -131,24 +124,16 @@ def _run_point(scenario: Scenario, probe: str, lam: float, T: float) -> ResultRe
         E_o_prime=E_o_p,
         D_ho=D_ho,
         ratio=ratio,
-        elapsed_s=time.perf_counter() - start,
     )
 
 
-def run_scenario(scenario: Scenario, workers: int = 1) -> list[ResultRecord]:
+def run_scenario(scenario: Scenario) -> list[ResultRecord]:
     """All (probe, lambda, T) combinations, in deterministic task order.
 
     Errors from any sweep point propagate with the sweep coordinate attached.
     """
-    tasks = [
-        (probe, lam, T)
-        for probe in scenario.probes
-        for lam in scenario.lambdas
-        for T in scenario.T_list
-    ]
 
-    def run(task):
-        probe, lam, T = task
+    def run(probe, lam, T):
         try:
             return _run_point(scenario, probe, lam, T)
         except Exception as exc:
@@ -156,10 +141,12 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> list[ResultRecord]:
                 f"sweep point (probe={probe}, lambda={lam}, T={T}): {exc}"
             ) from exc
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+    return [
+        run(probe, lam, T)
+        for probe in scenario.probes
+        for lam in scenario.lambdas
+        for T in scenario.T_list
+    ]
 
 
 def emit_records(records, path) -> None:
@@ -180,7 +167,7 @@ def load_records(path) -> list[dict]:
     return out
 
 
-def scenario_frames(scenario: Scenario, workers: int = 1) -> list[DensityFrame]:
+def scenario_frames(scenario: Scenario) -> list[DensityFrame]:
     """Density frames at the scenario's times (source field a_m, shared grid policy)."""
     times = scenario.times or (0.0, max(scenario.T_list))
 
@@ -195,9 +182,6 @@ def scenario_frames(scenario: Scenario, workers: int = 1) -> list[DensityFrame]:
             grid = default_frame_grid(scenario.a_m, t, n=scenario.grid_n)
         return energy_density_frame(scenario.a_m, t, grid)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(build, times))
     return [build(t) for t in times]
 
 

@@ -16,19 +16,18 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ValidationError
-from .fields import CurlGaussian, RadialWindow, check_divergence_free
+from .fields import CurlGaussian, RadialWindow
 from .protocols import min_causal_wait
 
 PROBES = ("spin", "oscillator", "both")
 
 _TOP_KEYS = {
-    "seed", "probe", "T", "lambda", "fields", "grid", "times", "tolerances", "output",
+    "seed", "probe", "T", "lambda", "fields", "grid", "times", "output",
 }
 _FIELD_KEYS = {"amplitude", "sigma", "center", "axis"}
 _WINDOW_KEYS = {"radius", "center"}
 _FIELDS_KEYS = {"a_m", "f_o", "window"}
 _GRID_KEYS = {"n", "half_extent"}
-_TOL_KEYS = {"divergence"}
 _OUTPUT_KEYS = {"results", "frames_prefix"}
 
 
@@ -44,7 +43,6 @@ class Scenario:
     grid_n: int = 128
     grid_half_extent: float | None = None
     times: tuple = ()
-    divergence_tol: float = 1e-6
     results_name: str = "results.jsonl"
     frames_prefix: str = "frame"
     canonical: dict = field(default_factory=dict, compare=False)
@@ -198,18 +196,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 errs.add("scenario.times", f"times must be nonnegative, got {t}")
         times = tuple(tlist)
 
-    divergence_tol = 1e-6
-    tspec = raw.get("tolerances")
-    if tspec is not None:
-        if not isinstance(tspec, dict):
-            errs.add("scenario.tolerances", "expected a mapping")
-        else:
-            errs.check_keys(tspec, _TOL_KEYS, "scenario.tolerances")
-            divergence_tol = tspec.get("divergence", 1e-6)
-            if not isinstance(divergence_tol, (int, float)) or divergence_tol <= 0:
-                errs.add("scenario.tolerances.divergence", "must be positive")
-                divergence_tol = 1e-6
-
     results_name = "results.jsonl"
     frames_prefix = "frame"
     ospec = raw.get("output")
@@ -221,7 +207,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             results_name = str(ospec.get("results", results_name))
             frames_prefix = str(ospec.get("frames_prefix", frames_prefix))
 
-    # physics gates need both fields
+    # the causal gate needs both fields
     if a_m is not None and f_o is not None and T_list:
         floor = min_causal_wait(a_m, f_o)
         for T in T_list:
@@ -230,19 +216,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     "scenario.T",
                     f"T = {T} is in the causal-violation regime; need T > {floor:.6g}",
                 )
-        for name, fld in (("a_m", a_m), ("f_o", f_o)):
-            report = check_divergence_free(fld, tol=float(divergence_tol), n=21)
-            if not report.passed:
-                errs.add(
-                    f"scenario.fields.{name}",
-                    f"fails the divergence-free check (residual {report.max_residual:.3e})",
-                )
 
     if errs.errors:
         raise ValidationError(errs.errors)
 
     canonical = _canonical_dict(
-        a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times, divergence_tol
+        a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times
     )
     return Scenario(
         a_m=a_m,
@@ -255,14 +234,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
         grid_n=grid_n,
         grid_half_extent=grid_half,
         times=times,
-        divergence_tol=float(divergence_tol),
         results_name=results_name,
         frames_prefix=frames_prefix,
         canonical=canonical,
     )
 
 
-def _canonical_dict(a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times, dtol):
+def _canonical_dict(a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times):
     def fdict(fld: CurlGaussian) -> dict:
         return {
             "amplitude": fld.amplitude,
@@ -281,7 +259,6 @@ def _canonical_dict(a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid
         "seed": seed,
         "grid": {"n": grid_n, "half_extent": grid_half},
         "times": list(times),
-        "tolerances": {"divergence": dtol},
     }
 
 

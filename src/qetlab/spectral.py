@@ -5,7 +5,7 @@ int d^3k/(2pi)^3 |k|^p |a~|^2, the light-cone kernels, the shared overlap
 integral K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y), and an independent
 position-space Monte Carlo oracle for K(T).
 
-Closed-form (curl-Gaussian) pairs reduce to 1D radial integrals: the angular
+Every curl-Gaussian pairing reduces to a 1D radial integral: the angular
 part is analytic in spherical Bessel functions even for displaced centers and
 tilted axes.  Oscillatory cos(kT)/sin(kT) weights go through QUADPACK's
 weight-aware rules, which stay accurate through the ~1e-12 cancellation level
@@ -22,18 +22,9 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from .errors import LightConeError, ToleranceFailure, ValidationError
-from .fields import (
-    CurlGaussian,
-    CurlGaussianSpectrum,
-    GridSpectrum,
-    spectrum_terms,
-)
+from .fields import CurlGaussian, CurlGaussianSpectrum, spectrum_terms
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
-
-# transversality gate for grid spectra: longitudinal power would silently
-# enter the |k|^p norms
-TRANSVERSALITY_TOL = 1e-8
 
 # on-cone rejection threshold: the distributional cone contribution cannot
 # be point-evaluated
@@ -44,7 +35,7 @@ CONE_EPS = 1e-9
 class IntegralResult:
     value: float
     estimated_error: float
-    method: str  # "radial-quadrature" | "grid-sum" | "monte-carlo"
+    method: str  # "radial-quadrature" | "monte-carlo"
     samples_or_nodes: int
     seed: int | None = None
 
@@ -146,8 +137,11 @@ def _radial_pairing(
     return pref * val, pref * err, counter[0]
 
 
-def _closed_pairing(sf1, sf2, power: int, trig: str | None = None, t: float = 0.0):
-    """Bilinear expansion of `_radial_pairing` over SpectrumSum terms."""
+def weighted_pairing(sf1, sf2, power: int, trig: str | None = None, t: float = 0.0):
+    """Bilinear expansion of `_radial_pairing` over the closed-form spectrum terms.
+
+    Returns (value, error estimate, evaluations).
+    """
     total = 0.0
     err = 0.0
     n = 0
@@ -160,66 +154,18 @@ def _closed_pairing(sf1, sf2, power: int, trig: str | None = None, t: float = 0.
     return total, err, n
 
 
-def _require_transverse(gs: GridSpectrum) -> None:
-    res = gs.transversality_residual()
-    if res > TRANSVERSALITY_TOL:
-        raise ValidationError(
-            f"grid spectrum is not transverse (residual {res:.3e}); "
-            "longitudinal power would corrupt the norm"
-        )
-
-
-def _grid_pairing(gs1: GridSpectrum, gs2, power: int, trig: str | None = None, t: float = 0.0):
-    """Direct k-grid sum of the same pairing; second factor may be closed-form."""
-    if isinstance(gs2, GridSpectrum):
-        if gs1.values.shape != gs2.values.shape:
-            raise ValidationError("grid spectra must share a grid")
-        v2 = gs2.values
-    else:
-        v2 = gs2(gs1.k_mesh())
-    kmag = gs1.k_magnitude()
-    w = np.ones_like(kmag)
-    if power != 0:
-        # k=0 node: integrand vanishes faster than any negative power here
-        safe = np.where(kmag > 0.0, kmag, 1.0)
-        w = safe**power
-        w[kmag == 0.0] = 0.0
-    if trig == "cos":
-        w = w * np.cos(kmag * t)
-    elif trig == "sin":
-        w = w * np.sin(kmag * t)
-    integrand = w * np.sum(np.real(np.conj(gs1.values) * v2), axis=-1)
-    value = float(np.sum(integrand)) * gs1.dk**3 / (2.0 * np.pi) ** 3
-    # truncation proxy: outermost spherical shell contribution
-    edge = kmag >= np.max(np.abs(gs1.k_axes[0])) - gs1.dk
-    trunc = float(np.sum(np.abs(integrand[edge]))) * gs1.dk**3 / (2.0 * np.pi) ** 3
-    return value, trunc, int(kmag.size)
-
-
-def weighted_pairing(sf1, sf2, power: int, trig: str | None = None, t: float = 0.0):
-    """Dispatch a weighted spectral pairing to the closed-form or grid route."""
-    grid1 = isinstance(sf1, GridSpectrum)
-    grid2 = isinstance(sf2, GridSpectrum)
-    if grid1:
-        return _grid_pairing(sf1, sf2, power, trig, t) + ("grid-sum",)
-    if grid2:
-        return _grid_pairing(sf2, sf1, power, trig, t) + ("grid-sum",)
-    return _closed_pairing(sf1, sf2, power, trig, t) + ("radial-quadrature",)
-
-
 def weighted_spectral_integral(sf, power: int) -> IntegralResult:
     """int d^3k/(2pi)^3 |k|^power |a~(k)|^2 for power in {0, 1, 2}.
 
     power=0 is the Parseval norm, power=1 the damping exponent, power=2 twice
-    the input energy.  Grid spectra must be transverse; longitudinal energy
-    would silently enter otherwise.
+    the input energy.
     """
     if power not in (0, 1, 2):
         raise ValidationError(f"power must be in {{0, 1, 2}}, got {power}")
-    if isinstance(sf, GridSpectrum):
-        _require_transverse(sf)
-    value, err, n, method = weighted_pairing(sf, sf, power)
-    return IntegralResult(value=value, estimated_error=err, method=method, samples_or_nodes=n)
+    value, err, n = weighted_pairing(sf, sf, power)
+    return IntegralResult(
+        value=value, estimated_error=err, method="radial-quadrature", samples_or_nodes=n
+    )
 
 
 def pauli_jordan_delta(t: float, r: float) -> float:
@@ -381,15 +327,14 @@ def overlap_kernel(f_o, a_m, T: float, err_tol: float = 1e-8) -> IntegralResult:
     """
     if T <= 0.0:
         raise ValidationError("T must be positive")
-    for sf in (f_o, a_m):
-        if isinstance(sf, GridSpectrum):
-            _require_transverse(sf)
-    value, err, n, method = weighted_pairing(f_o, a_m, 1, trig="cos", t=T)
+    value, err, n = weighted_pairing(f_o, a_m, 1, trig="cos", t=T)
     if err > max(err_tol, 1e-6 * abs(value)):
         raise ToleranceFailure(
             f"oscillatory quadrature error {err:.3e} exceeds tolerance for K(T={T})"
         )
-    return IntegralResult(value=-value, estimated_error=err, method=method, samples_or_nodes=n)
+    return IntegralResult(
+        value=-value, estimated_error=err, method="radial-quadrature", samples_or_nodes=n
+    )
 
 
 def commutator_residual(f_o, a_m, T: float) -> float:
@@ -400,7 +345,7 @@ def commutator_residual(f_o, a_m, T: float) -> float:
     """
     if T == 0.0:
         return 0.0
-    value, _, _, _ = weighted_pairing(f_o, a_m, 1, trig="sin", t=abs(T))
+    value, _, _ = weighted_pairing(f_o, a_m, 1, trig="sin", t=abs(T))
     return -float(np.sign(T)) * value
 
 

@@ -45,6 +45,15 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
 
+    def test_underresolved_density_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "coarse.yaml"
+        path.write_text(MINIMAL + "times: [0.0]\ngrid: {n: 16, half_extent: 12.0}\n")
+        code = main(["density", "--scenario", str(path), "--out", str(tmp_path / "frames")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "under-resolves" in err
+        assert "Traceback" not in err
+
     def test_verify_tolerance_failure_exits_3(self, monkeypatch, capsys):
         import qetlab.cli as cli
 
@@ -75,7 +84,7 @@ class TestTeleport:
 
     def test_sweep_alias(self, scenario_path, tmp_path):
         out_dir = tmp_path / "out"
-        assert main(["sweep", "--scenario", scenario_path, "--out", str(out_dir), "--workers", "4"]) == EXIT_OK
+        assert main(["sweep", "--scenario", scenario_path, "--out", str(out_dir)]) == EXIT_OK
         assert (out_dir / "results.jsonl").exists()
 
 

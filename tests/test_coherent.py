@@ -11,7 +11,6 @@ from qetlab import (
     mean_electric_field,
 )
 from qetlab.coherent import symplectic_form, vacuum_overlap_with_gauge_displacement
-from qetlab.fields import GridSpec
 
 from oracles import weighted_norm_reference
 
@@ -133,7 +132,7 @@ class TestDisplacedFieldRelation:
         label = CoherentLabel(p=p_field.spectrum(), q=q_field.spectrum())
         for _ in range(4):
             x = rng.uniform(-1.5, 1.5, size=3)
-            got = mean_electric_field(label, x, GridSpec(n=64, k_max=8.0))
+            got = mean_electric_field(label, x)
             np.testing.assert_allclose(got, p_field(x), atol=2e-6)
 
     def test_pure_gauge_label_has_zero_mean_field(self, canonical_field, rng):

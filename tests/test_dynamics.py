@@ -29,12 +29,21 @@ class TestFrameConstruction:
         frame = energy_density_frame(source, 0.0, default_frame_grid(source, 0.0, n=96))
         np.testing.assert_allclose(total_energy(frame), E_source, rtol=1e-3)
 
-    def test_initial_field_data(self, source):
-        # at t=0 the magnetic part is curl(a) and the electric part vanishes
-        grid = default_frame_grid(source, 0.0, n=96)
-        frame = energy_density_frame(source, 0.0, grid)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            make_curl_gaussian(1.0, 1.0),
+            make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0)),
+        ],
+        ids=["canonical", "displaced-tilted"],
+    )
+    def test_initial_field_data(self, field):
+        # at t=0 the magnetic part is curl(a) and the electric part vanishes; a
+        # displaced, tilted field also pins the spectrum's phase convention
+        grid = default_frame_grid(field, 0.0, n=96)
+        frame = energy_density_frame(field, 0.0, grid)
         np.testing.assert_allclose(frame.Pi, 0.0, atol=1e-12)
-        direct = source.curl(grid.position_mesh())
+        direct = field.curl(grid.position_mesh())
         np.testing.assert_allclose(frame.b, direct, atol=1e-8 * np.max(np.abs(direct)))
 
     def test_zero_source_gives_vacuum_frame(self):

@@ -3,19 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qetlab import (
-    GridField,
-    GridSpec,
-    RadialWindow,
-    ValidationError,
-    check_divergence_free,
-    inverse_transform,
-    make_curl_gaussian,
-    spectral_transform,
-    transverse_project,
-)
-from qetlab.errors import ResolutionError
-from qetlab.fields import GridSpectrum
+from qetlab import RadialWindow, ValidationError, make_curl_gaussian
 
 unit_axes = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -90,108 +78,44 @@ class TestSpectralTransform:
     def test_dc_node_is_zero(self, canonical_field):
         np.testing.assert_allclose(canonical_field.spectrum()(np.zeros(3)), 0.0, atol=1e-300)
 
-    def test_grid_matches_closed_form_at_random_nodes(self, rng):
-        a = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
-        grid = GridSpec(n=96, k_max=8.0)
-        gs = spectral_transform(a, grid)
-        closed = a.spectrum()
-        idx = rng.integers(0, 96, size=(10, 3))
-        ks = np.stack([gs.k_axes[d][idx[:, d]] for d in range(3)], axis=-1)
-        got = gs.values[idx[:, 0], idx[:, 1], idx[:, 2]]
-        want = closed(ks)
-        scale = np.max(np.abs(gs.values))  # global peak: random nodes may all be tiny
-        np.testing.assert_allclose(got, want, atol=1e-6 * scale)
 
-    def test_grid_spectrum_invariants(self, canonical_field):
-        gs = spectral_transform(canonical_field, GridSpec(n=64, k_max=8.0))
-        assert gs.transversality_residual() < 1e-10
-        assert gs.hermitian_residual() < 1e-12
-        assert gs.dc_amplitude() < 1e-12
-
-    def test_round_trip_reproduces_samples(self):
-        a = make_curl_gaussian(0.8, 1.1, center=(0.3, 0.0, -0.5))
-        grid = GridSpec(n=48, k_max=6.0)
-        gs = spectral_transform(a, grid)
-        back = inverse_transform(gs)
-        axes = grid.position_axes(a.center_vec)
-        xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-        direct = a(np.stack([xs, ys, zs], axis=-1))
-        np.testing.assert_allclose(back, direct, atol=1e-10 * np.max(np.abs(direct)))
-
-    def test_refuses_coarse_kmax(self, canonical_field):
-        with pytest.raises(ResolutionError, match="k_max"):
-            spectral_transform(canonical_field, GridSpec(n=64, k_max=3.0))
-
-    def test_refuses_undersampled_box(self, canonical_field):
-        with pytest.raises(ResolutionError, match="Nyquist"):
-            spectral_transform(canonical_field, GridSpec(n=16, k_max=8.0))
+def _divergence_residual(field, center, length, n=13):
+    """Central-difference max |div f| on a box of +-3 length, and the scale max|f|/length."""
+    ax = np.linspace(-3.0 * length, 3.0 * length, n)
+    xs, ys, zs = np.meshgrid(*(ax + c for c in center), indexing="ij")
+    pts = np.stack([xs, ys, zs], axis=-1)
+    h = 1e-4 * length
+    div = np.zeros(pts.shape[:-1])
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = h
+        div += (field(pts + step)[..., axis] - field(pts - step)[..., axis]) / (2.0 * h)
+    fmax = float(np.max(np.linalg.norm(field(pts), axis=-1)))
+    return float(np.max(np.abs(div))), fmax / length
 
 
 class TestDivergence:
     def test_curl_gaussian_passes(self, canonical_field):
-        report = check_divergence_free(canonical_field)
-        assert report.passed
-        assert report.max_residual <= report.tol * report.scale
+        tilted = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+        for a in (canonical_field, tilted):
+            residual, scale = _divergence_residual(a, a.center, a.sigma)
+            assert residual <= 1e-6 * scale
 
     def test_constructed_counterexample_fails(self):
         # f = (x, 0, 0) * bump has div f = bump + x d_x bump != 0
-        ax = np.linspace(-2, 2, 21)
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        bump = np.exp(-(xs**2 + ys**2 + zs**2))
-        values = np.zeros(xs.shape + (3,))
-        values[..., 0] = xs * bump
-        bad = GridField((ax, ax, ax), values)
-        assert not check_divergence_free(bad).passed
+        def bad(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            out[..., 0] = x[..., 0] * np.exp(-np.sum(x * x, axis=-1))
+            return out
+
+        residual, scale = _divergence_residual(bad, (0.0, 0.0, 0.0), 1.0)
+        assert residual > 1e-6 * scale
 
     def test_zero_field_residual_zero(self):
-        report = check_divergence_free(make_curl_gaussian(0.0, 1.0))
-        assert report.max_residual == 0.0
-        assert report.passed
-
-
-def _random_grid_spectrum(rng, n=12):
-    k = 2 * np.pi * np.fft.fftfreq(n, d=0.5)
-    vals = rng.normal(size=(n, n, n, 3)) + 1j * rng.normal(size=(n, n, n, 3))
-    return GridSpectrum((k, k.copy(), k.copy()), vals, dk=float(k[1] - k[0]))
-
-
-class TestTransverseProject:
-    def test_idempotent(self, rng):
-        gs = _random_grid_spectrum(rng)
-        once = transverse_project(gs)
-        twice = transverse_project(once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-13)
-
-    def test_projected_is_transverse(self, rng):
-        gs = transverse_project(_random_grid_spectrum(rng))
-        assert gs.transversality_residual() < 1e-12
-
-    def test_parallel_input_maps_to_zero(self):
-        n = 8
-        k = 2 * np.pi * np.fft.fftfreq(n, d=0.5)
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        kvec = np.stack([kx, ky, kz], axis=-1).astype(complex)
-        gs = GridSpectrum((k, k.copy(), k.copy()), kvec, dk=float(k[1] - k[0]))
-        out = transverse_project(gs)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
-
-    def test_orthogonal_case_unchanged(self):
-        n = 8
-        k = 2 * np.pi * np.fft.fftfreq(n, d=0.5)
-        vals = np.zeros((n, n, n, 3), dtype=complex)
-        # a~ = (1,0,0) at node k = (0, 0, k_z!=0)
-        vals[0, 0, 1, 0] = 1.0
-        gs = GridSpectrum((k, k.copy(), k.copy()), vals, dk=float(k[1] - k[0]))
-        out = transverse_project(gs)
-        np.testing.assert_allclose(out.values, vals, atol=1e-15)
-
-    def test_already_transverse_unchanged(self, canonical_field):
-        # the projector may only touch the (tiny) longitudinal sampling error
-        gs = spectral_transform(canonical_field, GridSpec(n=32, k_max=6.0))
-        out = transverse_project(gs)
-        peak = np.max(np.abs(gs.values))
-        budget = max(2.0 * gs.transversality_residual(), 1e-13) * peak
-        assert np.max(np.abs(out.values - gs.values)) <= budget
+        a = make_curl_gaussian(0.0, 1.0)
+        residual, _ = _divergence_residual(a, a.center, a.sigma)
+        assert residual == 0.0
 
 
 class TestWindow:
@@ -207,41 +131,3 @@ class TestWindow:
         inner = w(np.array([2.0 - 1e-9, 0.0, 0.0]))
         outer = w(np.array([2.0 + 1e-9, 0.0, 0.0]))
         assert abs(inner - outer) < 1e-6
-
-
-class TestGridFieldRadius:
-    def test_matches_closed_form_family(self):
-        # sample the closed-form field; the grid estimate at a loose tail must
-        # bracket the analytic radius at the grid's resolution
-        a = make_curl_gaussian(1.0, 1.0)
-        half, n = 8.0, 48
-        ax = np.linspace(-half, half, n)
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        g = GridField((ax, ax, ax), a(np.stack([xs, ys, zs], axis=-1)))
-        from qetlab.fields import CurlGaussian
-        from dataclasses import replace
-
-        loose = replace(a, tail_tol=1e-4)
-        assert abs(g.effective_radius(1e-4) - loose.effective_radius) < 2.0 * (ax[1] - ax[0])
-
-    def test_zero_field_radius(self):
-        ax = np.linspace(-1, 1, 5)
-        g = GridField((ax, ax, ax), np.zeros((5, 5, 5, 3)))
-        assert g.effective_radius() == 0.0
-
-
-class TestGridFieldCsv:
-    def test_round_trip(self, tmp_path, rng):
-        ax = np.linspace(-1, 1, 5)
-        values = rng.normal(size=(5, 5, 5, 3))
-        f = GridField((ax, ax, ax), values)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        g = GridField.from_csv(path)
-        np.testing.assert_allclose(g.values, values, rtol=1e-15)
-
-    def test_incomplete_lattice_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0,0,1,0,0\n1,0,0,0,1,0\n0,1,0,0,0,1\n")
-        with pytest.raises(ValidationError):
-            GridField.from_csv(path)

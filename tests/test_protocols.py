@@ -21,7 +21,6 @@ from qetlab import (
     run_spin_protocol,
     separation_scaling_fit,
 )
-from qetlab.fields import GridField
 from qetlab.protocols import (
     damping_exponent,
     g_squared_vacuum,
@@ -73,14 +72,6 @@ class TestInputEnergy:
         np.testing.assert_allclose(
             input_energy(a.scaled(lam)), lam * lam * input_energy(a), rtol=1e-9
         )
-
-    def test_rejects_non_divergence_free_grid_field(self):
-        ax = np.linspace(-2, 2, 17)
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        values = np.zeros(xs.shape + (3,))
-        values[..., 0] = xs * np.exp(-(xs**2 + ys**2 + zs**2))
-        with pytest.raises(ValidationError, match="divergence"):
-            input_energy(GridField((ax, ax, ax), values))
 
 
 class TestDamping:
@@ -164,6 +155,15 @@ class TestSpinProtocol:
     def test_negative_lambda_rejected(self, canonical_field):
         with pytest.raises(ValidationError):
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0, lam=-1.0)
+
+    def test_assembly_mismatch_is_tolerance_failure(self):
+        # the sign guard reports through the numerical-tolerance exit path
+        from qetlab import ToleranceFailure
+        from qetlab.protocols import _check_assembly
+
+        _check_assembly(-1.0, -1.0 * (1.0 + 1e-13), "spin teleported energy")
+        with pytest.raises(ToleranceFailure, match="spin teleported energy"):
+            _check_assembly(-1.0, 1.0, "spin teleported energy")
 
 
 class TestOscillatorProtocol:

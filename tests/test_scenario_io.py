@@ -131,15 +131,6 @@ class TestRunScenario:
         emit_records(run_scenario(s), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_counts_are_byte_identical(self, tmp_path):
-        s = parse_scenario(write(tmp_path, FULL))
-        outputs = []
-        for workers in (1, 4, 8):
-            path = tmp_path / f"w{workers}.jsonl"
-            emit_records(run_scenario(s, workers=workers), path)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_sweep_error_carries_coordinate(self, tmp_path):
         s = parse_scenario(write(tmp_path, FULL))
         broken = type(s).__new__(type(s))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetlab import (
-    GridSpec,
     LightConeError,
     ValidationError,
     brute_force_overlap_oracle,
@@ -13,10 +12,8 @@ from qetlab import (
     overlap_kernel,
     pauli_jordan_delta,
     pauli_jordan_delta_quadrature,
-    spectral_transform,
     weighted_spectral_integral,
 )
-from qetlab.fields import GridSpectrum
 from qetlab.spectral import min_oracle_wait, parseval_norm_position
 
 from oracles import grid_norm_reference, kernel_reference, weighted_norm_reference
@@ -63,21 +60,6 @@ class TestWeightedIntegral:
     def test_rejects_bad_power(self, canonical_field):
         with pytest.raises(ValidationError):
             weighted_spectral_integral(canonical_field.spectrum(), 3)
-
-    def test_rejects_longitudinal_grid_input(self):
-        n = 16
-        k = 2 * np.pi * np.fft.fftfreq(n, d=0.5)
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        kvec = np.stack([kx, ky, kz], axis=-1).astype(complex)
-        gs = GridSpectrum((k, k.copy(), k.copy()), kvec, dk=float(k[1] - k[0]))
-        with pytest.raises(ValidationError, match="transverse"):
-            weighted_spectral_integral(gs, 0)
-
-    def test_grid_route_through_public_op(self, canonical_field):
-        gs = spectral_transform(canonical_field, GridSpec(n=64, k_max=8.0))
-        res = weighted_spectral_integral(gs, 1)
-        assert res.method == "grid-sum"
-        np.testing.assert_allclose(res.value, 8.0 * np.pi / 3.0, rtol=1e-6)
 
 
 class TestPauliJordanDelta:
@@ -130,12 +112,13 @@ class TestOverlapKernel:
         f = make_curl_gaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
         K = overlap_kernel(f.spectrum(), a.spectrum(), 8.0)
         assert abs(K.value) < 1e-12
-        # the angular cancellation also holds on a plain grid sum
-        gs_a = spectral_transform(a, GridSpec(n=48, k_max=6.0))
-        gs_f = spectral_transform(f, GridSpec(n=48, k_max=6.0))
-        dot = np.sum(np.real(np.conj(gs_f.values) * gs_a.values), axis=-1)
-        total = np.sum(dot * gs_a.k_magnitude()) * gs_a.dk**3
-        assert abs(total) < 1e-8 * np.max(np.abs(dot)) * dot.size * gs_a.dk**3 + 1e-12
+        # the angular cancellation also holds on a plain k-lattice sum
+        k = 2 * np.pi * np.fft.fftfreq(48, d=np.pi / 6.0)
+        kvec = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
+        dot = np.sum(np.real(np.conj(f.spectrum()(kvec)) * a.spectrum()(kvec)), axis=-1)
+        dk = k[1] - k[0]
+        total = np.sum(dot * np.linalg.norm(kvec, axis=-1)) * dk**3
+        assert abs(total) < 1e-8 * np.max(np.abs(dot)) * dot.size * dk**3 + 1e-12
 
     def test_bilinear_in_amplitude(self, canonical_field):
         spec = canonical_field.spectrum()
@@ -157,13 +140,6 @@ class TestOverlapKernel:
         K = overlap_kernel(f.spectrum(), a.spectrum(), T)
         mc = brute_force_overlap_oracle(f, a, T, samples=600_000, seed=17)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
-
-    def test_grid_route_agrees_at_moderate_T(self, canonical_field):
-        T = 6.0
-        gs = spectral_transform(canonical_field, GridSpec(n=96, k_max=8.0))
-        K_grid = overlap_kernel(gs, canonical_field.spectrum(), T)
-        K_closed = overlap_kernel(canonical_field.spectrum(), canonical_field.spectrum(), T)
-        np.testing.assert_allclose(K_grid.value, K_closed.value, rtol=1e-4)
 
     def test_rejects_nonpositive_T(self, canonical_field):
         with pytest.raises(ValidationError):
