@@ -11,15 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from qetlab import (
+    PairInvariants,
     ProtocolConfig,
     commutator_residual,
     crossover_amplitude,
-    input_energy,
     large_amplitude_limit,
     make_curl_gaussian,
     overlap_kernel,
-    run_oscillator_protocol,
-    run_spin_protocol,
+    teleport,
 )
 from qetlab.results import emit_records, run_scenario
 from qetlab.scenario import scenario_from_dict
@@ -37,16 +36,17 @@ def main() -> int:
     cfg = ProtocolConfig(a_m=a, f_o=a, T=args.T, lam=args.lam)
 
     print(f"# canonical run: sigma={args.sigma}, T={args.T}, lambda={args.lam}")
-    print(f"E_m                 = {input_energy(cfg.a_eff):.12g}")
-    K = overlap_kernel(cfg.f_o.spectrum(), cfg.a_eff.spectrum(), cfg.T)
-    print(f"K(T)                = {K.value:.12g}  (quadrature error {K.estimated_error:.2g})")
-    print(f"commutator residual = {commutator_residual(cfg.f_o.spectrum(), cfg.a_eff.spectrum(), cfg.T):.3g}")
+    inv = PairInvariants.of(a, a)
+    print(f"E_m                 = {args.lam**2 * inv.E_m:.12g}")
+    # K and the commutator are linear in the measurement amplitude
+    K1 = overlap_kernel(a.spectrum(), a.spectrum(), cfg.T)
+    print(f"K(T)                = {args.lam * K1.value:.12g}  (quadrature error {args.lam * K1.estimated_error:.2g})")
+    print(f"commutator residual = {args.lam * commutator_residual(a.spectrum(), a.spectrum(), cfg.T):.3g}")
 
-    spin = run_spin_protocol(cfg)
+    spin, osc = teleport(inv, K1.value, args.lam)
     print(f"spin probe:  eta={spin.eta:.6g} xi={spin.xi:.6g} theta*={spin.theta_star:.6g}")
     print(f"             E_o={spin.E_o:.6g}  D_q={spin.D_q:.6g}")
 
-    osc = run_oscillator_protocol(cfg)
     print(f"oscillator:  eta'={osc.eta_prime:.6g} <G^2>={osc.G2_vev:.6g} theta'={osc.theta_prime_star:.6g}")
     print(f"             E_o'={osc.E_o_prime:.6g}  D_ho={osc.D_ho:.6g}")
     print(f"ratio E_o'/E_o      = {osc.E_o_prime / spin.E_o:.6g} (= D_ho/D_q)")

@@ -13,15 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from qetlab import (
+    PairInvariants,
     ProtocolConfig,
     crossover_amplitude,
-    damping_oscillator,
-    damping_spin,
     make_curl_gaussian,
-    overlap_kernel,
-    run_oscillator_protocol,
-    run_spin_protocol,
     separation_scaling_fit,
+    teleport,
 )
 
 
@@ -38,19 +35,13 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    inv = PairInvariants.of(a, a)
     T_values = np.geomspace(args.t_min, args.t_max, args.points)
     rows = []
     for T in T_values:
-        sub = cfg.with_T(float(T))
-        K = overlap_kernel(sub.f_o.spectrum(), sub.a_eff.spectrum(), float(T)).value
-        rows.append(
-            [
-                T,
-                abs(K),
-                abs(run_spin_protocol(sub).E_o),
-                abs(run_oscillator_protocol(sub).E_o_prime),
-            ]
-        )
+        K = inv.kernel(float(T))
+        spin, osc = teleport(inv, K, 1.0)
+        rows.append([T, abs(K), abs(spin.E_o), abs(osc.E_o_prime)])
     sep_path = out_dir / "separation.csv"
     with open(sep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("T,abs_K,abs_E_o,abs_E_o_prime\n")
@@ -63,18 +54,11 @@ def main() -> int:
     lam_c = crossover_amplitude(cfg)
     print(f"crossover lambda_c = {lam_c:.10g}")
     lams = np.linspace(0.25 * lam_c, 4.0 * lam_c, 25)
+    K = inv.kernel(args.t_min)
     rows = []
     for lam in lams:
-        sub = cfg.with_lam(float(lam))
-        rows.append(
-            [
-                lam,
-                damping_spin(a, float(lam)),
-                damping_oscillator(a, float(lam)),
-                abs(run_spin_protocol(sub).E_o),
-                abs(run_oscillator_protocol(sub).E_o_prime),
-            ]
-        )
+        spin, osc = teleport(inv, K, float(lam))
+        rows.append([lam, spin.D_q, osc.D_ho, abs(spin.E_o), abs(osc.E_o_prime)])
     cross_path = out_dir / "crossover.csv"
     with open(cross_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("lambda,D_q,D_ho,abs_E_o,abs_E_o_prime\n")

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .fields import CurlGaussian, RadialWindow, make_curl_gaussian
 from .spectral import (
-    DeltaKernel,
     IntegralResult,
     brute_force_overlap_oracle,
     commutator_residual,
@@ -37,6 +36,7 @@ from .coherent import (
 )
 from .protocols import (
     OscillatorOutcome,
+    PairInvariants,
     ProtocolConfig,
     SpinOutcome,
     crossover_amplitude,
@@ -45,9 +45,9 @@ from .protocols import (
     input_energy,
     large_amplitude_limit,
     povm_identity_check,
-    run_oscillator_protocol,
-    run_spin_protocol,
+    run_protocols,
     separation_scaling_fit,
+    teleport,
 )
 from .dynamics import (
     DensityFrame,

@@ -21,11 +21,14 @@ from .errors import ToleranceFailure, ValidationError
 from .fields import make_curl_gaussian
 from .negative_energy import GaussianPhotonMode, demo_rows
 from .protocols import (
+    PairInvariants,
+    ProtocolConfig,
     damping_oscillator,
     damping_spin,
     input_energy,
     input_energy_position_oracle,
     povm_identity_check,
+    run_protocols,
 )
 from .results import (
     emit_frame_binary,
@@ -110,19 +113,17 @@ def _apply_seed(scenario, seed):
 
 def _cmd_energy(args) -> int:
     scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
-    a = scenario.a_m
-    E_m = input_energy(a)
-    I1 = weighted_spectral_integral(a.spectrum(), 1).value
-    xi = weighted_spectral_integral(scenario.f_o.spectrum(), 0).value
+    inv = PairInvariants.of(scenario.a_m, scenario.f_o)
     print(f"scenario_hash = {scenario.scenario_hash}")
-    print(f"E_m = {E_m:.12g}")
-    print(f"I1 = {I1:.12g}")
-    print(f"xi = {xi:.12g}")
-    print(f"effective_radius(a_m) = {a.effective_radius:.6g}")
+    print(f"E_m = {inv.E_m:.12g}")
+    print(f"I1 = {inv.I1:.12g}")
+    print(f"xi = {inv.xi:.12g}")
+    print(f"effective_radius(a_m) = {scenario.a_m.effective_radius:.6g}")
     for lam in scenario.lambdas:
+        I1 = lam * lam * inv.I1
         print(
-            f"lambda = {lam:g}: E_m = {lam * lam * E_m:.12g}, "
-            f"D_q = {damping_spin(a, lam):.12g}, D_ho = {damping_oscillator(a, lam):.12g}"
+            f"lambda = {lam:g}: E_m = {lam * lam * inv.E_m:.12g}, "
+            f"D_q = {damping_spin(I1):.12g}, D_ho = {damping_oscillator(I1):.12g}"
         )
     return EXIT_OK
 
@@ -229,11 +230,11 @@ def _cmd_verify(args) -> int:
     )
     _check("measurement identities", worst <= 1e-10, f"max residual {worst:.2e}", failures)
 
-    ratio_lhs = damping_oscillator(a, 1.3) / damping_spin(a, 1.3)
-    from .protocols import ProtocolConfig, run_oscillator_protocol, run_spin_protocol
-
-    cfg = ProtocolConfig(a_m=a, f_o=a, T=T, lam=1.3)
-    ratio_rhs = run_oscillator_protocol(cfg).E_o_prime / run_spin_protocol(cfg).E_o
+    # I1 by quadrature at the scaled field, so the lambda^2 law is under test too
+    I1 = weighted_spectral_integral(a.scaled(1.3).spectrum(), 1).value
+    ratio_lhs = damping_oscillator(I1) / damping_spin(I1)
+    spin, osc = run_protocols(ProtocolConfig(a_m=a, f_o=a, T=T, lam=1.3))
+    ratio_rhs = osc.E_o_prime / spin.E_o
     _check(
         "damping-ratio identity",
         abs(ratio_lhs - ratio_rhs) <= 1e-12 * abs(ratio_lhs),

@@ -52,15 +52,8 @@ class ProtocolConfig:
                 f"need T > {min_causal_wait(self.a_m, self.f_o):.6g}"
             )
 
-    @property
-    def a_eff(self) -> CurlGaussian:
-        return self.a_m.scaled(self.lam)
-
     def with_lam(self, lam: float) -> "ProtocolConfig":
         return ProtocolConfig(a_m=self.a_m, f_o=self.f_o, T=self.T, lam=lam)
-
-    def with_T(self, T: float) -> "ProtocolConfig":
-        return ProtocolConfig(a_m=self.a_m, f_o=self.f_o, T=T, lam=self.lam)
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
@@ -91,10 +84,8 @@ class OscillatorOutcome:
     D_ho: float
 
 
-def damping_exponent(a_m, lam: float = 1.0) -> float:
-    """I1 = int d^3k/(2pi)^3 |k| |a_m~|^2 at the scaled amplitude."""
-    spectrum = a_m.spectrum() if isinstance(a_m, CurlGaussian) else a_m
-    return lam * lam * weighted_spectral_integral(spectrum, 1).value
+def _norm(field: CurlGaussian, power: int) -> float:
+    return weighted_spectral_integral(field.spectrum(), power).value
 
 
 def input_energy(a_m) -> float:
@@ -102,8 +93,7 @@ def input_energy(a_m) -> float:
 
     The same value is the input energy for both probe types.
     """
-    spectrum = a_m.spectrum() if isinstance(a_m, CurlGaussian) else a_m
-    return 0.5 * weighted_spectral_integral(spectrum, 2).value
+    return 0.5 * _norm(a_m, 2)
 
 
 def input_energy_position_oracle(a_m: CurlGaussian, n: int = 96, half_extent_sigmas: float = 8.0) -> float:
@@ -117,31 +107,37 @@ def input_energy_position_oracle(a_m: CurlGaussian, n: int = 96, half_extent_sig
     return 0.5 * float(np.sum(curls * curls)) * dx**3
 
 
-def damping_spin(a_m, lam: float = 1.0) -> float:
+def damping_spin(I1: float) -> float:
     """Exponential factor D_q = exp(-2 I1); in (0, 1]."""
-    return math.exp(-2.0 * damping_exponent(a_m, lam))
+    return math.exp(-2.0 * I1)
 
 
-def damping_oscillator(a_m, lam: float = 1.0) -> float:
+def damping_oscillator(I1: float) -> float:
     """Power factor D_ho = [1 + pi^2/4 + 2 I1]^{-1}; in (0, (1 + pi^2/4)^{-1}]."""
-    return 1.0 / (1.0 + PI2_OVER_4 + 2.0 * damping_exponent(a_m, lam))
+    return 1.0 / (1.0 + PI2_OVER_4 + 2.0 * I1)
 
 
-def g_squared_vacuum(a_m, lam: float = 1.0) -> float:
-    """Vacuum second moment of the measured functional: pi^2/16 + I1/2."""
-    return np.pi**2 / 16.0 + 0.5 * damping_exponent(a_m, lam)
+@dataclass(frozen=True)
+class PairInvariants:
+    """E_m, I1 and xi of a field pair at unit amplitude multiplier.
 
+    The fields are linear in the amplitude, so at multiplier lam the protocol
+    sees lam^2 E_m, lam^2 I1, the same xi and lam K(T).
+    """
 
-def _kernel_and_norms(cfg: ProtocolConfig) -> tuple[float, float, float]:
-    a = cfg.a_eff
-    K = overlap_kernel(cfg.f_o.spectrum(), a.spectrum(), cfg.T).value
-    xi = weighted_spectral_integral(cfg.f_o.spectrum(), 0).value
-    if xi == 0.0:
-        raise DegenerateFieldError(
-            "operation profile has zero norm; the displacement parameter is undefined"
-        )
-    I1 = weighted_spectral_integral(a.spectrum(), 1).value
-    return K, xi, I1
+    a_m: CurlGaussian
+    f_o: CurlGaussian
+    E_m: float
+    I1: float
+    xi: float
+
+    @classmethod
+    def of(cls, a_m: CurlGaussian, f_o: CurlGaussian) -> "PairInvariants":
+        return cls(a_m=a_m, f_o=f_o, E_m=input_energy(a_m), I1=_norm(a_m, 1), xi=_norm(f_o, 0))
+
+    def kernel(self, T: float) -> float:
+        """K(T) at lam = 1."""
+        return overlap_kernel(self.f_o.spectrum(), self.a_m.spectrum(), T).value
 
 
 def _check_assembly(direct: float, assembled: float, what: str) -> None:
@@ -152,53 +148,62 @@ def _check_assembly(direct: float, assembled: float, what: str) -> None:
         )
 
 
-def run_spin_protocol(cfg: ProtocolConfig) -> SpinOutcome:
-    """Discrete-variable run: binary probe measurement, then the optimal displacement.
-
-    eta = <0|(0,2a)> K(T), theta* = -eta/xi, E_o = -eta^2/(2 xi); the result is
-    cross-assembled from D_q to guard against sign errors in eta.
-    """
-    K, xi, I1 = _kernel_and_norms(cfg)
-    vacuum_overlap = math.exp(-I1)
-    eta = vacuum_overlap * K
-    theta_star = -eta / xi
-    E_o = -(eta * eta) / (2.0 * xi)
-    D_q = math.exp(-2.0 * I1)
-    _check_assembly(E_o, -D_q * K * K / (2.0 * xi), "spin teleported energy")
-    E_m = input_energy(cfg.a_eff)
-    if abs(E_o) >= E_m and E_m > 0.0:
+def _check_bookkeeping(E_out: float, E_m: float, name: str) -> None:
+    if abs(E_out) >= E_m and E_m > 0.0:
         warnings.warn(
-            f"|E_o| = {abs(E_o):.3e} is not below E_m = {E_m:.3e}; "
+            f"|{name}| = {abs(E_out):.3e} is not below E_m = {E_m:.3e}; "
             "total-energy bookkeeping violated",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return SpinOutcome(E_m=E_m, eta=eta, xi=xi, theta_star=theta_star, E_o=E_o, D_q=D_q)
 
 
-def run_oscillator_protocol(cfg: ProtocolConfig) -> OscillatorOutcome:
-    """Continuous-variable run: Gaussian-pointer measurement, then the optimal displacement."""
-    K, xi, I1 = _kernel_and_norms(cfg)
+def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, OscillatorOutcome]:
+    """Both protocols at amplitude multiplier lam, given K1 = inv.kernel(T).
+
+    Spin probe (binary measurement): eta = <0|(0,2a)> K, theta* = -eta/xi,
+    E_o = -eta^2/(2 xi).  Oscillator probe (Gaussian pointer): eta' = K/2,
+    theta'* = -eta'/(xi (<G^2> + 1/4)), E_o' = -eta'^2/(2 xi (<G^2> + 1/4)).
+    Each result is cross-assembled from its damping factor to guard against
+    sign errors in eta.
+    """
+    xi = inv.xi
+    if xi == 0.0:
+        raise DegenerateFieldError(
+            "operation profile has zero norm; the displacement parameter is undefined"
+        )
+    K = lam * K1
+    I1 = lam * lam * inv.I1
+    E_m = lam * lam * inv.E_m
+
+    eta = math.exp(-I1) * K
+    E_o = -(eta * eta) / (2.0 * xi)
+    D_q = damping_spin(I1)
+    _check_assembly(E_o, -D_q * K * K / (2.0 * xi), "spin teleported energy")
+    _check_bookkeeping(E_o, E_m, "E_o")
+
     eta_prime = 0.5 * K
     G2 = np.pi**2 / 16.0 + 0.5 * I1
-    theta_prime_star = -eta_prime / (xi * (G2 + 0.25))
     E_o_prime = -(eta_prime * eta_prime) / (2.0 * xi * (G2 + 0.25))
-    D_ho = 1.0 / (1.0 + PI2_OVER_4 + 2.0 * I1)
+    D_ho = damping_oscillator(I1)
     _check_assembly(E_o_prime, -D_ho * K * K / (2.0 * xi), "oscillator teleported energy")
-    E_m = input_energy(cfg.a_eff)
-    if abs(E_o_prime) >= E_m and E_m > 0.0:
-        warnings.warn(
-            f"|E_o'| = {abs(E_o_prime):.3e} is not below E_m = {E_m:.3e}; "
-            "total-energy bookkeeping violated",
-            stacklevel=2,
-        )
-    return OscillatorOutcome(
+    _check_bookkeeping(E_o_prime, E_m, "E_o'")
+
+    spin = SpinOutcome(E_m=E_m, eta=eta, xi=xi, theta_star=-eta / xi, E_o=E_o, D_q=D_q)
+    osc = OscillatorOutcome(
         E_m=E_m,
         eta_prime=eta_prime,
         G2_vev=float(G2),
-        theta_prime_star=theta_prime_star,
+        theta_prime_star=-eta_prime / (xi * (G2 + 0.25)),
         E_o_prime=E_o_prime,
         D_ho=D_ho,
     )
+    return spin, osc
+
+
+def run_protocols(cfg: ProtocolConfig) -> tuple[SpinOutcome, OscillatorOutcome]:
+    """One-off run of both protocols at cfg's (T, lam)."""
+    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
+    return teleport(inv, inv.kernel(cfg.T), cfg.lam)
 
 
 def spin_objective(theta: float, eta: float, xi: float) -> float:
@@ -212,17 +217,15 @@ def large_amplitude_limit(cfg: ProtocolConfig) -> float:
     A literal zero operation profile extracts nothing and returns 0; a zero
     measurement amplitude leaves the rescaled profile undefined and is rejected.
     """
-    a = cfg.a_eff if cfg.lam > 0 else cfg.a_m
-    I1 = weighted_spectral_integral(a.spectrum(), 1).value
-    if I1 == 0.0:
+    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
+    if inv.I1 == 0.0:
         raise DegenerateFieldError("zero measurement amplitude: rescaled profile undefined")
-    xi = weighted_spectral_integral(cfg.f_o.spectrum(), 0).value
-    K = overlap_kernel(cfg.f_o.spectrum(), a.spectrum(), cfg.T).value
-    if xi == 0.0:
-        if K == 0.0:
+    K1 = inv.kernel(cfg.T)
+    if inv.xi == 0.0:
+        if K1 == 0.0:
             return 0.0
         raise DegenerateFieldError("zero-norm operation profile with nonzero overlap")
-    return K * K / (4.0 * I1 * xi)
+    return K1 * K1 / (4.0 * inv.I1 * inv.xi)
 
 
 def crossover_amplitude(cfg: ProtocolConfig, bracket_max: float = 64.0) -> float:
@@ -232,7 +235,7 @@ def crossover_amplitude(cfg: ProtocolConfig, bracket_max: float = 64.0) -> float
     root finding on the log of the damping ratio; reports (raises) if the
     bracket shows no sign change instead of fabricating a root.
     """
-    I1 = weighted_spectral_integral(cfg.a_m.spectrum(), 1).value
+    I1 = _norm(cfg.a_m, 1)
     if I1 <= 0.0:
         raise DegenerateFieldError("crossover undefined for a zero measurement profile")
 
@@ -275,18 +278,20 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
     if max(T_values) < 10.0 * min(T_values):
         warnings.warn("T range spans less than a decade; slope may not be converged", stacklevel=2)
 
+    if quantity not in ("spin", "oscillator", "kernel"):
+        raise ValidationError(f"unknown quantity {quantity!r}")
+    ProtocolConfig(a_m=cfg.a_m, f_o=cfg.f_o, T=T_values[0], lam=cfg.lam)  # causal gate
+
+    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
     logs_T, logs_v = [], []
     dropped = 0
     for T in T_values:
-        sub = cfg.with_T(T)
-        if quantity == "spin":
-            v = abs(run_spin_protocol(sub).E_o)
-        elif quantity == "oscillator":
-            v = abs(run_oscillator_protocol(sub).E_o_prime)
-        elif quantity == "kernel":
-            v = abs(overlap_kernel(sub.f_o.spectrum(), sub.a_eff.spectrum(), T).value)
+        K1 = inv.kernel(T)
+        if quantity == "kernel":
+            v = abs(cfg.lam * K1)
         else:
-            raise ValidationError(f"unknown quantity {quantity!r}")
+            spin, osc = teleport(inv, K1, cfg.lam)
+            v = abs(spin.E_o) if quantity == "spin" else abs(osc.E_o_prime)
         if v < _FLOOR:
             dropped += 1
             warnings.warn(f"dropping T={T}: value {v:.3e} under numerical floor", stacklevel=2)

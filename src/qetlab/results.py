@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityFrame, FrameGrid, default_frame_grid, energy_density_frame
-from .protocols import (
-    ProtocolConfig,
-    damping_oscillator,
-    damping_spin,
-    run_oscillator_protocol,
-    run_spin_protocol,
-)
+from .protocols import OscillatorOutcome, PairInvariants, SpinOutcome, teleport
 from .scenario import Scenario
-from .spectral import weighted_spectral_integral
 
 RECORD_KEYS = (
     "scenario_hash",
@@ -92,57 +85,51 @@ def _finite_or_none(v):
     return v
 
 
-def _run_point(scenario: Scenario, probe: str, lam: float, T: float) -> ResultRecord:
-    cfg = ProtocolConfig(a_m=scenario.a_m, f_o=scenario.f_o, T=T, lam=lam)
-    eta = theta = E_o = None
-    eta_p = theta_p = E_o_p = None
-    if probe == "spin":
-        out = run_spin_protocol(cfg)
-        E_m, xi, D_q = out.E_m, out.xi, out.D_q
-        eta, theta, E_o = out.eta, out.theta_star, out.E_o
-        D_ho = damping_oscillator(scenario.a_m, lam)
-    else:
-        out = run_oscillator_protocol(cfg)
-        E_m, D_ho = out.E_m, out.D_ho
-        eta_p, theta_p, E_o_p = out.eta_prime, out.theta_prime_star, out.E_o_prime
-        xi = weighted_spectral_integral(scenario.f_o.spectrum(), 0).value
-        D_q = damping_spin(scenario.a_m, lam)
-    ratio = D_ho / D_q if D_q > 0.0 else math.inf
+def _record(
+    scenario: Scenario, probe: str, lam: float, T: float, spin: SpinOutcome, osc: OscillatorOutcome
+) -> ResultRecord:
+    is_spin = probe == "spin"
     return ResultRecord(
         scenario_hash=scenario.scenario_hash,
         probe=probe,
         lam=lam,
         T=T,
-        E_m=E_m,
-        eta=eta,
-        xi=xi,
-        theta_star=theta,
-        E_o=E_o,
-        D_q=D_q,
-        eta_prime=eta_p,
-        theta_prime_star=theta_p,
-        E_o_prime=E_o_p,
-        D_ho=D_ho,
-        ratio=ratio,
+        E_m=spin.E_m,
+        eta=spin.eta if is_spin else None,
+        xi=spin.xi,
+        theta_star=spin.theta_star if is_spin else None,
+        E_o=spin.E_o if is_spin else None,
+        D_q=spin.D_q,
+        eta_prime=None if is_spin else osc.eta_prime,
+        theta_prime_star=None if is_spin else osc.theta_prime_star,
+        E_o_prime=None if is_spin else osc.E_o_prime,
+        D_ho=osc.D_ho,
+        ratio=osc.D_ho / spin.D_q if spin.D_q > 0.0 else math.inf,
     )
+
+
+def _at_sweep_point(where: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise type(exc)(f"sweep point ({where}): {exc}") from exc
 
 
 def run_scenario(scenario: Scenario) -> list[ResultRecord]:
     """All (probe, lambda, T) combinations, in deterministic task order.
 
-    Errors from any sweep point propagate with the sweep coordinate attached.
+    The pair invariants are computed once and K(T) once per T; both probes'
+    records at a (lambda, T) come from one `teleport` call.  Errors propagate
+    with the sweep coordinate attached.
     """
-
-    def run(probe, lam, T):
-        try:
-            return _run_point(scenario, probe, lam, T)
-        except Exception as exc:
-            raise type(exc)(
-                f"sweep point (probe={probe}, lambda={lam}, T={T}): {exc}"
-            ) from exc
-
+    inv = PairInvariants.of(scenario.a_m, scenario.f_o)
+    outcomes = {}
+    for T in scenario.T_list:
+        K1 = _at_sweep_point(f"T={T}", inv.kernel, T)
+        for lam in scenario.lambdas:
+            outcomes[lam, T] = _at_sweep_point(f"lambda={lam}, T={T}", teleport, inv, K1, lam)
     return [
-        run(probe, lam, T)
+        _record(scenario, probe, lam, T, *outcomes[lam, T])
         for probe in scenario.probes
         for lam in scenario.lambdas
         for T in scenario.T_list

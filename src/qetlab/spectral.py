@@ -234,90 +234,6 @@ def d2_delta_offcone(t: float, r) -> np.ndarray:
     return -(3.0 * t * t + r * r) / (np.pi**2 * u**3)
 
 
-# Lorentz-invariant kernels by their radial spectral weights W(k, t), meaning
-# kernel(t, x) = int d^3k/(2pi)^3 W(|k|, t) e^{ik.x}.  "delta" follows the
-# sign convention pinned by the Monte Carlo oracle; "delta1"/"delta2" are the
-# evolution kernels supported on the light cone, "dt_delta2" and "dtt_delta"
-# their time derivatives entering the commutator and overlap integrals.
-DELTA_KERNELS = ("delta", "delta1", "delta2", "dt_delta2", "dtt_delta")
-
-
-@dataclass(frozen=True)
-class DeltaKernel:
-    """One invariant kernel, identified by its radial spectral weight."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in DELTA_KERNELS:
-            raise ValidationError(f"kind must be one of {DELTA_KERNELS}, got {self.kind!r}")
-
-    def spectral_weight(self, k, t: float):
-        k = np.asarray(k, dtype=float)
-        safe = np.where(k > 0.0, k, 1.0)
-        if self.kind == "delta":
-            w = np.cos(k * t) / safe
-            return np.where(k > 0.0, w, 0.0)
-        if self.kind == "delta1":
-            w = np.sin(k * t) / safe
-            return np.where(k > 0.0, w, t)
-        if self.kind == "delta2":
-            return np.cos(k * t)
-        if self.kind == "dt_delta2":
-            return -k * np.sin(k * t)
-        return -k * np.cos(k * t)  # dtt_delta
-
-    @property
-    def _trig_and_power(self) -> tuple[str, int, float]:
-        # decomposition W(k,t) = sign * k^p * trig(k t)
-        return {
-            "delta": ("cos", -1, 1.0),
-            "delta1": ("sin", -1, 1.0),
-            "delta2": ("cos", 0, 1.0),
-            "dt_delta2": ("sin", 1, -1.0),
-            "dtt_delta": ("cos", 1, -1.0),
-        }[self.kind]
-
-    def smeared(self, t: float, d: float, width: float) -> float:
-        """Pairing with a unit-mass Gaussian probe centered a distance d away.
-
-        int kernel(t, x) f(x) d^3x for f = (2 pi w^2)^{-3/2} e^{-|x-d|^2/2w^2};
-        this is how distribution-valued kernels are legitimately evaluated.
-        The cone-supported kernels must vanish for |d - t| >> width.
-        """
-        if d < 0.0 or width <= 0.0:
-            raise ValidationError("need d >= 0 and width > 0")
-        trig, power, sign = self._trig_and_power
-        k_max = 10.0 / width
-
-        if d == 0.0:
-            # j0(kd) -> 1: a single plain trig-weighted integral
-            def g(k):
-                return k ** (2 + power) * math.exp(-0.5 * (k * width) ** 2)
-
-            val, _ = quad(g, 0.0, k_max, weight=trig, wvar=t, limit=800)
-            return sign * val / (2.0 * np.pi**2)
-
-        # j0(kd) splits the trig product into two shifted half-line integrals
-        def g(k):
-            return k ** (1 + power) * math.exp(-0.5 * (k * width) ** 2)
-
-        total = 0.0
-        if trig == "cos":
-            # sin(kd) cos(kt) = [sin(k(d+t)) + sin(k(d-t))]/2
-            for a in (d + t, d - t):
-                if a == 0.0:
-                    continue
-                val, _ = quad(g, 0.0, k_max, weight="sin", wvar=a, limit=800)
-                total += 0.5 * val
-        else:
-            # sin(kd) sin(kt) = [cos(k(d-t)) - cos(k(d+t))]/2
-            val_minus, _ = quad(g, 0.0, k_max, weight="cos", wvar=d - t, limit=800)
-            val_plus, _ = quad(g, 0.0, k_max, weight="cos", wvar=d + t, limit=800)
-            total = 0.5 * (val_minus - val_plus)
-        return sign * total / (2.0 * np.pi**2 * d)
-
-
 def overlap_kernel(f_o, a_m, T: float, err_tol: float = 1e-8) -> IntegralResult:
     """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y.
 

@@ -23,10 +23,10 @@ from qetlab import (
     overlap_kernel,
     povm_identity_check,
     residual_window_energy,
-    run_oscillator_protocol,
-    run_spin_protocol,
+    run_protocols,
     separation_scaling_fit,
     total_energy,
+    weighted_spectral_integral,
 )
 from qetlab.negative_energy import optimal_superposition
 from qetlab.protocols import input_energy_position_oracle, min_causal_wait
@@ -110,8 +110,7 @@ def test_criterion_03_negativity_and_bound():
         checked = 0
         while checked < 100:
             cfg = _random_cfg(rng)
-            spin = run_spin_protocol(cfg)
-            osc = run_oscillator_protocol(cfg)
+            spin, osc = run_protocols(cfg)
             if spin.eta == 0.0:
                 continue  # measure-zero orthogonal draw carries no information
             assert spin.E_o < 0.0 and osc.E_o_prime < 0.0
@@ -124,12 +123,14 @@ def test_criterion_04_damping_laws(canonical):
     with _Budget("criterion 04 damping laws", 5.0):
         lams = np.linspace(0.15, 2.2, 16)
         lam2 = lams**2
-        log_dq = np.array([math.log(damping_spin(canonical, l)) for l in lams])
+        # I1 by quadrature at each scaled field, so the lambda^2 law is tested
+        I1s = [weighted_spectral_integral(canonical.scaled(l).spectrum(), 1).value for l in lams]
+        log_dq = np.array([math.log(damping_spin(i1)) for i1 in I1s])
         slope, intercept = np.polyfit(lam2, log_dq, 1)
         assert np.max(np.abs(log_dq - (slope * lam2 + intercept))) < 1e-8
         assert abs(slope - (-2.0 * I1)) <= 1e-6 * abs(2.0 * I1)
 
-        inv_dho = np.array([1.0 / damping_oscillator(canonical, l) for l in lams])
+        inv_dho = np.array([1.0 / damping_oscillator(i1) for i1 in I1s])
         slope, intercept = np.polyfit(lam2, inv_dho, 1)
         assert np.max(np.abs(inv_dho - (slope * lam2 + intercept))) < 1e-8
         assert abs(slope - 2.0 * I1) <= 1e-6 * 2.0 * I1
@@ -141,8 +142,7 @@ def test_criterion_05_ratio_identity():
         rng = np.random.default_rng(271828)
         for _ in range(20):
             cfg = _random_cfg(rng)
-            spin = run_spin_protocol(cfg)
-            osc = run_oscillator_protocol(cfg)
+            spin, osc = run_protocols(cfg)
             if spin.E_o == 0.0:
                 continue
             lhs = osc.E_o_prime / spin.E_o
@@ -156,7 +156,8 @@ def test_criterion_06_crossover(canonical_cfg):
         u = 2.0 * lam_c**2 * I1
         assert abs(math.exp(u) - (1.0 + np.pi**2 / 4.0 + u)) <= 1e-10
         cfg2 = canonical_cfg.with_lam(2.0 * lam_c)
-        assert abs(run_oscillator_protocol(cfg2).E_o_prime) > abs(run_spin_protocol(cfg2).E_o)
+        spin, osc = run_protocols(cfg2)
+        assert abs(osc.E_o_prime) > abs(spin.E_o)
 
 
 def test_criterion_07_separation_scaling(canonical_cfg):

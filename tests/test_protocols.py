@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qetlab import (
     CausalityError,
     DegenerateFieldError,
+    PairInvariants,
     ProtocolConfig,
     ValidationError,
     crossover_amplitude,
@@ -17,13 +18,11 @@ from qetlab import (
     large_amplitude_limit,
     make_curl_gaussian,
     povm_identity_check,
-    run_oscillator_protocol,
-    run_spin_protocol,
+    run_protocols,
     separation_scaling_fit,
+    weighted_spectral_integral,
 )
 from qetlab.protocols import (
-    damping_exponent,
-    g_squared_vacuum,
     input_energy_position_oracle,
     min_causal_wait,
     spin_objective,
@@ -32,6 +31,11 @@ from qetlab.protocols import (
 from oracles import weighted_norm_reference
 
 I1_CANONICAL = 8.0 * np.pi / 3.0
+
+
+def quadrature_I1(a, lam: float = 1.0) -> float:
+    """I1 of the scaled field by its own quadrature, not by the lam^2 law."""
+    return weighted_spectral_integral(a.scaled(lam).spectrum(), 1).value
 
 
 @pytest.fixture(scope="module")
@@ -76,50 +80,49 @@ class TestInputEnergy:
 
 class TestDamping:
     def test_spin_zero_field(self):
-        assert damping_spin(make_curl_gaussian(0.0, 1.0)) == 1.0
+        assert damping_spin(quadrature_I1(make_curl_gaussian(0.0, 1.0))) == 1.0
 
     def test_spin_canonical(self, canonical_field):
         np.testing.assert_allclose(
-            damping_spin(canonical_field), math.exp(-16.0 * np.pi / 3.0), rtol=1e-9
+            damping_spin(quadrature_I1(canonical_field)), math.exp(-16.0 * np.pi / 3.0), rtol=1e-9
         )
 
     @given(lam=st.floats(0.1, 2.0))
     def test_spin_power_law_in_amplitude(self, lam):
         a = make_curl_gaussian(1.0, 1.0)
         np.testing.assert_allclose(
-            damping_spin(a, lam), damping_spin(a) ** (lam * lam), rtol=1e-9
+            damping_spin(quadrature_I1(a, lam)), damping_spin(quadrature_I1(a)) ** (lam * lam), rtol=1e-9
         )
 
     def test_oscillator_zero_field(self):
         np.testing.assert_allclose(
-            damping_oscillator(make_curl_gaussian(0.0, 1.0)),
+            damping_oscillator(quadrature_I1(make_curl_gaussian(0.0, 1.0))),
             1.0 / (1.0 + np.pi**2 / 4.0),
             rtol=1e-14,
         )
 
     def test_oscillator_canonical(self, canonical_field):
         np.testing.assert_allclose(
-            damping_oscillator(canonical_field),
+            damping_oscillator(quadrature_I1(canonical_field)),
             1.0 / (1.0 + np.pi**2 / 4.0 + 16.0 * np.pi / 3.0),
             rtol=1e-9,
         )
-        assert damping_oscillator(canonical_field) == pytest.approx(0.049450, abs=5e-7)
+        assert damping_oscillator(quadrature_I1(canonical_field)) == pytest.approx(0.049450, abs=5e-7)
 
     def test_oscillator_large_amplitude_decay(self, canonical_field):
         lams = np.array([10.0, 20.0, 40.0])
-        d = np.array([damping_oscillator(canonical_field, l) for l in lams])
+        d = np.array([damping_oscillator(quadrature_I1(canonical_field, l)) for l in lams])
         assert np.all(np.diff(d) < 0.0) and d[-1] > 0.0
         np.testing.assert_allclose(d, 1.0 / (2.0 * lams**2 * I1_CANONICAL), rtol=0.05)
 
-    def test_damping_exponent_oracle(self, canonical_field):
-        np.testing.assert_allclose(
-            damping_exponent(canonical_field), weighted_norm_reference(1.0, 1.0, 1), rtol=1e-10
-        )
+    def test_invariant_I1_oracle(self, canonical_field):
+        inv = PairInvariants.of(canonical_field, canonical_field)
+        np.testing.assert_allclose(inv.I1, weighted_norm_reference(1.0, 1.0, 1), rtol=1e-10)
 
 
 class TestSpinProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = run_spin_protocol(canonical_cfg)
+        out = run_protocols(canonical_cfg)[0]
         assert out.E_o < 0.0
         assert abs(out.E_o) < out.E_m
         assert out.p_plus == out.p_minus == 0.5
@@ -130,13 +133,13 @@ class TestSpinProtocol:
         # perpendicular co-centered axes: K(T) = 0, so no information, no energy
         a = make_curl_gaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
         f = make_curl_gaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
-        out = run_spin_protocol(ProtocolConfig(a_m=a, f_o=f, T=8.0))
+        out = run_protocols(ProtocolConfig(a_m=a, f_o=f, T=8.0))[0]
         assert out.eta == pytest.approx(0.0, abs=1e-16)
         assert out.theta_star == pytest.approx(0.0, abs=1e-16)
         assert out.E_o == pytest.approx(0.0, abs=1e-30)
 
     def test_optimal_theta_is_quadratic_minimum(self, canonical_cfg):
-        out = run_spin_protocol(canonical_cfg)
+        out = run_protocols(canonical_cfg)[0]
         best = spin_objective(out.theta_star, out.eta, out.xi)
         np.testing.assert_allclose(best, out.E_o, rtol=1e-12)
         for bump in (-0.1, 0.1):
@@ -146,7 +149,7 @@ class TestSpinProtocol:
     def test_degenerate_operation_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=canonical_field, f_o=make_curl_gaussian(0.0, 1.0), T=8.0)
         with pytest.raises(DegenerateFieldError):
-            run_spin_protocol(cfg)
+            run_protocols(cfg)
 
     def test_causality_violation_rejected(self, canonical_field):
         with pytest.raises(CausalityError):
@@ -168,7 +171,7 @@ class TestSpinProtocol:
 
 class TestOscillatorProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = run_oscillator_protocol(canonical_cfg)
+        out = run_protocols(canonical_cfg)[1]
         assert out.E_o_prime < 0.0
         assert abs(out.E_o_prime) < out.E_m
         np.testing.assert_allclose(
@@ -176,14 +179,14 @@ class TestOscillatorProtocol:
         )
 
     def test_shared_input_energy(self, canonical_cfg):
-        assert run_oscillator_protocol(canonical_cfg).E_m == run_spin_protocol(canonical_cfg).E_m
+        spin, osc = run_protocols(canonical_cfg)
+        assert osc.E_m == spin.E_m
 
     def test_ratio_law(self, rng):
         # E_o'/E_o = D_ho/D_q: the bracketed kernel and xi cancel exactly
         for _ in range(4):
             cfg = random_config(rng)
-            spin = run_spin_protocol(cfg)
-            osc = run_oscillator_protocol(cfg)
+            spin, osc = run_protocols(cfg)
             if spin.E_o == 0.0:
                 continue
             np.testing.assert_allclose(
@@ -194,23 +197,17 @@ class TestOscillatorProtocol:
         # eta = 2 sqrt(D_q) eta' since <0|(0,2a)> = sqrt(D_q)
         for _ in range(4):
             cfg = random_config(rng)
-            spin = run_spin_protocol(cfg)
-            osc = run_oscillator_protocol(cfg)
+            spin, osc = run_protocols(cfg)
             np.testing.assert_allclose(
                 spin.eta, 2.0 * math.sqrt(spin.D_q) * osc.eta_prime, rtol=1e-12, atol=1e-300
             )
-
-    def test_g2_vacuum_helper(self, canonical_field):
-        np.testing.assert_allclose(
-            g_squared_vacuum(canonical_field), np.pi**2 / 16.0 + 0.5 * I1_CANONICAL, rtol=1e-9
-        )
 
     def test_optimal_theta_prime_is_quadratic_minimum(self, canonical_cfg):
         # objective theta' eta' + (1/2) theta'^2 xi (<G^2> + 1/4); guards the
         # sign of eta' exactly as the spin-side regression does for eta
         from qetlab import weighted_spectral_integral
 
-        out = run_oscillator_protocol(canonical_cfg)
+        out = run_protocols(canonical_cfg)[1]
         xi = weighted_spectral_integral(canonical_cfg.f_o.spectrum(), 0).value
         curvature = xi * (out.G2_vev + 0.25)
 
@@ -228,8 +225,7 @@ class TestRandomizedBounds:
         # teleported energy is negative and strictly below the input energy
         for _ in range(25):
             cfg = random_config(rng)
-            spin = run_spin_protocol(cfg)
-            osc = run_oscillator_protocol(cfg)
+            spin, osc = run_protocols(cfg)
             assert spin.E_o <= 0.0 and osc.E_o_prime <= 0.0
             if spin.E_o != 0.0:
                 assert abs(spin.E_o) < spin.E_m
@@ -242,7 +238,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6):
-            out = run_spin_protocol(cfg.with_lam(lam))
+            out = run_protocols(cfg.with_lam(lam))[0]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o * math.exp(2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -251,7 +247,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6, 3.0):
-            out = run_oscillator_protocol(cfg.with_lam(lam))
+            out = run_protocols(cfg.with_lam(lam))[1]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o_prime * (1.0 + np.pi**2 / 4.0 + 2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -260,13 +256,13 @@ class TestAmplitudeScalingLaws:
         # log D_q linear in lam^2 with slope -2 I1; 1/D_ho affine with the same slope
         lams = np.linspace(0.2, 2.0, 12)
         lam2 = lams**2
-        logdq = np.array([math.log(damping_spin(canonical_field, l)) for l in lams])
+        logdq = np.array([math.log(damping_spin(quadrature_I1(canonical_field, l))) for l in lams])
         coeffs = np.polyfit(lam2, logdq, 1)
         resid = logdq - np.polyval(coeffs, lam2)
         np.testing.assert_allclose(coeffs[0], -2.0 * I1_CANONICAL, rtol=1e-9)
         assert np.max(np.abs(resid)) < 1e-8
 
-        inv_dho = np.array([1.0 / damping_oscillator(canonical_field, l) for l in lams])
+        inv_dho = np.array([1.0 / damping_oscillator(quadrature_I1(canonical_field, l)) for l in lams])
         coeffs = np.polyfit(lam2, inv_dho, 1)
         resid = inv_dho - np.polyval(coeffs, lam2)
         np.testing.assert_allclose(coeffs[0], 2.0 * I1_CANONICAL, rtol=1e-9)
@@ -277,7 +273,7 @@ class TestAmplitudeScalingLaws:
 class TestLargeAmplitudeLimit:
     def test_convergence_at_lambda_100(self, canonical_cfg):
         limit = large_amplitude_limit(canonical_cfg)
-        at_100 = abs(run_oscillator_protocol(canonical_cfg.with_lam(100.0)).E_o_prime)
+        at_100 = abs(run_protocols(canonical_cfg.with_lam(100.0))[1].E_o_prime)
         assert abs(at_100 - limit) <= 0.01 * limit
 
     def test_invariant_under_amplitude_rescaling(self, canonical_cfg):
@@ -298,7 +294,8 @@ class TestLargeAmplitudeLimit:
 class TestCrossover:
     def test_ratio_at_zero_amplitude(self, canonical_field):
         np.testing.assert_allclose(
-            damping_oscillator(canonical_field, 0.0) / damping_spin(canonical_field, 0.0),
+            damping_oscillator(quadrature_I1(canonical_field, 0.0))
+            / damping_spin(quadrature_I1(canonical_field, 0.0)),
             1.0 / (1.0 + np.pi**2 / 4.0),
             rtol=1e-14,
         )
@@ -311,14 +308,14 @@ class TestCrossover:
     def test_oscillator_wins_beyond_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = canonical_cfg.with_lam(2.0 * lam_c)
-        spin = run_spin_protocol(cfg)
-        osc = run_oscillator_protocol(cfg)
+        spin, osc = run_protocols(cfg)
         assert abs(osc.E_o_prime) > abs(spin.E_o)
 
     def test_spin_wins_below_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = canonical_cfg.with_lam(0.5 * lam_c)
-        assert abs(run_oscillator_protocol(cfg).E_o_prime) < abs(run_spin_protocol(cfg).E_o)
+        spin, osc = run_protocols(cfg)
+        assert abs(osc.E_o_prime) < abs(spin.E_o)
 
     def test_zero_measurement_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=make_curl_gaussian(0.0, 1.0), f_o=canonical_field, T=8.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qetlab import ValidationError, parse_scenario
+from qetlab import DegenerateFieldError, ValidationError, parse_scenario
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import make_curl_gaussian
 from qetlab.results import (
@@ -136,8 +136,36 @@ class TestRunScenario:
         broken = type(s).__new__(type(s))
         object.__setattr__(broken, "__dict__", dict(s.__dict__))
         object.__setattr__(broken, "f_o", make_curl_gaussian(0.0, 1.1))
-        with pytest.raises(Exception, match="sweep point"):
+        with pytest.raises(DegenerateFieldError, match="sweep point"):
             run_scenario(broken)
+
+    def test_norms_once_per_scenario_and_kernel_once_per_T(self, monkeypatch):
+        # 2 probes x 2 lambdas x 3 T: E_m, I1, xi once, K(T) once per T
+        import qetlab.protocols
+        import qetlab.results
+        import qetlab.spectral
+
+        calls = {"overlap_kernel": 0, "weighted_spectral_integral": 0}
+        for name in calls:
+            real = getattr(qetlab.spectral, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in (qetlab.spectral, qetlab.protocols, qetlab.results):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted)
+        s = scenario_from_dict(
+            {
+                "probe": "both",
+                "T": [8.0, 10.0, 12.0],
+                "lambda": [0.5, 1.0],
+                "fields": {"a_m": {"sigma": 1.0}, "f_o": {"amplitude": 0.8, "sigma": 1.1}},
+            }
+        )
+        assert len(run_scenario(s)) == 12
+        assert calls == {"overlap_kernel": 3, "weighted_spectral_integral": 3}
 
 
 class TestRecordEmission:

@@ -20,7 +20,7 @@ from oracles import grid_norm_reference, kernel_reference, weighted_norm_referen
 
 
 class TestWeightedIntegral:
-    def test_damping_exponent_canonical(self, canonical_field):
+    def test_damping_moment_canonical(self, canonical_field):
         # closed radial form: (4 pi/3) Gamma(3) = 8 pi/3
         res = weighted_spectral_integral(canonical_field.spectrum(), 1)
         assert res.method == "radial-quadrature"
@@ -92,6 +92,17 @@ class TestPauliJordanDelta:
         closed = pauli_jordan_delta(t, r)
         quadr = pauli_jordan_delta_quadrature(t, r)
         np.testing.assert_allclose(quadr.value, closed, rtol=1e-6)
+
+    @pytest.mark.parametrize("t,r", [(4.0, 1.0), (6.0, 2.0), (1.0, 2.0), (10.0, 0.0)])
+    def test_d2_delta_offcone_is_second_time_derivative(self, t, r):
+        # the kernel the Monte Carlo oracle integrates is d_t^2 of the closed form
+        from qetlab.spectral import d2_delta_offcone
+
+        h = 1e-3
+        central = (
+            pauli_jordan_delta(t + h, r) - 2.0 * pauli_jordan_delta(t, r) + pauli_jordan_delta(t - h, r)
+        ) / (h * h)
+        np.testing.assert_allclose(float(d2_delta_offcone(t, r)), central, rtol=1e-6)
 
 
 class TestOverlapKernel:
@@ -245,48 +256,3 @@ def test_kernel_large_separation_prefactor(canonical_field):
     for T in (200.0, 400.0):
         K = overlap_kernel(spec, spec, T).value
         np.testing.assert_allclose(K, coeff / T**6, rtol=2e-2)
-
-
-class TestDeltaKernels:
-    def test_unknown_kind_rejected(self):
-        from qetlab import DeltaKernel
-
-        with pytest.raises(ValidationError):
-            DeltaKernel("nope")
-
-    @pytest.mark.parametrize("t,d", [(2.0, 1.0), (1.0, 2.0), (5.0, 1.5)])
-    def test_smeared_delta_approaches_closed_form(self, t, d):
-        from qetlab import DeltaKernel
-
-        smeared = DeltaKernel("delta").smeared(t, d, width=0.03)
-        np.testing.assert_allclose(smeared, pauli_jordan_delta(t, d), rtol=5e-3)
-
-    @pytest.mark.parametrize("t,d", [(4.0, 1.0), (6.0, 2.0)])
-    def test_smeared_second_derivative_matches_oracle_kernel(self, t, d):
-        # same closed form the Monte Carlo oracle integrates against
-        from qetlab import DeltaKernel
-        from qetlab.spectral import d2_delta_offcone
-
-        smeared = DeltaKernel("dtt_delta").smeared(t, d, width=0.03)
-        np.testing.assert_allclose(smeared, float(d2_delta_offcone(t, d)), rtol=5e-3)
-
-    @pytest.mark.parametrize("kind", ["delta1", "delta2", "dt_delta2"])
-    def test_cone_supported_kernels_vanish_off_cone(self, kind):
-        from qetlab import DeltaKernel
-
-        kernel = DeltaKernel(kind)
-        t, width = 2.0, 0.05
-        # a symmetric probe centered on the cone annihilates the odd
-        # (derivative-type) kernels, so reference slightly off-center
-        on_cone = max(
-            abs(kernel.smeared(t, t, width)), abs(kernel.smeared(t, t + width, width))
-        )
-        for d in (0.5, 1.0, 3.0, 4.0):
-            assert abs(kernel.smeared(t, d, width)) < 1e-10 * on_cone
-
-    def test_weight_limits_at_zero_wavenumber(self):
-        from qetlab import DeltaKernel
-
-        assert DeltaKernel("delta1").spectral_weight(0.0, 3.0) == pytest.approx(3.0)
-        assert DeltaKernel("delta2").spectral_weight(0.0, 3.0) == 1.0
-        assert DeltaKernel("dt_delta2").spectral_weight(0.0, 3.0) == 0.0
