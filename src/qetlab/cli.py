@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_seed(scenario, seed):
     if seed is None:
         return scenario
+    if seed < 0:
+        raise ValidationError(f"--seed: must be a nonnegative integer, got {seed!r}")
     from dataclasses import replace
 
     canonical = dict(scenario.canonical)

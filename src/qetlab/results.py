@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityFrame, FrameGrid, default_frame_grid, energy_density_frame
+from .errors import ToleranceFailure, ValidationError
 from .protocols import OscillatorOutcome, PairInvariants, SpinOutcome, teleport
 from .scenario import Scenario
 
@@ -109,9 +110,11 @@ def _record(
 
 
 def _at_sweep_point(where: str, fn, *args):
+    # only the package's own error types, whose constructors take one message,
+    # are rebuilt with the coordinate; any other exception propagates unchanged
     try:
         return fn(*args)
-    except Exception as exc:
+    except (ValidationError, ToleranceFailure) as exc:
         raise type(exc)(f"sweep point ({where}): {exc}") from exc
 
 

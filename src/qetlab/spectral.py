@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import spherical_jn
 
 from .errors import LightConeError, ToleranceFailure, ValidationError
 from .fields import CurlGaussian, CurlGaussianSpectrum, spectrum_terms
@@ -44,27 +43,46 @@ class IntegralResult:
             raise ValidationError("estimated_error must be nonnegative")
 
 
-def _angular_factor(x: np.ndarray, cos_axes: float, cos_d1: float, cos_d2: float) -> np.ndarray:
+# Below _SERIES_X the closed forms cancel catastrophically (at x = 1e-4 the two
+# terms of j2 are ~3e8 and their sum ~1e-9); Taylor coefficients in x^2 of
+# j0 - j1/x and of j2/x^2, through x^14, reach float64 accuracy at the switch.
+_SERIES_X = 0.5
+
+
+def _double_factorial(n: int) -> int:
+    return math.prod(range(n, 0, -2))
+
+
+_SERIES_J01 = tuple(
+    (-1) ** n * (2 * n + 2) / (2**n * math.factorial(n) * _double_factorial(2 * n + 3))
+    for n in range(8)
+)
+_SERIES_J2 = tuple(
+    (-1) ** n / (2**n * math.factorial(n) * _double_factorial(2 * n + 5)) for n in range(7)
+)
+
+
+def _angular_factor(x: float, cos_axes: float, cos_d1: float, cos_d2: float) -> float:
     """Angular integral of e^{ik.d} [k^2 (n1.n2) - (k.n1)(k.n2)] / (4 pi k^2).
 
     Equals (j0(x) - j1(x)/x)(n1.n2) + j2(x)(d^.n1)(d^.n2) with x = k|d|;
-    at d = 0 it reduces to (2/3)(n1.n2).
+    at d = 0 it reduces to (2/3)(n1.n2).  Scalar `math` arithmetic, because
+    QUADPACK calls the integrand one node at a time.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1e-4
-    xs = x[small]
-    # series keeps the removable j1(x)/x singularity smooth
-    out[small] = (2.0 / 3.0 - 2.0 * xs**2 / 15.0 + xs**4 / 140.0) * cos_axes + (
-        xs**2 / 15.0 - xs**4 / 210.0
-    ) * cos_d1 * cos_d2
-    xl = x[~small]
-    if xl.size:
-        j0 = spherical_jn(0, xl)
-        j1 = spherical_jn(1, xl)
-        j2 = spherical_jn(2, xl)
-        out[~small] = (j0 - j1 / xl) * cos_axes + j2 * cos_d1 * cos_d2
-    return out
+    if x < _SERIES_X:
+        # Horner in x^2, unrolled: a loop would triple the cost of each node
+        x2 = x * x
+        a0, a1, a2, a3, a4, a5, a6, a7 = _SERIES_J01
+        b0, b1, b2, b3, b4, b5, b6 = _SERIES_J2
+        j01 = a0 + x2 * (a1 + x2 * (a2 + x2 * (a3 + x2 * (a4 + x2 * (a5 + x2 * (a6 + x2 * a7))))))
+        j2 = x2 * (b0 + x2 * (b1 + x2 * (b2 + x2 * (b3 + x2 * (b4 + x2 * (b5 + x2 * b6))))))
+    else:
+        # j1(x)/x = (j0 - cos x)/x^2 and j2 = 3 j1(x)/x - j0
+        j0 = math.sin(x) / x
+        j1_over_x = (j0 - math.cos(x)) / (x * x)
+        j01 = j0 - j1_over_x
+        j2 = 3.0 * j1_over_x - j0
+    return j01 * cos_axes + j2 * cos_d1 * cos_d2
 
 
 def _pair_geometry(f1: CurlGaussianSpectrum, f2: CurlGaussianSpectrum):
@@ -109,8 +127,8 @@ def _radial_pairing(
     def g(k):
         return (
             k ** (4 + power)
-            * np.exp(-alpha * k * k)
-            * _angular_factor(np.atleast_1d(k * dist), cos_axes, cos_d1, cos_d2)[0]
+            * math.exp(-alpha * k * k)
+            * _angular_factor(k * dist, cos_axes, cos_d1, cos_d2)
         )
 
     counter = [0]

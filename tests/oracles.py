@@ -2,13 +2,16 @@
 
 These never call the package's own quadrature paths: moments come from gamma
 functions, the overlap kernel from an arbitrary-precision Dawson-function
-closed form, and position-space norms from direct lattice sums.
+closed form (co-centred) or scipy's spherical Bessel functions (displaced),
+and position-space norms from direct lattice sums.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import spherical_jn
 
 mp.mp.dps = 50
 
@@ -68,3 +71,55 @@ def position_norm_reference(field, n: int = 96, half: float = 8.0) -> float:
     vals = field(np.stack([xs, ys, zs], axis=-1))
     dx = ax[1] - ax[0]
     return float(np.sum(vals * vals)) * dx**3
+
+
+def angular_components_reference(x):
+    """(j0(x) - j1(x)/x, j2(x)) from scipy `spherical_jn`, vectorised.
+
+    Below x = 1e-4 the removable j1(x)/x singularity is replaced by its series,
+    which reaches float64 accuracy there; at x = 0 the pair is (2/3, 0).
+    """
+    x = np.asarray(x, dtype=float)
+    j01 = np.empty_like(x)
+    j2 = np.empty_like(x)
+    small = x < 1e-4
+    xs = x[small]
+    j01[small] = 2.0 / 3.0 - 2.0 * xs**2 / 15.0 + xs**4 / 140.0
+    j2[small] = xs**2 / 15.0 - xs**4 / 210.0
+    xl = x[~small]
+    j01[~small] = spherical_jn(0, xl) - spherical_jn(1, xl) / xl
+    j2[~small] = spherical_jn(2, xl)
+    return j01, j2
+
+
+def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
+    """K(T) for two single curl-Gaussians with the angular factor from scipy.
+
+    The radial integrand k^5 e^{-alpha k^2} [(j0 - j1/x)(n_f.n_a) + j2 (d^.n_f)(d^.n_a)],
+    x = k|d|, goes through the same cos-weighted QUADPACK call (cut at
+    k = 8/sqrt(alpha), limit 800, epsabs 1e-13, epsrel 1e-11), so only the
+    angular factor's arithmetic differs.  Returns (K, integrand evaluations).
+    """
+    d = np.asarray(a_m.center, dtype=float) - np.asarray(f_o.center, dtype=float)
+    n_f, n_a = np.asarray(f_o.axis, dtype=float), np.asarray(a_m.axis, dtype=float)
+    dist = float(np.linalg.norm(d))
+    dhat = d / dist if dist > 0.0 else np.zeros(3)
+    cos_axes, cos_df, cos_da = float(n_f @ n_a), float(dhat @ n_f), float(dhat @ n_a)
+    alpha = 0.5 * (f_o.sigma**2 + a_m.sigma**2)
+    calls = [0]
+
+    def g(k):
+        calls[0] += 1
+        j01, j2 = angular_components_reference(np.atleast_1d(k * dist))
+        return k**5 * np.exp(-alpha * k * k) * (j01[0] * cos_axes + j2[0] * cos_df * cos_da)
+
+    val, _ = quad(
+        g, 0.0, 8.0 / math.sqrt(alpha), weight="cos", wvar=T, limit=800, epsabs=1e-13, epsrel=1e-11
+    )
+    pref = (
+        4.0 * math.pi / (2.0 * math.pi) ** 3
+        * f_o.amplitude * a_m.amplitude
+        * (2.0 * math.pi * f_o.sigma**2) ** 1.5
+        * (2.0 * math.pi * a_m.sigma**2) ** 1.5
+    )
+    return -pref * val, calls[0]

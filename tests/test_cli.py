@@ -32,6 +32,12 @@ class TestExitCodes:
         assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
         assert "sigma" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_2(self, scenario_path, capsys):
+        assert main(["energy", "--scenario", scenario_path, "--seed", "-3"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert "scenario_hash" not in captured.out
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")
         code = main(["energy", "--scenario", missing])

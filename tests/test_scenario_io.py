@@ -139,6 +139,22 @@ class TestRunScenario:
         with pytest.raises(DegenerateFieldError, match="sweep point"):
             run_scenario(broken)
 
+    def test_foreign_sweep_error_propagates_unchanged(self, tmp_path, monkeypatch):
+        import qetlab.protocols
+
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        def failing_kernel(*args, **kwargs):
+            raise TwoArgError(7, "kernel unavailable")
+
+        monkeypatch.setattr(qetlab.protocols, "overlap_kernel", failing_kernel)
+        s = parse_scenario(write(tmp_path, FULL))
+        with pytest.raises(TwoArgError) as info:
+            run_scenario(s)
+        assert info.value.args == (7, "kernel unavailable")
+
     def test_norms_once_per_scenario_and_kernel_once_per_T(self, monkeypatch):
         # 2 probes x 2 lambdas x 3 T: E_m, I1, xi once, K(T) once per T
         import qetlab.protocols

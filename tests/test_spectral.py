@@ -14,9 +14,15 @@ from qetlab import (
     pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
-from qetlab.spectral import min_oracle_wait, parseval_norm_position
+from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait, parseval_norm_position
 
-from oracles import grid_norm_reference, kernel_reference, weighted_norm_reference
+from oracles import (
+    angular_components_reference,
+    displaced_kernel_reference,
+    grid_norm_reference,
+    kernel_reference,
+    weighted_norm_reference,
+)
 
 
 class TestWeightedIntegral:
@@ -105,6 +111,22 @@ class TestPauliJordanDelta:
         np.testing.assert_allclose(float(d2_delta_offcone(t, r)), central, rtol=1e-6)
 
 
+class TestAngularFactor:
+    def test_components_against_scipy(self):
+        # dense grid plus the ulps either side of the series/closed-form switch
+        switch = _SERIES_X + np.arange(-20, 21) * np.spacing(_SERIES_X)
+        x = np.concatenate([np.linspace(0.0, 200.0, 200_001), np.geomspace(1e-8, 1.0, 2001), switch])
+        j01, j2 = angular_components_reference(x)
+        axes = np.array([_angular_factor(float(v), 1.0, 0.0, 0.0) for v in x])
+        dd = np.array([_angular_factor(float(v), 0.0, 1.0, 1.0) for v in x])
+        np.testing.assert_allclose(axes, j01, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(dd, j2, rtol=0.0, atol=1e-14)
+
+    def test_exact_at_zero(self):
+        for cos_axes in (1.0, -0.3, 0.7071067811865476):
+            assert _angular_factor(0.0, cos_axes, 0.6, -0.8) == (2.0 / 3.0) * cos_axes
+
+
 class TestOverlapKernel:
     def test_against_dawson_reference(self, canonical_field):
         spec = canonical_field.spectrum()
@@ -151,6 +173,16 @@ class TestOverlapKernel:
         K = overlap_kernel(f.spectrum(), a.spectrum(), T)
         mc = brute_force_overlap_oracle(f, a, T, samples=600_000, seed=17)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
+
+    @pytest.mark.parametrize("T", [4.0, 6.0, 10.0])
+    def test_displaced_pair_against_scipy_integrand(self, T):
+        f = make_curl_gaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
+        a = make_curl_gaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
+        K = overlap_kernel(f.spectrum(), a.spectrum(), T)
+        assert K.estimated_error <= 1e-9 * abs(K.value)
+        ref, nodes = displaced_kernel_reference(f, a, T)
+        np.testing.assert_allclose(K.value, ref, rtol=1e-12, atol=0.0)
+        assert K.samples_or_nodes == nodes
 
     def test_rejects_nonpositive_T(self, canonical_field):
         with pytest.raises(ValidationError):
