@@ -28,12 +28,6 @@ from .spectral import (
     pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
-from .coherent import (
-    CoherentLabel,
-    coherent_inner_product,
-    displacement_composition_phase,
-    mean_electric_field,
-)
 from .protocols import (
     OscillatorOutcome,
     PairInvariants,

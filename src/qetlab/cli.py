@@ -232,7 +232,7 @@ def _cmd_verify(args) -> int:
     )
     _check("measurement identities", worst <= 1e-10, f"max residual {worst:.2e}", failures)
 
-    # I1 by quadrature at the scaled field, so the lambda^2 law is under test too
+    # I1 in closed form at the scaled field, so the lambda^2 law is under test too
     I1 = weighted_spectral_integral(a.scaled(1.3).spectrum(), 1).value
     ratio_lhs = damping_oscillator(I1) / damping_spin(I1)
     spin, osc = run_protocols(ProtocolConfig(a_m=a, f_o=a, T=T, lam=1.3))

@@ -147,50 +147,6 @@ class CurlGaussianSpectrum:
         return replace(self, amplitude=self.amplitude * float(factor))
 
 
-@dataclass(frozen=True)
-class SpectrumSum:
-    """Linear combination of closed-form spectra (supports coherent-label algebra)."""
-
-    terms: tuple  # of (coeff, CurlGaussianSpectrum)
-
-    def __call__(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape[:-1] + (3,), dtype=complex)
-        for coeff, term in self.terms:
-            out += coeff * term(k)
-        return out
-
-    def scaled(self, factor: float) -> "SpectrumSum":
-        return SpectrumSum(tuple((c * factor, t) for c, t in self.terms))
-
-
-def spectrum_terms(sf) -> tuple:
-    """Flatten a closed-form spectrum into (coeff, CurlGaussianSpectrum) terms."""
-    if isinstance(sf, CurlGaussianSpectrum):
-        return ((1.0, sf),)
-    if isinstance(sf, SpectrumSum):
-        return sf.terms
-    raise TypeError(f"not a closed-form spectrum: {type(sf).__name__}")
-
-
-def spectrum_add(a, b):
-    # canonicalize to unit-amplitude shapes so opposite displacements cancel
-    merged: list = []
-    for coeff, term in spectrum_terms(a) + spectrum_terms(b):
-        weight = coeff * term.amplitude
-        if weight == 0.0:
-            continue
-        shape = replace(term, amplitude=1.0)
-        for i, (c0, t0) in enumerate(merged):
-            if t0 == shape:
-                merged[i] = (c0 + weight, t0)
-                break
-        else:
-            merged.append((weight, shape))
-    merged = [(c, t) for c, t in merged if c != 0.0]
-    return SpectrumSum(tuple(merged))
-
-
 def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:
     """Canonical divergence-free family member; see CurlGaussian."""
     return CurlGaussian(amplitude=float(amplitude), sigma=float(sigma), center=center, axis=axis)

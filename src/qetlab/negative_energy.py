@@ -298,7 +298,7 @@ def vacuum_probe_functional_moments(couplings, cutoff: int = 12) -> tuple[float,
     """Vacuum expectations of cos(2 G) and sin(2 G) for the discretized measured functional.
 
     G = pi/4 - X with X = sum_j (g_j a_j + conj(g_j) a_j†).  The cosine pairing
-    cancels exactly (two opposite coherent overlaps), while the sine pairing is
+    cancels exactly (two opposite displaced-vacuum overlaps), while the sine pairing is
     the positive vacuum overlap exp(-2 sum |g_j|^2) in the untruncated limit.
     """
     couplings = np.atleast_1d(np.asarray(couplings, dtype=complex))

@@ -20,6 +20,7 @@ from qetlab import (
     povm_identity_check,
     run_protocols,
     separation_scaling_fit,
+    teleport,
     weighted_spectral_integral,
 )
 from qetlab.protocols import (
@@ -28,13 +29,18 @@ from qetlab.protocols import (
     spin_objective,
 )
 
-from oracles import weighted_norm_reference
+from oracles import grid_norm_reference
 
 I1_CANONICAL = 8.0 * np.pi / 3.0
+DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
-def quadrature_I1(a, lam: float = 1.0) -> float:
-    """I1 of the scaled field by its own quadrature, not by the lam^2 law."""
+def scaled_I1(a, lam: float = 1.0) -> float:
+    """I1 in closed form evaluated at a.scaled(lam), not lam^2 times I1 of a.
+
+    `teleport` applies the lam^2 law, so tests that compare against this keep
+    that law under test.
+    """
     return weighted_spectral_integral(a.scaled(lam).spectrum(), 1).value
 
 
@@ -80,44 +86,52 @@ class TestInputEnergy:
 
 class TestDamping:
     def test_spin_zero_field(self):
-        assert damping_spin(quadrature_I1(make_curl_gaussian(0.0, 1.0))) == 1.0
+        assert damping_spin(scaled_I1(make_curl_gaussian(0.0, 1.0))) == 1.0
 
     def test_spin_canonical(self, canonical_field):
         np.testing.assert_allclose(
-            damping_spin(quadrature_I1(canonical_field)), math.exp(-16.0 * np.pi / 3.0), rtol=1e-9
+            damping_spin(scaled_I1(canonical_field)), math.exp(-16.0 * np.pi / 3.0), rtol=1e-9
         )
 
     @given(lam=st.floats(0.1, 2.0))
     def test_spin_power_law_in_amplitude(self, lam):
         a = make_curl_gaussian(1.0, 1.0)
         np.testing.assert_allclose(
-            damping_spin(quadrature_I1(a, lam)), damping_spin(quadrature_I1(a)) ** (lam * lam), rtol=1e-9
+            damping_spin(scaled_I1(a, lam)), damping_spin(scaled_I1(a)) ** (lam * lam), rtol=1e-9
         )
 
     def test_oscillator_zero_field(self):
         np.testing.assert_allclose(
-            damping_oscillator(quadrature_I1(make_curl_gaussian(0.0, 1.0))),
+            damping_oscillator(scaled_I1(make_curl_gaussian(0.0, 1.0))),
             1.0 / (1.0 + np.pi**2 / 4.0),
             rtol=1e-14,
         )
 
     def test_oscillator_canonical(self, canonical_field):
         np.testing.assert_allclose(
-            damping_oscillator(quadrature_I1(canonical_field)),
+            damping_oscillator(scaled_I1(canonical_field)),
             1.0 / (1.0 + np.pi**2 / 4.0 + 16.0 * np.pi / 3.0),
             rtol=1e-9,
         )
-        assert damping_oscillator(quadrature_I1(canonical_field)) == pytest.approx(0.049450, abs=5e-7)
+        assert damping_oscillator(scaled_I1(canonical_field)) == pytest.approx(0.049450, abs=5e-7)
 
     def test_oscillator_large_amplitude_decay(self, canonical_field):
         lams = np.array([10.0, 20.0, 40.0])
-        d = np.array([damping_oscillator(quadrature_I1(canonical_field, l)) for l in lams])
+        d = np.array([damping_oscillator(scaled_I1(canonical_field, l)) for l in lams])
         assert np.all(np.diff(d) < 0.0) and d[-1] > 0.0
         np.testing.assert_allclose(d, 1.0 / (2.0 * lams**2 * I1_CANONICAL), rtol=0.05)
 
     def test_invariant_I1_oracle(self, canonical_field):
-        inv = PairInvariants.of(canonical_field, canonical_field)
-        np.testing.assert_allclose(inv.I1, weighted_norm_reference(1.0, 1.0, 1), rtol=1e-10)
+        # against the k-lattice sum, then the spin-probe identity <0|(0,2a)> = e^{-I1}
+        # in eta = <0|(0,2 lam a)> lam K1
+        lam = 1.3
+        for a in (canonical_field, DISPLACED_TILTED):
+            I1_grid = grid_norm_reference(a, 1)
+            inv = PairInvariants.of(a, a)
+            np.testing.assert_allclose(inv.I1, I1_grid, rtol=1e-6)
+            K1 = inv.kernel(8.0)
+            spin, _ = teleport(inv, K1, lam)
+            np.testing.assert_allclose(spin.eta, math.exp(-lam * lam * I1_grid) * lam * K1, rtol=1e-6)
 
 
 class TestSpinProtocol:
@@ -256,13 +270,13 @@ class TestAmplitudeScalingLaws:
         # log D_q linear in lam^2 with slope -2 I1; 1/D_ho affine with the same slope
         lams = np.linspace(0.2, 2.0, 12)
         lam2 = lams**2
-        logdq = np.array([math.log(damping_spin(quadrature_I1(canonical_field, l))) for l in lams])
+        logdq = np.array([math.log(damping_spin(scaled_I1(canonical_field, l))) for l in lams])
         coeffs = np.polyfit(lam2, logdq, 1)
         resid = logdq - np.polyval(coeffs, lam2)
         np.testing.assert_allclose(coeffs[0], -2.0 * I1_CANONICAL, rtol=1e-9)
         assert np.max(np.abs(resid)) < 1e-8
 
-        inv_dho = np.array([1.0 / damping_oscillator(quadrature_I1(canonical_field, l)) for l in lams])
+        inv_dho = np.array([1.0 / damping_oscillator(scaled_I1(canonical_field, l)) for l in lams])
         coeffs = np.polyfit(lam2, inv_dho, 1)
         resid = inv_dho - np.polyval(coeffs, lam2)
         np.testing.assert_allclose(coeffs[0], 2.0 * I1_CANONICAL, rtol=1e-9)
@@ -294,8 +308,8 @@ class TestLargeAmplitudeLimit:
 class TestCrossover:
     def test_ratio_at_zero_amplitude(self, canonical_field):
         np.testing.assert_allclose(
-            damping_oscillator(quadrature_I1(canonical_field, 0.0))
-            / damping_spin(quadrature_I1(canonical_field, 0.0)),
+            damping_oscillator(scaled_I1(canonical_field, 0.0))
+            / damping_spin(scaled_I1(canonical_field, 0.0)),
             1.0 / (1.0 + np.pi**2 / 4.0),
             rtol=1e-14,
         )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qetlab import (
     LightConeError,
+    PairInvariants,
     ValidationError,
     brute_force_overlap_oracle,
     commutator_residual,
@@ -14,22 +15,26 @@ from qetlab import (
     pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
-from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait, parseval_norm_position
+from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait
 
 from oracles import (
     angular_components_reference,
     displaced_kernel_reference,
     grid_norm_reference,
     kernel_reference,
+    position_norm_reference,
     weighted_norm_reference,
 )
+
+CANONICAL = make_curl_gaussian(1.0, 1.0)
+DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
 class TestWeightedIntegral:
     def test_damping_moment_canonical(self, canonical_field):
         # closed radial form: (4 pi/3) Gamma(3) = 8 pi/3
         res = weighted_spectral_integral(canonical_field.spectrum(), 1)
-        assert res.method == "radial-quadrature"
+        assert res.method == "closed-form"
         np.testing.assert_allclose(res.value, 8.0 * np.pi / 3.0, rtol=1e-10)
         np.testing.assert_allclose(
             res.value, weighted_norm_reference(1.0, 1.0, 1), rtol=1e-10
@@ -40,10 +45,14 @@ class TestWeightedIntegral:
         res = weighted_spectral_integral(canonical_field.spectrum(), 2)
         np.testing.assert_allclose(res.value, 2.5 * np.pi**1.5, rtol=1e-10)
 
-    @pytest.mark.parametrize("power", [0, 1, 2])
-    def test_grid_sum_agrees(self, canonical_field, power):
-        res = weighted_spectral_integral(canonical_field.spectrum(), power)
-        grid = grid_norm_reference(canonical_field, power)
+    @pytest.mark.parametrize(
+        "field, power",
+        [pytest.param(CANONICAL, p, id=str(p)) for p in (0, 1, 2)]
+        + [pytest.param(DISPLACED_TILTED, p, id=f"displaced-tilted-{p}") for p in (0, 1, 2)],
+    )
+    def test_grid_sum_agrees(self, field, power):
+        res = weighted_spectral_integral(field.spectrum(), power)
+        grid = grid_norm_reference(field, power)
         np.testing.assert_allclose(res.value, grid, rtol=1e-6)
 
     @pytest.mark.parametrize("power", [0, 1, 2])
@@ -58,10 +67,29 @@ class TestWeightedIntegral:
         for p in (0, 1, 2):
             assert weighted_spectral_integral(make_curl_gaussian(0.0, 1.0).spectrum(), p).value == 0.0
 
-    def test_parseval_against_position_quadrature(self, canonical_field):
-        spec_val = weighted_spectral_integral(canonical_field.spectrum(), 0).value
-        pos_val = parseval_norm_position(canonical_field)
-        np.testing.assert_allclose(spec_val, pos_val, rtol=1e-6)
+    def test_parseval_against_position_quadrature(self):
+        for field in (CANONICAL, DISPLACED_TILTED):
+            spec_val = weighted_spectral_integral(field.spectrum(), 0).value
+            np.testing.assert_allclose(spec_val, position_norm_reference(field), rtol=1e-6)
+
+    def test_norms_are_quadrature_free(self, monkeypatch):
+        import qetlab.spectral
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("QUADPACK called on the norm path")
+
+        monkeypatch.setattr(qetlab.spectral, "quad", no_quadrature)
+        for field in (CANONICAL, DISPLACED_TILTED):
+            for power in (0, 1, 2):
+                res = weighted_spectral_integral(field.spectrum(), power)
+                assert res.method == "closed-form" and res.samples_or_nodes == 0
+                assert 0.0 < res.estimated_error <= 1e-14 * res.value
+        inv = PairInvariants.of(DISPLACED_TILTED, CANONICAL)
+        np.testing.assert_allclose(
+            [inv.E_m, inv.I1, inv.xi],
+            [0.5 * weighted_norm_reference(1.3, 0.9, 2), weighted_norm_reference(1.3, 0.9, 1), np.pi**1.5],
+            rtol=1e-14,
+        )
 
     def test_rejects_bad_power(self, canonical_field):
         with pytest.raises(ValidationError):
