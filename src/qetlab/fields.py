@@ -143,9 +143,6 @@ class CurlGaussianSpectrum:
             k, self.axis_vec
         )
 
-    def scaled(self, factor: float) -> "CurlGaussianSpectrum":
-        return replace(self, amplitude=self.amplitude * float(factor))
-
 
 def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:
     """Canonical divergence-free family member; see CurlGaussian."""

@@ -176,14 +176,25 @@ def scenario_frames(scenario: Scenario) -> list[DensityFrame]:
 
 
 def emit_frame_csv(frame: DensityFrame, path) -> None:
-    """Columns t,x,y,z,eps at 17 significant digits (lossless float round trip)."""
-    pos = frame.grid.position_mesh().reshape(-1, 3)
-    cols = np.column_stack(
-        [np.full(pos.shape[0], frame.t), pos, frame.eps.reshape(-1)]
-    )
+    """Columns t,x,y,z,eps at 17 significant digits (lossless float round trip).
+
+    The bytes equal `np.savetxt(fmt="%.17g", delimiter=",")` of the
+    (t, x, y, z, eps) column stack in C order.  t and each axis coordinate are
+    formatted once; each z-row of eps is one %-formatting of a line template
+    that already holds its t,x,y,z prefixes.
+    """
+    grid = frame.grid
+    ax = grid.axis()
+    xs, ys, zs = (["%.17g" % v for v in (ax + c).tolist()] for c in np.asarray(grid.center, dtype=float))
+    z_tails = [f"{z},%.17g" for z in zs]
+    t = "%.17g" % frame.t
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,z,eps\n")
-        np.savetxt(fh, cols, delimiter=",", fmt="%.17g")
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                prefix = f"{t},{x},{y},"
+                row = prefix + ("\n" + prefix).join(z_tails) + "\n"
+                fh.write(row % tuple(frame.eps[i, j].tolist()))
 
 
 def load_frame_csv(path) -> tuple[float, np.ndarray]:

@@ -1,9 +1,11 @@
 """Independent reference computations used only by the tests.
 
-These never call the package's own quadrature paths: moments come from gamma
-functions, the overlap kernel from an arbitrary-precision Dawson-function
-closed form (co-centred) or scipy's spherical Bessel functions (displaced),
-and position-space norms from direct lattice sums.
+These never call the package's own quadrature paths: moments come from
+50-digit quadrature, the overlap kernel from an arbitrary-precision
+Dawson-function closed form (co-centred) or scipy's spherical Bessel functions
+(displaced), position-space norms from direct lattice sums, density frames
+from FFT propagation of the spectrum, and point densities from 50-digit
+differentiation of the spherical wave.
 """
 
 import math
@@ -17,17 +19,15 @@ mp.mp.dps = 50
 
 
 def weighted_norm_reference(amplitude: float, sigma: float, power: int) -> float:
-    """int d^3k/(2pi)^3 |k|^p |a~|^2 = A^2 sigma^(1-p) (4 pi / 3) Gamma((p+5)/2).
+    """int d^3k/(2pi)^3 |k|^p |a~|^2 as a 50-digit quadrature of its radial integral.
 
-    Follows from |a~|^2 = A^2 (2 pi sigma^2)^3 e^{-sigma^2 k^2} |k x n|^2 with
-    angular factor 8 pi/3 and the Gaussian moment integral.
+    |a~|^2 = A^2 (2 pi sigma^2)^3 e^{-sigma^2 k^2} |k x n|^2 and the angular
+    factor is 8 pi/3, leaving
+    A^2 (2 pi sigma^2)^3/(2 pi)^3 (8 pi/3) int_0^inf k^(4+p) e^{-sigma^2 k^2} dk.
     """
-    return (
-        amplitude**2
-        * sigma ** (1 - power)
-        * (4.0 * math.pi / 3.0)
-        * math.gamma((power + 5) / 2.0)
-    )
+    A, s = mp.mpf(amplitude), mp.mpf(sigma)
+    radial = mp.quad(lambda k: k ** (4 + power) * mp.exp(-s * s * k * k), [0, 1 / s, mp.inf])
+    return float(A**2 * (2 * mp.pi * s * s) ** 3 / (2 * mp.pi) ** 3 * (8 * mp.pi / 3) * radial)
 
 
 def kernel_reference(T: float, amp_f=1.0, sig_f=1.0, amp_a=1.0, sig_a=1.0, cos_axes=1.0) -> float:
@@ -123,3 +123,67 @@ def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
         * (2.0 * math.pi * a_m.sigma**2) ** 1.5
     )
     return -pref * val, calls[0]
+
+
+def fft_frame_reference(a_m, t: float, grid):
+    """(eps, b, Pi) on the grid by FFT propagation of the closed-form spectrum.
+
+    b~(t,k) = cos(|k|t) (ik x a~(k)) and Pi~(t,k) = -|k| sin(|k|t) a~(k),
+    sampled on the grid's FFT k-lattice and inverse transformed; exact up to
+    spectral truncation and periodic wrap-around.
+    """
+    n = grid.n
+    dx = grid.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    KX, KY, KZ = np.meshgrid(k, k, k, indexing="ij")
+    kvec = np.stack([KX, KY, KZ], axis=-1)
+    kmag = np.sqrt(KX * KX + KY * KY + KZ * KZ)
+
+    spec = a_m.spectrum()
+    a_tilde = spec(kvec)
+    # refer spectral phases to the grid origin so the inverse FFT lands on it
+    origin = np.asarray(grid.center, dtype=float) - grid.half_extent
+    phase = np.exp(1j * (KX * origin[0] + KY * origin[1] + KZ * origin[2]))
+    a_tilde *= phase[..., None]
+
+    curl_a = 1j * np.cross(kvec, a_tilde)
+    b_tilde = np.cos(kmag * t)[..., None] * curl_a
+    pi_tilde = (-kmag * np.sin(kmag * t))[..., None] * a_tilde
+
+    norm = 1.0 / dx**3  # ifftn includes 1/n^3; continuum measure adds n^3 dk^3/(2pi)^3
+    b = np.real(np.fft.ifftn(b_tilde, axes=(0, 1, 2))) * norm
+    Pi = np.real(np.fft.ifftn(pi_tilde, axes=(0, 1, 2))) * norm
+    eps = 0.5 * (np.sum(Pi * Pi, axis=-1) + np.sum(b * b, axis=-1))
+    return eps, b, Pi
+
+
+def density_reference(a_m, t: float, x) -> float:
+    """eps(t, x) of the propagated curl-Gaussian in 50-digit arithmetic.
+
+    The potential is the spherical wave psi = [F(r+t) + F(r-t)]/(2r) with
+    F(s) = s A e^{-s^2/2 sigma^2}; its derivatives come from `mp.diff`, and
+    eps = (1/2)[psi_tr^2 (1-mu^2) + Q^2 + mu^2 (P^2 - 2PQ)] with
+    P = psi_rr - psi_r/r, Q = psi_rr + psi_r/r, mu = n.r^.  At r = 0 the
+    removable limit (2/9) F'''(t)^2 is taken.
+    """
+    A, s2 = mp.mpf(a_m.amplitude), mp.mpf(a_m.sigma) ** 2
+    u = [mp.mpf(float(xi)) - mp.mpf(ci) for xi, ci in zip(x, a_m.center)]
+    r = mp.sqrt(sum(ui * ui for ui in u))
+    T = mp.mpf(t)
+
+    def F(s):
+        return s * A * mp.exp(-s * s / (2 * s2))
+
+    if r == 0:
+        return float(2 * mp.diff(F, T, 3) ** 2 / 9)
+
+    def psi(tt, rr):
+        return (F(rr + tt) + F(rr - tt)) / (2 * rr)
+
+    mu = sum(mp.mpf(ni) * ui for ni, ui in zip(a_m.axis, u)) / r
+    psi_r = mp.diff(lambda rr: psi(T, rr), r)
+    psi_rr = mp.diff(lambda rr: psi(T, rr), r, 2)
+    psi_tr = mp.diff(psi, (T, r), (1, 1))
+    P = psi_rr - psi_r / r
+    Q = psi_rr + psi_r / r
+    return float((psi_tr**2 * (1 - mu**2) + Q**2 + mu**2 * (P**2 - 2 * P * Q)) / 2)

@@ -10,8 +10,17 @@ from qetlab import (
     residual_window_energy,
     total_energy,
 )
-from qetlab.dynamics import default_frame_grid, energy_in_shell, energy_within_radius
+from qetlab.dynamics import (
+    _energy_density,
+    default_frame_grid,
+    energy_in_shell,
+    energy_within_radius,
+)
 from qetlab.errors import ResolutionError
+
+from oracles import density_reference, fft_frame_reference
+
+DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
 @pytest.fixture(scope="module")
@@ -31,20 +40,21 @@ class TestFrameConstruction:
 
     @pytest.mark.parametrize(
         "field",
-        [
-            make_curl_gaussian(1.0, 1.0),
-            make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0)),
-        ],
+        [make_curl_gaussian(1.0, 1.0), DISPLACED_TILTED],
         ids=["canonical", "displaced-tilted"],
     )
     def test_initial_field_data(self, field):
         # at t=0 the magnetic part is curl(a) and the electric part vanishes; a
         # displaced, tilted field also pins the spectrum's phase convention
         grid = default_frame_grid(field, 0.0, n=96)
-        frame = energy_density_frame(field, 0.0, grid)
-        np.testing.assert_allclose(frame.Pi, 0.0, atol=1e-12)
+        eps_fft, b, Pi = fft_frame_reference(field, 0.0, grid)
+        np.testing.assert_allclose(Pi, 0.0, atol=1e-12)
         direct = field.curl(grid.position_mesh())
-        np.testing.assert_allclose(frame.b, direct, atol=1e-8 * np.max(np.abs(direct)))
+        np.testing.assert_allclose(b, direct, atol=1e-8 * np.max(np.abs(direct)))
+        frame = energy_density_frame(field, 0.0, grid)
+        half_curl2 = 0.5 * np.sum(direct * direct, axis=-1)
+        np.testing.assert_allclose(frame.eps, half_curl2, rtol=0, atol=1e-12 * half_curl2.max())
+        np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
 
     def test_zero_source_gives_vacuum_frame(self):
         zero = make_curl_gaussian(0.0, 1.0)
@@ -52,12 +62,47 @@ class TestFrameConstruction:
         assert np.all(frame.eps == 0.0)
 
     def test_density_is_half_sum_of_squares(self, source):
-        frame = energy_density_frame(source, 3.0, default_frame_grid(source, 3.0, n=64))
-        recomputed = 0.5 * (
-            np.sum(frame.Pi**2, axis=-1) + np.sum(frame.b**2, axis=-1)
-        )
-        np.testing.assert_allclose(frame.eps, recomputed, rtol=1e-14)
+        grid = default_frame_grid(source, 3.0, n=64)
+        frame = energy_density_frame(source, 3.0, grid)
+        _, b, Pi = fft_frame_reference(source, 3.0, grid)
+        recomputed = 0.5 * (np.sum(Pi**2, axis=-1) + np.sum(b**2, axis=-1))
+        np.testing.assert_allclose(frame.eps, recomputed, rtol=0, atol=1e-12 * recomputed.max())
         assert np.all(frame.eps >= 0.0)
+
+    @pytest.mark.parametrize(
+        "field, t, n",
+        [
+            (make_curl_gaussian(1.0, 1.0), 4.0, 96),
+            (make_curl_gaussian(1.3, 1.1, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0)), 8.0, 128),
+        ],
+        ids=["canonical-t4", "displaced-tilted-t8"],
+    )
+    def test_matches_fft_oracle(self, field, t, n):
+        # every node, the source centre included
+        grid = default_frame_grid(field, t, n=n)
+        eps_fft, _, _ = fft_frame_reference(field, t, grid)
+        frame = energy_density_frame(field, t, grid)
+        np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
+
+    @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 8.0])
+    def test_small_radius_against_50_digit_density(self, t):
+        # the d'Alembert quotients cancel as r -> 0; the series branch must
+        # hold the removable limit down to r = 0 on every axis angle
+        field = DISPLACED_TILTED
+        n = field.axis_vec
+        perp = np.cross(n, [1.0, 0.0, 0.0])
+        perp /= np.linalg.norm(perp)
+        radii = np.concatenate([[0.0], np.geomspace(1e-8, 2.0 * field.sigma, 33)])
+        points = np.array(
+            [
+                field.center_vec + r * (mu * n + np.sqrt(1.0 - mu * mu) * perp)
+                for r in radii
+                for mu in (-1.0, 0.0, 0.3, 1.0)
+            ]
+        )
+        ref = np.array([density_reference(field, t, p) for p in points])
+        got = _energy_density(field, t, points[:, 0], points[:, 1], points[:, 2])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
 
     def test_rejects_shell_escaping_grid(self, source):
         with pytest.raises(ResolutionError, match="half extent"):

@@ -226,6 +226,29 @@ class TestFrameEmission:
         assert t == frame.t
         np.testing.assert_array_equal(eps, frame.eps.reshape(-1))
 
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_csv_bytes_match_savetxt(self, n, tmp_path):
+        from qetlab.dynamics import DensityFrame, FrameGrid
+
+        grid = FrameGrid(n=n, half_extent=3.7, center=(0.3, -1.25, 2.0))
+        rng = np.random.default_rng(n)
+        # magnitudes from 1e-300 to 1e3, exact zeros and ties in the mantissa
+        eps = rng.random((n, n, n)) * 10.0 ** rng.integers(-300, 4, (n, n, n))
+        eps.reshape(-1)[::7] = 0.0
+        eps.reshape(-1)[3::11] = 0.125
+        frame = DensityFrame(t=2.5, grid=grid, eps=eps)
+        path = tmp_path / "frame.csv"
+        emit_frame_csv(frame, path)
+
+        cols = np.column_stack(
+            [np.full(n**3, frame.t), grid.position_mesh().reshape(-1, 3), eps.reshape(-1)]
+        )
+        expected = tmp_path / "savetxt.csv"
+        with open(expected, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("t,x,y,z,eps\n")
+            np.savetxt(fh, cols, delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_binary_round_trip(self, frame, tmp_path):
         path = tmp_path / "frame.bin"
         emit_frame_binary(frame, path)
