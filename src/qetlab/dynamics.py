@@ -64,11 +64,6 @@ class FrameGrid:
     def axis(self) -> np.ndarray:
         return -self.half_extent + self.dx * np.arange(self.n)
 
-    def radius_mesh(self) -> np.ndarray:
-        ax = self.axis()
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.sqrt(xs * xs + ys * ys + zs * zs)
-
     def position_mesh(self) -> np.ndarray:
         c = np.asarray(self.center, dtype=float)
         ax = self.axis()
@@ -190,19 +185,28 @@ def total_energy(frame: DensityFrame) -> float:
     return float(np.sum(frame.eps)) * frame.grid.dx**3
 
 
-def energy_within_radius(frame: DensityFrame, radius: float) -> float:
-    r = frame.grid.radius_mesh()
-    return float(np.sum(frame.eps[r <= radius])) * frame.grid.dx**3
-
-
 def energy_in_shell(frame: DensityFrame, r_lo: float, r_hi: float) -> float:
-    r = frame.grid.radius_mesh()
-    mask = (r >= r_lo) & (r <= r_hi)
-    return float(np.sum(frame.eps[mask])) * frame.grid.dx**3
+    """Grid quadrature of the density over r_lo <= r <= r_hi, radii measured from grid.center."""
+    ax = frame.grid.axis()
+    sq = ax * ax
+    total = 0.0
+    for i, x2 in enumerate(sq):
+        r = np.sqrt(x2 + sq[:, None] + sq[None, :])
+        total += float(np.sum(frame.eps[i][(r >= r_lo) & (r <= r_hi)]))
+    return total * frame.grid.dx**3
 
 
 def residual_window_energy(a_m: CurlGaussian, T: float, window, grid: FrameGrid | None = None) -> float:
-    """int w(x) eps(T, x) d^3x: energy left in the windowed region at the operation time."""
+    """int w(x) eps(T, x) d^3x: energy left in the windowed region at the operation time.
+
+    The window sees one x-plane of grid positions at a time, so no (n^3, 3)
+    position array is built.
+    """
     frame = energy_density_frame(a_m, T, grid)
-    w = window(frame.grid.position_mesh())
-    return float(np.sum(w * frame.eps)) * frame.grid.dx**3
+    ax = frame.grid.axis()
+    xs, ys, zs = (ax + c for c in frame.grid.center)
+    total = 0.0
+    for i, x in enumerate(xs):
+        plane = np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1)
+        total += float(np.sum(window(plane) * frame.eps[i]))
+    return total * frame.grid.dx**3

@@ -11,6 +11,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -72,14 +73,24 @@ class _Collector:
                 self.add(path, f"unknown key {key!r}{suffix}")
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; YAML's true/false, .nan and .inf are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive_number(value, path: str, errs: _Collector) -> bool:
+    if _is_number(value) and value > 0:
+        return True
+    errs.add(path, f"must be a positive finite number, got {value!r}")
+    return False
+
+
 def _as_scalar_or_list(value, path: str, errs: _Collector) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return [float(value)]
-    if isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if isinstance(value, list) and value and all(_is_number(v) for v in value):
         return [float(v) for v in value]
-    errs.add(path, "expected a number or a nonempty list of numbers")
+    errs.add(path, f"expected a finite number or a nonempty list of finite numbers, got {value!r}")
     return []
 
 
@@ -89,12 +100,11 @@ def _parse_field(spec, path: str, errs: _Collector) -> CurlGaussian | None:
         return None
     errs.check_keys(spec, _FIELD_KEYS, path)
     sigma = spec.get("sigma")
-    if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or sigma <= 0:
-        errs.add(f"{path}.sigma", f"must be a positive number, got {sigma!r}")
+    if not _positive_number(sigma, f"{path}.sigma", errs):
         return None
     amplitude = spec.get("amplitude", 1.0)
-    if not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool):
-        errs.add(f"{path}.amplitude", "must be a number")
+    if not _is_number(amplitude):
+        errs.add(f"{path}.amplitude", f"must be a finite number, got {amplitude!r}")
         return None
     try:
         return CurlGaussian(
@@ -159,13 +169,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 errs.add("scenario.fields.window", "expected a mapping")
             else:
                 errs.check_keys(wspec, _WINDOW_KEYS, "scenario.fields.window")
-                try:
-                    window = RadialWindow(
-                        radius=float(wspec.get("radius", 0.0)),
-                        center=tuple(wspec.get("center", a_m.center if a_m else (0, 0, 0))),
-                    )
-                except (ValidationError, TypeError) as exc:
-                    errs.add("scenario.fields.window", str(exc))
+                radius = wspec.get("radius")
+                if _positive_number(radius, "scenario.fields.window.radius", errs):
+                    try:
+                        window = RadialWindow(
+                            radius=float(radius),
+                            center=tuple(wspec.get("center", a_m.center if a_m else (0, 0, 0))),
+                        )
+                    except (ValidationError, TypeError) as exc:
+                        errs.add("scenario.fields.window", str(exc))
         if window is None and a_m is not None:
             window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center)
 
@@ -182,10 +194,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 errs.add("scenario.grid.n", f"must be an integer >= 8, got {grid_n!r}")
                 grid_n = 128
             grid_half = gspec.get("half_extent")
-            if grid_half is not None and (
-                not isinstance(grid_half, (int, float)) or grid_half <= 0
-            ):
-                errs.add("scenario.grid.half_extent", "must be positive when given")
+            if grid_half is not None and not _positive_number(grid_half, "scenario.grid.half_extent", errs):
                 grid_half = None
 
     times = ()

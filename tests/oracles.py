@@ -5,7 +5,11 @@ These never call the package's own quadrature paths: moments come from
 Dawson-function closed form (co-centred) or scipy's spherical Bessel functions
 (displaced), position-space norms from direct lattice sums, density frames
 from FFT propagation of the spectrum, and point densities from 50-digit
-differentiation of the spherical wave.
+differentiation of the spherical wave.  Photon-packet amplitudes come from a
+30-digit radial quadrature over `mp.besselj` (`packet_amplitudes_reference`)
+and from a plain k-lattice sum of the mode spectrum
+(`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
+its normalization).
 """
 
 import math
@@ -187,3 +191,102 @@ def density_reference(a_m, t: float, x) -> float:
     P = psi_rr - psi_r / r
     Q = psi_rr + psi_r / r
     return float((psi_tr**2 * (1 - mu**2) + Q**2 + mu**2 * (P**2 - 2 * P * Q)) / 2)
+
+
+def _photon_mode_lattice(mode, n: int, k_max: float | None):
+    """Midpoint k-lattice, the mode spectrum F(k) = N i (k x n) e^{-sigma^2 k^2/2} e^{-ik.c} on it, and dk."""
+    k_max = k_max or 8.0 / mode.sigma
+    ax = np.linspace(-k_max, k_max, n, endpoint=False) + k_max / n
+    kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
+    kvec = np.stack([kx, ky, kz], axis=-1)
+    kk = np.sum(kvec * kvec, axis=-1)
+    envelope = mode.sigma**2.5 / np.pi**0.75 * np.exp(-0.5 * mode.sigma**2 * kk)
+    phase = np.exp(-1j * (kvec @ np.asarray(mode.center)))
+    F = (1j * envelope * phase)[..., None] * np.cross(kvec, np.asarray(mode.axis))
+    return kvec, F, ax[1] - ax[0]
+
+
+def photon_mode_norm_reference(mode, n: int = 96, k_max: float | None = None) -> float:
+    """Lattice value of int |F|^2 d^3k (1 for a normalized mode)."""
+    _, F, dk = _photon_mode_lattice(mode, n, k_max)
+    return float(np.sum(np.abs(F) ** 2)) * dk**3
+
+
+def packet_amplitudes_grid_reference(mode, x, n: int = 96, k_max: float | None = None):
+    """(uE, uB) at points x as plain k-lattice sums of the mode spectrum.
+
+    uE(x) = int d^3k (-i) sqrt(|k|/(2 (2pi)^3)) F(k) e^{ik.x}
+    uB(x) = int d^3k (i k x F(k)) / sqrt(2 (2pi)^3 |k|) e^{ik.x}
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x.reshape(-1, 3)
+    kvec, F, dk = _photon_mode_lattice(mode, n, k_max)
+    kmag = np.sqrt(np.sum(kvec * kvec, axis=-1))
+
+    safe = np.where(kmag > 0.0, kmag, 1.0)
+    eAmp = -1j * np.sqrt(kmag / (2.0 * (2.0 * np.pi) ** 3))[..., None] * F
+    bAmp = 1j * np.cross(kvec, F) / np.sqrt(2.0 * (2.0 * np.pi) ** 3 * safe)[..., None]
+    bAmp[kmag == 0.0] = 0.0
+
+    uE = np.empty((len(pts), 3), dtype=complex)
+    uB = np.empty((len(pts), 3), dtype=complex)
+    for i, p in enumerate(pts):
+        phase = np.exp(1j * (kvec @ p))
+        uE[i] = np.sum(eAmp * phase[..., None], axis=(0, 1, 2)) * dk**3
+        uB[i] = np.sum(bAmp * phase[..., None], axis=(0, 1, 2)) * dk**3
+    if single:
+        return uE[0], uB[0]
+    return uE, uB
+
+
+def packet_amplitudes_reference(mode, x):
+    """(uE, uB) at one point x from 30-digit radial quadratures over `mp.besselj`.
+
+    The angular integrals of the packet amplitudes give
+    uE = i pref R[j1] (r^ x n) and uB = pref (R[j0 - j1/z] n + R[j2] (r^.n) r^),
+    r = x - c, pref = 4 pi N/sqrt(2 (2pi)^3), N = sigma^{5/2}/pi^{3/4} and
+    R[g] = int_0^inf k^{7/2} e^{-sigma^2 k^2/2} g(kr) dk, with j_l(z) =
+    sqrt(pi/2z) J_{l+1/2}(z).  R is cut at k = 12/sigma (tail below 1e-27 of
+    the envelope integral) and taken as Gauss-Legendre in u = sqrt(k), which
+    makes the integrand entire, over pieces of about two oscillation periods.
+    At r = 0 the limits j0 - j1/z = 2/3 and j1 = j2 = 0 apply.
+    """
+    with mp.workdps(30):
+        s = mp.mpf(float(mode.sigma))
+        rv = [mp.mpf(float(xi)) - mp.mpf(float(ci)) for xi, ci in zip(x, mode.center)]
+        r = mp.sqrt(sum(v * v for v in rv))
+        n = [mp.mpf(float(ni)) for ni in mode.axis]
+        pref = 4 * mp.pi * s ** mp.mpf(2.5) / mp.pi ** mp.mpf(0.75) / mp.sqrt(2 * (2 * mp.pi) ** 3)
+        k_max = 12 / s
+        pieces = max(3, int(mp.ceil(k_max * r / (4 * mp.pi))))
+        us = [mp.sqrt(k_max * j / pieces) for j in range(pieces + 1)]
+        cache = {}
+
+        def bessels(u):
+            # (j1, j0 - j1/z, j2) at z = u^2 r, shared by the three integrals
+            if u not in cache:
+                z = u * u * r
+                if z == 0:
+                    cache[u] = (mp.mpf(0), mp.mpf(2) / 3, mp.mpf(0))
+                else:
+                    j0, j1, j2 = (mp.sqrt(mp.pi / (2 * z)) * mp.besselj(l + mp.mpf(0.5), z) for l in range(3))
+                    cache[u] = (j1, j0 - j1 / z, j2)
+            return cache[u]
+
+        def R(i):
+            return mp.quad(
+                lambda u: 2 * u**8 * mp.exp(-s * s * u**4 / 2) * bessels(u)[i], us, method="gauss-legendre"
+            )
+
+        R1, R01, R2 = R(0), R(1), R(2)
+        rhat = [v / r for v in rv] if r > 0 else [mp.mpf(0)] * 3
+        mu = sum(a * b for a, b in zip(rhat, n))
+        cross = [
+            rhat[1] * n[2] - rhat[2] * n[1],
+            rhat[2] * n[0] - rhat[0] * n[2],
+            rhat[0] * n[1] - rhat[1] * n[0],
+        ]
+        uE = np.array([complex(0.0, float(pref * R1 * c)) for c in cross])
+        uB = np.array([complex(float(pref * (R01 * ni + R2 * mu * h)), 0.0) for ni, h in zip(n, rhat)])
+    return uE, uB

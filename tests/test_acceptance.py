@@ -218,7 +218,7 @@ def test_criterion_10_negative_energy_demo():
 
         xs = np.zeros((9, 3))
         xs[:, 0] = np.linspace(-2.0, 2.0, 9)
-        rows = demo_rows(GaussianPhotonMode(sigma=1.0), xs, n=48)
+        rows = demo_rows(GaussianPhotonMode(sigma=1.0), xs)
         assert np.any(rows[:, 6] < 0.0)
 
 

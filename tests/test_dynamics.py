@@ -14,7 +14,6 @@ from qetlab.dynamics import (
     _energy_density,
     default_frame_grid,
     energy_in_shell,
-    energy_within_radius,
 )
 from qetlab.errors import ResolutionError
 
@@ -121,7 +120,7 @@ class TestConservationAndCausality:
 
     def test_energy_leaves_source_region(self, source, E_source):
         frame = energy_density_frame(source, 10.0)
-        assert energy_within_radius(frame, 3.0) < 1e-4 * E_source
+        assert energy_in_shell(frame, 0.0, 3.0) < 1e-4 * E_source
 
     def test_energy_rides_the_light_shell(self, source):
         t = 12.0
@@ -146,6 +145,17 @@ class TestWindowedResidual:
     def test_initial_window_holds_everything(self, source, E_source):
         res = residual_window_energy(
             source, 0.0, RadialWindow(radius=3.0), default_frame_grid(source, 0.0, n=96)
+        )
+        np.testing.assert_allclose(res, E_source, rtol=1e-2)
+
+    def test_window_needs_no_position_mesh(self, source, E_source, monkeypatch):
+        # the window is evaluated plane by plane; an (n^3, 3) mesh is never built
+        def refuse(self):
+            raise AssertionError("position_mesh called")
+
+        monkeypatch.setattr(FrameGrid, "position_mesh", refuse)
+        res = residual_window_energy(
+            source, 0.0, RadialWindow(radius=3.0), default_frame_grid(source, 0.0, n=64)
         )
         np.testing.assert_allclose(res, E_source, rtol=1e-2)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,42 @@ class TestParsing:
                 }
             )
         assert len(err.value.errors) >= 4
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("T",), math.nan),
+            (("T",), [12.0, math.inf]),
+            (("lambda",), math.nan),
+            (("times",), [0.0, math.inf]),
+            (("fields", "a_m", "amplitude"), math.nan),
+            (("fields", "a_m", "sigma"), math.inf),
+            (("grid", "half_extent"), math.nan),
+            (("grid", "half_extent"), True),
+            (("fields", "window", "radius"), math.inf),
+            (("fields", "window", "radius"), True),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+    )
+    def test_non_finite_and_boolean_numbers_rejected(self, keys, value):
+        # YAML's .nan/.inf and true parse as floats and a bool; each must be
+        # reported at its own field path, never run
+        raw = {
+            "T": 12.0,
+            "lambda": 1.0,
+            "times": [0.0],
+            "fields": {"a_m": {"amplitude": 1.0, "sigma": 1.0}, "window": {"radius": 2.5}},
+            "grid": {"n": 32, "half_extent": 10.0},
+        }
+        scenario_from_dict(raw)  # the unmodified mapping is valid
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(raw)
+        path = "scenario." + ".".join(keys)
+        assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
 
     def test_malformed_yaml(self, tmp_path):
         with pytest.raises(ValidationError, match="malformed"):
