@@ -56,7 +56,6 @@ from .negative_energy import (
     PlaneWaveMode,
     fock_matrix_elements,
     optimal_superposition,
-    two_photon_matrix_elements,
 )
 from .scenario import Scenario, parse_scenario
 from .results import ResultRecord, emit_records, run_scenario

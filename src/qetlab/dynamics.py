@@ -64,12 +64,6 @@ class FrameGrid:
     def axis(self) -> np.ndarray:
         return -self.half_extent + self.dx * np.arange(self.n)
 
-    def position_mesh(self) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        ax = self.axis()
-        xs, ys, zs = np.meshgrid(ax + c[0], ax + c[1], ax + c[2], indexing="ij")
-        return np.stack([xs, ys, zs], axis=-1)
-
 
 def default_frame_grid(a_m: CurlGaussian, t: float, n: int = 128) -> FrameGrid:
     """Box holding the light shell at time t with a tail margin, centered on the source."""

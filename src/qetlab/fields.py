@@ -20,10 +20,16 @@ from .errors import ValidationError
 # Tail mass outside the effective radius; the field is treated as supported
 # in the ball of that radius for all causality preconditions.
 TAIL_TOL = 1e-10
+# The radial L2 density is ~ r^4 exp(-r^2/sigma^2), so the tail mass is an
+# upper incomplete gamma of order 5/2; this is the radius in units of sigma.
+_EFFECTIVE_RADIUS_SIGMAS = float(np.sqrt(gammainccinv(2.5, TAIL_TOL)))
 
 
 def _vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(3)
+    try:
+        arr = np.asarray(v, dtype=float).reshape(3)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a finite 3-vector, got {v!r}") from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be a finite 3-vector")
     return arr
@@ -45,7 +51,6 @@ class CurlGaussian:
     sigma: float
     center: tuple = (0.0, 0.0, 0.0)
     axis: tuple = (0.0, 0.0, 1.0)
-    tail_tol: float = TAIL_TOL
 
     def __post_init__(self):
         if not (self.sigma > 0.0):
@@ -53,8 +58,6 @@ class CurlGaussian:
         axis = _unit(self.axis, "axis")
         object.__setattr__(self, "axis", tuple(axis))
         object.__setattr__(self, "center", tuple(_vec3(self.center, "center")))
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValidationError("tail_tol must be in (0, 1)")
 
     @property
     def center_vec(self) -> np.ndarray:
@@ -66,12 +69,8 @@ class CurlGaussian:
 
     @property
     def effective_radius(self) -> float:
-        """Radius of the ball containing 1 - tail_tol of the L2 mass.
-
-        The radial L2 density is ~ r^4 exp(-r^2/sigma^2), so the tail mass is
-        an upper incomplete gamma of order 5/2.
-        """
-        return self.sigma * float(np.sqrt(gammainccinv(2.5, self.tail_tol)))
+        """Radius of the ball containing 1 - TAIL_TOL of the L2 mass."""
+        return self.sigma * _EFFECTIVE_RADIUS_SIGMAS
 
     def envelope(self, x) -> np.ndarray:
         u = np.asarray(x, dtype=float) - self.center_vec

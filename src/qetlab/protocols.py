@@ -20,13 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
 from .fields import CurlGaussian
 from .spectral import overlap_kernel, weighted_spectral_integral
 
 PI2_OVER_4 = np.pi**2 / 4.0
+
+
+def _crossover_root() -> float:
+    # Newton on e^u - 1 - pi^2/4 - u from u = 2: the function is convex and
+    # positive there, so the steps fall monotonically onto the root
+    c = 1.0 + float(PI2_OVER_4)
+    u = 2.0
+    for _ in range(8):
+        u -= (math.exp(u) - c - u) / math.expm1(u)
+    return u
+
+
+# u* = 2 lam_c^2 I1 where the damping factors cross: e^u = 1 + pi^2/4 + u.
+# e^u - u grows without bound from 1 < 1 + pi^2/4 at u = 0, so one positive
+# root exists and it is the same for every field.
+CROSSOVER_U = _crossover_root()
 
 # causal gate: wait until the light front has cleared both supports at the
 # few-sigma level; the Monte Carlo oracle demands more, the full effective
@@ -51,9 +66,6 @@ class ProtocolConfig:
                 f"T = {self.T:.6g} violates causal decoupling; "
                 f"need T > {min_causal_wait(self.a_m, self.f_o):.6g}"
             )
-
-    def with_lam(self, lam: float) -> "ProtocolConfig":
-        return ProtocolConfig(a_m=self.a_m, f_o=self.f_o, T=self.T, lam=lam)
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
@@ -96,9 +108,10 @@ def input_energy(a_m) -> float:
     return 0.5 * _norm(a_m, 2)
 
 
-def input_energy_position_oracle(a_m: CurlGaussian, n: int = 96, half_extent_sigmas: float = 8.0) -> float:
-    """Independent route to E_m: direct grid quadrature of (1/2)(curl a)^2."""
-    half = half_extent_sigmas * a_m.sigma
+def input_energy_position_oracle(a_m: CurlGaussian) -> float:
+    """Independent route to E_m: grid quadrature of (1/2)(curl a)^2, 96^3 nodes over +-8 sigma."""
+    n = 96
+    half = 8.0 * a_m.sigma
     ax = np.linspace(-half, half, n, endpoint=False) + half / n
     axes = [ax + c for c in a_m.center_vec]
     xs, ys, zs = np.meshgrid(*axes, indexing="ij")
@@ -228,31 +241,16 @@ def large_amplitude_limit(cfg: ProtocolConfig) -> float:
     return K1 * K1 / (4.0 * inv.I1 * inv.xi)
 
 
-def crossover_amplitude(cfg: ProtocolConfig, bracket_max: float = 64.0) -> float:
+def crossover_amplitude(cfg: ProtocolConfig) -> float:
     """Amplitude multiplier where the oscillator protocol overtakes the spin one.
 
-    Solves exp(2 lam^2 I1) = 1 + pi^2/4 + 2 lam^2 I1 for lam > 0 by bracketed
-    root finding on the log of the damping ratio; reports (raises) if the
-    bracket shows no sign change instead of fabricating a root.
+    exp(2 lam^2 I1) = 1 + pi^2/4 + 2 lam^2 I1 holds at 2 lam^2 I1 = CROSSOVER_U,
+    so lam_c = sqrt(CROSSOVER_U / (2 I1)).
     """
     I1 = _norm(cfg.a_m, 1)
     if I1 <= 0.0:
         raise DegenerateFieldError("crossover undefined for a zero measurement profile")
-
-    def log_ratio(lam: float) -> float:
-        u = 2.0 * lam * lam * I1
-        return u - math.log1p(PI2_OVER_4 + u)
-
-    lo = 1e-8
-    hi = 0.5
-    while log_ratio(hi) <= 0.0:
-        hi *= 2.0
-        if hi > bracket_max:
-            raise ValidationError(
-                f"no crossover sign change on (0, {bracket_max}]; ratio stays below 1"
-            )
-    lam_c = brentq(log_ratio, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(lam_c)
+    return math.sqrt(CROSSOVER_U / (2.0 * I1))
 
 
 @dataclass(frozen=True)

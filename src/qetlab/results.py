@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,24 +20,6 @@ from .dynamics import DensityFrame, FrameGrid, default_frame_grid, energy_densit
 from .errors import ToleranceFailure, ValidationError
 from .protocols import OscillatorOutcome, PairInvariants, SpinOutcome, teleport
 from .scenario import Scenario
-
-RECORD_KEYS = (
-    "scenario_hash",
-    "probe",
-    "lambda",
-    "T",
-    "E_m",
-    "eta",
-    "xi",
-    "theta_star",
-    "E_o",
-    "D_q",
-    "eta_prime",
-    "theta_prime_star",
-    "E_o_prime",
-    "D_ho",
-    "ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -59,25 +41,13 @@ class ResultRecord:
     ratio: float | None
 
     def to_line(self) -> str:
-        values = {
-            "scenario_hash": self.scenario_hash,
-            "probe": self.probe,
-            "lambda": self.lam,
-            "T": self.T,
-            "E_m": self.E_m,
-            "eta": self.eta,
-            "xi": self.xi,
-            "theta_star": self.theta_star,
-            "E_o": self.E_o,
-            "D_q": self.D_q,
-            "eta_prime": self.eta_prime,
-            "theta_prime_star": self.theta_prime_star,
-            "E_o_prime": self.E_o_prime,
-            "D_ho": self.D_ho,
-            "ratio": self.ratio,
-        }
-        clean = {k: _finite_or_none(values[k]) for k in RECORD_KEYS}
-        return json.dumps(clean, allow_nan=False)
+        values = (_finite_or_none(getattr(self, f.name)) for f in _RECORD_FIELDS)
+        return json.dumps(dict(zip(RECORD_KEYS, values)), allow_nan=False)
+
+
+_RECORD_FIELDS = fields(ResultRecord)
+# JSON keys in field order; `lam` is written as "lambda"
+RECORD_KEYS = tuple("lambda" if f.name == "lam" else f.name for f in _RECORD_FIELDS)
 
 
 def _finite_or_none(v):

@@ -85,6 +85,13 @@ def _positive_number(value, path: str, errs: _Collector) -> bool:
     return False
 
 
+def _vector(value, path: str, errs: _Collector) -> tuple | None:
+    if isinstance(value, (list, tuple)) and len(value) == 3 and all(_is_number(v) for v in value):
+        return tuple(float(v) for v in value)
+    errs.add(path, f"must be a list of three finite numbers, got {value!r}")
+    return None
+
+
 def _as_scalar_or_list(value, path: str, errs: _Collector) -> list[float]:
     if _is_number(value):
         return [float(value)]
@@ -106,14 +113,13 @@ def _parse_field(spec, path: str, errs: _Collector) -> CurlGaussian | None:
     if not _is_number(amplitude):
         errs.add(f"{path}.amplitude", f"must be a finite number, got {amplitude!r}")
         return None
+    center = _vector(spec.get("center", (0.0, 0.0, 0.0)), f"{path}.center", errs)
+    axis = _vector(spec.get("axis", (0.0, 0.0, 1.0)), f"{path}.axis", errs)
+    if center is None or axis is None:
+        return None
     try:
-        return CurlGaussian(
-            amplitude=float(amplitude),
-            sigma=float(sigma),
-            center=tuple(spec.get("center", (0.0, 0.0, 0.0))),
-            axis=tuple(spec.get("axis", (0.0, 0.0, 1.0))),
-        )
-    except (ValidationError, TypeError) as exc:
+        return CurlGaussian(amplitude=float(amplitude), sigma=float(sigma), center=center, axis=axis)
+    except ValidationError as exc:
         errs.add(path, str(exc))
         return None
 
@@ -170,14 +176,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
             else:
                 errs.check_keys(wspec, _WINDOW_KEYS, "scenario.fields.window")
                 radius = wspec.get("radius")
-                if _positive_number(radius, "scenario.fields.window.radius", errs):
-                    try:
-                        window = RadialWindow(
-                            radius=float(radius),
-                            center=tuple(wspec.get("center", a_m.center if a_m else (0, 0, 0))),
-                        )
-                    except (ValidationError, TypeError) as exc:
-                        errs.add("scenario.fields.window", str(exc))
+                center = _vector(
+                    wspec.get("center", a_m.center if a_m else (0.0, 0.0, 0.0)),
+                    "scenario.fields.window.center",
+                    errs,
+                )
+                if _positive_number(radius, "scenario.fields.window.radius", errs) and center is not None:
+                    window = RadialWindow(radius=float(radius), center=center)
         if window is None and a_m is not None:
             window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center)
 

@@ -176,11 +176,11 @@ def pauli_jordan_delta(t: float, r: float) -> float:
     return -1.0 / (2.0 * np.pi**2 * u)
 
 
-def pauli_jordan_delta_quadrature(t: float, r: float, dampings=(0.05, 0.025, 0.0125)) -> IntegralResult:
+def pauli_jordan_delta_quadrature(t: float, r: float) -> IntegralResult:
     """Oscillatory-quadrature route to the same value.
 
-    Integrates the damped radial Fourier integral for a few damping strengths
-    and Richardson-extrapolates in the damping squared (the residual is even).
+    Integrates the damped radial Fourier integral for damping strengths 0.05,
+    0.025 and 0.0125 and Richardson-extrapolates in the damping squared (the residual is even).
     """
     if r < 0.0:
         raise ValidationError("r must be nonnegative")
@@ -201,7 +201,7 @@ def pauli_jordan_delta_quadrature(t: float, r: float, dampings=(0.05, 0.025, 0.0
             total += 0.5 * val
         return total / (2.0 * np.pi**2 * r)
 
-    eps = np.asarray(sorted(dampings, reverse=True), dtype=float)
+    eps = np.array([0.05, 0.025, 0.0125])
     vals = np.array([damped(e) for e in eps])
     # Richardson extrapolation to zero damping: the residual is even in eps
     x = eps**2
@@ -214,7 +214,7 @@ def pauli_jordan_delta_quadrature(t: float, r: float, dampings=(0.05, 0.025, 0.0
                 x[i] * table[i + 1, j - 1] - x[i + j] * table[i, j - 1]
             ) / (x[i] - x[i + j])
     best = table[0, m - 1]
-    err = abs(best - table[0, m - 2]) if m > 1 else abs(best)
+    err = abs(best - table[0, m - 2])
     return IntegralResult(
         value=float(best),
         estimated_error=float(err),
@@ -230,7 +230,13 @@ def d2_delta_offcone(t: float, r) -> np.ndarray:
     return -(3.0 * t * t + r * r) / (np.pi**2 * u**3)
 
 
-def overlap_kernel(f_o, a_m, T: float, err_tol: float = 1e-8) -> IntegralResult:
+# K(T) is returned only if its estimated error is at most
+# max(_KERNEL_ATOL, _KERNEL_RTOL |K|)
+_KERNEL_ATOL = 1e-8
+_KERNEL_RTOL = 1e-6
+
+
+def overlap_kernel(f_o, a_m, T: float) -> IntegralResult:
     """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y.
 
     Evaluated spectrally as -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)];
@@ -240,7 +246,7 @@ def overlap_kernel(f_o, a_m, T: float, err_tol: float = 1e-8) -> IntegralResult:
     if T <= 0.0:
         raise ValidationError("T must be positive")
     value, err, n = _radial_pairing(f_o, a_m, "cos", T)
-    if err > max(err_tol, 1e-6 * abs(value)):
+    if err > max(_KERNEL_ATOL, _KERNEL_RTOL * abs(value)):
         raise ToleranceFailure(
             f"oscillatory quadrature error {err:.3e} exceeds tolerance for K(T={T})"
         )

@@ -129,6 +129,12 @@ def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
     return -pref * val, calls[0]
 
 
+def grid_positions(grid) -> np.ndarray:
+    """(n, n, n, 3) node positions of a FrameGrid, in C order of its eps array."""
+    axes = [grid.axis() + c for c in np.asarray(grid.center, dtype=float)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def fft_frame_reference(a_m, t: float, grid):
     """(eps, b, Pi) on the grid by FFT propagation of the closed-form spectrum.
 

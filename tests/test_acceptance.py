@@ -6,6 +6,7 @@ Each test prints one `[acceptance] criterion N ...: PASS` line (run with
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_criterion_06_crossover(canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         u = 2.0 * lam_c**2 * I1
         assert abs(math.exp(u) - (1.0 + np.pi**2 / 4.0 + u)) <= 1e-10
-        cfg2 = canonical_cfg.with_lam(2.0 * lam_c)
+        cfg2 = replace(canonical_cfg, lam=2.0 * lam_c)
         spin, osc = run_protocols(cfg2)
         assert abs(osc.E_o_prime) > abs(spin.E_o)
 

@@ -17,7 +17,7 @@ from qetlab.dynamics import (
 )
 from qetlab.errors import ResolutionError
 
-from oracles import density_reference, fft_frame_reference
+from oracles import density_reference, fft_frame_reference, grid_positions
 
 DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
@@ -48,7 +48,7 @@ class TestFrameConstruction:
         grid = default_frame_grid(field, 0.0, n=96)
         eps_fft, b, Pi = fft_frame_reference(field, 0.0, grid)
         np.testing.assert_allclose(Pi, 0.0, atol=1e-12)
-        direct = field.curl(grid.position_mesh())
+        direct = field.curl(grid_positions(grid))
         np.testing.assert_allclose(b, direct, atol=1e-8 * np.max(np.abs(direct)))
         frame = energy_density_frame(field, 0.0, grid)
         half_curl2 = 0.5 * np.sum(direct * direct, axis=-1)
@@ -148,12 +148,12 @@ class TestWindowedResidual:
         )
         np.testing.assert_allclose(res, E_source, rtol=1e-2)
 
-    def test_window_needs_no_position_mesh(self, source, E_source, monkeypatch):
+    def test_window_builds_no_mesh(self, source, E_source, monkeypatch):
         # the window is evaluated plane by plane; an (n^3, 3) mesh is never built
-        def refuse(self):
-            raise AssertionError("position_mesh called")
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.meshgrid called")
 
-        monkeypatch.setattr(FrameGrid, "position_mesh", refuse)
+        monkeypatch.setattr(np, "meshgrid", refuse)
         res = residual_window_energy(
             source, 0.0, RadialWindow(radius=3.0), default_frame_grid(source, 0.0, n=64)
         )

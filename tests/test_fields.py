@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qetlab import RadialWindow, ValidationError, make_curl_gaussian
+from qetlab import RadialWindow, ValidationError, fields, make_curl_gaussian
 
 unit_axes = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -55,7 +55,7 @@ class TestCurlGaussian:
         vals = a(np.stack([xs, ys, zs], axis=-1))
         dx = ax[1] - ax[0]
         integrals = np.sum(vals, axis=(0, 1, 2)) * dx**3
-        assert np.all(np.abs(integrals) <= a.tail_tol * a.amplitude * a.sigma**3)
+        assert np.all(np.abs(integrals) <= fields.TAIL_TOL * a.amplitude * a.sigma**3)
 
 
 class TestSpectralTransform:

@@ -13,12 +13,12 @@ from qetlab import (
     ValidationError,
     fock_matrix_elements,
     optimal_superposition,
-    two_photon_matrix_elements,
 )
 from qetlab.negative_energy import (
     FockSpace,
     SuperpositionParams,
     demo_rows,
+    matrix_elements_from_amplitudes,
     packet_amplitudes,
     superposition_energy,
     vacuum_probe_functional_moments,
@@ -147,7 +147,7 @@ class TestContinuumMode:
 
     def test_matrix_elements_at_center(self):
         mode = GaussianPhotonMode(sigma=1.0)
-        A, B = two_photon_matrix_elements(mode, np.zeros(3))
+        A, B = matrix_elements_from_amplitudes(*packet_amplitudes(mode, np.zeros(3)))
         assert A > 0.0
         assert abs(B) > 0.0
 
@@ -155,8 +155,10 @@ class TestContinuumMode:
         # massless-field packet tails are algebraic, not Gaussian; twelve
         # envelope widths out the density elements are down by > 1e8
         mode = GaussianPhotonMode(sigma=1.0)
-        A_far, B_far = two_photon_matrix_elements(mode, np.array([12.0, 0.0, 0.0]))
-        A_0, _ = two_photon_matrix_elements(mode, np.zeros(3))
+        A_far, B_far = matrix_elements_from_amplitudes(
+            *packet_amplitudes(mode, np.array([12.0, 0.0, 0.0]))
+        )
+        A_0, _ = matrix_elements_from_amplitudes(*packet_amplitudes(mode, np.zeros(3)))
         assert A_far < 1e-8 * A_0
         assert abs(B_far) < 1e-8 * A_0
 
@@ -196,7 +198,7 @@ class TestFockOracle:
         ms = random_mode_set(rng, 1)
         x = np.zeros(3)
         Aw, _ = ms.wick_matrix_elements(x)
-        Af, _ = fock_matrix_elements(ms, x, cutoff=2)
+        Af, _ = fock_matrix_elements(ms, x)
         assert Af == pytest.approx(Aw, rel=1e-10)
 
     def test_vacuum_expectation_vanishes(self, rng):
@@ -217,11 +219,6 @@ class TestFockOracle:
         c = np.ones(4) / 2.0
         with pytest.raises(ValidationError, match="overflow|3 modes"):
             DiscreteModeSet(modes=modes, coeffs=tuple(c))
-
-    def test_low_cutoff_rejected(self, rng):
-        ms = random_mode_set(rng, 1)
-        with pytest.raises(ValidationError):
-            fock_matrix_elements(ms, np.zeros(3), cutoff=1)
 
     def test_unnormalized_coefficients_rejected(self, rng):
         ms = random_mode_set(rng, 2)

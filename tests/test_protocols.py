@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from qetlab import (
     weighted_spectral_integral,
 )
 from qetlab.protocols import (
+    CROSSOVER_U,
     input_energy_position_oracle,
     min_causal_wait,
     spin_objective,
@@ -252,7 +255,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6):
-            out = run_protocols(cfg.with_lam(lam))[0]
+            out = run_protocols(replace(cfg, lam=lam))[0]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o * math.exp(2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -261,7 +264,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6, 3.0):
-            out = run_protocols(cfg.with_lam(lam))[1]
+            out = run_protocols(replace(cfg, lam=lam))[1]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o_prime * (1.0 + np.pi**2 / 4.0 + 2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -287,12 +290,12 @@ class TestAmplitudeScalingLaws:
 class TestLargeAmplitudeLimit:
     def test_convergence_at_lambda_100(self, canonical_cfg):
         limit = large_amplitude_limit(canonical_cfg)
-        at_100 = abs(run_protocols(canonical_cfg.with_lam(100.0))[1].E_o_prime)
+        at_100 = abs(run_protocols(replace(canonical_cfg, lam=100.0))[1].E_o_prime)
         assert abs(at_100 - limit) <= 0.01 * limit
 
     def test_invariant_under_amplitude_rescaling(self, canonical_cfg):
         base = large_amplitude_limit(canonical_cfg)
-        scaled = large_amplitude_limit(canonical_cfg.with_lam(7.0))
+        scaled = large_amplitude_limit(replace(canonical_cfg, lam=7.0))
         np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
     def test_zero_operation_profile(self, canonical_field):
@@ -319,15 +322,31 @@ class TestCrossover:
         u = 2.0 * lam_c**2 * I1_CANONICAL
         assert abs(math.exp(u) - (1.0 + np.pi**2 / 4.0 + u)) < 1e-10
 
+    def test_crossover_exponent_is_the_root(self):
+        # e^u = 1 + pi^2/4 + u, solved to 50 digits
+        with mp.workdps(50):
+            root = mp.findroot(lambda u: mp.exp(u) - 1 - mp.pi**2 / 4 - u, 2)
+            assert abs(CROSSOVER_U - root) <= 2 * math.ulp(float(root))
+
+    def test_weak_field_has_crossover(self):
+        # lam_c ~ 312: far outside any fixed search bracket
+        weak = make_curl_gaussian(1e-3, 1.0)
+        lam_c = crossover_amplitude(ProtocolConfig(a_m=weak, f_o=weak, T=8.0))
+        with mp.workdps(50):
+            I1 = mp.mpf(1e-3) ** 2 * 8 * mp.pi / 3  # A^2 (4 pi/3) Gamma(3)
+            u = mp.findroot(lambda u: mp.exp(u) - 1 - mp.pi**2 / 4 - u, 2)
+            ref = mp.sqrt(u / (2 * I1))
+            assert abs(lam_c - ref) <= 1e-14 * ref
+
     def test_oscillator_wins_beyond_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
-        cfg = canonical_cfg.with_lam(2.0 * lam_c)
+        cfg = replace(canonical_cfg, lam=2.0 * lam_c)
         spin, osc = run_protocols(cfg)
         assert abs(osc.E_o_prime) > abs(spin.E_o)
 
     def test_spin_wins_below_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
-        cfg = canonical_cfg.with_lam(0.5 * lam_c)
+        cfg = replace(canonical_cfg, lam=0.5 * lam_c)
         spin, osc = run_protocols(cfg)
         assert abs(osc.E_o_prime) < abs(spin.E_o)
 

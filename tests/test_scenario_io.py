@@ -17,6 +17,8 @@ from qetlab.results import (
 )
 from qetlab.scenario import scenario_from_dict
 
+from oracles import grid_positions
+
 MINIMAL = """
 T: 8.0
 probe: spin
@@ -115,6 +117,10 @@ class TestParsing:
             (("grid", "half_extent"), True),
             (("fields", "window", "radius"), math.inf),
             (("fields", "window", "radius"), True),
+            (("fields", "a_m", "center"), [1.0, 2.0]),
+            (("fields", "a_m", "axis"), "z"),
+            (("fields", "window", "center"), [1.0, 2.0]),
+            (("fields", "a_m", "center"), [True, 0, 0]),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
     )
@@ -279,7 +285,7 @@ class TestFrameEmission:
         emit_frame_csv(frame, path)
 
         cols = np.column_stack(
-            [np.full(n**3, frame.t), grid.position_mesh().reshape(-1, 3), eps.reshape(-1)]
+            [np.full(n**3, frame.t), grid_positions(grid).reshape(-1, 3), eps.reshape(-1)]
         )
         expected = tmp_path / "savetxt.csv"
         with open(expected, "w", encoding="utf-8", newline="\n") as fh:

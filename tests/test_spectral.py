@@ -15,6 +15,7 @@ from qetlab import (
     pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
+from qetlab import spectral
 from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait
 
 from oracles import (
@@ -216,14 +217,15 @@ class TestOverlapKernel:
         with pytest.raises(ValidationError):
             overlap_kernel(canonical_field.spectrum(), canonical_field.spectrum(), 0.0)
 
-    def test_flags_quadrature_error_above_tolerance(self, canonical_field):
+    def test_flags_quadrature_error_above_tolerance(self, canonical_field, monkeypatch):
         # at T=200 the kernel is ~1e-11 while the quadrature error is ~1e-14;
         # with the tolerance floor removed the flag must fire, not silently return
         from qetlab import ToleranceFailure
 
+        monkeypatch.setattr(spectral, "_KERNEL_ATOL", 0.0)
         spec = canonical_field.spectrum()
         with pytest.raises(ToleranceFailure):
-            overlap_kernel(spec, spec, 200.0, err_tol=0.0)
+            overlap_kernel(spec, spec, 200.0)
 
 
 class TestBruteForceOracle:
