@@ -109,15 +109,21 @@ def input_energy(a_m) -> float:
 
 
 def input_energy_position_oracle(a_m: CurlGaussian) -> float:
-    """Independent route to E_m: grid quadrature of (1/2)(curl a)^2, 96^3 nodes over +-8 sigma."""
+    """Independent route to E_m: grid quadrature of (1/2)(curl a)^2, 96^3 nodes over +-8 sigma.
+
+    The curl is evaluated one x-plane of the lattice at a time, so no
+    (n^3, 3) position or curl array is built.
+    """
     n = 96
     half = 8.0 * a_m.sigma
     ax = np.linspace(-half, half, n, endpoint=False) + half / n
-    axes = [ax + c for c in a_m.center_vec]
-    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-    curls = a_m.curl(np.stack([xs, ys, zs], axis=-1))
+    xs, ys, zs = (ax + c for c in a_m.center_vec)
+    total = 0.0
+    for x in xs:
+        curls = a_m.curl(np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1))
+        total += float(np.sum(curls * curls))
     dx = float(ax[1] - ax[0])
-    return 0.5 * float(np.sum(curls * curls)) * dx**3
+    return 0.5 * total * dx**3
 
 
 def damping_spin(I1: float) -> float:

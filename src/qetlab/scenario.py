@@ -92,6 +92,15 @@ def _vector(value, path: str, errs: _Collector) -> tuple | None:
     return None
 
 
+def _file_name(value, path: str, errs: _Collector) -> str:
+    """A non-empty string naming a plain file inside the output directory."""
+    unsafe = ("/", "\\", "..", "\0")
+    if isinstance(value, str) and value not in ("", ".") and not any(u in value for u in unsafe):
+        return value
+    errs.add(path, f"must be a file name inside --out (no path separator or '..'), got {value!r}")
+    return ""
+
+
 def _as_scalar_or_list(value, path: str, errs: _Collector) -> list[float]:
     if _is_number(value):
         return [float(value)]
@@ -218,8 +227,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             errs.add("scenario.output", "expected a mapping")
         else:
             errs.check_keys(ospec, _OUTPUT_KEYS, "scenario.output")
-            results_name = str(ospec.get("results", results_name))
-            frames_prefix = str(ospec.get("frames_prefix", frames_prefix))
+            results_name = _file_name(ospec.get("results", results_name), "scenario.output.results", errs)
+            frames_prefix = _file_name(
+                ospec.get("frames_prefix", frames_prefix), "scenario.output.frames_prefix", errs
+            )
 
     # the causal gate needs both fields
     if a_m is not None and f_o is not None and T_list:

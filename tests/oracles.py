@@ -9,7 +9,9 @@ differentiation of the spherical wave.  Photon-packet amplitudes come from a
 30-digit radial quadrature over `mp.besselj` (`packet_amplitudes_reference`)
 and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
-its normalization).
+its normalization).  The Monte Carlo oracle's batches are re-evaluated with
+the plain per-sample formula (`mc_batch_reference`), and the input energy
+from one full position lattice (`input_energy_position_reference`).
 """
 
 import math
@@ -18,6 +20,8 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import spherical_jn
+
+from qetlab.spectral import _MC_BATCH, d2_delta_offcone
 
 mp.mp.dps = 50
 
@@ -75,6 +79,46 @@ def position_norm_reference(field, n: int = 96, half: float = 8.0) -> float:
     vals = field(np.stack([xs, ys, zs], axis=-1))
     dx = ax[1] - ax[0]
     return float(np.sum(vals * vals)) * dx**3
+
+
+def input_energy_position_reference(a_m) -> float:
+    """(1/2) int (curl a)^2 d^3x on the 96^3 midpoint lattice over +-8 sigma, in one mesh."""
+    n = 96
+    half = 8.0 * a_m.sigma
+    ax = np.linspace(-half, half, n, endpoint=False) + half / n
+    axes = [ax + c for c in a_m.center_vec]
+    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
+    curls = a_m.curl(np.stack([xs, ys, zs], axis=-1))
+    dx = float(ax[1] - ax[0])
+    return 0.5 * float(np.sum(curls * curls)) * dx**3
+
+
+def mc_batch_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[float, float]:
+    """(mean, standard error) of the Monte Carlo K(T) estimate, one sample at a time.
+
+    Draws the oracle's samples (spawned batch seeds, z_x then z_y per batch)
+    and evaluates each as w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
+    d_T^2 Delta(T, |x - y|), with explicit cross products and norms.
+    """
+    cf, ca = f_o.center_vec, a_m.center_vec
+    wf = -f_o.amplitude * (2.0 * np.pi * f_o.sigma**2) ** 1.5 / f_o.sigma**2
+    wa = -a_m.amplitude * (2.0 * np.pi * a_m.sigma**2) ** 1.5 / a_m.sigma**2
+    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
+    sums, squares = [], []
+    for i, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
+        n = min(_MC_BATCH, samples - i * _MC_BATCH)
+        rng = np.random.default_rng(batch_seed)
+        x = cf + f_o.sigma * rng.standard_normal((n, 3))
+        y = ca + a_m.sigma * rng.standard_normal((n, 3))
+        r = np.linalg.norm(x - y, axis=-1)
+        fv = wf * np.cross(x - cf, f_o.axis_vec)
+        av = wa * np.cross(y - ca, a_m.axis_vec)
+        vals = d2_delta_offcone(T, r * r) * np.sum(fv * av, axis=-1)
+        sums.append(float(np.sum(vals)))
+        squares.append(float(np.sum(vals * vals)))
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
 
 
 def angular_components_reference(x):

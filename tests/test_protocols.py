@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -32,7 +33,7 @@ from qetlab.protocols import (
     spin_objective,
 )
 
-from oracles import grid_norm_reference
+from oracles import grid_norm_reference, input_energy_position_reference
 
 I1_CANONICAL = 8.0 * np.pi / 3.0
 DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
@@ -78,6 +79,27 @@ class TestInputEnergy:
 
     def test_zero_field(self):
         assert input_energy(make_curl_gaussian(0.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "field", [make_curl_gaussian(1.0, 1.0), DISPLACED_TILTED], ids=["canonical", "displaced"]
+    )
+    def test_position_oracle_matches_full_lattice(self, field):
+        np.testing.assert_allclose(
+            input_energy_position_oracle(field),
+            input_energy_position_reference(field),
+            rtol=1e-13,
+            atol=0.0,
+        )
+
+    def test_position_oracle_is_plane_wise(self, canonical_field):
+        # the oracle must never hold an array as large as one n^3 float64 lattice
+        tracemalloc.start()
+        try:
+            input_energy_position_oracle(canonical_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96**3 * 8
 
     @given(lam=st.floats(0.1, 5.0))
     def test_quadratic_scaling(self, lam):

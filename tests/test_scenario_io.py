@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from qetlab import DegenerateFieldError, ValidationError, parse_scenario
+from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import make_curl_gaussian
 from qetlab.results import (
@@ -143,6 +145,22 @@ class TestParsing:
             scenario_from_dict(raw)
         path = "scenario." + ".".join(keys)
         assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("key", ["results", "frames_prefix"])
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, "../x"], ids=["mapping", "number", "parent"])
+    def test_output_names_must_be_plain_files(self, key, value, tmp_path, capsys):
+        # str() of a mapping or number once became a file name, and '../x'
+        # would write beside --out instead of inside it
+        raw = {"T": 8.0, "fields": {"a_m": {"sigma": 1.0}}, "output": {key: value}}
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(raw)
+        assert any(e.startswith(f"scenario.output.{key}:") for e in err.value.errors), err.value.errors
+        out = tmp_path / "out"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert f"scenario.output.{key}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.yaml"]
 
     def test_malformed_yaml(self, tmp_path):
         with pytest.raises(ValidationError, match="malformed"):

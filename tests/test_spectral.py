@@ -23,6 +23,7 @@ from oracles import (
     displaced_kernel_reference,
     grid_norm_reference,
     kernel_reference,
+    mc_batch_reference,
     position_norm_reference,
     weighted_norm_reference,
 )
@@ -137,7 +138,7 @@ class TestPauliJordanDelta:
         central = (
             pauli_jordan_delta(t + h, r) - 2.0 * pauli_jordan_delta(t, r) + pauli_jordan_delta(t - h, r)
         ) / (h * h)
-        np.testing.assert_allclose(float(d2_delta_offcone(t, r)), central, rtol=1e-6)
+        np.testing.assert_allclose(float(d2_delta_offcone(t, r * r)), central, rtol=1e-6)
 
 
 class TestAngularFactor:
@@ -228,6 +229,13 @@ class TestOverlapKernel:
             overlap_kernel(spec, spec, 200.0)
 
 
+MC_DISPLACED_TILTED = (
+    make_curl_gaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
+    make_curl_gaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
+)
+MC_T = 18.0
+
+
 class TestBruteForceOracle:
     def test_deterministic_bit_exact(self, canonical_field):
         a = canonical_field
@@ -241,6 +249,25 @@ class TestBruteForceOracle:
         r1 = brute_force_overlap_oracle(a, a, 13.0, samples=200_000, seed=7, workers=1)
         r4 = brute_force_overlap_oracle(a, a, 13.0, samples=200_000, seed=7, workers=4)
         assert r1.value == r4.value
+        # displaced, tilted, unequal widths, and a last batch that is not full
+        f, m = MC_DISPLACED_TILTED
+        samples = 3 * spectral._MC_BATCH + 12_345
+        runs = [
+            brute_force_overlap_oracle(f, m, MC_T, samples=samples, seed=7, workers=w)
+            for w in (1, 2, 3)
+        ]
+        for r in runs[1:]:
+            assert r.value == runs[0].value
+            assert r.estimated_error == runs[0].estimated_error
+
+    @pytest.mark.parametrize("seed", [4, 29])
+    def test_matches_per_sample_reference(self, seed):
+        f, m = MC_DISPLACED_TILTED
+        samples = 2 * spectral._MC_BATCH + 5_000
+        res = brute_force_overlap_oracle(f, m, MC_T, samples=samples, seed=seed)
+        value, stderr = mc_batch_reference(f, m, MC_T, samples, seed)
+        np.testing.assert_allclose(res.value, value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.estimated_error, stderr, rtol=1e-12, atol=0.0)
 
     def test_zero_field_returns_zero(self, canonical_field):
         res = brute_force_overlap_oracle(
