@@ -39,9 +39,9 @@ def main() -> int:
     inv = PairInvariants.of(a, a)
     print(f"E_m                 = {args.lam**2 * inv.E_m:.12g}")
     # K and the commutator are linear in the measurement amplitude
-    K1 = overlap_kernel(a.spectrum(), a.spectrum(), cfg.T)
+    K1 = overlap_kernel(a, a, cfg.T)
     print(f"K(T)                = {args.lam * K1.value:.12g}  (quadrature error {args.lam * K1.estimated_error:.2g})")
-    print(f"commutator residual = {args.lam * commutator_residual(a.spectrum(), a.spectrum(), cfg.T):.3g}")
+    print(f"commutator residual = {args.lam * commutator_residual(a, a, cfg.T):.3g}")
 
     spin, osc = teleport(inv, K1.value, args.lam)
     print(f"spin probe:  eta={spin.eta:.6g} xi={spin.xi:.6g} theta*={spin.theta_star:.6g}")

@@ -54,7 +54,6 @@ EXIT_IO = 4
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario YAML path")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -101,20 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_seed(scenario, seed):
-    if seed is None:
-        return scenario
-    if seed < 0:
-        raise ValidationError(f"--seed: must be a nonnegative integer, got {seed!r}")
-    from dataclasses import replace
-
-    canonical = dict(scenario.canonical)
-    canonical["seed"] = seed
-    return replace(scenario, seed=seed, canonical=canonical)
-
-
 def _cmd_energy(args) -> int:
-    scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
+    scenario = parse_scenario(args.scenario)
     inv = PairInvariants.of(scenario.a_m, scenario.f_o)
     print(f"scenario_hash = {scenario.scenario_hash}")
     print(f"E_m = {inv.E_m:.12g}")
@@ -131,7 +118,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_teleport(args) -> int:
-    scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
+    scenario = parse_scenario(args.scenario)
     records = run_scenario(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +135,7 @@ def _cmd_teleport(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    scenario = _apply_seed(parse_scenario(args.scenario), args.seed)
+    scenario = parse_scenario(args.scenario)
     frames = scenario_frames(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +203,7 @@ def _cmd_verify(args) -> int:
     _check("light-cone kernel quadrature", ok, ", ".join(details), failures)
 
     T = 14.0
-    K = overlap_kernel(a.spectrum(), a.spectrum(), T).value
+    K = overlap_kernel(a, a, T).value
     mc = brute_force_overlap_oracle(a, a, T, samples=args.mc_samples, seed=11)
     _check(
         "overlap kernel vs Monte Carlo",
@@ -233,7 +220,7 @@ def _cmd_verify(args) -> int:
     _check("measurement identities", worst <= 1e-10, f"max residual {worst:.2e}", failures)
 
     # I1 in closed form at the scaled field, so the lambda^2 law is under test too
-    I1 = weighted_spectral_integral(a.scaled(1.3).spectrum(), 1).value
+    I1 = weighted_spectral_integral(a.scaled(1.3), 1).value
     ratio_lhs = damping_oscillator(I1) / damping_spin(I1)
     spin, osc = run_protocols(ProtocolConfig(a_m=a, f_o=a, T=T, lam=1.3))
     ratio_rhs = osc.E_o_prime / spin.E_o

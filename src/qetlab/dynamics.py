@@ -168,7 +168,13 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
 
     ax = grid.axis()
     xs, ys, zs = (ax + c for c in grid.center)
-    eps = np.empty((grid.n, grid.n, grid.n))
+    try:
+        eps = np.empty((grid.n, grid.n, grid.n))
+    except MemoryError:
+        raise ResolutionError(
+            f"grid n = {grid.n} needs {8 * grid.n**3:.3g} bytes for one frame, "
+            "which cannot be allocated"
+        ) from None
     for i, x in enumerate(xs):
         eps[i] = _energy_density(a_m, t, x, ys[:, None], zs[None, :])
     return DensityFrame(t=float(t), grid=grid, eps=eps)

@@ -1,11 +1,12 @@
-"""Divergence-free shape fields and their closed-form Fourier transforms.
+"""Divergence-free shape fields.
 
 The field family is the curl of a Gaussian-enveloped axial potential,
 
     a(x) = A * curl( exp(-|x-c|^2 / (2 sigma^2)) n ),
 
-which is divergence-free by construction and has a closed-form transform
-a~(k) = i psi~(k) (k x n), transverse at every k.
+which is divergence-free by construction.  Every spectral quantity of the
+package is a closed form in its four parameters (amplitude, sigma, center,
+axis); `spectral` reads them directly.
 """
 
 from __future__ import annotations
@@ -100,47 +101,14 @@ class CurlGaussian:
     def scaled(self, factor: float) -> "CurlGaussian":
         return replace(self, amplitude=self.amplitude * float(factor))
 
-    def spectrum(self) -> "CurlGaussianSpectrum":
-        return CurlGaussianSpectrum(
-            amplitude=self.amplitude,
-            sigma=self.sigma,
-            center=self.center,
-            axis=self.axis,
-        )
+    def spectrum(self) -> "CurlGaussian":
+        """The field itself.
 
-
-@dataclass(frozen=True)
-class CurlGaussianSpectrum:
-    """Closed-form transform a~(k) = i A (2 pi sigma^2)^{3/2} e^{-sigma^2 k^2/2} e^{-i k.c} (k x axis)."""
-
-    amplitude: float
-    sigma: float
-    center: tuple = (0.0, 0.0, 0.0)
-    axis: tuple = (0.0, 0.0, 1.0)
-
-    @property
-    def center_vec(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
-    @property
-    def axis_vec(self) -> np.ndarray:
-        return np.asarray(self.axis, dtype=float)
-
-    def radial_profile(self, k: np.ndarray) -> np.ndarray:
-        """Real radial factor A (2 pi sigma^2)^{3/2} exp(-sigma^2 k^2 / 2)."""
-        k = np.asarray(k, dtype=float)
-        return self.amplitude * (2.0 * np.pi * self.sigma**2) ** 1.5 * np.exp(
-            -0.5 * self.sigma**2 * k * k
-        )
-
-    def __call__(self, k) -> np.ndarray:
-        """Evaluate a~(k) for k of shape (..., 3)."""
-        k = np.asarray(k, dtype=float)
-        kmag = np.sqrt(np.sum(k * k, axis=-1))
-        phase = np.exp(-1j * (k @ self.center_vec))
-        return (1j * self.radial_profile(kmag) * phase)[..., None] * np.cross(
-            k, self.axis_vec
-        )
+        Kept only because `perfbench/workloads.py` calls it and passes the
+        result to `overlap_kernel`.  There is no k-space evaluator in `src/`:
+        every spectral integral reads the four parameters directly.
+        """
+        return self
 
 
 def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:

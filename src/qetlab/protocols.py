@@ -96,16 +96,12 @@ class OscillatorOutcome:
     D_ho: float
 
 
-def _norm(field: CurlGaussian, power: int) -> float:
-    return weighted_spectral_integral(field.spectrum(), power).value
-
-
 def input_energy(a_m) -> float:
     """E_m = (1/2) int (curl a_m)^2 d^3x, via the |k|^2-weighted spectral norm.
 
     The same value is the input energy for both probe types.
     """
-    return 0.5 * _norm(a_m, 2)
+    return 0.5 * weighted_spectral_integral(a_m, 2).value
 
 
 def input_energy_position_oracle(a_m: CurlGaussian) -> float:
@@ -152,11 +148,13 @@ class PairInvariants:
 
     @classmethod
     def of(cls, a_m: CurlGaussian, f_o: CurlGaussian) -> "PairInvariants":
-        return cls(a_m=a_m, f_o=f_o, E_m=input_energy(a_m), I1=_norm(a_m, 1), xi=_norm(f_o, 0))
+        I1 = weighted_spectral_integral(a_m, 1).value
+        xi = weighted_spectral_integral(f_o, 0).value
+        return cls(a_m=a_m, f_o=f_o, E_m=input_energy(a_m), I1=I1, xi=xi)
 
     def kernel(self, T: float) -> float:
         """K(T) at lam = 1."""
-        return overlap_kernel(self.f_o.spectrum(), self.a_m.spectrum(), T).value
+        return overlap_kernel(self.f_o, self.a_m, T).value
 
 
 def _check_assembly(direct: float, assembled: float, what: str) -> None:
@@ -253,7 +251,7 @@ def crossover_amplitude(cfg: ProtocolConfig) -> float:
     exp(2 lam^2 I1) = 1 + pi^2/4 + 2 lam^2 I1 holds at 2 lam^2 I1 = CROSSOVER_U,
     so lam_c = sqrt(CROSSOVER_U / (2 I1)).
     """
-    I1 = _norm(cfg.a_m, 1)
+    I1 = weighted_spectral_integral(cfg.a_m, 1).value
     if I1 <= 0.0:
         raise DegenerateFieldError("crossover undefined for a zero measurement profile")
     return math.sqrt(CROSSOVER_U / (2.0 * I1))

@@ -57,11 +57,11 @@ def _finite_or_none(v):
 
 
 def _record(
-    scenario: Scenario, probe: str, lam: float, T: float, spin: SpinOutcome, osc: OscillatorOutcome
+    scenario_hash: str, probe: str, lam: float, T: float, spin: SpinOutcome, osc: OscillatorOutcome
 ) -> ResultRecord:
     is_spin = probe == "spin"
     return ResultRecord(
-        scenario_hash=scenario.scenario_hash,
+        scenario_hash=scenario_hash,
         probe=probe,
         lam=lam,
         T=T,
@@ -101,8 +101,9 @@ def run_scenario(scenario: Scenario) -> list[ResultRecord]:
         K1 = _at_sweep_point(f"T={T}", inv.kernel, T)
         for lam in scenario.lambdas:
             outcomes[lam, T] = _at_sweep_point(f"lambda={lam}, T={T}", teleport, inv, K1, lam)
+    scenario_hash = scenario.scenario_hash
     return [
-        _record(scenario, probe, lam, T, *outcomes[lam, T])
+        _record(scenario_hash, probe, lam, T, *outcomes[lam, T])
         for probe in scenario.probes
         for lam in scenario.lambdas
         for T in scenario.T_list

@@ -12,7 +12,7 @@ import difflib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -46,11 +46,22 @@ class Scenario:
     times: tuple = ()
     results_name: str = "results.jsonl"
     frames_prefix: str = "frame"
-    canonical: dict = field(default_factory=dict, compare=False)
 
     @property
     def scenario_hash(self) -> str:
-        payload = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
+        """Hash of every value that fixes the computed numbers; output names are left out."""
+        canonical = {
+            "a_m": asdict(self.a_m),
+            "f_o": asdict(self.f_o),
+            "window": asdict(self.window),
+            "probe": self.probe,
+            "T": self.T_list,
+            "lambda": self.lambdas,
+            "seed": self.seed,
+            "grid": {"n": self.grid_n, "half_extent": self.grid_half_extent},
+            "times": self.times,
+        }
+        payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @property
@@ -245,9 +256,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if errs.errors:
         raise ValidationError(errs.errors)
 
-    canonical = _canonical_dict(
-        a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times
-    )
     return Scenario(
         a_m=a_m,
         f_o=f_o,
@@ -261,30 +269,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         times=times,
         results_name=results_name,
         frames_prefix=frames_prefix,
-        canonical=canonical,
     )
-
-
-def _canonical_dict(a_m, f_o, window, probe, T_list, lambdas, seed, grid_n, grid_half, times):
-    def fdict(fld: CurlGaussian) -> dict:
-        return {
-            "amplitude": fld.amplitude,
-            "sigma": fld.sigma,
-            "center": list(fld.center),
-            "axis": list(fld.axis),
-        }
-
-    return {
-        "a_m": fdict(a_m),
-        "f_o": fdict(f_o),
-        "window": {"radius": window.radius, "center": list(window.center)},
-        "probe": probe,
-        "T": list(T_list),
-        "lambda": list(lambdas),
-        "seed": seed,
-        "grid": {"n": grid_n, "half_extent": grid_half},
-        "times": list(times),
-    }
 
 
 def parse_scenario(path) -> Scenario:
@@ -294,6 +279,8 @@ def parse_scenario(path) -> Scenario:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ValidationError([f"{path}: malformed YAML: {exc}"]) from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"{path}: not UTF-8 text: {exc}"]) from exc
     if raw is None:
         raise ValidationError([f"{path}: empty scenario"])
     return scenario_from_dict(raw)

@@ -4,7 +4,9 @@ The weighted norms int d^3k/(2pi)^3 |k|^p |a~|^2 of a curl-Gaussian are
 Gaussian moments in closed form.  The light-cone kernels, the shared overlap
 integral K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) and the commutator
 integral are oscillatory; an independent position-space Monte Carlo oracle
-checks K(T).
+checks K(T).  Field arguments are `CurlGaussian`s, of which only amplitude,
+sigma, center and axis are read: the transform a~ enters the closed forms
+but is never evaluated.
 
 Every curl-Gaussian pairing reduces to a 1D radial integral: the angular
 part is analytic in spherical Bessel functions even for displaced centers and
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import LightConeError, ToleranceFailure, ValidationError
-from .fields import CurlGaussian, CurlGaussianSpectrum
+from .fields import CurlGaussian
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
 
@@ -86,7 +88,7 @@ def _angular_factor(x: float, cos_axes: float, cos_d1: float, cos_d2: float) -> 
     return j01 * cos_axes + j2 * cos_d1 * cos_d2
 
 
-def _pair_geometry(f1: CurlGaussianSpectrum, f2: CurlGaussianSpectrum):
+def _pair_geometry(f1: CurlGaussian, f2: CurlGaussian):
     d = f2.center_vec - f1.center_vec
     dist = float(np.linalg.norm(d))
     n1 = f1.axis_vec
@@ -102,7 +104,7 @@ def _pair_geometry(f1: CurlGaussianSpectrum, f2: CurlGaussianSpectrum):
 
 
 def _radial_pairing(
-    f1: CurlGaussianSpectrum, f2: CurlGaussianSpectrum, trig: str, t: float
+    f1: CurlGaussian, f2: CurlGaussian, trig: str, t: float
 ) -> tuple[float, float, int]:
     """int d^3k/(2pi)^3 |k| trig(|k| t) Re[f1~(k)* . f2~(k)] for closed forms.
 
@@ -140,7 +142,7 @@ def _radial_pairing(
 _NORM_ROUNDING_ULPS = 8
 
 
-def weighted_spectral_integral(sf, power: int) -> IntegralResult:
+def weighted_spectral_integral(field: CurlGaussian, power: int) -> IntegralResult:
     """int d^3k/(2pi)^3 |k|^power |a~(k)|^2 for power in {0, 1, 2}, in closed form.
 
     With |a~|^2 = A^2 (2 pi sigma^2)^3 e^{-sigma^2 k^2} |k x n|^2 the angular
@@ -151,8 +153,8 @@ def weighted_spectral_integral(sf, power: int) -> IntegralResult:
     if power not in (0, 1, 2):
         raise ValidationError(f"power must be in {{0, 1, 2}}, got {power}")
     value = (
-        sf.amplitude**2
-        * sf.sigma ** (1 - power)
+        field.amplitude**2
+        * field.sigma ** (1 - power)
         * (4.0 * math.pi / 3.0)
         * math.gamma((power + 5) / 2.0)
     )
@@ -239,7 +241,7 @@ _KERNEL_ATOL = 1e-8
 _KERNEL_RTOL = 1e-6
 
 
-def overlap_kernel(f_o, a_m, T: float) -> IntegralResult:
+def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> IntegralResult:
     """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y.
 
     Evaluated spectrally as -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)];
@@ -258,7 +260,7 @@ def overlap_kernel(f_o, a_m, T: float) -> IntegralResult:
     )
 
 
-def commutator_residual(f_o, a_m, T: float) -> float:
+def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float:
     """Spectral value of the equal-support commutator integral.
 
     Kernel weight is -|k| sin(|k|T); for causally decoupled configurations the

@@ -3,8 +3,9 @@
 These never call the package's own quadrature paths: moments come from
 50-digit quadrature, the overlap kernel from an arbitrary-precision
 Dawson-function closed form (co-centred) or scipy's spherical Bessel functions
-(displaced), position-space norms from direct lattice sums, density frames
-from FFT propagation of the spectrum, and point densities from 50-digit
+(displaced), k-space and position-space norms from direct lattice sums,
+density frames from FFT propagation of the closed-form transform
+(`curl_gaussian_spectrum`), and point densities from 50-digit
 differentiation of the spherical wave.  Photon-packet amplitudes come from a
 30-digit radial quadrature over `mp.besselj` (`packet_amplitudes_reference`)
 and from a plain k-lattice sum of the mode spectrum
@@ -59,13 +60,25 @@ def kernel_reference(T: float, amp_f=1.0, sig_f=1.0, amp_a=1.0, sig_a=1.0, cos_a
     return float(pref * J)
 
 
+def curl_gaussian_spectrum(field, k) -> np.ndarray:
+    """Closed-form transform a~(k) = i A (2 pi sigma^2)^{3/2} e^{-sigma^2 k^2/2} e^{-ik.c} (k x n).
+
+    Evaluated for k of shape (..., 3), with a~(k) = int a(x) e^{-ik.x} d^3x.
+    """
+    k = np.asarray(k, dtype=float)
+    k2 = np.sum(k * k, axis=-1)
+    radial = field.amplitude * (2.0 * np.pi * field.sigma**2) ** 1.5 * np.exp(-0.5 * field.sigma**2 * k2)
+    phase = np.exp(-1j * (k @ field.center_vec))
+    return (1j * radial * phase)[..., None] * np.cross(k, field.axis_vec)
+
+
 def grid_norm_reference(field, power: int, n: int = 128, k_max: float = 10.0) -> float:
     """Plain Riemann k-lattice sum of |k|^p |a~(k)|^2/(2pi)^3 (no package code)."""
     ax = np.linspace(-k_max, k_max, n, endpoint=False) + k_max / n
     kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
     kvec = np.stack([kx, ky, kz], axis=-1)
     kmag = np.sqrt(np.sum(kvec * kvec, axis=-1))
-    vals = field.spectrum()(kvec)
+    vals = curl_gaussian_spectrum(field, kvec)
     dk = ax[1] - ax[0]
     w = np.where(kmag > 0, kmag, 1.0) ** power
     w[kmag == 0] = 0.0 if power != 0 else 1.0
@@ -193,8 +206,7 @@ def fft_frame_reference(a_m, t: float, grid):
     kvec = np.stack([KX, KY, KZ], axis=-1)
     kmag = np.sqrt(KX * KX + KY * KY + KZ * KZ)
 
-    spec = a_m.spectrum()
-    a_tilde = spec(kvec)
+    a_tilde = curl_gaussian_spectrum(a_m, kvec)
     # refer spectral phases to the grid origin so the inverse FFT lands on it
     origin = np.asarray(grid.center, dtype=float) - grid.half_extent
     phase = np.exp(1j * (KX * origin[0] + KY * origin[1] + KZ * origin[2]))

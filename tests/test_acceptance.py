@@ -94,11 +94,10 @@ def test_criterion_01_input_energy_oracle(canonical):
 def test_criterion_02_overlap_oracle(canonical):
     with _Budget("criterion 02 overlap kernel vs Monte Carlo", 30.0):
         R = canonical.effective_radius
-        spec = canonical.spectrum()
         T_values = [12.0, 16.0, 24.0, 40.0, 80.0]
         assert all(2.0 * R < T <= 20.0 * R for T in T_values)
         for i, T in enumerate(T_values):
-            K = overlap_kernel(spec, spec, T).value
+            K = overlap_kernel(canonical, canonical, T).value
             mc = brute_force_overlap_oracle(canonical, canonical, T, samples=1_000_000, seed=100 + i)
             assert abs(K - mc.value) <= 3.0 * mc.estimated_error, (
                 f"T={T}: K={K:.6e}, mc={mc.value:.6e} +- {mc.estimated_error:.2e}"
@@ -125,7 +124,7 @@ def test_criterion_04_damping_laws(canonical):
         lams = np.linspace(0.15, 2.2, 16)
         lam2 = lams**2
         # I1 by quadrature at each scaled field, so the lambda^2 law is tested
-        I1s = [weighted_spectral_integral(canonical.scaled(l).spectrum(), 1).value for l in lams]
+        I1s = [weighted_spectral_integral(canonical.scaled(l), 1).value for l in lams]
         log_dq = np.array([math.log(damping_spin(i1)) for i1 in I1s])
         slope, intercept = np.polyfit(lam2, log_dq, 1)
         assert np.max(np.abs(log_dq - (slope * lam2 + intercept))) < 1e-8

@@ -32,11 +32,20 @@ class TestExitCodes:
         assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
         assert "sigma" in capsys.readouterr().err
 
-    def test_negative_seed_override_exits_2(self, scenario_path, capsys):
-        assert main(["energy", "--scenario", scenario_path, "--seed", "-3"]) == EXIT_VALIDATION
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seeded.yaml"
+        path.write_text(MINIMAL + "seed: -3\n")
+        assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert "--seed" in captured.err
+        assert "scenario.seed" in captured.err
         assert "scenario_hash" not in captured.out
+
+    def test_seed_flag_is_gone(self, scenario_path, capsys):
+        # a scenario file fixes every byte; there is no command-line override
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--scenario", scenario_path, "--seed", "5"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.yaml")
@@ -58,6 +67,17 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "under-resolves" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_frame_exits_2(self, tmp_path, capsys):
+        # n = 100000 asks for 8e15 bytes, beyond any 48-bit address space, so
+        # the allocation fails at once without touching memory
+        path = tmp_path / "huge.yaml"
+        path.write_text(MINIMAL + "times: [0.0]\ngrid: {n: 100000}\n")
+        code = main(["density", "--scenario", str(path), "--out", str(tmp_path / "frames")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "n = 100000" in err and "8e+15 bytes" in err
         assert "Traceback" not in err
 
     def test_verify_tolerance_failure_exits_3(self, monkeypatch, capsys):
@@ -82,8 +102,10 @@ class TestTeleport:
 
     def test_seed_override_changes_hash(self, scenario_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        seeded = tmp_path / "seeded.yaml"
+        seeded.write_text(MINIMAL + "seed: 5\n")
         main(["teleport", "--scenario", scenario_path, "--out", str(out1)])
-        main(["teleport", "--scenario", scenario_path, "--out", str(out2), "--seed", "5"])
+        main(["teleport", "--scenario", str(seeded), "--out", str(out2)])
         h1 = json.loads((out1 / "results.jsonl").read_text())["scenario_hash"]
         h2 = json.loads((out2 / "results.jsonl").read_text())["scenario_hash"]
         assert h1 != h2

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from qetlab import RadialWindow, ValidationError, fields, make_curl_gaussian
 
+from oracles import curl_gaussian_spectrum
+
 unit_axes = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).filter(lambda v: np.linalg.norm(v) > 1e-3)
@@ -58,12 +60,20 @@ class TestCurlGaussian:
         assert np.all(np.abs(integrals) <= fields.TAIL_TOL * a.amplitude * a.sigma**3)
 
 
+# displaced, tilted, unequal widths: the pair that pins the transform's phase
+PAIR = (
+    make_curl_gaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
+    make_curl_gaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
+)
+
+
 class TestSpectralTransform:
+    """The closed-form transform the test references use, tied to the position field."""
+
     def test_closed_form_magnitude(self, canonical_field, rng):
         # |a~(k)|^2 = |k x z|^2 (2 pi)^3 e^{-k^2}
-        spec = canonical_field.spectrum()
         ks = rng.normal(size=(50, 3))
-        vals = spec(ks)
+        vals = curl_gaussian_spectrum(canonical_field, ks)
         expected = (
             np.sum(np.cross(ks, [0.0, 0.0, 1.0]) ** 2, axis=-1)
             * (2 * np.pi) ** 3
@@ -72,11 +82,24 @@ class TestSpectralTransform:
         np.testing.assert_allclose(np.sum(np.abs(vals) ** 2, axis=-1), expected, rtol=1e-12)
 
     def test_k_parallel_to_axis_gives_zero(self, canonical_field):
-        spec = canonical_field.spectrum()
-        np.testing.assert_allclose(spec(np.array([0.0, 0.0, 2.3])), 0.0, atol=1e-300)
+        vals = curl_gaussian_spectrum(canonical_field, np.array([0.0, 0.0, 2.3]))
+        np.testing.assert_allclose(vals, 0.0, atol=1e-300)
 
     def test_dc_node_is_zero(self, canonical_field):
-        np.testing.assert_allclose(canonical_field.spectrum()(np.zeros(3)), 0.0, atol=1e-300)
+        np.testing.assert_allclose(curl_gaussian_spectrum(canonical_field, np.zeros(3)), 0.0, atol=1e-300)
+
+    @pytest.mark.parametrize("field", PAIR, ids=["f_o", "a_m"])
+    def test_matches_fourier_sum_of_position_field(self, field, rng):
+        # midpoint 64^3 lattice over +-9 sigma: aliasing and truncation are far below 1e-12
+        n, half = 64, 9.0 * field.sigma
+        ax = np.linspace(-half, half, n, endpoint=False) + half / n
+        xs = np.stack(np.meshgrid(*(ax + c for c in field.center), indexing="ij"), axis=-1)
+        vals = field(xs)
+        dx3 = (ax[1] - ax[0]) ** 3
+        ks = rng.normal(size=(4, 3)) / field.sigma
+        direct = np.array([np.einsum("xyzj,xyz->j", vals, np.exp(-1j * (xs @ k))) * dx3 for k in ks])
+        closed = curl_gaussian_spectrum(field, ks)
+        assert np.max(np.abs(direct - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
 def _divergence_residual(field, center, length, n=13):

@@ -45,7 +45,7 @@ def scaled_I1(a, lam: float = 1.0) -> float:
     `teleport` applies the lam^2 law, so tests that compare against this keep
     that law under test.
     """
-    return weighted_spectral_integral(a.scaled(lam).spectrum(), 1).value
+    return weighted_spectral_integral(a.scaled(lam), 1).value
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +247,7 @@ class TestOscillatorProtocol:
         from qetlab import weighted_spectral_integral
 
         out = run_protocols(canonical_cfg)[1]
-        xi = weighted_spectral_integral(canonical_cfg.f_o.spectrum(), 0).value
+        xi = weighted_spectral_integral(canonical_cfg.f_o, 0).value
         curvature = xi * (out.G2_vev + 0.25)
 
         def objective(theta):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestParsing:
     def test_malformed_yaml(self, tmp_path):
         with pytest.raises(ValidationError, match="malformed"):
             parse_scenario(write(tmp_path, "T: [8.0\nfields"))
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(path)
+        assert err.value.errors[0].startswith(f"{path}: not UTF-8")
+        assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
+
+    def test_canonical_scenario_hash_is_pinned(self):
+        # the hash covers every value that fixes the numbers; this pins its canonical form
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "canonical.yaml"
+        assert parse_scenario(path).scenario_hash == "1c269aa53db7c168"
 
 
 class TestRunScenario:

@@ -20,6 +20,7 @@ from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait
 
 from oracles import (
     angular_components_reference,
+    curl_gaussian_spectrum,
     displaced_kernel_reference,
     grid_norm_reference,
     kernel_reference,
@@ -35,7 +36,7 @@ DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1
 class TestWeightedIntegral:
     def test_damping_moment_canonical(self, canonical_field):
         # closed radial form: (4 pi/3) Gamma(3) = 8 pi/3
-        res = weighted_spectral_integral(canonical_field.spectrum(), 1)
+        res = weighted_spectral_integral(canonical_field, 1)
         assert res.method == "closed-form"
         np.testing.assert_allclose(res.value, 8.0 * np.pi / 3.0, rtol=1e-10)
         np.testing.assert_allclose(
@@ -44,7 +45,7 @@ class TestWeightedIntegral:
 
     def test_energy_moment_canonical(self, canonical_field):
         # (4 pi/3) Gamma(7/2) = 5 pi^{3/2}/2, so E_m = 5 pi^{3/2}/4
-        res = weighted_spectral_integral(canonical_field.spectrum(), 2)
+        res = weighted_spectral_integral(canonical_field, 2)
         np.testing.assert_allclose(res.value, 2.5 * np.pi**1.5, rtol=1e-10)
 
     @pytest.mark.parametrize(
@@ -53,25 +54,25 @@ class TestWeightedIntegral:
         + [pytest.param(DISPLACED_TILTED, p, id=f"displaced-tilted-{p}") for p in (0, 1, 2)],
     )
     def test_grid_sum_agrees(self, field, power):
-        res = weighted_spectral_integral(field.spectrum(), power)
+        res = weighted_spectral_integral(field, power)
         grid = grid_norm_reference(field, power)
         np.testing.assert_allclose(res.value, grid, rtol=1e-6)
 
     @pytest.mark.parametrize("power", [0, 1, 2])
     def test_general_field_against_reference(self, power):
         a = make_curl_gaussian(1.7, 0.6, center=(1.0, 2.0, 3.0), axis=(1.0, 1.0, 0.0))
-        res = weighted_spectral_integral(a.spectrum(), power)
+        res = weighted_spectral_integral(a, power)
         np.testing.assert_allclose(
             res.value, weighted_norm_reference(1.7, 0.6, power), rtol=1e-10
         )
 
     def test_zero_field(self):
         for p in (0, 1, 2):
-            assert weighted_spectral_integral(make_curl_gaussian(0.0, 1.0).spectrum(), p).value == 0.0
+            assert weighted_spectral_integral(make_curl_gaussian(0.0, 1.0), p).value == 0.0
 
     def test_parseval_against_position_quadrature(self):
         for field in (CANONICAL, DISPLACED_TILTED):
-            spec_val = weighted_spectral_integral(field.spectrum(), 0).value
+            spec_val = weighted_spectral_integral(field, 0).value
             np.testing.assert_allclose(spec_val, position_norm_reference(field), rtol=1e-6)
 
     def test_norms_are_quadrature_free(self, monkeypatch):
@@ -83,7 +84,7 @@ class TestWeightedIntegral:
         monkeypatch.setattr(qetlab.spectral, "quad", no_quadrature)
         for field in (CANONICAL, DISPLACED_TILTED):
             for power in (0, 1, 2):
-                res = weighted_spectral_integral(field.spectrum(), power)
+                res = weighted_spectral_integral(field, power)
                 assert res.method == "closed-form" and res.samples_or_nodes == 0
                 assert 0.0 < res.estimated_error <= 1e-14 * res.value
         inv = PairInvariants.of(DISPLACED_TILTED, CANONICAL)
@@ -95,7 +96,7 @@ class TestWeightedIntegral:
 
     def test_rejects_bad_power(self, canonical_field):
         with pytest.raises(ValidationError):
-            weighted_spectral_integral(canonical_field.spectrum(), 3)
+            weighted_spectral_integral(canonical_field, 3)
 
 
 class TestPauliJordanDelta:
@@ -159,48 +160,47 @@ class TestAngularFactor:
 
 class TestOverlapKernel:
     def test_against_dawson_reference(self, canonical_field):
-        spec = canonical_field.spectrum()
         for T in (5.0, 8.0, 12.0, 16.0):
-            K = overlap_kernel(spec, spec, T)
+            K = overlap_kernel(canonical_field, canonical_field, T)
             np.testing.assert_allclose(K.value, kernel_reference(T), rtol=1e-8)
 
     def test_against_monte_carlo(self, canonical_field):
         T = 14.0
-        K = overlap_kernel(canonical_field.spectrum(), canonical_field.spectrum(), T)
+        K = overlap_kernel(canonical_field, canonical_field, T)
         mc = brute_force_overlap_oracle(canonical_field, canonical_field, T, samples=400_000, seed=3)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
 
     def test_perpendicular_axes_cancel(self):
         a = make_curl_gaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
         f = make_curl_gaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
-        K = overlap_kernel(f.spectrum(), a.spectrum(), 8.0)
+        K = overlap_kernel(f, a, 8.0)
         assert abs(K.value) < 1e-12
         # the angular cancellation also holds on a plain k-lattice sum
         k = 2 * np.pi * np.fft.fftfreq(48, d=np.pi / 6.0)
         kvec = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1)
-        dot = np.sum(np.real(np.conj(f.spectrum()(kvec)) * a.spectrum()(kvec)), axis=-1)
+        f_k, a_k = curl_gaussian_spectrum(f, kvec), curl_gaussian_spectrum(a, kvec)
+        dot = np.sum(np.real(np.conj(f_k) * a_k), axis=-1)
         dk = k[1] - k[0]
         total = np.sum(dot * np.linalg.norm(kvec, axis=-1)) * dk**3
         assert abs(total) < 1e-8 * np.max(np.abs(dot)) * dot.size * dk**3 + 1e-12
 
     def test_bilinear_in_amplitude(self, canonical_field):
-        spec = canonical_field.spectrum()
-        K1 = overlap_kernel(spec, spec, 9.0).value
-        K3 = overlap_kernel(spec, canonical_field.scaled(3.0).spectrum(), 9.0).value
+        K1 = overlap_kernel(canonical_field, canonical_field, 9.0).value
+        K3 = overlap_kernel(canonical_field, canonical_field.scaled(3.0), 9.0).value
         np.testing.assert_allclose(K3, 3.0 * K1, rtol=1e-12)
 
     def test_symmetric_in_arguments(self):
         f = make_curl_gaussian(1.1, 0.8, center=(0.5, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
         a = make_curl_gaussian(0.9, 1.2, center=(0.0, 0.3, 0.0), axis=(0.0, 0.0, 1.0))
-        K_fa = overlap_kernel(f.spectrum(), a.spectrum(), 11.0).value
-        K_af = overlap_kernel(a.spectrum(), f.spectrum(), 11.0).value
+        K_fa = overlap_kernel(f, a, 11.0).value
+        K_af = overlap_kernel(a, f, 11.0).value
         np.testing.assert_allclose(K_fa, K_af, rtol=1e-12)
 
     def test_displaced_pair_against_monte_carlo(self):
         f = make_curl_gaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
         a = make_curl_gaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
         T = 16.0
-        K = overlap_kernel(f.spectrum(), a.spectrum(), T)
+        K = overlap_kernel(f, a, T)
         mc = brute_force_overlap_oracle(f, a, T, samples=600_000, seed=17)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
 
@@ -208,15 +208,22 @@ class TestOverlapKernel:
     def test_displaced_pair_against_scipy_integrand(self, T):
         f = make_curl_gaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
         a = make_curl_gaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
-        K = overlap_kernel(f.spectrum(), a.spectrum(), T)
+        K = overlap_kernel(f, a, T)
         assert K.estimated_error <= 1e-9 * abs(K.value)
         ref, nodes = displaced_kernel_reference(f, a, T)
         np.testing.assert_allclose(K.value, ref, rtol=1e-12, atol=0.0)
         assert K.samples_or_nodes == nodes
 
+    def test_spectrum_hop_is_identity(self):
+        # perfbench passes f.spectrum() to overlap_kernel; it must be the field itself
+        f, a = MC_DISPLACED_TILTED
+        assert f.spectrum() is f and a.spectrum() is a
+        for T in (9.0, 40.0):
+            assert overlap_kernel(f.spectrum(), a.spectrum(), T) == overlap_kernel(f, a, T)
+
     def test_rejects_nonpositive_T(self, canonical_field):
         with pytest.raises(ValidationError):
-            overlap_kernel(canonical_field.spectrum(), canonical_field.spectrum(), 0.0)
+            overlap_kernel(canonical_field, canonical_field, 0.0)
 
     def test_flags_quadrature_error_above_tolerance(self, canonical_field, monkeypatch):
         # at T=200 the kernel is ~1e-11 while the quadrature error is ~1e-14;
@@ -224,9 +231,8 @@ class TestOverlapKernel:
         from qetlab import ToleranceFailure
 
         monkeypatch.setattr(spectral, "_KERNEL_ATOL", 0.0)
-        spec = canonical_field.spectrum()
         with pytest.raises(ToleranceFailure):
-            overlap_kernel(spec, spec, 200.0)
+            overlap_kernel(canonical_field, canonical_field, 200.0)
 
 
 MC_DISPLACED_TILTED = (
@@ -293,19 +299,17 @@ class TestBruteForceOracle:
 
 class TestCommutatorResidual:
     def test_negligible_at_strict_separation(self, canonical_field):
-        spec = canonical_field.spectrum()
         T = 2.0 * canonical_field.effective_radius + 6.0
-        K = overlap_kernel(spec, spec, T).value
-        res = commutator_residual(spec, spec, T)
+        K = overlap_kernel(canonical_field, canonical_field, T).value
+        res = commutator_residual(canonical_field, canonical_field, T)
         assert abs(res) < 1e-6 * abs(K)
 
     def test_zero_time(self, canonical_field):
-        spec = canonical_field.spectrum()
-        assert commutator_residual(spec, spec, 0.0) == 0.0
+        assert commutator_residual(canonical_field, canonical_field, 0.0) == 0.0
 
     def test_zero_field(self, canonical_field):
         res = commutator_residual(
-            canonical_field.spectrum(), make_curl_gaussian(0.0, 1.0).spectrum(), 10.0
+            canonical_field, make_curl_gaussian(0.0, 1.0), 10.0
         )
         assert res == 0.0
 
@@ -318,7 +322,7 @@ class TestCommutatorResidual:
 )
 def test_kernel_matches_reference_over_family(amp, sigma, T):
     a = make_curl_gaussian(amp, sigma)
-    K = overlap_kernel(a.spectrum(), a.spectrum(), T)
+    K = overlap_kernel(a, a, T)
     ref = kernel_reference(T, amp, sigma, amp, sigma)
     np.testing.assert_allclose(K.value, ref, rtol=1e-7, atol=1e-16)
 
@@ -341,7 +345,6 @@ def test_kernel_large_separation_prefactor(canonical_field):
     M1 = -2.0 * float(np.sum(moments * moments))
     coeff = -10.0 * M1 / np.pi**2
     assert coeff > 0.0
-    spec = canonical_field.spectrum()
     for T in (200.0, 400.0):
-        K = overlap_kernel(spec, spec, T).value
+        K = overlap_kernel(canonical_field, canonical_field, T).value
         np.testing.assert_allclose(K, coeff / T**6, rtol=2e-2)
