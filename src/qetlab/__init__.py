@@ -43,19 +43,13 @@ from .protocols import (
     separation_scaling_fit,
     teleport,
 )
-from .dynamics import (
-    DensityFrame,
-    FrameGrid,
-    energy_density_frame,
-    residual_window_energy,
-    total_energy,
-)
+from .dynamics import DensityFrame, FrameGrid, energy_density_frame
 from .negative_energy import (
     DiscreteModeSet,
     GaussianPhotonMode,
     PlaneWaveMode,
     fock_matrix_elements,
-    optimal_superposition,
+    min_energy_density,
 )
 from .scenario import Scenario, parse_scenario
 from .results import ResultRecord, emit_records, run_scenario

@@ -3,9 +3,10 @@
 One verb per capability: `energy` (input energy and damping factors),
 `teleport` (single protocol runs), `sweep` (full T/lambda grids), `density`
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
-cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, an
-under-resolved grid, a degenerate field, a light-cone evaluation), 3
-numerical tolerance failure, 4 I/O error.
+cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, a
+scenario file that is not UTF-8 text, an under-resolved grid, a frame too
+large to allocate, a degenerate field, a light-cone evaluation), 3 numerical
+tolerance failure, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -178,35 +178,3 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     for i, x in enumerate(xs):
         eps[i] = _energy_density(a_m, t, x, ys[:, None], zs[None, :])
     return DensityFrame(t=float(t), grid=grid, eps=eps)
-
-
-def total_energy(frame: DensityFrame) -> float:
-    """Grid quadrature of the density; conserved across t for a covering grid."""
-    return float(np.sum(frame.eps)) * frame.grid.dx**3
-
-
-def energy_in_shell(frame: DensityFrame, r_lo: float, r_hi: float) -> float:
-    """Grid quadrature of the density over r_lo <= r <= r_hi, radii measured from grid.center."""
-    ax = frame.grid.axis()
-    sq = ax * ax
-    total = 0.0
-    for i, x2 in enumerate(sq):
-        r = np.sqrt(x2 + sq[:, None] + sq[None, :])
-        total += float(np.sum(frame.eps[i][(r >= r_lo) & (r <= r_hi)]))
-    return total * frame.grid.dx**3
-
-
-def residual_window_energy(a_m: CurlGaussian, T: float, window, grid: FrameGrid | None = None) -> float:
-    """int w(x) eps(T, x) d^3x: energy left in the windowed region at the operation time.
-
-    The window sees one x-plane of grid positions at a time, so no (n^3, 3)
-    position array is built.
-    """
-    frame = energy_density_frame(a_m, T, grid)
-    ax = frame.grid.axis()
-    xs, ys, zs = (ax + c for c in frame.grid.center)
-    total = 0.0
-    for i, x in enumerate(xs):
-        plane = np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1)
-        total += float(np.sum(window(plane) * frame.eps[i]))
-    return total * frame.grid.dx**3

@@ -11,6 +11,7 @@ axis); `spectral` reads them directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,11 @@ TAIL_TOL = 1e-10
 # The radial L2 density is ~ r^4 exp(-r^2/sigma^2), so the tail mass is an
 # upper incomplete gamma of order 5/2; this is the radius in units of sigma.
 _EFFECTIVE_RADIUS_SIGMAS = float(np.sqrt(gammainccinv(2.5, TAIL_TOL)))
+
+
+def _finite(value, name: str) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _vec3(v, name: str) -> np.ndarray:
@@ -54,6 +60,8 @@ class CurlGaussian:
     axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        _finite(self.amplitude, "amplitude")
+        _finite(self.sigma, "sigma")
         if not (self.sigma > 0.0):
             raise ValidationError("sigma must be positive")
         axis = _unit(self.axis, "axis")

@@ -23,18 +23,6 @@ from .spectral import _angular_factor
 
 
 @dataclass(frozen=True)
-class SuperpositionParams:
-    theta: float  # in [0, pi]
-    delta: float  # in [0, 2 pi)
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi):
-            raise ValidationError("theta must lie in [0, pi]")
-        if not (0.0 <= self.delta < 2.0 * np.pi):
-            raise ValidationError("delta must lie in [0, 2 pi)")
-
-
-@dataclass(frozen=True)
 class GaussianPhotonMode:
     """Normalized transverse wave-packet mode F(k) = N i (k x axis) e^{-sigma^2 k^2/2} e^{-ik.c}."""
 
@@ -127,8 +115,8 @@ def packet_amplitudes(mode: GaussianPhotonMode, x):
     return uE, uB
 
 
-def matrix_elements_from_amplitudes(uE, uB) -> tuple[float, complex]:
-    """Wick contractions of the normal-ordered quadratic density.
+def matrix_elements_from_amplitudes(uE, uB):
+    """Wick contractions of the normal-ordered quadratic density, over the last axis.
 
     With u = sum_j c_j (mode amplitude at x):
     A = <2|eps|2> = 2(|uE|^2 + |uB|^2)       (nonnegative)
@@ -136,41 +124,21 @@ def matrix_elements_from_amplitudes(uE, uB) -> tuple[float, complex]:
     """
     uE = np.asarray(uE)
     uB = np.asarray(uB)
-    A = 2.0 * float(np.sum(np.abs(uE) ** 2 + np.abs(uB) ** 2, axis=-1))
-    B = complex((np.sum(uE * uE, axis=-1) + np.sum(uB * uB, axis=-1)) / math.sqrt(2.0))
+    A = 2.0 * np.sum(np.abs(uE) ** 2 + np.abs(uB) ** 2, axis=-1)
+    B = (np.sum(uE * uE, axis=-1) + np.sum(uB * uB, axis=-1)) / math.sqrt(2.0)
     return A, B
 
 
-def optimal_superposition(A: float, B: complex) -> tuple[SuperpositionParams, float]:
-    """Superposition parameters minimizing the local mean energy density.
+def min_energy_density(A, B):
+    """Lowest mean density over superpositions of |0> and |2>, elementwise.
 
-    eps_min = -(1/2)[sqrt(A^2 + 4|B|^2) - A] < 0 whenever B != 0.  The branch
-    of tan(delta) = -Im B / Re B is chosen so cos(delta) Re B - sin(delta) Im B
-    = +|B|, and theta in (pi/2, pi] makes the interference term maximally
-    negative; substituting the returned angles back into the objective
-    reproduces eps_min exactly.
+    The density in the span of |0> and |2> is the matrix [[0, conj(B)], [B, A]],
+    whose lower eigenvalue eps_min = -(1/2)[sqrt(A^2 + 4|B|^2) - A] is negative
+    wherever B != 0.
     """
-    A = float(A)
-    B = complex(B)
-    if A < 0.0:
+    if np.any(np.asarray(A) < 0.0):
         raise ValidationError("diagonal element must be nonnegative")
-    magB = abs(B)
-    if A == 0.0 and magB == 0.0:
-        raise ValidationError("optimum undefined for A = B = 0")
-    root = math.hypot(A, 2.0 * magB)
-    eps_min = -0.5 * (root - A)
-    delta = math.atan2(-B.imag, B.real) % (2.0 * np.pi) if magB > 0.0 else 0.0
-    if delta >= 2.0 * np.pi:  # tiny negative angles round up to exactly 2 pi
-        delta = 0.0
-    theta = np.pi - 0.5 * math.atan2(2.0 * magB, A)
-    return SuperpositionParams(theta=float(theta), delta=float(delta)), float(eps_min)
-
-
-def superposition_energy(A: float, B: complex, params: SuperpositionParams) -> float:
-    """Mean density 2 cos(t)sin(t)[cos(d) Re B - sin(d) Im B] + sin^2(t) A."""
-    ct, st = math.cos(params.theta), math.sin(params.theta)
-    cross = math.cos(params.delta) * B.real - math.sin(params.delta) * B.imag
-    return 2.0 * ct * st * cross + st * st * float(A)
+    return -0.5 * (np.hypot(A, 2.0 * np.abs(B)) - A)
 
 
 @dataclass(frozen=True)
@@ -310,38 +278,8 @@ def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
     return A, B
 
 
-def vacuum_probe_functional_moments(couplings, cutoff: int = 12) -> tuple[float, float]:
-    """Vacuum expectations of cos(2 G) and sin(2 G) for the discretized measured functional.
-
-    G = pi/4 - X with X = sum_j (g_j a_j + conj(g_j) a_j†).  The cosine pairing
-    cancels exactly (two opposite displaced-vacuum overlaps), while the sine pairing is
-    the positive vacuum overlap exp(-2 sum |g_j|^2) in the untruncated limit.
-    """
-    couplings = np.atleast_1d(np.asarray(couplings, dtype=complex))
-    space = FockSpace(len(couplings), cutoff)
-    X = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, g in enumerate(couplings):
-        a = space.annihilator(j).astype(complex)
-        X += g * a + np.conj(g) * a.conj().T
-    two_g = np.pi / 2.0 * np.eye(space.dim) - 2.0 * X
-    evals, evecs = np.linalg.eigh(two_g)
-    vac = space.vacuum().astype(complex)
-    w = evecs.conj().T @ vac
-    cos_val = float(np.real(np.sum(np.abs(w) ** 2 * np.cos(evals))))
-    sin_val = float(np.real(np.sum(np.abs(w) ** 2 * np.sin(evals))))
-    return cos_val, sin_val
-
-
 def demo_rows(mode: GaussianPhotonMode, xs) -> np.ndarray:
     """(x, y, z, A, Re B, Im B, eps_min) rows along the given points."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    uE, uB = packet_amplitudes(mode, xs)
-    rows = []
-    for p, ue, ub in zip(xs, uE, uB):
-        A, B = matrix_elements_from_amplitudes(ue, ub)
-        if A == 0.0 and B == 0.0:
-            eps_min = 0.0
-        else:
-            _, eps_min = optimal_superposition(A, B)
-        rows.append([p[0], p[1], p[2], A, B.real, B.imag, eps_min])
-    return np.asarray(rows)
+    A, B = matrix_elements_from_amplitudes(*packet_amplitudes(mode, xs))
+    return np.column_stack([xs, A, B.real, B.imag, min_energy_density(A, B)])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
-from .fields import CurlGaussian
+from .fields import CurlGaussian, _finite
 from .spectral import overlap_kernel, weighted_spectral_integral
 
 PI2_OVER_4 = np.pi**2 / 4.0
@@ -59,12 +59,14 @@ class ProtocolConfig:
     lam: float = 1.0
 
     def __post_init__(self):
+        _finite(self.T, "T")
+        _finite(self.lam, "lam")
         if self.lam < 0.0:
             raise ValidationError("amplitude multiplier must be nonnegative")
-        if self.T <= min_causal_wait(self.a_m, self.f_o):
+        wait = min_causal_wait(self.a_m, self.f_o)
+        if self.T <= wait:
             raise CausalityError(
-                f"T = {self.T:.6g} violates causal decoupling; "
-                f"need T > {min_causal_wait(self.a_m, self.f_o):.6g}"
+                f"T = {self.T:.6g} violates causal decoupling; need T > {wait:.6g}"
             )
 
 
@@ -82,8 +84,6 @@ class SpinOutcome:
     theta_star: float
     E_o: float
     D_q: float
-    p_plus: float = 0.5
-    p_minus: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -221,11 +221,6 @@ def run_protocols(cfg: ProtocolConfig) -> tuple[SpinOutcome, OscillatorOutcome]:
     """One-off run of both protocols at cfg's (T, lam)."""
     inv = PairInvariants.of(cfg.a_m, cfg.f_o)
     return teleport(inv, inv.kernel(cfg.T), cfg.lam)
-
-
-def spin_objective(theta: float, eta: float, xi: float) -> float:
-    """Quadratic energy cost theta*eta + (1/2) theta^2 xi minimized at theta*."""
-    return theta * eta + 0.5 * theta * theta * xi
 
 
 def large_amplitude_limit(cfg: ProtocolConfig) -> float:

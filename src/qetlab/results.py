@@ -2,9 +2,9 @@
 
 Records emit as JSON Lines with a fixed key order; frames emit as CSV
 (t,x,y,z,eps columns, 17 significant digits, lossless round trip) or as a flat
-binary grid behind a small validated header.  Everything downstream of a
-(scenario, seed) pair is deterministic: sweep points run in a fixed task
-order, so repeated runs write identical bytes.
+binary grid behind a small validated header.  A scenario file fixes every
+byte: sweep points run in a fixed task order, so repeated runs write
+identical bytes.
 """
 
 from __future__ import annotations
@@ -116,16 +116,6 @@ def emit_records(records, path) -> None:
         for rec in records:
             fh.write(rec.to_line())
             fh.write("\n")
-
-
-def load_records(path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
 
 
 def scenario_frames(scenario: Scenario) -> list[DensityFrame]:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import LightConeError, ToleranceFailure, ValidationError
-from .fields import CurlGaussian
+from .fields import CurlGaussian, _finite
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
 
@@ -166,8 +166,10 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> IntegralResul
     )
 
 
-def pauli_jordan_delta(t: float, r: float) -> float:
-    """Off-cone closed form -1/(2 pi^2 (t^2 - r^2)); rejects on-cone input."""
+def _off_cone(t: float, r: float) -> float:
+    """t^2 - r^2 for finite t, r >= 0 off the light cone; the kernel is distributional on it."""
+    _finite(t, "t")
+    _finite(r, "r")
     if r < 0.0:
         raise ValidationError("r must be nonnegative")
     u = t * t - r * r
@@ -175,7 +177,12 @@ def pauli_jordan_delta(t: float, r: float) -> float:
         raise LightConeError(
             f"(t={t}, r={r}) lies on the light cone; the kernel is distributional there"
         )
-    return -1.0 / (2.0 * np.pi**2 * u)
+    return u
+
+
+def pauli_jordan_delta(t: float, r: float) -> float:
+    """Off-cone closed form -1/(2 pi^2 (t^2 - r^2)); rejects on-cone input."""
+    return -1.0 / (2.0 * np.pi**2 * _off_cone(t, r))
 
 
 def pauli_jordan_delta_quadrature(t: float, r: float) -> IntegralResult:
@@ -184,11 +191,7 @@ def pauli_jordan_delta_quadrature(t: float, r: float) -> IntegralResult:
     Integrates the damped radial Fourier integral for damping strengths 0.05,
     0.025 and 0.0125 and Richardson-extrapolates in the damping squared (the residual is even).
     """
-    if r < 0.0:
-        raise ValidationError("r must be nonnegative")
-    u = t * t - r * r
-    if abs(u) <= CONE_EPS * (t * t + r * r):
-        raise LightConeError(f"(t={t}, r={r}) lies on the light cone")
+    _off_cone(t, r)
 
     def damped(epsilon: float) -> float:
         if r == 0.0:
@@ -248,10 +251,12 @@ def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> IntegralRe
     the overall sign is pinned by agreement with `brute_force_overlap_oracle`.
     Symmetric in (f_o, a_m) and bilinear in each argument.
     """
+    _finite(T, "T")
     if T <= 0.0:
         raise ValidationError("T must be positive")
     value, err, n = _radial_pairing(f_o, a_m, "cos", T)
-    if err > max(_KERNEL_ATOL, _KERNEL_RTOL * abs(value)):
+    # written so that a NaN value or error fails the gate
+    if not (math.isfinite(value) and err <= max(_KERNEL_ATOL, _KERNEL_RTOL * abs(value))):
         raise ToleranceFailure(
             f"oscillatory quadrature error {err:.3e} exceeds tolerance for K(T={T})"
         )
@@ -266,6 +271,7 @@ def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float
     Kernel weight is -|k| sin(|k|T); for causally decoupled configurations the
     result is compatible with zero at Gaussian-tail level.
     """
+    _finite(T, "T")
     if T == 0.0:
         return 0.0
     value, _, _ = _radial_pairing(f_o, a_m, "sin", abs(T))
@@ -305,10 +311,11 @@ def brute_force_overlap_oracle(
     """
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    if T <= min_oracle_wait(f_o, a_m):
+    _finite(T, "T")
+    wait = min_oracle_wait(f_o, a_m)
+    if T <= wait:
         raise ValidationError(
-            f"T = {T:.6g} is inside the cone-margin regime; "
-            f"need T > {min_oracle_wait(f_o, a_m):.6g}"
+            f"T = {T:.6g} is inside the cone-margin regime; need T > {wait:.6g}"
         )
     if f_o.amplitude == 0.0 or a_m.amplitude == 0.0:
         return IntegralResult(0.0, 0.0, "monte-carlo", samples, seed)

@@ -12,7 +12,10 @@ and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
 its normalization).  The Monte Carlo oracle's batches are re-evaluated with
 the plain per-sample formula (`mc_batch_reference`), and the input energy
-from one full position lattice (`input_energy_position_reference`).
+from one full position lattice (`input_energy_position_reference`).  Frame
+energies are plain grid sums (`total_energy`, `energy_in_shell`,
+`residual_window_energy`), and the vacuum moments behind D_q come from a
+truncated Fock-space matrix exponential (`vacuum_probe_functional_moments`).
 """
 
 import math
@@ -22,6 +25,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from qetlab.dynamics import energy_density_frame
+from qetlab.negative_energy import FockSpace
 from qetlab.spectral import _MC_BATCH, d2_delta_offcone
 
 mp.mp.dps = 50
@@ -255,6 +260,38 @@ def density_reference(a_m, t: float, x) -> float:
     return float((psi_tr**2 * (1 - mu**2) + Q**2 + mu**2 * (P**2 - 2 * P * Q)) / 2)
 
 
+def total_energy(frame) -> float:
+    """Grid quadrature of the density; conserved across t for a covering grid."""
+    return float(np.sum(frame.eps)) * frame.grid.dx**3
+
+
+def energy_in_shell(frame, r_lo: float, r_hi: float) -> float:
+    """Grid quadrature of the density over r_lo <= r <= r_hi, radii measured from grid.center."""
+    ax = frame.grid.axis()
+    sq = ax * ax
+    total = 0.0
+    for i, x2 in enumerate(sq):
+        r = np.sqrt(x2 + sq[:, None] + sq[None, :])
+        total += float(np.sum(frame.eps[i][(r >= r_lo) & (r <= r_hi)]))
+    return total * frame.grid.dx**3
+
+
+def residual_window_energy(a_m, T: float, window, grid=None) -> float:
+    """int w(x) eps(T, x) d^3x: energy left in the windowed region at the operation time.
+
+    The window sees one x-plane of grid positions at a time, so no (n^3, 3)
+    position array is built.
+    """
+    frame = energy_density_frame(a_m, T, grid)
+    ax = frame.grid.axis()
+    xs, ys, zs = (ax + c for c in frame.grid.center)
+    total = 0.0
+    for i, x in enumerate(xs):
+        plane = np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1)
+        total += float(np.sum(window(plane) * frame.eps[i]))
+    return total * frame.grid.dx**3
+
+
 def _photon_mode_lattice(mode, n: int, k_max: float | None):
     """Midpoint k-lattice, the mode spectrum F(k) = N i (k x n) e^{-sigma^2 k^2/2} e^{-ik.c} on it, and dk."""
     k_max = k_max or 8.0 / mode.sigma
@@ -352,3 +389,25 @@ def packet_amplitudes_reference(mode, x):
         uE = np.array([complex(0.0, float(pref * R1 * c)) for c in cross])
         uB = np.array([complex(float(pref * (R01 * ni + R2 * mu * h)), 0.0) for ni, h in zip(n, rhat)])
     return uE, uB
+
+
+def vacuum_probe_functional_moments(couplings, cutoff: int = 12) -> tuple[float, float]:
+    """Vacuum expectations of cos(2 G) and sin(2 G) for the discretized measured functional.
+
+    G = pi/4 - X with X = sum_j (g_j a_j + conj(g_j) a_j†).  The cosine pairing
+    cancels exactly (two opposite displaced-vacuum overlaps), while the sine pairing is
+    the positive vacuum overlap exp(-2 sum |g_j|^2) in the untruncated limit.
+    """
+    couplings = np.atleast_1d(np.asarray(couplings, dtype=complex))
+    space = FockSpace(len(couplings), cutoff)
+    X = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, g in enumerate(couplings):
+        a = space.annihilator(j).astype(complex)
+        X += g * a + np.conj(g) * a.conj().T
+    two_g = np.pi / 2.0 * np.eye(space.dim) - 2.0 * X
+    evals, evecs = np.linalg.eigh(two_g)
+    vac = space.vacuum().astype(complex)
+    w = evecs.conj().T @ vac
+    cos_val = float(np.real(np.sum(np.abs(w) ** 2 * np.cos(evals))))
+    sin_val = float(np.real(np.sum(np.abs(w) ** 2 * np.sin(evals))))
+    return cos_val, sin_val

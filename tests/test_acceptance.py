@@ -23,17 +23,16 @@ from qetlab import (
     make_curl_gaussian,
     overlap_kernel,
     povm_identity_check,
-    residual_window_energy,
     run_protocols,
     separation_scaling_fit,
-    total_energy,
     weighted_spectral_integral,
 )
-from qetlab.negative_energy import optimal_superposition
+from qetlab.negative_energy import min_energy_density
 from qetlab.protocols import input_energy_position_oracle, min_causal_wait
 from qetlab.results import emit_records, run_scenario
 from qetlab.scenario import scenario_from_dict
 
+from oracles import residual_window_energy, total_energy
 from test_negative_energy import random_mode_set
 
 I1 = 8.0 * np.pi / 3.0
@@ -198,7 +197,7 @@ def test_criterion_10_negative_energy_demo():
             (0.0, 1.0j, -1.0),
             (2.0, 0.3 - 0.4j, -0.5 * (math.hypot(2.0, 1.0) - 2.0)),
         ):
-            _, eps_min = optimal_superposition(A, B)
+            eps_min = min_energy_density(A, B)
             assert abs(eps_min - expected) <= 1e-12
 
         rng = np.random.default_rng(1618)

@@ -7,17 +7,18 @@ from qetlab import (
     energy_density_frame,
     input_energy,
     make_curl_gaussian,
+)
+from qetlab.dynamics import _energy_density, default_frame_grid
+from qetlab.errors import ResolutionError
+
+from oracles import (
+    density_reference,
+    energy_in_shell,
+    fft_frame_reference,
+    grid_positions,
     residual_window_energy,
     total_energy,
 )
-from qetlab.dynamics import (
-    _energy_density,
-    default_frame_grid,
-    energy_in_shell,
-)
-from qetlab.errors import ResolutionError
-
-from oracles import density_reference, fft_frame_reference, grid_positions
 
 DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 

@@ -36,6 +36,13 @@ class TestCurlGaussian:
         with pytest.raises(ValidationError):
             make_curl_gaussian(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "amplitude, sigma", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_rejects_non_finite_parameters(self, amplitude, sigma):
+        with pytest.raises(ValidationError, match="finite"):
+            make_curl_gaussian(amplitude, sigma)
+
     def test_rejects_zero_axis(self):
         with pytest.raises(ValidationError):
             make_curl_gaussian(1.0, 1.0, axis=(0.0, 0.0, 0.0))

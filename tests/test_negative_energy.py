@@ -12,22 +12,20 @@ from qetlab import (
     ToleranceFailure,
     ValidationError,
     fock_matrix_elements,
-    optimal_superposition,
+    min_energy_density,
 )
 from qetlab.negative_energy import (
     FockSpace,
-    SuperpositionParams,
     demo_rows,
     matrix_elements_from_amplitudes,
     packet_amplitudes,
-    superposition_energy,
-    vacuum_probe_functional_moments,
 )
 
 from oracles import (
     packet_amplitudes_grid_reference,
     packet_amplitudes_reference,
     photon_mode_norm_reference,
+    vacuum_probe_functional_moments,
 )
 
 CANONICAL_MODE = GaussianPhotonMode(sigma=1.0)
@@ -48,28 +46,30 @@ def random_mode_set(rng, n_modes: int) -> DiscreteModeSet:
     return DiscreteModeSet(modes=tuple(modes), coeffs=tuple(c))
 
 
+def lowest_eigenvalue(A: float, B: complex) -> float:
+    """Lowest mean density over a|0> + b|2>, |a|^2 + |b|^2 = 1, by diagonalization."""
+    return float(np.linalg.eigvalsh(np.array([[0.0, np.conj(B)], [B, A]]))[0])
+
+
 class TestOptimalSuperposition:
     def test_analytic_triple(self):
-        params, eps_min = optimal_superposition(3.0, 2.0 + 0.0j)
-        assert eps_min == pytest.approx(-1.0, abs=1e-15)
-        assert superposition_energy(3.0, 2.0 + 0.0j, params) == pytest.approx(-1.0, abs=1e-12)
+        assert min_energy_density(3.0, 2.0 + 0.0j) == pytest.approx(-1.0, abs=1e-15)
 
     def test_no_offdiagonal_no_negativity(self):
-        params, eps_min = optimal_superposition(2.5, 0.0j)
-        assert eps_min == 0.0
-        assert superposition_energy(2.5, 0.0j, params) == pytest.approx(0.0, abs=1e-12)
+        assert min_energy_density(2.5, 0.0j) == 0.0
 
     def test_pure_offdiagonal(self):
-        _, eps_min = optimal_superposition(0.0, 1.0j)
-        assert eps_min == pytest.approx(-1.0, abs=1e-15)
+        assert min_energy_density(0.0, 1.0j) == pytest.approx(-1.0, abs=1e-15)
 
-    def test_undefined_for_zero_pair(self):
-        with pytest.raises(ValidationError):
-            optimal_superposition(0.0, 0.0j)
+    def test_zero_pair_gives_zero(self):
+        # the vacuum is then the optimum; nothing is undefined
+        assert min_energy_density(0.0, 0.0j) == 0.0
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(ValidationError):
-            optimal_superposition(-1.0, 1.0 + 0.0j)
+            min_energy_density(-1.0, 1.0 + 0.0j)
+        with pytest.raises(ValidationError):
+            min_energy_density(np.array([1.0, -1.0]), np.array([0.0j, 1.0j]))
 
     # components are zero or large enough that sqrt(A^2+4|B|^2) - A does not
     # underflow; below that the strict-negativity claim drowns in round-off
@@ -78,33 +78,23 @@ class TestOptimalSuperposition:
     )
 
     @given(A=st.floats(0.0, 5.0), re=_component, im=_component)
-    def test_self_consistency_and_sign(self, A, re, im):
+    def test_is_lowest_eigenvalue_over_all_superpositions(self, A, re, im):
+        # every superposition of |0> and |2> has mean density in the range of
+        # [[0, conj(B)], [B, A]], so its lower eigenvalue is the optimum
         B = complex(re, im)
-        if A == 0.0 and B == 0.0:
-            return
-        params, eps_min = optimal_superposition(A, B)
-        # the optimizer's own consistency: objective at the returned angles
-        assert superposition_energy(A, B, params) == pytest.approx(eps_min, abs=1e-12)
+        eps_min = min_energy_density(A, B)
+        assert eps_min == pytest.approx(lowest_eigenvalue(A, B), abs=1e-12)
         assert eps_min <= 0.0
         assert (eps_min < 0.0) == (B != 0.0)
-        # closed form
-        assert eps_min == pytest.approx(-0.5 * (math.hypot(A, 2 * abs(B)) - A), abs=1e-13)
 
-    @given(
-        A=st.floats(0.01, 5.0),
-        re=st.floats(-3.0, 3.0),
-        im=st.floats(-3.0, 3.0),
-        dt=st.floats(-0.2, 0.2),
-        dd=st.floats(-0.2, 0.2),
-    )
-    def test_returned_angles_are_a_minimum(self, A, re, im, dt, dd):
-        B = complex(re, im)
-        params, eps_min = optimal_superposition(A, B)
-        theta = min(max(params.theta + dt, 0.0), math.pi)
-        delta = (params.delta + dd) % (2.0 * math.pi)
-        if delta >= 2.0 * math.pi:  # tiny negative offsets round up to 2 pi
-            delta = 0.0
-        assert superposition_energy(A, B, SuperpositionParams(theta, delta)) >= eps_min - 1e-12
+    def test_elementwise_over_arrays(self, rng):
+        A = np.concatenate([[0.0, 0.0, 2.5], rng.uniform(0.0, 5.0, 20)])
+        B = np.concatenate([[0.0, 1.0j, 0.0], rng.normal(size=20) + 1j * rng.normal(size=20)])
+        eps = min_energy_density(A, B)
+        assert eps.shape == A.shape
+        for a, b, e in zip(A, B, eps):
+            assert e == min_energy_density(a, b)
+            assert e == pytest.approx(lowest_eigenvalue(a, b), abs=1e-12)
 
 
 class TestContinuumMode:

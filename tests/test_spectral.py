@@ -124,6 +124,22 @@ class TestPauliJordanDelta:
         with pytest.raises(LightConeError):
             pauli_jordan_delta(1.0, 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("route", [pauli_jordan_delta, pauli_jordan_delta_quadrature])
+    @pytest.mark.parametrize(
+        "t,r", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (2.0, np.inf), (-np.inf, 0.0)]
+    )
+    def test_non_finite_arguments_rejected(self, route, t, r):
+        # NaN compares false against the cone gate, so it must be caught before it
+        with pytest.raises(ValidationError, match="finite"):
+            route(t, r)
+
+    @pytest.mark.parametrize("route", [pauli_jordan_delta, pauli_jordan_delta_quadrature])
+    def test_routes_share_one_gate(self, route):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            route(2.0, -1.0)
+        with pytest.raises(LightConeError, match="distributional"):
+            route(2.0, 2.0)
+
     @pytest.mark.parametrize("t,r", [(2.0, 1.0), (1.0, 2.0), (10.0, 0.0), (5.0, 3.0)])
     def test_quadrature_route_agrees(self, t, r):
         closed = pauli_jordan_delta(t, r)
@@ -224,6 +240,29 @@ class TestOverlapKernel:
     def test_rejects_nonpositive_T(self, canonical_field):
         with pytest.raises(ValidationError):
             overlap_kernel(canonical_field, canonical_field, 0.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_rejects_non_finite_T(self, canonical_field, T):
+        with pytest.raises(ValidationError, match="finite"):
+            overlap_kernel(canonical_field, canonical_field, T)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+    def test_commutator_rejects_non_finite_T(self, canonical_field, T):
+        with pytest.raises(ValidationError, match="finite"):
+            commutator_residual(canonical_field, canonical_field, T)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_oracle_rejects_non_finite_T(self, canonical_field, T):
+        with pytest.raises(ValidationError, match="finite"):
+            brute_force_overlap_oracle(canonical_field, canonical_field, T, samples=100)
+
+    @pytest.mark.parametrize("value, err", [(np.nan, 1e-12), (1e-3, np.nan)])
+    def test_nan_quadrature_fails_the_gate(self, canonical_field, monkeypatch, value, err):
+        from qetlab import ToleranceFailure
+
+        monkeypatch.setattr(spectral, "_radial_pairing", lambda *args: (value, err, 1))
+        with pytest.raises(ToleranceFailure):
+            overlap_kernel(canonical_field, canonical_field, 14.0)
 
     def test_flags_quadrature_error_above_tolerance(self, canonical_field, monkeypatch):
         # at T=200 the kernel is ~1e-11 while the quadrature error is ~1e-14;
