@@ -51,6 +51,21 @@ def lowest_eigenvalue(A: float, B: complex) -> float:
     return float(np.linalg.eigvalsh(np.array([[0.0, np.conj(B)], [B, A]]))[0])
 
 
+def superposition_energy(A: float, B: complex, theta: float, delta: float) -> float:
+    """Mean density of cos(theta)|0> + e^{i delta} sin(theta)|2>:
+    2 cos(t)sin(t)[cos(d) Re B - sin(d) Im B] + sin^2(t) A."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cross = math.cos(delta) * B.real - math.sin(delta) * B.imag
+    return 2.0 * ct * st * cross + st * st * A
+
+
+def optimal_angles(A: float, B: complex) -> tuple[float, float]:
+    """Angles of the lowest superposition: e^{i delta} B = -|B|, tan(2 theta) = 2|B|/A."""
+    theta = 0.5 * math.atan2(2.0 * abs(B), A)
+    delta = (math.pi - math.atan2(B.imag, B.real)) % (2.0 * math.pi)
+    return theta, delta
+
+
 class TestOptimalSuperposition:
     def test_analytic_triple(self):
         assert min_energy_density(3.0, 2.0 + 0.0j) == pytest.approx(-1.0, abs=1e-15)
@@ -86,6 +101,32 @@ class TestOptimalSuperposition:
         assert eps_min == pytest.approx(lowest_eigenvalue(A, B), abs=1e-12)
         assert eps_min <= 0.0
         assert (eps_min < 0.0) == (B != 0.0)
+
+    @given(A=st.floats(0.0, 5.0), re=_component, im=_component)
+    def test_self_consistency_and_sign(self, A, re, im):
+        B = complex(re, im)
+        eps_min = min_energy_density(A, B)
+        # the objective at the optimal angles reaches eps_min
+        assert superposition_energy(A, B, *optimal_angles(A, B)) == pytest.approx(eps_min, abs=1e-12)
+        assert eps_min <= 0.0
+        assert (eps_min < 0.0) == (B != 0.0)
+        # closed form
+        assert eps_min == pytest.approx(-0.5 * (math.hypot(A, 2 * abs(B)) - A), abs=1e-13)
+
+    @given(
+        A=st.floats(0.01, 5.0),
+        re=st.floats(-3.0, 3.0),
+        im=st.floats(-3.0, 3.0),
+        dt=st.floats(-0.2, 0.2),
+        dd=st.floats(-0.2, 0.2),
+    )
+    def test_returned_angles_are_a_minimum(self, A, re, im, dt, dd):
+        # no superposition near the optimal angles lies below eps_min
+        B = complex(re, im)
+        eps_min = min_energy_density(A, B)
+        theta, delta = optimal_angles(A, B)
+        theta = min(max(theta + dt, 0.0), math.pi)
+        assert superposition_energy(A, B, theta, delta + dd) >= eps_min - 1e-12
 
     def test_elementwise_over_arrays(self, rng):
         A = np.concatenate([[0.0, 0.0, 2.5], rng.uniform(0.0, 5.0, 20)])
