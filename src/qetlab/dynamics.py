@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
-from .fields import CurlGaussian
+from .errors import ResolutionError
+from .fields import CurlGaussian, _integer, _positive, _real, _set_checked, _vec3
 
 # spectral-resolution gate: Nyquist wavenumber must reach 8/sigma so the
 # grid sum of the density captures the Gaussian spectrum below the 1e-12
@@ -52,10 +52,7 @@ class FrameGrid:
     center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValidationError("frame grid needs at least 8 nodes per axis")
-        if self.half_extent <= 0.0:
-            raise ValidationError("half_extent must be positive")
+        _set_checked(self, n=_integer(8), half_extent=_positive, center=_vec3)
 
     @property
     def dx(self) -> float:
@@ -150,6 +147,7 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     under-resolve the envelope spectrally, so that the grid sum of the density
     misses energy, or cannot contain the light shell.
     """
+    t = _real(t, "t")
     grid = grid or default_frame_grid(a_m, t)
     k_nyquist = np.pi / grid.dx
     if k_nyquist * a_m.sigma < KNYQ_SIGMA_MIN:
@@ -177,4 +175,4 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
         ) from None
     for i, x in enumerate(xs):
         eps[i] = _energy_density(a_m, t, x, ys[:, None], zs[None, :])
-    return DensityFrame(t=float(t), grid=grid, eps=eps)
+    return DensityFrame(t=t, grid=grid, eps=eps)

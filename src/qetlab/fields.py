@@ -12,6 +12,7 @@ axis); `spectral` reads them directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,27 +28,83 @@ TAIL_TOL = 1e-10
 _EFFECTIVE_RADIUS_SIGMAS = float(np.sqrt(gammainccinv(2.5, TAIL_TOL)))
 
 
-def _finite(value, name: str) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+# Value rules shared by every constructor, entry point and the scenario parser.
+# Each takes (value, name), returns the value as stored, and raises a
+# ValidationError whose message begins "<name>: ".
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(v, dtype=float).reshape(3)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a finite 3-vector, got {v!r}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be a finite 3-vector")
-    return arr
+def _is_real(value) -> bool:
+    # YAML's true/false are bools and its .nan/.inf floats: neither is a number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _unit(v, name: str) -> np.ndarray:
-    arr = _vec3(v, name)
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise ValidationError(f"{name} must be a nonzero vector")
-    return arr / norm
+def _real(value, name: str) -> float:
+    if _is_real(value):
+        return float(value)
+    raise ValidationError(f"{name}: must be a finite number, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    if _is_real(value) and value > 0:
+        return float(value)
+    raise ValidationError(f"{name}: must be a positive finite number, got {value!r}")
+
+
+def _nonnegative(value, name: str) -> float:
+    if _is_real(value) and value >= 0:
+        return float(value)
+    raise ValidationError(f"{name}: must be a nonnegative finite number, got {value!r}")
+
+
+def _vec3(value, name: str) -> tuple:
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(items, (list, tuple)) and len(items) == 3 and all(map(_is_real, items)):
+        return tuple(float(v) for v in items)
+    raise ValidationError(f"{name}: must be a list of three finite numbers, got {value!r}")
+
+
+def _nonzero(value, name: str) -> tuple:
+    v = _vec3(value, name)
+    if 0.0 < np.linalg.norm(v) < math.inf:
+        return v
+    raise ValidationError(f"{name}: must be a nonzero vector of finite length, got {value!r}")
+
+
+def _unit(value, name: str) -> tuple:
+    """A nonzero vector scaled to unit length."""
+    v = np.asarray(_nonzero(value, name))
+    return tuple((v / float(np.linalg.norm(v))).tolist())
+
+
+def _integer(minimum: int):
+    """The rule for an integer at or above `minimum`."""
+
+    def rule(value, name: str) -> int:
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+            return int(value)
+        raise ValidationError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+
+    return rule
+
+
+def _checked(**params) -> list:
+    """rule(value, name) for each name=(rule, value), in order; one ValidationError lists every failure."""
+    values, errors = [], []
+    for name, (rule, value) in params.items():
+        try:
+            values.append(rule(value, name))
+        except ValidationError as exc:
+            errors.extend(exc.errors)
+    if errors:
+        raise ValidationError(errors)
+    return values
+
+
+def _set_checked(obj, **rules) -> None:
+    """Check the named fields of a frozen dataclass, each by its rule, and store what the rules return."""
+    values = _checked(**{name: (rule, getattr(obj, name)) for name, rule in rules.items()})
+    for name, value in zip(rules, values):
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -60,13 +117,7 @@ class CurlGaussian:
     axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        _finite(self.amplitude, "amplitude")
-        _finite(self.sigma, "sigma")
-        if not (self.sigma > 0.0):
-            raise ValidationError("sigma must be positive")
-        axis = _unit(self.axis, "axis")
-        object.__setattr__(self, "axis", tuple(axis))
-        object.__setattr__(self, "center", tuple(_vec3(self.center, "center")))
+        _set_checked(self, amplitude=_real, sigma=_positive, center=_vec3, axis=_unit)
 
     @property
     def center_vec(self) -> np.ndarray:
@@ -121,7 +172,7 @@ class CurlGaussian:
 
 def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:
     """Canonical divergence-free family member; see CurlGaussian."""
-    return CurlGaussian(amplitude=float(amplitude), sigma=float(sigma), center=center, axis=axis)
+    return CurlGaussian(amplitude=amplitude, sigma=sigma, center=center, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -132,9 +183,7 @@ class RadialWindow:
     center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise ValidationError("window radius must be positive")
-        object.__setattr__(self, "center", tuple(_vec3(self.center, "window center")))
+        _set_checked(self, radius=_positive, center=_vec3)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

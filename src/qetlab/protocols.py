@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
-from .fields import CurlGaussian, _finite
+from .fields import CurlGaussian, _nonnegative, _real, _set_checked
 from .spectral import overlap_kernel, weighted_spectral_integral
 
 PI2_OVER_4 = np.pi**2 / 4.0
@@ -59,10 +59,7 @@ class ProtocolConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        _finite(self.T, "T")
-        _finite(self.lam, "lam")
-        if self.lam < 0.0:
-            raise ValidationError("amplitude multiplier must be nonnegative")
+        _set_checked(self, T=_real, lam=_nonnegative)
         wait = min_causal_wait(self.a_m, self.f_o)
         if self.T <= wait:
             raise CausalityError(

@@ -41,7 +41,7 @@ class ResultRecord:
     ratio: float | None
 
     def to_line(self) -> str:
-        values = (_finite_or_none(getattr(self, f.name)) for f in _RECORD_FIELDS)
+        values = (_jsonable(getattr(self, f.name)) for f in _RECORD_FIELDS)
         return json.dumps(dict(zip(RECORD_KEYS, values)), allow_nan=False)
 
 
@@ -50,7 +50,7 @@ _RECORD_FIELDS = fields(ResultRecord)
 RECORD_KEYS = tuple("lambda" if f.name == "lam" else f.name for f in _RECORD_FIELDS)
 
 
-def _finite_or_none(v):
+def _jsonable(v):
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v

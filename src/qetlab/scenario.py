@@ -11,13 +11,12 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import yaml
 
 from .errors import ValidationError
-from .fields import CurlGaussian, RadialWindow
+from .fields import CurlGaussian, RadialWindow, _integer, _nonnegative, _positive
 from .protocols import min_causal_wait
 
 PROBES = ("spin", "oscillator", "both")
@@ -83,24 +82,13 @@ class _Collector:
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
                 self.add(path, f"unknown key {key!r}{suffix}")
 
-
-def _is_number(value) -> bool:
-    """A finite int or float; YAML's true/false, .nan and .inf are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _positive_number(value, path: str, errs: _Collector) -> bool:
-    if _is_number(value) and value > 0:
-        return True
-    errs.add(path, f"must be a positive finite number, got {value!r}")
-    return False
-
-
-def _vector(value, path: str, errs: _Collector) -> tuple | None:
-    if isinstance(value, (list, tuple)) and len(value) == 3 and all(_is_number(v) for v in value):
-        return tuple(float(v) for v in value)
-    errs.add(path, f"must be a list of three finite numbers, got {value!r}")
-    return None
+    def call(self, path: str, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None with each of its "<name>: ..." errors filed under path."""
+        try:
+            return fn(*args, **kwargs)
+        except ValidationError as exc:
+            self.errors.extend(f"{path}.{e}" for e in exc.errors)
+            return None
 
 
 def _file_name(value, path: str, errs: _Collector) -> str:
@@ -112,13 +100,11 @@ def _file_name(value, path: str, errs: _Collector) -> str:
     return ""
 
 
-def _as_scalar_or_list(value, path: str, errs: _Collector) -> list[float]:
-    if _is_number(value):
-        return [float(value)]
-    if isinstance(value, list) and value and all(_is_number(v) for v in value):
-        return [float(v) for v in value]
-    errs.add(path, f"expected a finite number or a nonempty list of finite numbers, got {value!r}")
-    return []
+def _number_list(value, rule, name: str, errs: _Collector) -> list[float]:
+    """A number or a nonempty list of numbers, each checked by rule and filed under scenario.<name>."""
+    items = value if isinstance(value, list) and value else [value]
+    checked = [errs.call("scenario", rule, v, name) for v in items]
+    return [] if None in checked else checked
 
 
 def _parse_field(spec, path: str, errs: _Collector) -> CurlGaussian | None:
@@ -126,22 +112,14 @@ def _parse_field(spec, path: str, errs: _Collector) -> CurlGaussian | None:
         errs.add(path, "expected a mapping with amplitude/sigma/center/axis")
         return None
     errs.check_keys(spec, _FIELD_KEYS, path)
-    sigma = spec.get("sigma")
-    if not _positive_number(sigma, f"{path}.sigma", errs):
-        return None
-    amplitude = spec.get("amplitude", 1.0)
-    if not _is_number(amplitude):
-        errs.add(f"{path}.amplitude", f"must be a finite number, got {amplitude!r}")
-        return None
-    center = _vector(spec.get("center", (0.0, 0.0, 0.0)), f"{path}.center", errs)
-    axis = _vector(spec.get("axis", (0.0, 0.0, 1.0)), f"{path}.axis", errs)
-    if center is None or axis is None:
-        return None
-    try:
-        return CurlGaussian(amplitude=float(amplitude), sigma=float(sigma), center=center, axis=axis)
-    except ValidationError as exc:
-        errs.add(path, str(exc))
-        return None
+    return errs.call(
+        path,
+        CurlGaussian,
+        amplitude=spec.get("amplitude", 1.0),
+        sigma=spec.get("sigma"),
+        center=spec.get("center", (0.0, 0.0, 0.0)),
+        axis=spec.get("axis", (0.0, 0.0, 1.0)),
+    )
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -156,23 +134,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
         errs.add("scenario.probe", f"must be one of {PROBES}, got {probe!r}")
         probe = "both"
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errs.add("scenario.seed", f"must be a nonnegative integer, got {seed!r}")
-        seed = 0
+    seed = errs.call("scenario", _integer(0), raw.get("seed", 0), "seed")
 
     if "T" not in raw:
         errs.add("scenario.T", "required (a time or ascending list of times)")
         T_list: list[float] = []
     else:
-        T_list = _as_scalar_or_list(raw["T"], "scenario.T", errs)
+        T_list = _number_list(raw["T"], _positive, "T", errs)
         if T_list and sorted(T_list) != T_list:
             errs.add("scenario.T", "list must be sorted ascending")
 
-    lambdas = _as_scalar_or_list(raw.get("lambda", 1.0), "scenario.lambda", errs)
-    for lam in lambdas:
-        if lam < 0.0:
-            errs.add("scenario.lambda", f"must be nonnegative, got {lam}")
+    lambdas = _number_list(raw.get("lambda", 1.0), _nonnegative, "lambda", errs)
 
     fields_spec = raw.get("fields")
     a_m = f_o = None
@@ -195,14 +167,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 errs.add("scenario.fields.window", "expected a mapping")
             else:
                 errs.check_keys(wspec, _WINDOW_KEYS, "scenario.fields.window")
-                radius = wspec.get("radius")
-                center = _vector(
-                    wspec.get("center", a_m.center if a_m else (0.0, 0.0, 0.0)),
-                    "scenario.fields.window.center",
-                    errs,
+                window = errs.call(
+                    "scenario.fields.window",
+                    RadialWindow,
+                    radius=wspec.get("radius"),
+                    center=wspec.get("center", a_m.center if a_m else (0.0, 0.0, 0.0)),
                 )
-                if _positive_number(radius, "scenario.fields.window.radius", errs) and center is not None:
-                    window = RadialWindow(radius=float(radius), center=center)
         if window is None and a_m is not None:
             window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center)
 
@@ -214,21 +184,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
             errs.add("scenario.grid", "expected a mapping")
         else:
             errs.check_keys(gspec, _GRID_KEYS, "scenario.grid")
-            grid_n = gspec.get("n", 128)
-            if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 8:
-                errs.add("scenario.grid.n", f"must be an integer >= 8, got {grid_n!r}")
-                grid_n = 128
+            grid_n = errs.call("scenario.grid", _integer(8), gspec.get("n", 128), "n")
             grid_half = gspec.get("half_extent")
-            if grid_half is not None and not _positive_number(grid_half, "scenario.grid.half_extent", errs):
-                grid_half = None
+            if grid_half is not None:
+                # kept as written, since it enters scenario_hash; FrameGrid stores the float
+                errs.call("scenario.grid", _positive, grid_half, "half_extent")
 
     times = ()
     if "times" in raw:
-        tlist = _as_scalar_or_list(raw["times"], "scenario.times", errs)
-        for t in tlist:
-            if t < 0.0:
-                errs.add("scenario.times", f"times must be nonnegative, got {t}")
-        times = tuple(tlist)
+        times = tuple(_number_list(raw["times"], _nonnegative, "times", errs))
 
     results_name = "results.jsonl"
     frames_prefix = "frame"

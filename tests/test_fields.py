@@ -3,7 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qetlab import RadialWindow, ValidationError, fields, make_curl_gaussian
+from qetlab import (
+    CurlGaussian,
+    FrameGrid,
+    GaussianPhotonMode,
+    IntegralResult,
+    PlaneWaveMode,
+    ProtocolConfig,
+    RadialWindow,
+    ValidationError,
+    brute_force_overlap_oracle,
+    commutator_residual,
+    energy_density_frame,
+    fields,
+    make_curl_gaussian,
+    overlap_kernel,
+    pauli_jordan_delta,
+)
 
 from oracles import curl_gaussian_spectrum
 
@@ -161,3 +177,69 @@ class TestWindow:
         inner = w(np.array([2.0 - 1e-9, 0.0, 0.0]))
         outer = w(np.array([2.0 + 1e-9, 0.0, 0.0]))
         assert abs(inner - outer) < 1e-6
+
+
+# Every constructor and entry point that takes a number, with one valid value
+# for the parameter under test.  Vectors take the value as one component.
+_A = make_curl_gaussian(1.0, 1.0)
+_SMALL_GRID = FrameGrid(n=64, half_extent=8.0)
+PARAMETERS = {
+    "CurlGaussian.amplitude": (lambda v: CurlGaussian(amplitude=v, sigma=1.0), 1.0),
+    "CurlGaussian.sigma": (lambda v: CurlGaussian(amplitude=1.0, sigma=v), 1.0),
+    "CurlGaussian.center": (lambda v: CurlGaussian(1.0, 1.0, center=(v, 0.0, 0.0)), 1.0),
+    "CurlGaussian.axis": (lambda v: CurlGaussian(1.0, 1.0, axis=(0.0, v, 1.0)), 1.0),
+    "RadialWindow.radius": (lambda v: RadialWindow(radius=v), 1.0),
+    "RadialWindow.center": (lambda v: RadialWindow(1.0, center=(0.0, 0.0, v)), 1.0),
+    "FrameGrid.n": (lambda v: FrameGrid(n=v), 8),
+    "FrameGrid.half_extent": (lambda v: FrameGrid(half_extent=v), 1.0),
+    "FrameGrid.center": (lambda v: FrameGrid(center=(v, 0.0, 0.0)), 1.0),
+    "GaussianPhotonMode.sigma": (lambda v: GaussianPhotonMode(sigma=v), 1.0),
+    "GaussianPhotonMode.center": (lambda v: GaussianPhotonMode(1.0, center=(0.0, v, 0.0)), 1.0),
+    "GaussianPhotonMode.axis": (lambda v: GaussianPhotonMode(1.0, axis=(v, 0.0, 1.0)), 1.0),
+    "PlaneWaveMode.k": (lambda v: PlaneWaveMode(k=(1.0, 0.0, v), polarization=(0.0, 1.0, 0.0)), 1.0),
+    "PlaneWaveMode.polarization": (
+        lambda v: PlaneWaveMode(k=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, v)),
+        1.0,
+    ),
+    "PlaneWaveMode.volume": (
+        lambda v: PlaneWaveMode(k=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, 0.0), volume=v),
+        1.0,
+    ),
+    "ProtocolConfig.T": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=v), 8.0),
+    "ProtocolConfig.lam": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=8.0, lam=v), 1.0),
+    "IntegralResult.estimated_error": (lambda v: IntegralResult(0.0, v, "closed-form", 0), 0.0),
+    "energy_density_frame.t": (lambda v: energy_density_frame(_A, v, _SMALL_GRID), 1.0),
+    "pauli_jordan_delta.t": (lambda v: pauli_jordan_delta(v, 1.0), 2.0),
+    "pauli_jordan_delta.r": (lambda v: pauli_jordan_delta(2.0, v), 1.0),
+    "overlap_kernel.T": (lambda v: overlap_kernel(_A, _A, v), 8.0),
+    "commutator_residual.T": (lambda v: commutator_residual(_A, _A, v), 8.0),
+    "brute_force_overlap_oracle.T": (lambda v: brute_force_overlap_oracle(_A, _A, v, samples=100), 14.0),
+}
+BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1.0", None]
+
+
+class TestValueRules:
+    @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+    @pytest.mark.parametrize("where", PARAMETERS)
+    def test_rejects_what_is_not_a_finite_number(self, where, bad):
+        build, _ = PARAMETERS[where]
+        name = where.split(".")[-1]
+        with pytest.raises(ValidationError) as err:
+            build(bad)
+        assert any(e.startswith(f"{name}: ") for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("where", PARAMETERS)
+    def test_accepts_the_valid_value(self, where):
+        build, good = PARAMETERS[where]
+        build(good)
+
+    def test_every_failing_parameter_reported_at_once(self):
+        with pytest.raises(ValidationError) as err:
+            CurlGaussian(amplitude=np.nan, sigma=-1.0, center=(1.0, 2.0), axis=(0.0, 0.0, 0.0))
+        names = [e.split(":")[0] for e in err.value.errors]
+        assert names == ["amplitude", "sigma", "center", "axis"]
+
+    def test_stores_floats(self):
+        a = CurlGaussian(amplitude=2, sigma=np.float32(0.5), center=np.array([1, 0, 0]), axis=[0, 0, 2])
+        assert (a.amplitude, a.sigma, a.center, a.axis) == (2.0, 0.5, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        assert all(type(v) is float for v in (a.amplitude, a.sigma, *a.center, *a.axis))

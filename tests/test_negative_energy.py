@@ -14,6 +14,7 @@ from qetlab import (
     fock_matrix_elements,
     min_energy_density,
 )
+from qetlab import negative_energy
 from qetlab.negative_energy import (
     FockSpace,
     demo_rows,
@@ -175,6 +176,16 @@ class TestContinuumMode:
         # which falls like r^-4.5, so the point raises instead of returning
         with pytest.raises(ToleranceFailure, match="packet amplitude"):
             packet_amplitudes(CANONICAL_MODE, np.array([40.0, 0.0, 0.0]))
+
+    def test_nan_point_fails_the_gate(self):
+        # NaN compares false against the error bound, so the gate is written to fail on it
+        with pytest.raises(ToleranceFailure, match="packet amplitude"):
+            packet_amplitudes(CANONICAL_MODE, np.array([np.nan, 0.0, 0.0]))
+
+    def test_nan_error_estimate_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(negative_energy, "_radial_integral", lambda sigma, r, g: (1.0, math.nan))
+        with pytest.raises(ToleranceFailure, match="packet amplitude"):
+            packet_amplitudes(CANONICAL_MODE, np.array([1.0, 0.0, 0.0]))
 
     def test_matrix_elements_at_center(self):
         mode = GaussianPhotonMode(sigma=1.0)

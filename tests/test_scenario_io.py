@@ -147,6 +147,31 @@ class TestParsing:
         path = "scenario." + ".".join(keys)
         assert any(e.startswith(path + ":") for e in err.value.errors), err.value.errors
 
+    def test_every_bad_key_of_a_mapping_reported_in_one_run(self):
+        raw = {
+            "T": 12.0,
+            "fields": {
+                "a_m": {"amplitude": math.nan, "sigma": -1.0, "center": [1.0, 2.0], "axis": [0, 0, 0]},
+                "window": {"radius": True, "center": "origin"},
+            },
+            "grid": {"n": 4, "half_extent": math.inf},
+            "seed": -1,
+        }
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(raw)
+        paths = [e.split(": ")[0] for e in err.value.errors]
+        assert paths == [
+            "scenario.seed",
+            "scenario.fields.a_m.amplitude",
+            "scenario.fields.a_m.sigma",
+            "scenario.fields.a_m.center",
+            "scenario.fields.a_m.axis",
+            "scenario.fields.window.radius",
+            "scenario.fields.window.center",
+            "scenario.grid.n",
+            "scenario.grid.half_extent",
+        ], err.value.errors
+
     @pytest.mark.parametrize("key", ["results", "frames_prefix"])
     @pytest.mark.parametrize("value", [{"a": 1}, 7, "../x"], ids=["mapping", "number", "parent"])
     def test_output_names_must_be_plain_files(self, key, value, tmp_path, capsys):

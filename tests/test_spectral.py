@@ -230,6 +230,20 @@ class TestOverlapKernel:
         np.testing.assert_allclose(K.value, ref, rtol=1e-12, atol=0.0)
         assert K.samples_or_nodes == nodes
 
+    @pytest.mark.parametrize("pair", ["cocentred", "displaced"])
+    @pytest.mark.parametrize("T", [8.0, 50.0, 400.0])
+    def test_node_count_is_integrand_calls(self, monkeypatch, pair, T):
+        # samples_or_nodes is QUADPACK's own neval; it must count every integrand call
+        f, a = (CANONICAL, CANONICAL) if pair == "cocentred" else MC_DISPLACED_TILTED
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _angular_factor(*args)
+
+        monkeypatch.setattr(spectral, "_angular_factor", counted)
+        assert overlap_kernel(f, a, T).samples_or_nodes == len(calls) > 0
+
     def test_spectrum_hop_is_identity(self):
         # perfbench passes f.spectrum() to overlap_kernel; it must be the field itself
         f, a = MC_DISPLACED_TILTED
