@@ -16,16 +16,16 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .errors import ValidationError
 
 # Tail mass outside the effective radius; the field is treated as supported
 # in the ball of that radius for all causality preconditions.
 TAIL_TOL = 1e-10
-# The radial L2 density is ~ r^4 exp(-r^2/sigma^2), so the tail mass is an
-# upper incomplete gamma of order 5/2; this is the radius in units of sigma.
-_EFFECTIVE_RADIUS_SIGMAS = float(np.sqrt(gammainccinv(2.5, TAIL_TOL)))
+# The radial L2 density is ~ r^4 exp(-r^2/sigma^2), so the tail mass is the
+# regularised upper incomplete gamma Q(5/2, r^2/sigma^2); this is the radius in
+# units of sigma, sqrt(Q^{-1}(5/2, TAIL_TOL)), pinned by a test.
+_EFFECTIVE_RADIUS_SIGMAS = 5.270787347173025
 
 
 # Value rules shared by every constructor, entry point and the scenario parser.

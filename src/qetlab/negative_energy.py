@@ -134,8 +134,9 @@ def min_energy_density(A, B):
     whose lower eigenvalue eps_min = -(1/2)[sqrt(A^2 + 4|B|^2) - A] is negative
     wherever B != 0.
     """
-    if np.any(np.asarray(A) < 0.0):
-        raise ValidationError("diagonal element must be nonnegative")
+    # written so that a NaN fails the check
+    if not np.all((np.asarray(A) >= 0.0) & np.isfinite(A) & np.isfinite(B)):
+        raise ValidationError("A must be finite and nonnegative, and B finite")
     return -0.5 * (np.hypot(A, 2.0 * np.abs(B)) - A)
 
 
@@ -189,7 +190,7 @@ class DiscreteModeSet:
             raise ValidationError("1 to 3 modes supported (basis overflow above)")
         c = np.asarray(self.coeffs, dtype=complex)
         norm = float(np.sum(np.abs(c) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not (abs(norm - 1.0) <= 1e-10):
             raise ValidationError(f"coefficients not normalized: sum |c|^2 = {norm}")
 
     def wick_matrix_elements(self, x) -> tuple[float, complex]:

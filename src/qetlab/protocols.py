@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _nonnegative, _real, _set_checked
@@ -101,22 +101,23 @@ def input_energy(a_m) -> float:
     return 0.5 * weighted_spectral_integral(a_m, 2).value
 
 
-def input_energy_position_oracle(a_m: CurlGaussian) -> float:
-    """Independent route to E_m: grid quadrature of (1/2)(curl a)^2, 96^3 nodes over +-8 sigma.
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Hermite nodes u and weights w e^{u^2}: exact for the plain integral
+    of any e^{-u^2} times a polynomial of degree < 2n."""
+    u, w = hermgauss(n)
+    return u, w * np.exp(u * u)
 
-    The curl is evaluated one x-plane of the lattice at a time, so no
-    (n^3, 3) position or curl array is built.
+
+def input_energy_position_oracle(a_m: CurlGaussian) -> float:
+    """Independent route to E_m: (1/2) int (curl a)^2 d^3x by a tensor Gauss-Hermite rule.
+
+    At x = c + sigma u, (curl a)^2 is e^{-|u|^2} times a polynomial of degree
+    <= 4 in each component of u; 4 nodes per axis are exact through degree 7.
     """
-    n = 96
-    half = 8.0 * a_m.sigma
-    ax = np.linspace(-half, half, n, endpoint=False) + half / n
-    xs, ys, zs = (ax + c for c in a_m.center_vec)
-    total = 0.0
-    for x in xs:
-        curls = a_m.curl(np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1))
-        total += float(np.sum(curls * curls))
-    dx = float(ax[1] - ax[0])
-    return 0.5 * total * dx**3
+    u, w = _hermite_rule(4)
+    x = np.stack(np.meshgrid(*(c + a_m.sigma * u for c in a_m.center_vec), indexing="ij"), axis=-1)
+    curl2 = np.sum(a_m.curl(x) ** 2, axis=-1)
+    return 0.5 * a_m.sigma**3 * float(np.einsum("ijk,i,j,k->", curl2, w, w, w))
 
 
 def damping_spin(I1: float) -> float:
@@ -316,29 +317,13 @@ def povm_identity_check(g_values) -> MeasurementIdentityReport:
     moments 1, g, g^2 + 1/4; the binary-probe pair (cos g, sin g) satisfies the
     two trigonometric closures.  Returns the max residual over g_values.
     """
-    g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
-    res = [0.0, 0.0, 0.0]
-    norm = math.sqrt(2.0 / np.pi)
-
-    for g in g_values:
-        # integrate in u = q - g so the quadrature sees a centered Gaussian
-        moments = []
-        for n in range(3):
-            val, _ = quad(lambda u, n=n, g=g: norm * math.exp(-2.0 * u * u) * (u + g) ** n,
-                          -np.inf, np.inf)
-            moments.append(val)
-        res[0] = max(res[0], abs(moments[0] - 1.0))
-        res[1] = max(res[1], abs(moments[1] - g))
-        res[2] = max(res[2], abs(moments[2] - (g * g + 0.25)))
-
-    c2 = np.cos(g_values) ** 2
-    s2 = np.sin(g_values) ** 2
-    spin_complete = float(np.max(np.abs(c2 + s2 - 1.0)))
-    spin_signed = float(np.max(np.abs(c2 - s2 - np.cos(2.0 * g_values))))
-    return MeasurementIdentityReport(
-        completeness=res[0],
-        first_moment=res[1],
-        second_moment=res[2],
-        spin_completeness=spin_complete,
-        spin_signed_sum=spin_signed,
-    )
+    g = np.atleast_1d(np.asarray(g_values, dtype=float))
+    # M_q^2 is e^{-2(q-g)^2} times a constant, so at q = g + v/sqrt(2) each
+    # moment is e^{-v^2} times a polynomial of degree <= 2: 2 nodes are exact
+    v, w = _hermite_rule(2)
+    q = g[:, None] + v / math.sqrt(2.0)
+    kernel = math.sqrt(2.0 / np.pi) * np.exp(-2.0 * (q - g[:, None]) ** 2)
+    m0, m1, m2 = ((kernel * q**n) @ w / math.sqrt(2.0) for n in range(3))
+    c2, s2 = np.cos(g) ** 2, np.sin(g) ** 2
+    residuals = (m0 - 1.0, m1 - g, m2 - (g * g + 0.25), c2 + s2 - 1.0, c2 - s2 - np.cos(2.0 * g))
+    return MeasurementIdentityReport(*(float(np.max(np.abs(r))) for r in residuals))

@@ -293,7 +293,11 @@ def brute_force_overlap_oracle(
 
     Importance-samples x = c_f + sigma_f z_x and y = c_a + sigma_a z_y from the
     Gaussian envelopes of the two fields and averages
-    f_o(x).a_m(y) d_T^2 Delta(T,|x-y|) / (p(x) p(y)).  The envelopes cancel
+    f_o(x).a_m(y) [d_T^2 Delta(T,|x-y|) - d_T^2 Delta(T,0)] / (p(x) p(y)).
+    The subtracted constant is a control variate: int f_o . int a_m = 0 for
+    curl fields, so it leaves the mean alone and removes the kernel's
+    -3/(pi^2 T^4) term, which would otherwise swamp K ~ T^-6 in every sample
+    and make the relative error grow like T^2.  The envelopes cancel
     against p, and the field product is taken by the Binet-Cauchy identity
     (z_x x n_f).(z_y x n_a) = (z_x.z_y)(n_f.n_a) - (z_x.n_a)(z_y.n_f), so a
     sample costs two row dot products, two matrix-vector products and the
@@ -321,6 +325,7 @@ def brute_force_overlap_oracle(
     cos_axes = float(nf @ na)
     offset = f_o.center_vec - a_m.center_vec
     T2 = T * T
+    kernel_at_zero = float(d2_delta_offcone(T, 0.0))
 
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
     batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
@@ -341,6 +346,7 @@ def brute_force_overlap_oracle(
         field *= cos_axes
         field -= (zx @ na) * (zy @ nf)
         vals = d2_delta_offcone(T, r2)
+        vals -= kernel_at_zero
         vals *= field
         vals *= weight
         return float(np.sum(vals)), float(np.sum(vals * vals)), n

@@ -11,7 +11,8 @@ differentiation of the spherical wave.  Photon-packet amplitudes come from a
 and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
 its normalization).  The Monte Carlo oracle's batches are re-evaluated with
-the plain per-sample formula (`mc_batch_reference`), and the input energy
+the plain per-sample formula, with or without its control variate
+(`mc_batch_reference`), and the input energy
 from one full position lattice (`input_energy_position_reference`).  Frame
 energies are plain grid sums (`total_energy`, `energy_in_shell`,
 `residual_window_energy`), and the vacuum moments behind D_q come from a
@@ -111,13 +112,18 @@ def input_energy_position_reference(a_m) -> float:
     return 0.5 * float(np.sum(curls * curls)) * dx**3
 
 
-def mc_batch_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[float, float]:
+def mc_batch_reference(
+    f_o, a_m, T: float, samples: int, seed: int, control_variate: bool = True
+) -> tuple[float, float]:
     """(mean, standard error) of the Monte Carlo K(T) estimate, one sample at a time.
 
     Draws the oracle's samples (spawned batch seeds, z_x then z_y per batch)
     and evaluates each as w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
-    d_T^2 Delta(T, |x - y|), with explicit cross products and norms.
+    d_T^2 Delta(T, |x - y|) - d_T^2 Delta(T, 0), with explicit cross products
+    and norms.  control_variate=False keeps the plain kernel d_T^2 Delta(T, |x - y|):
+    the same mean, since int f_o . int a_m = 0, with a larger variance.
     """
+    offset = d2_delta_offcone(T, 0.0) if control_variate else 0.0
     cf, ca = f_o.center_vec, a_m.center_vec
     wf = -f_o.amplitude * (2.0 * np.pi * f_o.sigma**2) ** 1.5 / f_o.sigma**2
     wa = -a_m.amplitude * (2.0 * np.pi * a_m.sigma**2) ** 1.5 / a_m.sigma**2
@@ -131,7 +137,7 @@ def mc_batch_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[flo
         r = np.linalg.norm(x - y, axis=-1)
         fv = wf * np.cross(x - cf, f_o.axis_vec)
         av = wa * np.cross(y - ca, a_m.axis_vec)
-        vals = d2_delta_offcone(T, r * r) * np.sum(fv * av, axis=-1)
+        vals = (d2_delta_offcone(T, r * r) - offset) * np.sum(fv * av, axis=-1)
         sums.append(float(np.sum(vals)))
         squares.append(float(np.sum(vals * vals)))
     mean = math.fsum(sums) / samples

@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
+import qetlab.cli as cli
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from qetlab.spectral import overlap_kernel, pauli_jordan_delta
 
 MINIMAL = """
 T: 8.0
@@ -81,8 +86,6 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_verify_tolerance_failure_exits_3(self, monkeypatch, capsys):
-        import qetlab.cli as cli
-
         monkeypatch.setattr(
             cli, "input_energy_position_oracle", lambda *a, **k: 123.456
         )
@@ -151,9 +154,96 @@ class TestDemo:
         assert "negative" in out
 
 
+def _away(value: float, tolerance: float, how: str) -> float:
+    """A value twice the tolerance from `value`, or NaN."""
+    return value + 2.0 * tolerance if how == "far" else math.nan
+
+
+def _break_energy(real, how):
+    def oracle(a_m):
+        E = real(a_m)
+        return _away(E, 1e-6 * E, how)
+
+    return oracle
+
+
+def _break_light_cone(real, how):
+    def oracle(t, r):
+        closed = pauli_jordan_delta(t, r)
+        return dataclasses.replace(real(t, r), value=_away(closed, 1e-6 * abs(closed), how))
+
+    return oracle
+
+
+def _break_monte_carlo(real, how):
+    def oracle(f_o, a_m, T, **kwargs):
+        res = real(f_o, a_m, T, **kwargs)
+        K = overlap_kernel(f_o, a_m, T).value
+        return dataclasses.replace(res, value=_away(K, 3.0 * res.estimated_error, how))
+
+    return oracle
+
+
+def _break_identities(real, how):
+    # a residual that is not the first: max() over a list would drop a NaN there
+    def oracle(g_values):
+        return dataclasses.replace(real(g_values), second_moment=_away(0.0, 1e-10, how))
+
+    return oracle
+
+
+def _break_protocols(real, how):
+    def oracle(cfg):
+        spin, osc = real(cfg)
+        ratio = osc.E_o_prime / spin.E_o
+        moved = _away(ratio, 1e-12 * abs(ratio), how) * spin.E_o
+        return spin, dataclasses.replace(osc, E_o_prime=moved)
+
+    return oracle
+
+
+# the oracle verify reads, how to move its output, and the check that must fail
+VERIFY_BREAKS = [
+    ("input_energy_position_oracle", _break_energy, "input energy vs position oracle"),
+    ("pauli_jordan_delta_quadrature", _break_light_cone, "light-cone kernel"),
+    ("brute_force_overlap_oracle", _break_monte_carlo, "overlap kernel vs Monte Carlo"),
+    ("povm_identity_check", _break_identities, "measurement identities"),
+    ("run_protocols", _break_protocols, "damping-ratio identity"),
+]
+
+VERIFY_LINE = re.compile(
+    r"\[verify\] (?P<name>.+): (?P<verdict>PASS|FAIL) \(value \S+, reference \S+, "
+    r"\|diff\| \S+, tolerance \S+\)$"
+)
+
+
 class TestVerify:
     def test_verify_passes(self, capsys):
         assert main(["verify", "--mc-samples", "60000"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") >= 5
         assert "FAIL" not in out
+
+    def test_one_line_per_check(self, capsys):
+        assert main(["verify", "--mc-samples", "20000"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "[verify] all checks passed"
+        rows = [VERIFY_LINE.match(line) for line in lines[:-1]]
+        assert all(rows) and len(rows) == 8
+        assert {m["verdict"] for m in rows} == {"PASS"}
+        # the input-energy check has two comparisons, the light-cone check three points
+        names = [m["name"] for m in rows]
+        assert sum(n.startswith("input energy vs ") for n in names) == 2
+        assert sum(n.startswith("light-cone kernel at ") for n in names) == 3
+
+    @pytest.mark.parametrize("how", ["far", "nan"])
+    @pytest.mark.parametrize(
+        "oracle, breaker, check", VERIFY_BREAKS, ids=[b[0] for b in VERIFY_BREAKS]
+    )
+    def test_every_check_can_fail(self, monkeypatch, capsys, oracle, breaker, check, how):
+        monkeypatch.setattr(cli, oracle, breaker(getattr(cli, oracle), how))
+        assert main(["verify", "--mc-samples", "20000"]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        failed = [line for line in captured.out.splitlines() if ": FAIL (" in line]
+        assert failed and all(line.startswith(f"[verify] {check}") for line in failed)
+        assert check in captured.err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -69,6 +70,11 @@ class TestCurlGaussian:
         b = make_curl_gaussian(1.0, sigma * 1.5)
         assert np.isfinite(a.effective_radius)
         assert b.effective_radius > a.effective_radius
+
+    def test_effective_radius_constant_is_the_gamma_tail_root(self):
+        # the stored literal is sqrt(Q^{-1}(5/2, TAIL_TOL)), bit for bit
+        expected = float(np.sqrt(scipy.special.gammainccinv(2.5, fields.TAIL_TOL)))
+        assert fields._EFFECTIVE_RADIUS_SIGMAS == expected
 
     def test_component_integrals_vanish(self, canonical_field):
         # forced by divergence-freedom plus localization

@@ -87,6 +87,13 @@ class TestOptimalSuperposition:
         with pytest.raises(ValidationError):
             min_energy_density(np.array([1.0, -1.0]), np.array([0.0j, 1.0j]))
 
+    @pytest.mark.parametrize("A, B", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_rejected(self, A, B):
+        with pytest.raises(ValidationError):
+            min_energy_density(A, B)
+        with pytest.raises(ValidationError):
+            min_energy_density(np.array([1.0, A]), np.array([0.5, B]))
+
     # components are zero or large enough that sqrt(A^2+4|B|^2) - A does not
     # underflow; below that the strict-negativity claim drowns in round-off
     _component = st.one_of(
@@ -266,6 +273,12 @@ class TestFockOracle:
         ms = random_mode_set(rng, 2)
         with pytest.raises(ValidationError, match="normalized"):
             DiscreteModeSet(modes=ms.modes, coeffs=(1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [complex(math.nan), complex(math.inf)])
+    def test_non_finite_coefficient_rejected(self, rng, bad):
+        ms = random_mode_set(rng, 2)
+        with pytest.raises(ValidationError, match="normalized"):
+            DiscreteModeSet(modes=ms.modes, coeffs=(bad, 0.0))
 
 
 class TestProbeFunctionalMoments:

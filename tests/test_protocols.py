@@ -90,6 +90,20 @@ class TestInputEnergy:
             atol=0.0,
         )
 
+    @given(
+        amplitude=st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-3),
+        sigma=st.floats(0.05, 20.0),
+        center=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    )
+    def test_position_oracle_is_exact(self, amplitude, sigma, center, axis):
+        # the Gauss-Hermite rule integrates (curl a)^2 exactly, so only
+        # rounding separates it from the closed form
+        field = make_curl_gaussian(amplitude, sigma, center=center, axis=axis)
+        np.testing.assert_allclose(
+            input_energy_position_oracle(field), input_energy(field), rtol=1e-13, atol=0.0
+        )
+
     def test_position_oracle_is_plane_wise(self, canonical_field):
         # the oracle must never hold an array as large as one n^3 float64 lattice
         tracemalloc.start()

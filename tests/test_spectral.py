@@ -293,6 +293,11 @@ MC_DISPLACED_TILTED = (
     make_curl_gaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
 )
 MC_T = 18.0
+# the README's displaced/tilted pair: f_o off-centre and tilted, a_m canonical
+README_PAIR = (
+    make_curl_gaussian(1.3, 0.8, center=(0.5, -0.3, 0.2), axis=(1.0, 1.0, 0.0)),
+    make_curl_gaussian(1.0, 1.0),
+)
 
 
 class TestBruteForceOracle:
@@ -327,6 +332,24 @@ class TestBruteForceOracle:
         value, stderr = mc_batch_reference(f, m, MC_T, samples, seed)
         np.testing.assert_allclose(res.value, value, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.estimated_error, stderr, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("T", [14.0, 30.0])
+    @pytest.mark.parametrize(
+        "pair", [(CANONICAL, CANONICAL), README_PAIR], ids=["canonical", "readme-displaced"]
+    )
+    def test_control_variate_halves_stderr(self, pair, T):
+        # verify's default sample count and seed; the plain per-sample estimator
+        # sees the same draws without the subtracted kernel constant
+        f, m = pair
+        res = brute_force_overlap_oracle(f, m, T, samples=200_000, seed=11)
+        plain, plain_err = mc_batch_reference(f, m, T, 200_000, 11, control_variate=False)
+        assert abs(res.value - plain) <= 3.0 * np.hypot(res.estimated_error, plain_err)
+        assert res.estimated_error <= 0.5 * plain_err
+
+    @pytest.mark.parametrize("T", [14.0, 30.0])
+    def test_canonical_relative_stderr_at_verify_default(self, T):
+        res = brute_force_overlap_oracle(CANONICAL, CANONICAL, T, samples=200_000, seed=11)
+        assert res.estimated_error <= 0.02 * abs(overlap_kernel(CANONICAL, CANONICAL, T).value)
 
     def test_zero_field_returns_zero(self, canonical_field):
         res = brute_force_overlap_oracle(
