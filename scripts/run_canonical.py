@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from qetlab import (
+    CurlGaussian,
     PairInvariants,
     ProtocolConfig,
     commutator_residual,
     crossover_amplitude,
     large_amplitude_limit,
-    make_curl_gaussian,
     overlap_kernel,
     teleport,
 )
@@ -32,7 +32,7 @@ def main() -> int:
     parser.add_argument("--out", default="out_canonical")
     args = parser.parse_args()
 
-    a = make_curl_gaussian(1.0, args.sigma)
+    a = CurlGaussian(1.0, args.sigma)
     cfg = ProtocolConfig(a_m=a, f_o=a, T=args.T, lam=args.lam)
 
     print(f"# canonical run: sigma={args.sigma}, T={args.T}, lambda={args.lam}")

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from qetlab import (
+    CurlGaussian,
     PairInvariants,
     ProtocolConfig,
     crossover_amplitude,
-    make_curl_gaussian,
     separation_scaling_fit,
     teleport,
 )
@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--out", default="out_scaling")
     args = parser.parse_args()
 
-    a = make_curl_gaussian(1.0, 1.0)
+    a = CurlGaussian(1.0, 1.0)
     cfg = ProtocolConfig(a_m=a, f_o=a, T=args.t_min)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

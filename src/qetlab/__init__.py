@@ -18,7 +18,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .fields import CurlGaussian, RadialWindow, make_curl_gaussian
+from .fields import CurlGaussian, RadialWindow
 from .spectral import (
     IntegralResult,
     brute_force_overlap_oracle,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ToleranceFailure, ValidationError
-from .fields import make_curl_gaussian
+from .fields import CurlGaussian
 from .negative_energy import GaussianPhotonMode, demo_rows
 from .protocols import (
     PairInvariants,
@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
     Each check is a row (name, value, reference, tolerance) and passes when
     abs(value - reference) <= tolerance, which a NaN anywhere fails.
     """
-    a = make_curl_gaussian(1.0, 1.0)
+    a = CurlGaussian(1.0, 1.0)
     E_spec = input_energy(a)
     E_pos = input_energy_position_oracle(a)
     expected = 1.25 * np.pi**1.5

@@ -170,11 +170,6 @@ class CurlGaussian:
         return self
 
 
-def make_curl_gaussian(amplitude, sigma, center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0)) -> CurlGaussian:
-    """Canonical divergence-free family member; see CurlGaussian."""
-    return CurlGaussian(amplitude=amplitude, sigma=sigma, center=center, axis=axis)
-
-
 @dataclass(frozen=True)
 class RadialWindow:
     """Scalar window: 1 inside `radius`, cosine rolloff to 0 over [radius, 2 radius]."""

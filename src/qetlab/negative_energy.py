@@ -3,9 +3,9 @@
 Superposing the vacuum with a two-photon wave packet drives the mean energy
 density below zero wherever the off-diagonal element <0|eps(x)|2> is nonzero.
 The Wick route reduces both matrix elements to two complex mode amplitudes
-(the electric and magnetic packet profiles at the point), each a 1D radial
-integral through the spectral layer's angular factor; a truncated Fock
-matrix oracle on the same discretized modes checks every contraction.
+(the electric and magnetic packet profiles at the point), each a closed form
+in Kummer's function M; a truncated Fock matrix oracle on the same
+discretized modes checks every contraction.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import hyp1f1
 
-from .errors import ToleranceFailure, ValidationError
+from .errors import ValidationError
 from .fields import _nonzero, _positive, _set_checked, _unit, _vec3
-from .spectral import _angular_factor
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,16 @@ class GaussianPhotonMode:
         return self.sigma**2.5 / np.pi**0.75
 
 
-# Below k = 10/sigma the envelope k^{7/2} e^{-sigma^2 k^2/2} holds all but
-# 2.3e-20 of its integral, far under QUADPACK's rounding floor.
-_K_CUT = 10.0
-# each point's estimated error must stay below this fraction of max(|uE|, |uB|)
-_AMPLITUDE_RTOL = 1e-10
+def _radial_over_power(l: int, sigma: float, r2):
+    """Q_l = R_l(r)/r^l for R_l(r) = int_0^inf k^{7/2} e^{-sigma^2 k^2/2} j_l(kr) dk, at r^2.
 
-
-def _radial_integral(sigma: float, r: float, g) -> tuple[float, float]:
-    """int_0^inf k^{7/2} e^{-sigma^2 k^2/2} g(kr) dk and its error estimate.
-
-    In u = sqrt(k) the integrand 2 u^8 e^{-sigma^2 u^4/2} g(u^2 r) is entire.
-    full_output silences QUADPACK; a missed target shows in the error estimate.
+    Gradshteyn 6.631.1 with j_l(z) = sqrt(pi/2z) J_{l+1/2}(z) gives Kummer's M:
+    Q_l = c_l M(a, b, -r^2/(2 sigma^2)), a = (l + 9/2)/2, b = l + 3/2 and
+    c_l = sqrt(pi/2) Gamma(a) / (2^b (sigma^2/2)^a Gamma(b)).
     """
-
-    def f(u):
-        k = u * u
-        return 2.0 * u**8 * math.exp(-0.5 * sigma * sigma * k * k) * g(k * r)
-
-    return quad(
-        f, 0.0, math.sqrt(_K_CUT / sigma), epsabs=0.0, epsrel=1e-12, limit=200, full_output=1
-    )[:2]
+    a, b, s = (l + 4.5) / 2.0, l + 1.5, 0.5 * sigma * sigma
+    c = math.sqrt(math.pi / 2.0) * math.gamma(a) / (2.0**b * s**a * math.gamma(b))
+    return c * hyp1f1(a, b, -r2 / (4.0 * s))
 
 
 def packet_amplitudes(mode: GaussianPhotonMode, x):
@@ -68,49 +56,24 @@ def packet_amplitudes(mode: GaussianPhotonMode, x):
     uE(x) = int d^3k (-i) sqrt(|k|/(2 (2pi)^3)) F(k) e^{ik.x}
     uB(x) = int d^3k (i k x F(k)) / sqrt(2 (2pi)^3 |k|) e^{ik.x}
 
-    With r = x - c the angular integrals leave radial ones, R of `_radial_integral`:
-    uE = i pref R[j1] (r^ x n) and uB_i = pref R[_angular_factor(kr, n_i, r^.n, r^_i)],
-    pref = 4 pi N/sqrt(2 (2pi)^3) and j1(x) = x _angular_factor(x, 1, 1, 1)/2.
-    Raises ToleranceFailure where the estimated error exceeds _AMPLITUDE_RTOL
-    of max(|uE|, |uB|) at that point.
-
-    Regime of validity: off the mode axis the gate holds out to about 20 sigma
-    from the centre and raises from about 25 sigma, where the amplitude
-    (falling like r^{-9/2}) sinks under QUADPACK's error floor of ~50 eps of
-    the integral of |f|; on the axis it holds further.  The negative-energy
-    demo samples |x - c| <= 4 sigma.
+    With d = x - c the angular integrals leave the radial R_l = r^l Q_l of
+    `_radial_over_power`, and j0 - j1/z = (2 j0 - j2)/3 gives
+    uE = i pref Q_1 (d x n) and uB = pref [((2 Q_0 - Q_2 r^2)/3) n + Q_2 (d.n) d],
+    pref = 4 pi N/sqrt(2 (2pi)^3): polynomials in d, with no r = 0 branch.
+    Within 1.6e-15 of the local max(|uE|, |uB|) of a 30-digit reference out
+    to 40 sigma, on and off the mode axis (checked on scipy 1.17.1).
     """
     x = np.asarray(x, dtype=float)
-    pts = x.reshape(-1, 3)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("x: every coordinate must be a finite number")
+    d = x.reshape(-1, 3) - np.asarray(mode.center)
     n = np.asarray(mode.axis)
+    r2 = np.sum(d * d, axis=-1, keepdims=True)
+    Q0, Q1, Q2 = (_radial_over_power(l, mode.sigma, r2) for l in range(3))
     pref = 4.0 * np.pi * mode.normalization / math.sqrt(2.0 * (2.0 * np.pi) ** 3)
-    uE = np.empty((len(pts), 3), dtype=complex)
-    uB = np.empty((len(pts), 3), dtype=complex)
-    for i, p in enumerate(pts):
-        rvec = p - np.asarray(mode.center)
-        r = float(np.linalg.norm(rvec))
-        rhat = rvec / r if r > 0.0 else np.zeros(3)
-        mu = float(rhat @ n)
-        R1, e1 = _radial_integral(mode.sigma, r, lambda y: 0.5 * y * _angular_factor(y, 1, 1, 1))
-        rxn = np.cross(rhat, n)
-        uE[i] = 1j * pref * R1 * rxn
-        errE, errB = e1 * float(np.linalg.norm(rxn)), 0.0
-        for j in range(3):
-            # python floats keep `_angular_factor` in plain scalar arithmetic
-            nj, hj = float(n[j]), float(rhat[j])
-            uB[i, j], e = _radial_integral(mode.sigma, r, lambda y: _angular_factor(y, nj, mu, hj))
-            errB = math.hypot(errB, e)
-        uB[i] *= pref
-        err, size = pref * max(errE, errB), max(np.linalg.norm(uE[i]), np.linalg.norm(uB[i]))
-        # written so that a NaN error fails the gate
-        if not (err <= _AMPLITUDE_RTOL * size):
-            raise ToleranceFailure(
-                f"packet amplitude at x = {p.tolist()}: estimated error {err:.3g} "
-                f"exceeds {_AMPLITUDE_RTOL:g} of its size {size:.3g}"
-            )
-    if x.ndim == 1:
-        return uE[0], uB[0]
-    return uE, uB
+    uE = 1j * pref * Q1 * np.cross(d, n)
+    uB = (pref * ((2.0 * Q0 - Q2 * r2) / 3.0 * n + Q2 * (d @ n)[:, None] * d)).astype(complex)
+    return (uE[0], uB[0]) if x.ndim == 1 else (uE, uB)
 
 
 def matrix_elements_from_amplitudes(uE, uB):

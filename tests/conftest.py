@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qetlab import make_curl_gaussian
+from qetlab import CurlGaussian
 
 settings.register_profile(
     "qetlab",
@@ -15,7 +15,7 @@ settings.load_profile("qetlab")
 
 @pytest.fixture(scope="session")
 def canonical_field():
-    return make_curl_gaussian(1.0, 1.0)
+    return CurlGaussian(1.0, 1.0)
 
 
 @pytest.fixture()

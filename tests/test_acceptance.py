@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qetlab import (
+    CurlGaussian,
     ProtocolConfig,
     RadialWindow,
     brute_force_overlap_oracle,
@@ -20,7 +21,6 @@ from qetlab import (
     damping_spin,
     energy_density_frame,
     input_energy,
-    make_curl_gaussian,
     overlap_kernel,
     povm_identity_check,
     run_protocols,
@@ -58,7 +58,7 @@ class _Budget:
 
 @pytest.fixture(scope="module")
 def canonical():
-    return make_curl_gaussian(1.0, 1.0)
+    return CurlGaussian(1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def canonical_cfg(canonical):
 def _random_cfg(rng) -> ProtocolConfig:
     def fld():
         axis = rng.normal(size=3)
-        return make_curl_gaussian(
+        return CurlGaussian(
             float(rng.uniform(0.2, 1.8)),
             float(rng.uniform(0.5, 1.6)),
             center=tuple(rng.uniform(-0.5, 0.5, size=3)),

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qetlab import (
+    CurlGaussian,
     FrameGrid,
     RadialWindow,
     energy_density_frame,
     input_energy,
-    make_curl_gaussian,
 )
 from qetlab.dynamics import _energy_density, default_frame_grid
 from qetlab.errors import ResolutionError
@@ -20,12 +20,12 @@ from oracles import (
     total_energy,
 )
 
-DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+DISPLACED_TILTED = CurlGaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
 @pytest.fixture(scope="module")
 def source():
-    return make_curl_gaussian(1.0, 1.0)
+    return CurlGaussian(1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestFrameConstruction:
 
     @pytest.mark.parametrize(
         "field",
-        [make_curl_gaussian(1.0, 1.0), DISPLACED_TILTED],
+        [CurlGaussian(1.0, 1.0), DISPLACED_TILTED],
         ids=["canonical", "displaced-tilted"],
     )
     def test_initial_field_data(self, field):
@@ -57,7 +57,7 @@ class TestFrameConstruction:
         np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
 
     def test_zero_source_gives_vacuum_frame(self):
-        zero = make_curl_gaussian(0.0, 1.0)
+        zero = CurlGaussian(0.0, 1.0)
         frame = energy_density_frame(zero, 4.0, FrameGrid(n=64, half_extent=12.0))
         assert np.all(frame.eps == 0.0)
 
@@ -72,8 +72,8 @@ class TestFrameConstruction:
     @pytest.mark.parametrize(
         "field, t, n",
         [
-            (make_curl_gaussian(1.0, 1.0), 4.0, 96),
-            (make_curl_gaussian(1.3, 1.1, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0)), 8.0, 128),
+            (CurlGaussian(1.0, 1.0), 4.0, 96),
+            (CurlGaussian(1.3, 1.1, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0)), 8.0, 128),
         ],
         ids=["canonical-t4", "displaced-tilted-t8"],
     )
@@ -161,7 +161,7 @@ class TestWindowedResidual:
         np.testing.assert_allclose(res, E_source, rtol=1e-2)
 
     def test_zero_source(self):
-        zero = make_curl_gaussian(0.0, 1.0)
+        zero = CurlGaussian(0.0, 1.0)
         res = residual_window_energy(
             zero, 8.0, RadialWindow(radius=3.0), FrameGrid(n=96, half_extent=16.0)
         )

@@ -17,7 +17,6 @@ from qetlab import (
     commutator_residual,
     energy_density_frame,
     fields,
-    make_curl_gaussian,
     overlap_kernel,
     pauli_jordan_delta,
 )
@@ -32,42 +31,42 @@ unit_axes = st.tuples(
 class TestCurlGaussian:
     def test_hand_evaluated_point(self):
         # curl(psi z) = (d_y psi, -d_x psi, 0); at (1,0,0) this is (0, e^{-1/2}, 0)
-        a = make_curl_gaussian(1.0, 1.0)
+        a = CurlGaussian(1.0, 1.0)
         val = a(np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(val, [0.0, np.exp(-0.5), 0.0], atol=1e-15)
 
     def test_zero_amplitude_is_zero_field(self, rng):
-        a = make_curl_gaussian(0.0, 1.0)
+        a = CurlGaussian(0.0, 1.0)
         pts = rng.normal(size=(20, 3))
         assert np.all(a(pts) == 0.0)
 
     def test_vanishes_on_symmetry_axis(self):
-        a = make_curl_gaussian(2.0, 0.7, center=(1.0, -2.0, 0.5), axis=(0.0, 1.0, 0.0))
+        a = CurlGaussian(2.0, 0.7, center=(1.0, -2.0, 0.5), axis=(0.0, 1.0, 0.0))
         for s in (-3.0, -0.5, 0.0, 1.2, 4.0):
             x = np.array([1.0, -2.0 + s, 0.5])
             np.testing.assert_allclose(a(x), 0.0, atol=1e-15)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValidationError):
-            make_curl_gaussian(1.0, 0.0)
+            CurlGaussian(1.0, 0.0)
         with pytest.raises(ValidationError):
-            make_curl_gaussian(1.0, -2.0)
+            CurlGaussian(1.0, -2.0)
 
     @pytest.mark.parametrize(
         "amplitude, sigma", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
     )
     def test_rejects_non_finite_parameters(self, amplitude, sigma):
         with pytest.raises(ValidationError, match="finite"):
-            make_curl_gaussian(amplitude, sigma)
+            CurlGaussian(amplitude, sigma)
 
     def test_rejects_zero_axis(self):
         with pytest.raises(ValidationError):
-            make_curl_gaussian(1.0, 1.0, axis=(0.0, 0.0, 0.0))
+            CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 0.0))
 
     @given(sigma=st.floats(0.2, 3.0))
     def test_effective_radius_monotone_in_sigma(self, sigma):
-        a = make_curl_gaussian(1.0, sigma)
-        b = make_curl_gaussian(1.0, sigma * 1.5)
+        a = CurlGaussian(1.0, sigma)
+        b = CurlGaussian(1.0, sigma * 1.5)
         assert np.isfinite(a.effective_radius)
         assert b.effective_radius > a.effective_radius
 
@@ -91,8 +90,8 @@ class TestCurlGaussian:
 
 # displaced, tilted, unequal widths: the pair that pins the transform's phase
 PAIR = (
-    make_curl_gaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
-    make_curl_gaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
+    CurlGaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
+    CurlGaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
 )
 
 
@@ -148,7 +147,7 @@ def _divergence_residual(field, center, length, n=13):
 
 class TestDivergence:
     def test_curl_gaussian_passes(self, canonical_field):
-        tilted = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+        tilted = CurlGaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
         for a in (canonical_field, tilted):
             residual, scale = _divergence_residual(a, a.center, a.sigma)
             assert residual <= 1e-6 * scale
@@ -165,7 +164,7 @@ class TestDivergence:
         assert residual > 1e-6 * scale
 
     def test_zero_field_residual_zero(self):
-        a = make_curl_gaussian(0.0, 1.0)
+        a = CurlGaussian(0.0, 1.0)
         residual, _ = _divergence_residual(a, a.center, a.sigma)
         assert residual == 0.0
 
@@ -187,7 +186,7 @@ class TestWindow:
 
 # Every constructor and entry point that takes a number, with one valid value
 # for the parameter under test.  Vectors take the value as one component.
-_A = make_curl_gaussian(1.0, 1.0)
+_A = CurlGaussian(1.0, 1.0)
 _SMALL_GRID = FrameGrid(n=64, half_extent=8.0)
 PARAMETERS = {
     "CurlGaussian.amplitude": (lambda v: CurlGaussian(amplitude=v, sigma=1.0), 1.0),

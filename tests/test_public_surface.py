@@ -1,4 +1,5 @@
-"""Every public name in the package has a caller outside the tests.
+"""Every public name in the package has a caller outside the tests, and no
+module reaches into a sibling's private names.
 
 A public module-level function or class, or a public method, must be named in
 code (not in a comment or docstring) somewhere in `src/qetlab`, `scripts/` or
@@ -6,6 +7,9 @@ code (not in a comment or docstring) somewhere in `src/qetlab`, `scripts/` or
 `__init__.py` do not count: an import is not a caller.  A method counts as
 referenced where its name follows a `.`.  Reference computations that only
 the tests read belong in `tests/oracles.py`.
+
+A module in `src/qetlab` may import a `_private` name (dunders excepted) only
+from `fields`, which holds the value rules every layer shares.
 """
 
 import ast
@@ -77,3 +81,43 @@ def test_public_name_has_a_caller(path, qualname, name, is_method, lineno):
         f"{path.stem}.{qualname} is named nowhere in src/qetlab, scripts/ or perfbench/ "
         "outside its definition; delete it or move it to tests/oracles.py"
     )
+
+
+SHARED_PRIVATE_MODULE = "fields"
+
+
+def private_imports():
+    """(importing module, line, source module, name) for each `_private` name imported from a sibling."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                source = node.module
+            elif node.level == 0 and (node.module or "").startswith("qetlab."):
+                source = node.module.removeprefix("qetlab.")
+            else:
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    found.append((path.stem, node.lineno, source, name))
+    return found
+
+
+def test_private_imports_come_only_from_fields():
+    crossings = [
+        f"{module}.py:{line} imports {source}.{name}"
+        for module, line, source, name in private_imports()
+        if source != SHARED_PRIVATE_MODULE
+    ]
+    assert not crossings, (
+        "private names cross module boundaries; make the name public with a caller "
+        "or move the shared rule to fields: " + "; ".join(crossings)
+    )
+
+
+def test_private_import_walk_sees_the_value_rules():
+    # the walk must find the package's own imports of the fields rules
+    assert any(source == SHARED_PRIVATE_MODULE for _, _, source, _ in private_imports())

@@ -9,7 +9,7 @@ import yaml
 from qetlab import DegenerateFieldError, ValidationError, parse_scenario
 from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
-from qetlab.fields import make_curl_gaussian
+from qetlab.fields import CurlGaussian
 from qetlab.results import (
     emit_frame_binary,
     emit_frame_csv,
@@ -238,7 +238,7 @@ class TestRunScenario:
         s = parse_scenario(write(tmp_path, FULL))
         broken = type(s).__new__(type(s))
         object.__setattr__(broken, "__dict__", dict(s.__dict__))
-        object.__setattr__(broken, "f_o", make_curl_gaussian(0.0, 1.1))
+        object.__setattr__(broken, "f_o", CurlGaussian(0.0, 1.1))
         with pytest.raises(DegenerateFieldError, match="sweep point"):
             run_scenario(broken)
 
@@ -317,7 +317,7 @@ class TestRecordEmission:
 def frame():
     from qetlab.dynamics import FrameGrid
 
-    a = make_curl_gaussian(1.0, 1.0)
+    a = CurlGaussian(1.0, 1.0)
     return energy_density_frame(a, 0.0, FrameGrid(n=32, half_extent=5.8))
 
 

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetlab import (
+    CurlGaussian,
     LightConeError,
     PairInvariants,
     ValidationError,
     brute_force_overlap_oracle,
     commutator_residual,
-    make_curl_gaussian,
     overlap_kernel,
     pauli_jordan_delta,
     pauli_jordan_delta_quadrature,
@@ -29,8 +29,8 @@ from oracles import (
     weighted_norm_reference,
 )
 
-CANONICAL = make_curl_gaussian(1.0, 1.0)
-DISPLACED_TILTED = make_curl_gaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+CANONICAL = CurlGaussian(1.0, 1.0)
+DISPLACED_TILTED = CurlGaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
 class TestWeightedIntegral:
@@ -60,7 +60,7 @@ class TestWeightedIntegral:
 
     @pytest.mark.parametrize("power", [0, 1, 2])
     def test_general_field_against_reference(self, power):
-        a = make_curl_gaussian(1.7, 0.6, center=(1.0, 2.0, 3.0), axis=(1.0, 1.0, 0.0))
+        a = CurlGaussian(1.7, 0.6, center=(1.0, 2.0, 3.0), axis=(1.0, 1.0, 0.0))
         res = weighted_spectral_integral(a, power)
         np.testing.assert_allclose(
             res.value, weighted_norm_reference(1.7, 0.6, power), rtol=1e-10
@@ -68,7 +68,7 @@ class TestWeightedIntegral:
 
     def test_zero_field(self):
         for p in (0, 1, 2):
-            assert weighted_spectral_integral(make_curl_gaussian(0.0, 1.0), p).value == 0.0
+            assert weighted_spectral_integral(CurlGaussian(0.0, 1.0), p).value == 0.0
 
     def test_parseval_against_position_quadrature(self):
         for field in (CANONICAL, DISPLACED_TILTED):
@@ -187,8 +187,8 @@ class TestOverlapKernel:
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
 
     def test_perpendicular_axes_cancel(self):
-        a = make_curl_gaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
-        f = make_curl_gaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
+        a = CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
+        f = CurlGaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
         K = overlap_kernel(f, a, 8.0)
         assert abs(K.value) < 1e-12
         # the angular cancellation also holds on a plain k-lattice sum
@@ -206,15 +206,15 @@ class TestOverlapKernel:
         np.testing.assert_allclose(K3, 3.0 * K1, rtol=1e-12)
 
     def test_symmetric_in_arguments(self):
-        f = make_curl_gaussian(1.1, 0.8, center=(0.5, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
-        a = make_curl_gaussian(0.9, 1.2, center=(0.0, 0.3, 0.0), axis=(0.0, 0.0, 1.0))
+        f = CurlGaussian(1.1, 0.8, center=(0.5, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
+        a = CurlGaussian(0.9, 1.2, center=(0.0, 0.3, 0.0), axis=(0.0, 0.0, 1.0))
         K_fa = overlap_kernel(f, a, 11.0).value
         K_af = overlap_kernel(a, f, 11.0).value
         np.testing.assert_allclose(K_fa, K_af, rtol=1e-12)
 
     def test_displaced_pair_against_monte_carlo(self):
-        f = make_curl_gaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
-        a = make_curl_gaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
+        f = CurlGaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
+        a = CurlGaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
         T = 16.0
         K = overlap_kernel(f, a, T)
         mc = brute_force_overlap_oracle(f, a, T, samples=600_000, seed=17)
@@ -222,8 +222,8 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("T", [4.0, 6.0, 10.0])
     def test_displaced_pair_against_scipy_integrand(self, T):
-        f = make_curl_gaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
-        a = make_curl_gaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
+        f = CurlGaussian(1.0, 1.0, center=(1.0, 0.0, 0.0), axis=(0.0, 1.0, 1.0))
+        a = CurlGaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
         K = overlap_kernel(f, a, T)
         assert K.estimated_error <= 1e-9 * abs(K.value)
         ref, nodes = displaced_kernel_reference(f, a, T)
@@ -289,14 +289,14 @@ class TestOverlapKernel:
 
 
 MC_DISPLACED_TILTED = (
-    make_curl_gaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
-    make_curl_gaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
+    CurlGaussian(0.9, 1.1, center=(0.3, -0.2, 0.5), axis=(0.2, 0.3, 1.0)),
+    CurlGaussian(1.3, 0.8, center=(1.5, 0.7, -0.4), axis=(1.0, 0.0, 0.5)),
 )
 MC_T = 18.0
 # the README's displaced/tilted pair: f_o off-centre and tilted, a_m canonical
 README_PAIR = (
-    make_curl_gaussian(1.3, 0.8, center=(0.5, -0.3, 0.2), axis=(1.0, 1.0, 0.0)),
-    make_curl_gaussian(1.0, 1.0),
+    CurlGaussian(1.3, 0.8, center=(0.5, -0.3, 0.2), axis=(1.0, 1.0, 0.0)),
+    CurlGaussian(1.0, 1.0),
 )
 
 
@@ -353,7 +353,7 @@ class TestBruteForceOracle:
 
     def test_zero_field_returns_zero(self, canonical_field):
         res = brute_force_overlap_oracle(
-            make_curl_gaussian(0.0, 1.0), canonical_field, 13.0, samples=1000, seed=1
+            CurlGaussian(0.0, 1.0), canonical_field, 13.0, samples=1000, seed=1
         )
         assert res.value == 0.0 and res.estimated_error == 0.0
 
@@ -385,7 +385,7 @@ class TestCommutatorResidual:
 
     def test_zero_field(self, canonical_field):
         res = commutator_residual(
-            canonical_field, make_curl_gaussian(0.0, 1.0), 10.0
+            canonical_field, CurlGaussian(0.0, 1.0), 10.0
         )
         assert res == 0.0
 
@@ -397,7 +397,7 @@ class TestCommutatorResidual:
     T=st.floats(10.0, 25.0),
 )
 def test_kernel_matches_reference_over_family(amp, sigma, T):
-    a = make_curl_gaussian(amp, sigma)
+    a = CurlGaussian(amp, sigma)
     K = overlap_kernel(a, a, T)
     ref = kernel_reference(T, amp, sigma, amp, sigma)
     np.testing.assert_allclose(K.value, ref, rtol=1e-7, atol=1e-16)
