@@ -51,7 +51,7 @@ def _radial_over_power(l: int, sigma: float, r2):
 
 
 def packet_amplitudes(mode: GaussianPhotonMode, x):
-    """Electric and magnetic single-photon amplitudes (uE, uB) at points x.
+    """Electric and magnetic single-photon amplitudes (uE, uB) at points x of shape (..., 3).
 
     uE(x) = int d^3k (-i) sqrt(|k|/(2 (2pi)^3)) F(k) e^{ik.x}
     uB(x) = int d^3k (i k x F(k)) / sqrt(2 (2pi)^3 |k|) e^{ik.x}
@@ -64,8 +64,8 @@ def packet_amplitudes(mode: GaussianPhotonMode, x):
     to 40 sigma, on and off the mode axis (checked on scipy 1.17.1).
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x: every coordinate must be a finite number")
+    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"x: need finite points on a last axis of length 3, got shape {x.shape}")
     d = x.reshape(-1, 3) - np.asarray(mode.center)
     n = np.asarray(mode.axis)
     r2 = np.sum(d * d, axis=-1, keepdims=True)
@@ -73,7 +73,7 @@ def packet_amplitudes(mode: GaussianPhotonMode, x):
     pref = 4.0 * np.pi * mode.normalization / math.sqrt(2.0 * (2.0 * np.pi) ** 3)
     uE = 1j * pref * Q1 * np.cross(d, n)
     uB = (pref * ((2.0 * Q0 - Q2 * r2) / 3.0 * n + Q2 * (d @ n)[:, None] * d)).astype(complex)
-    return (uE[0], uB[0]) if x.ndim == 1 else (uE, uB)
+    return uE.reshape(x.shape), uB.reshape(x.shape)
 
 
 def matrix_elements_from_amplitudes(uE, uB):

@@ -10,9 +10,10 @@ but is never evaluated.
 
 Every curl-Gaussian pairing reduces to a 1D radial integral: the angular
 part is analytic in spherical Bessel functions even for displaced centers and
-tilted axes.  Oscillatory cos(kT)/sin(kT) weights go through QUADPACK's
-weight-aware rules, which stay accurate through the ~1e-12 cancellation level
-needed at large separations.
+tilted axes.  That integrand is entire, so K(T) and the commutator integral
+are the real and imaginary parts of one integral taken along a
+steepest-descent path with fixed Gauss-Legendre panels: no leg oscillates at
+the frequency T, and no large terms cancel at large separations.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ CONE_EPS = 1e-9
 class IntegralResult:
     value: float
     estimated_error: float
-    method: str  # "closed-form" | "radial-quadrature" | "monte-carlo"
+    method: str  # "closed-form" | "steepest-descent" | "radial-quadrature" | "monte-carlo"
     samples_or_nodes: int
     seed: int | None = None
 
@@ -45,93 +46,97 @@ class IntegralResult:
         _set_checked(self, estimated_error=_nonnegative)
 
 
-# Below _SERIES_X the closed forms cancel catastrophically (at x = 1e-4 the two
-# terms of j2 are ~3e8 and their sum ~1e-9); Taylor coefficients in x^2 of
-# j0 - j1/x and of j2/x^2, through x^14, reach float64 accuracy at the switch.
-_SERIES_X = 0.5
-
-
-def _double_factorial(n: int) -> int:
-    return math.prod(range(n, 0, -2))
-
-
-_SERIES_J01 = tuple(
-    (-1) ** n * (2 * n + 2) / (2**n * math.factorial(n) * _double_factorial(2 * n + 3))
-    for n in range(8)
-)
-_SERIES_J2 = tuple(
-    (-1) ** n / (2**n * math.factorial(n) * _double_factorial(2 * n + 5)) for n in range(7)
+# Below |z| = _SERIES_X the closed form of A(z) cancels (at |z| = 1e-4 the two
+# terms of j2 are ~3e8 and their sum ~1e-9, at 0.5 it loses three digits); 14
+# Taylor terms in z^2 of j_l(z)/z^l, highest first, reach float64 at the switch.
+_SERIES_X = 2.0
+_SERIES_J0, _SERIES_J2 = (
+    np.array([(-0.5) ** n / (math.factorial(n) * math.prod(range(2 * n + 2 * l + 1, 0, -2)))
+              for n in range(14)])[::-1]
+    for l in (0, 2)
 )
 
 
-def _angular_factor(x: float, cos_axes: float, cos_d1: float, cos_d2: float) -> float:
-    """Angular integral of e^{ik.d} [k^2 (n1.n2) - (k.n1)(k.n2)] / (4 pi k^2).
+def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float) -> np.ndarray:
+    """k^5 e^{-alpha k^2 + ikt} A(k dist) at complex nodes k.
 
-    Equals (j0(x) - j1(x)/x)(n1.n2) + j2(x)(d^.n1)(d^.n2) with x = k|d|;
-    at d = 0 it reduces to (2/3)(n1.n2).  Scalar `math` arithmetic, because
-    QUADPACK calls the integrand one node at a time.
+    A(z) = (j0 - j1/z) c_a + j2(z) c_d, with c_a = n1.n2 and c_d = (d^.n1)(d^.n2),
+    is the angular integral of e^{ik.d}[k^2 (n1.n2) - (k.n1)(k.n2)]/(4 pi k^2).
+    Below the switch A = (2/3) c_a j0 + (c_d - c_a/3) j2 in series; above it
+    A = [P sin z + Q cos z]/z^3, and e^{+-iz} join the exponent so that
+    e^{|Im z|} is never formed alone.
     """
-    if x < _SERIES_X:
-        # Horner in x^2, unrolled: a loop would triple the cost of each node
-        x2 = x * x
-        a0, a1, a2, a3, a4, a5, a6, a7 = _SERIES_J01
-        b0, b1, b2, b3, b4, b5, b6 = _SERIES_J2
-        j01 = a0 + x2 * (a1 + x2 * (a2 + x2 * (a3 + x2 * (a4 + x2 * (a5 + x2 * (a6 + x2 * a7))))))
-        j2 = x2 * (b0 + x2 * (b1 + x2 * (b2 + x2 * (b3 + x2 * (b4 + x2 * (b5 + x2 * b6))))))
-    else:
-        # j1(x)/x = (j0 - cos x)/x^2 and j2 = 3 j1(x)/x - j0
-        j0 = math.sin(x) / x
-        j1_over_x = (j0 - math.cos(x)) / (x * x)
-        j01 = j0 - j1_over_x
-        j2 = 3.0 * j1_over_x - j0
-    return j01 * cos_axes + j2 * cos_d1 * cos_d2
+    x, y = k.real, k.imag
+
+    def saddle_factor(u, m):
+        # e^{-alpha k^2 + iku} on the nodes m, formed around the saddle so
+        # that large terms do not cancel
+        xm, ym = x[m], y[m]
+        return np.exp(ym * (alpha * ym - u) - alpha * xm * xm + 1j * xm * (u - 2.0 * alpha * ym))
+
+    z = k * dist
+    small = np.abs(z) < _SERIES_X
+    big = ~small
+    f = np.empty_like(k)
+    z2 = z[small] ** 2
+    A = (2.0 / 3.0) * c_a * np.polyval(_SERIES_J0, z2) + (c_d - c_a / 3.0) * z2 * np.polyval(_SERIES_J2, z2)
+    f[small] = k[small] ** 5 * A * saddle_factor(t, small)
+    if big.any():
+        zb = z[big]
+        P = (c_a - c_d) * zb * zb + (3.0 * c_d - c_a)
+        Q = (c_a - 3.0 * c_d) * zb
+        f[big] = k[big] ** 2 / (2.0 * dist**3) * (
+            (Q - 1j * P) * saddle_factor(t + dist, big) + (Q + 1j * P) * saddle_factor(t - dist, big)
+        )
+    return f
 
 
-def _pair_geometry(f1: CurlGaussian, f2: CurlGaussian):
+# the contour is summed in 64-node Gauss-Legendre panels; the vertical leg
+# splits where the saddle factor falls to e^-_SPLIT_DECAY, each horizontal
+# panel spans at most _PANEL_PHASE radians, and the estimate is
+# _ROUNDING_ULPS ulps of the sum of |node terms|
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(64)
+_SPLIT_DECAY = 60.0
+_PANEL_PHASE = 50.0
+_ROUNDING_ULPS = 16
+
+
+def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[complex, float, int]:
+    """pref J(t) = int d^3k/(2pi)^3 |k| e^{i|k|t} Re[f1~(k)* . f2~(k)] for t > 0.
+
+    J(t) = int_0^inf k^5 e^{-alpha k^2} A(k|d|) e^{ikt} dk has an entire
+    integrand, so the path runs from 0 up the imaginary axis to the saddle ih
+    of e^{-alpha k^2 + ik(t - |d|)}, h = max(t - |d|, 0)/(2 alpha), then along
+    k = x + ih to x = 8/sqrt(alpha).  On the first leg k^5 A dk is real, and
+    on the second only e^{ik|d|} oscillates.  Returns (pref J, rounding
+    bound, node count).
+    """
     d = f2.center_vec - f1.center_vec
     dist = float(np.linalg.norm(d))
-    n1 = f1.axis_vec
-    n2 = f2.axis_vec
-    cos_axes = float(n1 @ n2)
-    if dist > 0.0:
-        dhat = d / dist
-        cos_d1 = float(dhat @ n1)
-        cos_d2 = float(dhat @ n2)
-    else:
-        cos_d1 = cos_d2 = 0.0
-    return dist, cos_axes, cos_d1, cos_d2
-
-
-def _radial_pairing(
-    f1: CurlGaussian, f2: CurlGaussian, trig: str, t: float
-) -> tuple[float, float, int]:
-    """int d^3k/(2pi)^3 |k| trig(|k| t) Re[f1~(k)* . f2~(k)] for closed forms.
-
-    Returns (value, error estimate, evaluations).
-    """
-    amp = f1.amplitude * f2.amplitude
-    if amp == 0.0:
-        return 0.0, 0.0, 0
-    dist, cos_axes, cos_d1, cos_d2 = _pair_geometry(f1, f2)
+    n1, n2 = f1.axis_vec, f2.axis_vec
+    c_a = float(n1 @ n2)
+    c_d = float((d @ n1) * (d @ n2)) / (dist * dist) if dist > 0.0 else 0.0
     s1, s2 = f1.sigma, f2.sigma
-    pref = (
-        FOUR_PI_OVER_8PI3
-        * amp
-        * (2.0 * np.pi * s1**2) ** 1.5
-        * (2.0 * np.pi * s2**2) ** 1.5
-    )
+    amp = f1.amplitude * f2.amplitude
+    pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
     alpha = 0.5 * (s1**2 + s2**2)
 
-    def g(k):
-        return k**5 * math.exp(-alpha * k * k) * _angular_factor(k * dist, cos_axes, cos_d1, cos_d2)
-
-    # Gaussian weight absorbs the tail: e^{-alpha k_max^2} < 1e-14
-    k_max = 8.0 / math.sqrt(alpha)
-    # full_output silences QUADPACK; a missed target shows in the error estimate
-    val, err, info = quad(
-        g, 0.0, k_max, weight=trig, wvar=t, limit=800, epsabs=1e-13, epsrel=1e-11, full_output=1
-    )[:3]
-    return pref * val, pref * err, info["neval"]
+    b = t - dist
+    h = max(b, 0.0) / (2.0 * alpha)
+    disc = b * b - 4.0 * alpha * _SPLIT_DECAY
+    # the smaller root of alpha y^2 - b y = -_SPLIT_DECAY, or halfway when there is none
+    split = min(0.5 * h, 2.0 * _SPLIT_DECAY / (b + math.sqrt(disc))) if disc > 0.0 else 0.5 * h
+    vertical = [0.0, 1j * split] if h > 0.0 else []
+    x_max = 8.0 / math.sqrt(alpha)
+    n_h = max(1, math.ceil((t + dist - 2.0 * alpha * h) * x_max / _PANEL_PHASE))
+    path = np.array(vertical + list(1j * h + x_max * np.arange(n_h + 1) / n_h))
+    half = 0.5 * np.diff(path)
+    k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
+    terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d)
+    m = len(vertical) * len(_GL_T)
+    J = terms[:m].real.sum() + terms[m:].sum()
+    err = _ROUNDING_ULPS * np.finfo(float).eps * pref * float(np.abs(terms).sum())
+    return pref * complex(J), err, len(k)
 
 
 # Rounding bound of the closed-form norms: against 40-digit arithmetic the
@@ -233,42 +238,37 @@ def d2_delta_offcone(t: float, r2) -> np.ndarray:
     return -(3.0 * t * t + r2) / (np.pi**2 * (u * u * u))
 
 
-# K(T) is returned only if its estimated error is at most
-# max(_KERNEL_ATOL, _KERNEL_RTOL |K|)
-_KERNEL_ATOL = 1e-8
+# K(T) is returned only if its estimated error is at most _KERNEL_RTOL |K|
 _KERNEL_RTOL = 1e-6
 
 
 def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> IntegralResult:
     """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y.
 
-    Evaluated spectrally as -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)];
-    the overall sign is pinned by agreement with `brute_force_overlap_oracle`.
+    Evaluated spectrally as -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)], the
+    real part of `_contour_pairing`; the overall sign is pinned by agreement with
+    `brute_force_overlap_oracle`.
     Symmetric in (f_o, a_m) and bilinear in each argument.
     """
     T = _positive(T, "T")
-    value, err, n = _radial_pairing(f_o, a_m, "cos", T)
+    J, err, n = _contour_pairing(f_o, a_m, T)
+    value = -J.real
     # written so that a NaN value or error fails the gate
-    if not (math.isfinite(value) and err <= max(_KERNEL_ATOL, _KERNEL_RTOL * abs(value))):
-        raise ToleranceFailure(
-            f"oscillatory quadrature error {err:.3e} exceeds tolerance for K(T={T})"
-        )
-    return IntegralResult(
-        value=-value, estimated_error=err, method="radial-quadrature", samples_or_nodes=n
-    )
+    if not (math.isfinite(value) and err <= _KERNEL_RTOL * abs(value)):
+        raise ToleranceFailure(f"estimated error {err:.3e} exceeds {_KERNEL_RTOL:g} |K| for K(T={T})")
+    return IntegralResult(value=value, estimated_error=err, method="steepest-descent", samples_or_nodes=n)
 
 
 def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float:
     """Spectral value of the equal-support commutator integral.
 
-    Kernel weight is -|k| sin(|k|T); for causally decoupled configurations the
-    result is compatible with zero at Gaussian-tail level.
+    Kernel weight is -|k| sin(|k|T), the imaginary part of `_contour_pairing`;
+    for causally decoupled configurations the result is of Gaussian-tail size.
     """
     T = _real(T, "T")
     if T == 0.0:
         return 0.0
-    value, _, _ = _radial_pairing(f_o, a_m, "sin", abs(T))
-    return -float(np.sign(T)) * value
+    return -math.copysign(1.0, T) * _contour_pairing(f_o, a_m, abs(T))[0].imag
 
 
 def min_oracle_wait(f_o: CurlGaussian, a_m: CurlGaussian) -> float:

@@ -1,9 +1,13 @@
 """Independent reference computations used only by the tests.
 
 These never call the package's own quadrature paths: moments come from
-50-digit quadrature, the overlap kernel from an arbitrary-precision
-Dawson-function closed form (co-centred) or scipy's spherical Bessel functions
-(displaced), k-space and position-space norms from direct lattice sums,
+50-digit quadrature, the overlap kernel from a 90-digit Dawson-function closed
+form (co-centred; `commutator_reference` is its sine partner), from a
+real-axis mpmath quadrature over `mp.besselj` that also gives the commutator
+(`pairing_quadrature_reference`), from Watson's series in 1/T with exact
+coefficients (`kernel_series_reference`) or from real-axis QUADPACK over
+scipy's spherical Bessel functions (`displaced_kernel_reference`),
+k-space and position-space norms from direct lattice sums,
 density frames from FFT propagation of the closed-form transform
 (`curl_gaussian_spectrum`), and point densities from 50-digit
 differentiation of the spherical wave.  Photon-packet amplitudes come from a
@@ -54,16 +58,18 @@ def kernel_reference(T: float, amp_f=1.0, sig_f=1.0, amp_a=1.0, sig_a=1.0, cos_a
 
         J(u) = [ (-60 s + 80 s^3 - 16 s^5) daw(s) + 16 - 36 s^2 + 8 s^4 ] / 16,
 
-    s = u/2 (checked: J(0) = 1 = Gamma(3)/2).  Evaluated in 50-digit arithmetic
-    because the float64 form loses everything to cancellation for u > ~30.
+    s = u/2 (checked: J(0) = 1 = Gamma(3)/2).  Evaluated in 90-digit arithmetic
+    because the float64 form loses everything to cancellation for u > ~30, and
+    at u = 1e4 the sum still cancels about 36 digits.
     """
-    alpha = 0.5 * (sig_f**2 + sig_a**2)
-    u = mp.mpf(T) / mp.sqrt(alpha)
-    s = u / 2
-    daw = mp.sqrt(mp.pi) / 2 * mp.exp(-s * s) * mp.erfi(s)
-    J = ((-60 * s + 80 * s**3 - 16 * s**5) * daw + 16 - 36 * s * s + 8 * s**4) / 16
-    pref = -(8 * mp.pi / 3) * cos_axes * amp_f * amp_a * (sig_f * sig_a) ** 3 / alpha**3
-    return float(pref * J)
+    with mp.workdps(90):
+        alpha = (mp.mpf(sig_f) ** 2 + mp.mpf(sig_a) ** 2) / 2
+        u = mp.mpf(T) / mp.sqrt(alpha)
+        s = u / 2
+        daw = mp.sqrt(mp.pi) / 2 * mp.exp(-s * s) * mp.erfi(s)
+        J = ((-60 * s + 80 * s**3 - 16 * s**5) * daw + 16 - 36 * s * s + 8 * s**4) / 16
+        pref = -(8 * mp.pi / 3) * cos_axes * amp_f * amp_a * (mp.mpf(sig_f) * sig_a) ** 3 / alpha**3
+        return float(pref * J)
 
 
 def curl_gaussian_spectrum(field, k) -> np.ndarray:
@@ -164,13 +170,13 @@ def angular_components_reference(x):
     return j01, j2
 
 
-def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
-    """K(T) for two single curl-Gaussians with the angular factor from scipy.
+def displaced_kernel_reference(f_o, a_m, T: float) -> float:
+    """K(T) for two single curl-Gaussians by real-axis QUADPACK over scipy Bessel functions.
 
     The radial integrand k^5 e^{-alpha k^2} [(j0 - j1/x)(n_f.n_a) + j2 (d^.n_f)(d^.n_a)],
-    x = k|d|, goes through the same cos-weighted QUADPACK call (cut at
-    k = 8/sqrt(alpha), limit 800, epsabs 1e-13, epsrel 1e-11), so only the
-    angular factor's arithmetic differs.  Returns (K, integrand evaluations).
+    x = k|d|, with the angular factor from `spherical_jn`, goes through a
+    cos-weighted QUADPACK call (cut at k = 8/sqrt(alpha), limit 800, epsabs
+    1e-13, epsrel 1e-11) on the real axis.
     """
     d = np.asarray(a_m.center, dtype=float) - np.asarray(f_o.center, dtype=float)
     n_f, n_a = np.asarray(f_o.axis, dtype=float), np.asarray(a_m.axis, dtype=float)
@@ -178,10 +184,8 @@ def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
     dhat = d / dist if dist > 0.0 else np.zeros(3)
     cos_axes, cos_df, cos_da = float(n_f @ n_a), float(dhat @ n_f), float(dhat @ n_a)
     alpha = 0.5 * (f_o.sigma**2 + a_m.sigma**2)
-    calls = [0]
 
     def g(k):
-        calls[0] += 1
         j01, j2 = angular_components_reference(np.atleast_1d(k * dist))
         return k**5 * np.exp(-alpha * k * k) * (j01[0] * cos_axes + j2[0] * cos_df * cos_da)
 
@@ -194,7 +198,107 @@ def displaced_kernel_reference(f_o, a_m, T: float) -> tuple[float, int]:
         * (2.0 * math.pi * f_o.sigma**2) ** 1.5
         * (2.0 * math.pi * a_m.sigma**2) ** 1.5
     )
-    return -pref * val, calls[0]
+    return -pref * val
+
+
+def _pair_constants_mp(f_o, a_m):
+    """(pref, alpha, |d|, n_f.n_a, (d^.n_f)(d^.n_a)) of a pair at the working precision.
+
+    The float centres, widths and amplitudes are taken exactly, and the axes
+    are normalised again in mp.
+    """
+    d = [mp.mpf(b) - mp.mpf(a) for a, b in zip(f_o.center, a_m.center)]
+    nf, na = ([mp.mpf(v) for v in field.axis] for field in (f_o, a_m))
+
+    def dot(u, v):
+        return mp.fsum(p * q for p, q in zip(u, v))
+
+    c_a = dot(nf, na) / mp.sqrt(dot(nf, nf) * dot(na, na))
+    dist = mp.sqrt(dot(d, d))
+    c_d = dot(d, nf) * dot(d, na) / (dist * dist * mp.sqrt(dot(nf, nf) * dot(na, na))) if dist else mp.mpf(0)
+    sf, sa = mp.mpf(f_o.sigma), mp.mpf(a_m.sigma)
+    pref = (
+        4 * mp.pi / (2 * mp.pi) ** 3 * mp.mpf(f_o.amplitude) * mp.mpf(a_m.amplitude)
+        * (2 * mp.pi * sf * sf) ** mp.mpf(1.5) * (2 * mp.pi * sa * sa) ** mp.mpf(1.5)
+    )
+    return pref, (sf * sf + sa * sa) / 2, dist, c_a, c_d
+
+
+def pairing_quadrature_reference(f_o, a_m, T: float, dps: int) -> tuple[float, float]:
+    """(K(T), commutator integral) from one real-axis mpmath quadrature at `dps` digits.
+
+    Both are -pref times the real and imaginary parts of
+    int_0^inf k^5 e^{-alpha k^2} A(k|d|) e^{ikT} dk, with
+    A(x) = (j0 - j1/x)(n_f.n_a) + j2(x)(d^.n_f)(d^.n_a) from `mp.besselj`
+    (j_l(x) = sqrt(pi/2x) J_{l+1/2}(x)); at d = 0, A = (2/3)(n_f.n_a).  The
+    range is cut where e^{-alpha k^2} < 10^-(dps+10) and split into pieces of
+    about four periods of e^{ik(T + |d|)}, each Gauss-Legendre to full precision.
+    """
+    with mp.workdps(dps):
+        pref, alpha, dist, c_a, c_d = _pair_constants_mp(f_o, a_m)
+        T = mp.mpf(T)
+        k_max = mp.sqrt((dps + 10) * mp.log(10) / alpha)
+
+        def g(k):
+            z = k * dist
+            if z == 0:
+                A = 2 * c_a / 3
+            else:
+                j0, j1, j2 = (mp.sqrt(mp.pi / (2 * z)) * mp.besselj(l + mp.mpf(0.5), z) for l in range(3))
+                A = (j0 - j1 / z) * c_a + j2 * c_d
+            return k**5 * mp.exp(-alpha * k * k + 1j * k * T) * A
+
+        pieces = int(mp.ceil(k_max * (T + dist) / (8 * mp.pi))) + 2
+        J = mp.quad(g, mp.linspace(0, k_max, pieces + 1), method="gauss-legendre")
+        return float(-pref * J.real), float(-pref * J.imag)
+
+
+def kernel_series_reference(f_o, a_m, T: float, dps: int = 50) -> float:
+    """K(T) from Watson's lemma: pref sum_m (-1)^m b_m (5 + 2m)! T^(-6-2m).
+
+    g(k) = k^5 e^{-alpha k^2} A(k|d|) = sum_m b_m k^(5+2m) with
+    b_m = sum_{i+l=m} ((-alpha)^i/i!) a_l |d|^(2l), where a_l are the Taylor
+    coefficients of A in x^(2l):
+    (j0 - j1/x) -> (-1)^l (2l+2)/(2^l l! (2l+3)!!) and j2 -> (-1)^(l-1)/(2^(l-1) (l-1)! (2l+3)!!).
+    The series is asymptotic; it is summed at `dps` digits until a term falls
+    below 10^-(dps-8) of the sum, and a ValueError is raised if the terms
+    start to grow first.
+    """
+    with mp.workdps(dps):
+        pref, alpha, dist, c_a, c_d = _pair_constants_mp(f_o, a_m)
+        T = mp.mpf(T)
+        a = []
+        total, last = mp.mpf(0), mp.inf
+        for m in range(2000):
+            odd = mp.fac2(2 * m + 3)
+            coef = c_a * (-1) ** m * (2 * m + 2) / (2**m * mp.factorial(m) * odd)
+            if m:
+                coef += c_d * (-1) ** (m - 1) / (2 ** (m - 1) * mp.factorial(m - 1) * odd)
+            a.append(coef * dist ** (2 * m))
+            b = mp.fsum((-alpha) ** i / mp.factorial(i) * a[m - i] for i in range(m + 1))
+            term = (-1) ** m * b * mp.factorial(5 + 2 * m) / T ** (6 + 2 * m)
+            total += term
+            if m >= 2 and abs(term) <= mp.mpf(10) ** (8 - dps) * abs(total):
+                return float(pref * total)
+            if m >= 2 and abs(term) > last:
+                raise ValueError(f"the series grows before it converges at T = {T}")
+            last = abs(term)
+        raise ValueError(f"the series did not converge at T = {T}")
+
+
+def commutator_reference(T: float, amp_f=1.0, sig_f=1.0, amp_a=1.0, sig_a=1.0, cos_axes=1.0) -> float:
+    """Commutator integral of co-centred curl-Gaussians in closed form, at 90 digits.
+
+    -pref int_0^inf k^5 e^{-alpha k^2} (2/3)(n_f.n_a) sin(kT) dk, where
+    int_0^inf v^5 e^{-v^2} sin(uv) dv = (sqrt(pi)/64)(u^5 - 20u^3 + 60u) e^{-u^2/4}
+    (minus the fifth derivative of (sqrt(pi)/2) e^{-u^2/4}, through H_5).
+    """
+    with mp.workdps(90):
+        alpha = (mp.mpf(sig_f) ** 2 + mp.mpf(sig_a) ** 2) / 2
+        u = mp.mpf(T) / mp.sqrt(alpha)
+        S = mp.sqrt(mp.pi) / 64 * (u**5 - 20 * u**3 + 60 * u) * mp.exp(-u * u / 4)
+        pref = -(8 * mp.pi / 3) * cos_axes * amp_f * amp_a * (mp.mpf(sig_f) * sig_a) ** 3 / alpha**3
+        return float(pref * S)
 
 
 def grid_positions(grid) -> np.ndarray:

@@ -199,6 +199,23 @@ class TestContinuumMode:
         with pytest.raises(ValidationError, match="^x: "):
             packet_amplitudes(CANONICAL_MODE, np.array([np.nan, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "x", [np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros((2, 2))], ids=["flat-two-points", "2x2"]
+    )
+    def test_points_need_a_last_axis_of_three(self, x):
+        # a flat vector of two points used to return the origin's amplitudes
+        # alone, and shape (2, 2) raised numpy's own reshape error
+        with pytest.raises(ValidationError, match="^x: .*length 3"):
+            packet_amplitudes(CANONICAL_MODE, x)
+
+    def test_amplitudes_keep_the_points_shape(self, rng):
+        x = rng.normal(size=(2, 4, 3))
+        uE, uB = packet_amplitudes(CANONICAL_MODE, x)
+        assert uE.shape == uB.shape == (2, 4, 3)
+        flat_E, flat_B = packet_amplitudes(CANONICAL_MODE, x.reshape(-1, 3))
+        np.testing.assert_array_equal(uE.reshape(-1, 3), flat_E)
+        np.testing.assert_array_equal(uB.reshape(-1, 3), flat_B)
+
     def test_matrix_elements_at_center(self):
         mode = GaussianPhotonMode(sigma=1.0)
         A, B = matrix_elements_from_amplitudes(*packet_amplitudes(mode, np.zeros(3)))

@@ -8,8 +8,9 @@ code (not in a comment or docstring) somewhere in `src/qetlab`, `scripts/` or
 referenced where its name follows a `.`.  Reference computations that only
 the tests read belong in `tests/oracles.py`.
 
-A module in `src/qetlab` may import a `_private` name (dunders excepted) only
-from `fields`, which holds the value rules every layer shares.
+A module in `src/qetlab` may import or read a `_private` name (dunders
+excepted) of a sibling module only from `fields`, which holds the value rules
+every layer shares.
 """
 
 import ast
@@ -86,24 +87,64 @@ def test_public_name_has_a_caller(path, qualname, name, is_method, lineno):
 SHARED_PRIVATE_MODULE = "fields"
 
 
-def private_imports():
-    """(importing module, line, source module, name) for each `_private` name imported from a sibling."""
+SIBLINGS = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(source: str) -> list:
+    """(line, source module, name) for each sibling `_private` name a module's source reaches.
+
+    Sees `from .sibling import _name` and attribute reads `sibling._name` on a
+    sibling module bound by `from . import sibling`, `from qetlab import
+    sibling` or `import qetlab.sibling [as alias]`.
+    """
+    tree = ast.parse(source)
+    modules = {}  # local name -> sibling module
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
             if node.level == 1:
-                source = node.module
-            elif node.level == 0 and (node.module or "").startswith("qetlab."):
-                source = node.module.removeprefix("qetlab.")
+                source_module = node.module
+            elif node.level == 0 and node.module is not None and node.module.split(".")[0] == "qetlab":
+                source_module = node.module.removeprefix("qetlab").removeprefix(".") or None
             else:
                 continue
             for alias in node.names:
-                name = alias.name
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                    found.append((path.stem, node.lineno, source, name))
+                if source_module is None and alias.name in SIBLINGS:
+                    modules[alias.asname or alias.name] = alias.name
+                elif source_module is not None and _private(alias.name):
+                    found.append((node.lineno, source_module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if len(parts) == 2 and parts[0] == "qetlab" and parts[1] in SIBLINGS and alias.asname:
+                    modules[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in modules:
+            found.append((node.lineno, modules[value.id], node.attr))
+        elif (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "qetlab"
+            and value.attr in SIBLINGS
+        ):
+            found.append((node.lineno, value.attr, node.attr))
     return found
+
+
+def private_imports():
+    """(importing module, line, source module, name) for each `_private` name reached in a sibling."""
+    return [
+        (path.stem, line, source, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, source, name in private_uses(path.read_text(encoding="utf-8"))
+    ]
 
 
 def test_private_imports_come_only_from_fields():
@@ -116,6 +157,25 @@ def test_private_imports_come_only_from_fields():
         "private names cross module boundaries; make the name public with a caller "
         "or move the shared rule to fields: " + "; ".join(crossings)
     )
+
+
+def test_private_walk_sees_attribute_reads_on_sibling_modules():
+    source = (
+        "import qetlab.results as res\n"
+        "import qetlab.scenario\n"
+        "from . import spectral\n"
+        "from qetlab import fields as f\n"
+        "from .protocols import PairInvariants, _hermite_rule\n"
+        "def g():\n"
+        "    return spectral._integrand, res._jsonable, qetlab.scenario._strict, f._real, spectral.__name__\n"
+    )
+    assert sorted(private_uses(source)) == [
+        (5, "protocols", "_hermite_rule"),
+        (7, "fields", "_real"),
+        (7, "results", "_jsonable"),
+        (7, "scenario", "_strict"),
+        (7, "spectral", "_integrand"),
+    ]
 
 
 def test_private_import_walk_sees_the_value_rules():

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,24 +9,30 @@ from qetlab import (
     CurlGaussian,
     LightConeError,
     PairInvariants,
+    ProtocolConfig,
+    ToleranceFailure,
     ValidationError,
     brute_force_overlap_oracle,
     commutator_residual,
     overlap_kernel,
     pauli_jordan_delta,
     pauli_jordan_delta_quadrature,
+    separation_scaling_fit,
     weighted_spectral_integral,
 )
 from qetlab import spectral
-from qetlab.spectral import _SERIES_X, _angular_factor, min_oracle_wait
+from qetlab.spectral import _SERIES_X, _integrand, min_oracle_wait
 
 from oracles import (
     angular_components_reference,
+    commutator_reference,
     curl_gaussian_spectrum,
     displaced_kernel_reference,
     grid_norm_reference,
     kernel_reference,
+    kernel_series_reference,
     mc_batch_reference,
+    pairing_quadrature_reference,
     position_norm_reference,
     weighted_norm_reference,
 )
@@ -159,19 +167,28 @@ class TestPauliJordanDelta:
 
 
 class TestAngularFactor:
+    @staticmethod
+    def angular(x, c_a, c_d):
+        # the integrand at real k with alpha = t = 0 and |d| = 1 is k^5 A(k)
+        k = np.asarray(x, dtype=complex)
+        return _integrand(k, 0.0, 0.0, 1.0, c_a, c_d) / k**5
+
     def test_components_against_scipy(self):
         # dense grid plus the ulps either side of the series/closed-form switch
         switch = _SERIES_X + np.arange(-20, 21) * np.spacing(_SERIES_X)
-        x = np.concatenate([np.linspace(0.0, 200.0, 200_001), np.geomspace(1e-8, 1.0, 2001), switch])
+        x = np.concatenate([np.linspace(1e-3, 200.0, 200_001), np.geomspace(1e-8, 1.0, 2001), switch])
         j01, j2 = angular_components_reference(x)
-        axes = np.array([_angular_factor(float(v), 1.0, 0.0, 0.0) for v in x])
-        dd = np.array([_angular_factor(float(v), 0.0, 1.0, 1.0) for v in x])
-        np.testing.assert_allclose(axes, j01, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(dd, j2, rtol=0.0, atol=1e-14)
+        for (c_a, c_d), ref in (((1.0, 0.0), j01), ((0.0, 1.0), j2), ((0.6, -0.3), 0.6 * j01 - 0.3 * j2)):
+            A = self.angular(x, c_a, c_d)
+            np.testing.assert_allclose(A.real, ref, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(A.imag, 0.0, rtol=0.0, atol=1e-14)
 
     def test_exact_at_zero(self):
+        # at d = 0 the series leaves A = (2/3)(n1.n2) exactly
+        k = np.array([0.5, 1.0, 3.0], dtype=complex)
         for cos_axes in (1.0, -0.3, 0.7071067811865476):
-            assert _angular_factor(0.0, cos_axes, 0.6, -0.8) == (2.0 / 3.0) * cos_axes
+            f = _integrand(k, 0.0, 0.0, 0.0, cos_axes, 0.6 * -0.8)
+            assert np.array_equal(f, k**5 * ((2.0 / 3.0) * cos_axes))
 
 
 class TestOverlapKernel:
@@ -226,23 +243,21 @@ class TestOverlapKernel:
         a = CurlGaussian(1.3, 0.9, center=(-0.5, 0.5, 0.0))
         K = overlap_kernel(f, a, T)
         assert K.estimated_error <= 1e-9 * abs(K.value)
-        ref, nodes = displaced_kernel_reference(f, a, T)
-        np.testing.assert_allclose(K.value, ref, rtol=1e-12, atol=0.0)
-        assert K.samples_or_nodes == nodes
+        np.testing.assert_allclose(K.value, displaced_kernel_reference(f, a, T), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("pair", ["cocentred", "displaced"])
     @pytest.mark.parametrize("T", [8.0, 50.0, 400.0])
     def test_node_count_is_integrand_calls(self, monkeypatch, pair, T):
-        # samples_or_nodes is QUADPACK's own neval; it must count every integrand call
+        # samples_or_nodes must count every node the integrand is evaluated at
         f, a = (CANONICAL, CANONICAL) if pair == "cocentred" else MC_DISPLACED_TILTED
-        calls = []
+        nodes = []
 
-        def counted(*args):
-            calls.append(args[0])
-            return _angular_factor(*args)
+        def counted(k, *args):
+            nodes.append(len(k))
+            return _integrand(k, *args)
 
-        monkeypatch.setattr(spectral, "_angular_factor", counted)
-        assert overlap_kernel(f, a, T).samples_or_nodes == len(calls) > 0
+        monkeypatch.setattr(spectral, "_integrand", counted)
+        assert overlap_kernel(f, a, T).samples_or_nodes == sum(nodes) > 0
 
     def test_spectrum_hop_is_identity(self):
         # perfbench passes f.spectrum() to overlap_kernel; it must be the field itself
@@ -272,20 +287,21 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("value, err", [(np.nan, 1e-12), (1e-3, np.nan)])
     def test_nan_quadrature_fails_the_gate(self, canonical_field, monkeypatch, value, err):
-        from qetlab import ToleranceFailure
-
-        monkeypatch.setattr(spectral, "_radial_pairing", lambda *args: (value, err, 1))
+        monkeypatch.setattr(spectral, "_contour_pairing", lambda *args: (complex(-value, 0.0), err, 1))
         with pytest.raises(ToleranceFailure):
             overlap_kernel(canonical_field, canonical_field, 14.0)
 
-    def test_flags_quadrature_error_above_tolerance(self, canonical_field, monkeypatch):
-        # at T=200 the kernel is ~1e-11 while the quadrature error is ~1e-14;
-        # with the tolerance floor removed the flag must fire, not silently return
-        from qetlab import ToleranceFailure
-
-        monkeypatch.setattr(spectral, "_KERNEL_ATOL", 0.0)
-        with pytest.raises(ToleranceFailure):
-            overlap_kernel(canonical_field, canonical_field, 200.0)
+    def test_flags_quadrature_error_above_tolerance(self):
+        # the gate is relative with no absolute floor: at a zero of K(T) the
+        # estimated error exceeds 1e-6 |K|, so it raises instead of returning
+        f, a = README_PAIR
+        lo, hi = 6.0, 8.0  # K(6) > 0 > K(8)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if spectral._contour_pairing(f, a, mid)[0].real < 0.0 else (lo, mid)
+        assert overlap_kernel(f, a, 6.0).value > 0.0 > overlap_kernel(f, a, 8.0).value
+        with pytest.raises(ToleranceFailure, match="estimated error"):
+            overlap_kernel(f, a, 0.5 * (lo + hi))
 
 
 MC_DISPLACED_TILTED = (
@@ -424,3 +440,113 @@ def test_kernel_large_separation_prefactor(canonical_field):
     for T in (200.0, 400.0):
         K = overlap_kernel(canonical_field, canonical_field, T).value
         np.testing.assert_allclose(K, coeff / T**6, rtol=2e-2)
+
+
+# a |d| = 6 pair with unequal widths and tilted axes, and a |d| = 20 pair
+# evaluated at T <= |d|, where the contour stays on the real axis
+D6_PAIR = (
+    CurlGaussian(1.0, 0.7, center=(6.0, 0.0, 0.0), axis=(0.3, 1.0, 0.2)),
+    CurlGaussian(1.0, 1.2, axis=(1.0, 0.5, 0.0)),
+)
+D20_PAIR = (
+    CurlGaussian(1.1, 0.9, center=(20.0, 0.0, 0.0), axis=(0.0, 1.0, 0.4)),
+    CurlGaussian(0.8, 1.0, axis=(0.3, 1.0, 0.0)),
+)
+REFERENCE_PAIRS = {
+    "mc-displaced-tilted": MC_DISPLACED_TILTED,
+    "readme": README_PAIR,
+    "d6": D6_PAIR,
+    "d20": D20_PAIR,
+}
+# (pair, T, digits) of the real-axis mpmath references; 50 digits for the
+# MC pair because its commutator falls to 7.8e-21 at T = 16
+QUADRATURE_POINTS = [
+    ("mc-displaced-tilted", 4.0, 50), ("mc-displaced-tilted", 8.0, 50),
+    ("mc-displaced-tilted", 12.0, 50), ("mc-displaced-tilted", 16.0, 50),
+    ("readme", 6.0, 30), ("readme", 8.0, 30), ("readme", 14.0, 30),
+    ("d6", 4.0, 30), ("d6", 8.0, 30), ("d6", 14.0, 30),
+    ("d20", 0.5, 30), ("d20", 8.0, 30),
+]
+
+
+@lru_cache(maxsize=None)
+def quadrature_reference(name: str, T: float, dps: int) -> tuple[float, float]:
+    return pairing_quadrature_reference(*REFERENCE_PAIRS[name], T, dps)
+
+
+def assert_within_estimate(K, ref, T, dist):
+    # the returned estimate bounds the error everywhere; past the separation
+    # |d| (the contour leaves the real axis) the error is also <= 1e-12 relative
+    assert abs(K.value - ref) <= K.estimated_error
+    if T >= max(8.0, dist):
+        assert abs(K.value - ref) <= 1e-12 * abs(ref)
+
+
+class TestContourAccuracy:
+    @pytest.mark.parametrize("name, T, dps", QUADRATURE_POINTS)
+    def test_against_real_axis_quadrature(self, name, T, dps):
+        f, a = REFERENCE_PAIRS[name]
+        K = overlap_kernel(f, a, T)
+        assert K.method == "steepest-descent"
+        dist = float(np.linalg.norm(f.center_vec - a.center_vec))
+        assert_within_estimate(K, quadrature_reference(name, T, dps)[0], T, dist)
+
+    @pytest.mark.parametrize("T", [50.0, 400.0, 3200.0, 1e4])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+    def test_against_watson_series(self, name, T):
+        f, a = REFERENCE_PAIRS[name]
+        K = overlap_kernel(f, a, T)
+        assert_within_estimate(K, kernel_series_reference(f, a, T), T, 0.0)
+
+    @pytest.mark.parametrize("T", [0.5, 4.0, 8.0, 20.0, 400.0, 3200.0, 1e4])
+    def test_cocentred_against_dawson(self, T):
+        for amp_f, sig_f, amp_a, sig_a in ((1.0, 1.0, 1.0, 1.0), (1.3, 0.6, 0.7, 1.9)):
+            K = overlap_kernel(CurlGaussian(amp_f, sig_f), CurlGaussian(amp_a, sig_a), T)
+            assert_within_estimate(K, kernel_reference(T, amp_f, sig_f, amp_a, sig_a), T, 0.0)
+
+    @pytest.mark.parametrize("T", [8.0, 14.0, 20.0])
+    def test_commutator_cocentred(self, T):
+        # down to -2.6e-38 at T = 20, where a real-axis quadrature floors near 1e-16
+        ref = commutator_reference(T)
+        np.testing.assert_allclose(commutator_residual(CANONICAL, CANONICAL, T), ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(commutator_residual(CANONICAL, CANONICAL, -T), -ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("T", [8.0, 12.0, 16.0])
+    def test_commutator_displaced(self, T):
+        f, a = MC_DISPLACED_TILTED
+        ref = quadrature_reference("mc-displaced-tilted", T, 50)[1]
+        np.testing.assert_allclose(commutator_residual(f, a, T), ref, rtol=1e-12, atol=0.0)
+
+    def test_no_quadpack_on_the_kernel_path(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("QUADPACK called on the K(T) path")
+
+        monkeypatch.setattr(spectral, "quad", no_quadrature)
+        for f, a in ((CANONICAL, CANONICAL), MC_DISPLACED_TILTED, D20_PAIR):
+            for T in (0.5, 8.0, 14.0, 400.0):
+                overlap_kernel(f, a, T)
+                commutator_residual(f, a, T)
+
+
+class TestOrientationLaws:
+    """K ~ T^-6 when n_f.n_a != 0, T^-8 when only (d^.n_f)(d^.n_a) != 0, else K = 0."""
+
+    T = np.geomspace(50.0, 5000.0, 12)
+
+    @pytest.mark.parametrize("pair, kernel_slope", [(MC_DISPLACED_TILTED, -6.0), (README_PAIR, -8.0)],
+                             ids=["parallel-part", "perpendicular-axes"])
+    def test_fitted_slopes(self, pair, kernel_slope):
+        f_o, a_m = pair
+        cfg = ProtocolConfig(a_m=a_m, f_o=f_o, T=float(self.T[0]), lam=1.0)
+        for quantity, slope in (("kernel", kernel_slope), ("spin", 2 * kernel_slope),
+                                ("oscillator", 2 * kernel_slope)):
+            fit = separation_scaling_fit(cfg, self.T, quantity=quantity)
+            assert fit.n_dropped == 0
+            assert fit.slope == pytest.approx(slope, abs=0.01)
+
+    def test_vanishes_when_both_couplings_vanish(self):
+        # n_f . n_a = 0 and d perpendicular to both axes: A(x) = 0 for every x
+        f = CurlGaussian(1.0, 0.9, center=(0.0, 0.0, 1.5), axis=(1.0, 0.0, 0.0))
+        a = CurlGaussian(1.2, 1.1, axis=(0.0, 1.0, 0.0))
+        for T in (10.0, 14.0, 20.0):
+            assert overlap_kernel(f, a, T).value == 0.0
