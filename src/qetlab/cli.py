@@ -39,7 +39,7 @@ from .results import (
     run_scenario,
     scenario_frames,
 )
-from .scenario import parse_scenario
+from .scenario import frame_stem, parse_scenario
 from .spectral import (
     brute_force_overlap_oracle,
     overlap_kernel,
@@ -142,7 +142,7 @@ def _cmd_density(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for frame in frames:
-        stem = f"{scenario.frames_prefix}_t{frame.t:g}"
+        stem = frame_stem(scenario.frames_prefix, frame.t)
         if args.format == "csv":
             path = out_dir / f"{stem}.csv"
             emit_frame_csv(frame, path)

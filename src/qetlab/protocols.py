@@ -60,17 +60,29 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _set_checked(self, T=_real, lam=_nonnegative)
-        wait = min_causal_wait(self.a_m, self.f_o)
-        if self.T <= wait:
-            raise CausalityError(
-                f"T = {self.T:.6g} violates causal decoupling; need T > {wait:.6g}"
-            )
+        after_causal_wait(self.a_m, self.f_o)(self.T, "T")
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
     """Enforced wait-time floor: center separation plus a few envelope widths."""
     sep = float(np.linalg.norm(a_m.center_vec - f_o.center_vec))
     return sep + CAUSAL_SIGMA_FACTOR * (a_m.sigma + f_o.sigma)
+
+
+def after_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian):
+    """The value rule for a wait time T past min_causal_wait(a_m, f_o); it raises CausalityError."""
+    wait = min_causal_wait(a_m, f_o)
+
+    def rule(value, name: str) -> float:
+        T = _real(value, name)
+        if T > wait:
+            return T
+        raise CausalityError(
+            f"{name}: must exceed the causal wait |d| + {CAUSAL_SIGMA_FACTOR:g}(sigma_a + sigma_f)"
+            f" = {wait:.6g}, got {value!r}"
+        )
+
+    return rule
 
 
 @dataclass(frozen=True)
@@ -275,7 +287,7 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
 
     if quantity not in ("spin", "oscillator", "kernel"):
         raise ValidationError(f"unknown quantity {quantity!r}")
-    ProtocolConfig(a_m=cfg.a_m, f_o=cfg.f_o, T=T_values[0], lam=cfg.lam)  # causal gate
+    after_causal_wait(cfg.a_m, cfg.f_o)(T_values[0], "T")
 
     inv = PairInvariants.of(cfg.a_m, cfg.f_o)
     logs_T, logs_v = [], []

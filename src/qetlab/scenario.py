@@ -17,18 +17,23 @@ import yaml
 
 from .errors import ValidationError
 from .fields import CurlGaussian, RadialWindow, _integer, _nonnegative, _positive
-from .protocols import min_causal_wait
+from .protocols import after_causal_wait
 
 PROBES = ("spin", "oscillator", "both")
 
-_TOP_KEYS = {
-    "seed", "probe", "T", "lambda", "fields", "grid", "times", "output",
+# The shape of a scenario: each key maps to None (it holds a value) or to the
+# table of the mapping it holds.
+_FIELD = {"amplitude": None, "sigma": None, "center": None, "axis": None}
+_SHAPE = {
+    "seed": None,
+    "probe": None,
+    "T": None,
+    "lambda": None,
+    "fields": {"a_m": _FIELD, "f_o": _FIELD, "window": {"radius": None, "center": None}},
+    "grid": {"n": None, "half_extent": None},
+    "times": None,
+    "output": {"results": None, "frames_prefix": None},
 }
-_FIELD_KEYS = {"amplitude", "sigma", "center", "axis"}
-_WINDOW_KEYS = {"radius", "center"}
-_FIELDS_KEYS = {"a_m", "f_o", "window"}
-_GRID_KEYS = {"n", "half_extent"}
-_OUTPUT_KEYS = {"results", "frames_prefix"}
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,6 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def check_keys(self, mapping: dict, allowed: set, path: str) -> None:
-        for key in mapping:
-            if key not in allowed:
-                hint = difflib.get_close_matches(str(key), sorted(allowed), n=1)
-                suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-                self.add(path, f"unknown key {key!r}{suffix}")
-
     def call(self, path: str, fn, *args, **kwargs):
         """fn(*args, **kwargs), or None with each of its "<name>: ..." errors filed under path."""
         try:
@@ -89,6 +87,32 @@ class _Collector:
         except ValidationError as exc:
             self.errors.extend(f"{path}.{e}" for e in exc.errors)
             return None
+
+
+def _walk(mapping: dict, shape: dict, path: str, errs: _Collector) -> dict:
+    """The keys of mapping that shape knows, each nested mapping walked by its own table.
+
+    Files every unknown key, with the nearest known one as a hint, and every
+    value that should be a mapping and is not; such a value is kept as None.
+    """
+    known = {}
+    for key, value in mapping.items():
+        if key not in shape:
+            hint = difflib.get_close_matches(str(key), sorted(shape), n=1)
+            errs.add(path, f"unknown key {key!r}" + (f" (did you mean {hint[0]!r}?)" if hint else ""))
+        elif shape[key] is None:
+            known[key] = value
+        elif isinstance(value, dict):
+            known[key] = _walk(value, shape[key], f"{path}.{key}", errs)
+        else:
+            known[key] = None
+            errs.add(f"{path}.{key}", "expected a mapping with " + "/".join(shape[key]))
+    return known
+
+
+def frame_stem(prefix: str, t: float) -> str:
+    """File name, less its extension, of the density frame at time t."""
+    return f"{prefix}_t{t:g}"
 
 
 def _file_name(value, path: str, errs: _Collector) -> str:
@@ -107,132 +131,74 @@ def _number_list(value, rule, name: str, errs: _Collector) -> list[float]:
     return [] if None in checked else checked
 
 
-def _parse_field(spec, path: str, errs: _Collector) -> CurlGaussian | None:
-    if not isinstance(spec, dict):
-        errs.add(path, "expected a mapping with amplitude/sigma/center/axis")
-        return None
-    errs.check_keys(spec, _FIELD_KEYS, path)
-    return errs.call(
-        path,
-        CurlGaussian,
-        amplitude=spec.get("amplitude", 1.0),
-        sigma=spec.get("sigma"),
-        center=spec.get("center", (0.0, 0.0, 0.0)),
-        axis=spec.get("axis", (0.0, 0.0, 1.0)),
-    )
+def _build(cls, fields: dict, key: str, errs: _Collector, **defaults):
+    """cls(**defaults updated by fields[key]), errors under scenario.fields.<key>; None if no mapping."""
+    given = fields.get(key)
+    return None if given is None else errs.call(f"scenario.fields.{key}", cls, **{**defaults, **given})
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a parsed mapping into a Scenario; raises with every error found."""
-    errs = _Collector()
     if not isinstance(raw, dict):
         raise ValidationError(["scenario: top level must be a mapping"])
-    errs.check_keys(raw, _TOP_KEYS, "scenario")
+    errs = _Collector()
+    spec = _walk(raw, _SHAPE, "scenario", errs)
 
-    probe = raw.get("probe", "both")
+    probe = spec.get("probe", "both")
     if probe not in PROBES:
         errs.add("scenario.probe", f"must be one of {PROBES}, got {probe!r}")
         probe = "both"
+    seed = errs.call("scenario", _integer(0), spec.get("seed", 0), "seed")
 
-    seed = errs.call("scenario", _integer(0), raw.get("seed", 0), "seed")
+    if "T" not in spec:
+        errs.add("scenario.T", "required (a time or strictly ascending list of times)")
+    T_list = _number_list(spec["T"], _positive, "T", errs) if "T" in spec else []
+    if any(a >= b for a, b in zip(T_list, T_list[1:])):
+        errs.add("scenario.T", f"list must be strictly ascending, got {T_list}")
+    lambdas = _number_list(spec.get("lambda", 1.0), _nonnegative, "lambda", errs)
+    if len(set(lambdas)) < len(lambdas):
+        errs.add("scenario.lambda", f"list must not repeat a value, got {lambdas}")
 
-    if "T" not in raw:
-        errs.add("scenario.T", "required (a time or ascending list of times)")
-        T_list: list[float] = []
-    else:
-        T_list = _number_list(raw["T"], _positive, "T", errs)
-        if T_list and sorted(T_list) != T_list:
-            errs.add("scenario.T", "list must be sorted ascending")
-
-    lambdas = _number_list(raw.get("lambda", 1.0), _nonnegative, "lambda", errs)
-
-    fields_spec = raw.get("fields")
-    a_m = f_o = None
-    window = None
-    if not isinstance(fields_spec, dict):
+    if "fields" not in spec:
         errs.add("scenario.fields", "required mapping with at least a_m")
+    elif spec["fields"] is not None and "a_m" not in spec["fields"]:
+        errs.add("scenario.fields.a_m", "required")
+    fields = spec.get("fields") or {}
+    a_m = _build(CurlGaussian, fields, "a_m", errs, amplitude=1.0, sigma=None)
+    # f_o defaults to the measurement profile, the window to 3 sigma about it
+    f_o = _build(CurlGaussian, fields, "f_o", errs, amplitude=1.0, sigma=None) if "f_o" in fields else a_m
+    if "window" in fields:
+        center = a_m.center if a_m else (0.0, 0.0, 0.0)
+        window = _build(RadialWindow, fields, "window", errs, radius=None, center=center)
     else:
-        errs.check_keys(fields_spec, _FIELDS_KEYS, "scenario.fields")
-        if "a_m" not in fields_spec:
-            errs.add("scenario.fields.a_m", "required")
-        else:
-            a_m = _parse_field(fields_spec["a_m"], "scenario.fields.a_m", errs)
-        if "f_o" in fields_spec:
-            f_o = _parse_field(fields_spec["f_o"], "scenario.fields.f_o", errs)
-        elif a_m is not None:
-            f_o = a_m  # default: operate with the measurement profile
-        wspec = fields_spec.get("window")
-        if wspec is not None:
-            if not isinstance(wspec, dict):
-                errs.add("scenario.fields.window", "expected a mapping")
-            else:
-                errs.check_keys(wspec, _WINDOW_KEYS, "scenario.fields.window")
-                window = errs.call(
-                    "scenario.fields.window",
-                    RadialWindow,
-                    radius=wspec.get("radius"),
-                    center=wspec.get("center", a_m.center if a_m else (0.0, 0.0, 0.0)),
-                )
-        if window is None and a_m is not None:
-            window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center)
+        window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center) if a_m else None
 
-    grid_n = 128
-    grid_half = None
-    gspec = raw.get("grid")
-    if gspec is not None:
-        if not isinstance(gspec, dict):
-            errs.add("scenario.grid", "expected a mapping")
-        else:
-            errs.check_keys(gspec, _GRID_KEYS, "scenario.grid")
-            grid_n = errs.call("scenario.grid", _integer(8), gspec.get("n", 128), "n")
-            grid_half = gspec.get("half_extent")
-            if grid_half is not None:
-                # kept as written, since it enters scenario_hash; FrameGrid stores the float
-                errs.call("scenario.grid", _positive, grid_half, "half_extent")
+    grid = spec.get("grid") or {}
+    grid_n = errs.call("scenario.grid", _integer(8), grid.get("n", 128), "n")
+    grid_half = grid.get("half_extent")
+    if grid_half is not None:
+        # kept as written, since it enters scenario_hash; FrameGrid stores the float
+        errs.call("scenario.grid", _positive, grid_half, "half_extent")
 
-    times = ()
-    if "times" in raw:
-        times = tuple(_number_list(raw["times"], _nonnegative, "times", errs))
+    times = tuple(_number_list(spec["times"], _nonnegative, "times", errs)) if "times" in spec else ()
+    if len({frame_stem("", t) for t in times}) < len(times):
+        errs.add("scenario.times", f"two times share a frame file name (named by %g), got {list(times)}")
 
-    results_name = "results.jsonl"
-    frames_prefix = "frame"
-    ospec = raw.get("output")
-    if ospec is not None:
-        if not isinstance(ospec, dict):
-            errs.add("scenario.output", "expected a mapping")
-        else:
-            errs.check_keys(ospec, _OUTPUT_KEYS, "scenario.output")
-            results_name = _file_name(ospec.get("results", results_name), "scenario.output.results", errs)
-            frames_prefix = _file_name(
-                ospec.get("frames_prefix", frames_prefix), "scenario.output.frames_prefix", errs
-            )
+    output = spec.get("output") or {}
+    results_name = _file_name(output.get("results", "results.jsonl"), "scenario.output.results", errs)
+    frames_prefix = _file_name(output.get("frames_prefix", "frame"), "scenario.output.frames_prefix", errs)
 
-    # the causal gate needs both fields
-    if a_m is not None and f_o is not None and T_list:
-        floor = min_causal_wait(a_m, f_o)
+    if a_m is not None and f_o is not None:
+        causal = after_causal_wait(a_m, f_o)
         for T in T_list:
-            if T <= floor:
-                errs.add(
-                    "scenario.T",
-                    f"T = {T} is in the causal-violation regime; need T > {floor:.6g}",
-                )
+            errs.call("scenario", causal, T, "T")
 
     if errs.errors:
         raise ValidationError(errs.errors)
-
     return Scenario(
-        a_m=a_m,
-        f_o=f_o,
-        window=window,
-        probe=probe,
-        T_list=tuple(T_list),
-        lambdas=tuple(lambdas),
-        seed=seed,
-        grid_n=grid_n,
-        grid_half_extent=grid_half,
-        times=times,
-        results_name=results_name,
-        frames_prefix=frames_prefix,
+        a_m=a_m, f_o=f_o, window=window, probe=probe, T_list=tuple(T_list), lambdas=tuple(lambdas),
+        seed=seed, grid_n=grid_n, grid_half_extent=grid_half, times=times,
+        results_name=results_name, frames_prefix=frames_prefix,
     )
 
 

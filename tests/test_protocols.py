@@ -31,6 +31,8 @@ from qetlab.protocols import (
     min_causal_wait,
 )
 
+from qetlab.scenario import scenario_from_dict
+
 from oracles import grid_norm_reference, input_energy_position_reference
 
 I1_CANONICAL = 8.0 * np.pi / 3.0
@@ -199,6 +201,13 @@ class TestSpinProtocol:
     def test_causality_violation_rejected(self, canonical_field):
         with pytest.raises(CausalityError):
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=5.0)
+
+    def test_parser_words_the_causal_gate_as_protocol_config_does(self, canonical_field):
+        with pytest.raises(CausalityError) as built:
+            ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=5.0)
+        with pytest.raises(ValidationError) as parsed:
+            scenario_from_dict({"T": 5.0, "fields": {"a_m": {"sigma": 1.0}}})
+        assert parsed.value.errors == [f"scenario.{built.value}"]
 
     @pytest.mark.parametrize(
         "T, lam", [(np.nan, 1.0), (np.inf, 1.0), (8.0, np.nan), (8.0, np.inf)]
@@ -409,6 +418,10 @@ class TestSeparationScaling:
         f1 = separation_scaling_fit(canonical_cfg, np.geomspace(40.0, 400.0, 9), quantity="kernel")
         f2 = separation_scaling_fit(canonical_cfg, np.geomspace(80.0, 800.0, 9), quantity="kernel")
         assert abs(f1.slope - f2.slope) < 0.05
+
+    def test_T_inside_the_causal_wait_rejected(self, canonical_cfg):
+        with pytest.raises(CausalityError, match="causal wait"):
+            separation_scaling_fit(canonical_cfg, [50.0, 5.0], quantity="kernel")
 
     def test_needs_two_points(self, canonical_cfg):
         with pytest.raises(ValidationError):

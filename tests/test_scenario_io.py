@@ -18,7 +18,7 @@ from qetlab.results import (
     load_frame_csv,
     run_scenario,
 )
-from qetlab.scenario import scenario_from_dict
+from qetlab.scenario import _SHAPE, scenario_from_dict
 
 from oracles import grid_positions
 
@@ -172,6 +172,62 @@ class TestParsing:
             "scenario.grid.half_extent",
         ], err.value.errors
 
+    @pytest.mark.parametrize(
+        "edit, path, hint",
+        [
+            (lambda raw: raw.update(T=[]), "scenario.T", None),
+            (lambda raw: raw.update({"lambda": []}), "scenario.lambda", None),
+            (lambda raw: raw.update(times=[]), "scenario.times", None),
+            (lambda raw: raw.pop("fields"), "scenario.fields", None),
+            (lambda raw: raw["fields"].update(a_m=1.0), "scenario.fields.a_m", None),
+            (lambda raw: raw["fields"].update(f_o=None), "scenario.fields.f_o", None),
+            (lambda raw: raw["fields"].update(window=[2.5]), "scenario.fields.window", None),
+            (lambda raw: raw.update(grid=64), "scenario.grid", None),
+            (lambda raw: raw.update(output="results.jsonl"), "scenario.output", None),
+            (lambda raw: raw.update(probes="spin"), "scenario", "probe"),
+            (lambda raw: raw["fields"].update(window_=None), "scenario.fields", "window"),
+            (lambda raw: raw.update(grid={"nn": 64}), "scenario.grid", "n"),
+            (lambda raw: raw.update(output={"result": "r.jsonl"}), "scenario.output", "results"),
+            (lambda raw: raw["fields"]["a_m"].update(sigmaa=1.0), "scenario.fields.a_m", "sigma"),
+            (
+                lambda raw: raw["fields"].update(f_o={"sigma": 1.0, "axes": [0, 0, 1]}),
+                "scenario.fields.f_o",
+                "axis",
+            ),
+            # a repeat would write the same records twice, or one frame file over another
+            (lambda raw: raw.update(T=[8.0, 8.0]), "scenario.T", None),
+            (lambda raw: raw.update({"lambda": [1.0, 0.5, 1.0]}), "scenario.lambda", None),
+            (lambda raw: raw.update(times=[1.0, 1.0000001]), "scenario.times", None),
+            # an empty `grid:` is YAML null, which is not a mapping
+            (lambda raw: raw["fields"].update(window=None), "scenario.fields.window", None),
+            (lambda raw: raw.update(grid=None), "scenario.grid", None),
+            (lambda raw: raw.update(output=None), "scenario.output", None),
+        ],
+        ids=[
+            "empty-T", "empty-lambda", "empty-times", "missing-fields", "a_m-number", "f_o-null",
+            "window-list", "grid-number", "output-string", "top-hint", "fields-hint", "grid-hint",
+            "output-hint", "a_m-hint", "f_o-hint", "repeated-T", "repeated-lambda", "times-one-name",
+            "window-null", "grid-null", "output-null",
+        ],
+    )
+    def test_each_bad_shape_is_one_error_at_its_own_path(self, edit, path, hint):
+        raw = {"T": 8.0, "times": [0.0], "fields": {"a_m": {"sigma": 1.0}}}
+        scenario_from_dict(raw)  # the unmodified mapping is valid
+        edit(raw)
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(raw)
+        assert [e.split(": ")[0] for e in err.value.errors] == [path], err.value.errors
+        if hint is not None:
+            assert f"(did you mean {hint!r}?)" in err.value.errors[0]
+
+    def test_density_with_times_sharing_a_frame_name_exits_2(self, tmp_path, capsys):
+        # 1.0 and 1.0000001 both name frame_t1, so the second frame would replace the first
+        text = MINIMAL + "times: [1.0, 1.0000001, 2.0, 2.0]\ngrid: {n: 48, half_extent: 8.0}\n"
+        out = tmp_path / "out"
+        assert main(["density", "--scenario", str(write(tmp_path, text)), "--out", str(out)]) == EXIT_VALIDATION
+        assert "scenario.times" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["results", "frames_prefix"])
     @pytest.mark.parametrize("value", [{"a": 1}, 7, "../x"], ids=["mapping", "number", "parent"])
     def test_output_names_must_be_plain_files(self, key, value, tmp_path, capsys):
@@ -201,6 +257,18 @@ class TestParsing:
         assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
+
+    def test_readme_block_lists_exactly_the_shape_table(self):
+        # the README's scenario block documents every key, at every depth, and nothing else
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Scenarios are strict YAML", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        raw = yaml.safe_load(block)
+
+        def shape(mapping):
+            return {k: shape(v) if isinstance(v, dict) else None for k, v in mapping.items()}
+
+        assert shape(raw) == _SHAPE
+        scenario_from_dict(raw)  # and the block is a valid scenario
 
     def test_canonical_scenario_hash_is_pinned(self):
         # the hash covers every value that fixes the numbers; this pins its canonical form
