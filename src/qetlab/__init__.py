@@ -10,14 +10,7 @@ oracles.  Natural units c = hbar = 1 throughout.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CausalityError,
-    DegenerateFieldError,
-    LightConeError,
-    ResolutionError,
-    ToleranceFailure,
-    ValidationError,
-)
+from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, RadialWindow
 from .spectral import (
     IntegralResult,
@@ -52,4 +45,4 @@ from .negative_energy import (
     min_energy_density,
 )
 from .scenario import Scenario, parse_scenario
-from .results import ResultRecord, emit_records, run_scenario
+from .results import emit_records, run_scenario

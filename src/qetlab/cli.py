@@ -72,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     energy = sub.add_parser("energy", help="input energy, damping factors, and field diagnostics")
     _add_scenario(energy)
+    energy.set_defaults(run=_cmd_energy)
 
     for name, helptext in (
         ("teleport", "run the configured protocol points and write records"),
@@ -80,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_scenario(p)
         _add_out(p)
+        p.set_defaults(run=_cmd_teleport)
 
     density = sub.add_parser("density", help="emit energy-density frames at the scenario times")
     _add_scenario(density)
@@ -87,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.add_argument(
         "--format", choices=("csv", "binary"), default="csv", help="frame output format"
     )
+    density.set_defaults(run=_cmd_density)
 
     demo = sub.add_parser("demo", help="self-contained demonstrations")
     demo_sub = demo.add_subparsers(dest="demo_name", required=True)
@@ -94,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
         "negative-energy", help="vacuum/two-photon interference along a line"
     )
     _add_out(neg)
+    neg.set_defaults(run=_cmd_demo_negative_energy)
 
     verify = sub.add_parser("verify", help="run the oracle cross-checks")
     verify.add_argument(
         "--mc-samples", type=int, default=200_000, help="Monte Carlo samples per check"
     )
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -127,10 +132,10 @@ def _cmd_teleport(args) -> int:
     path = out_dir / scenario.results_name
     emit_records(records, path)
     for rec in records:
-        E = rec.E_o if rec.probe == "spin" else rec.E_o_prime
+        E = rec["E_o"] if rec["probe"] == "spin" else rec["E_o_prime"]
         print(
-            f"{rec.probe:>10s} lambda={rec.lam:g} T={rec.T:g} "
-            f"E_m={rec.E_m:.6g} E_out={E:.6g}"
+            f"{rec['probe']:>10s} lambda={rec['lambda']:g} T={rec['T']:g} "
+            f"E_m={rec['E_m']:.6g} E_out={E:.6g}"
         )
     print(f"wrote {path}")
     return EXIT_OK
@@ -224,20 +229,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command in ("teleport", "sweep"):
-            return _cmd_teleport(args)
-        if args.command == "density":
-            return _cmd_density(args)
-        if args.command == "demo":
-            return _cmd_demo_negative_energy(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ValidationError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
@@ -248,7 +242,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

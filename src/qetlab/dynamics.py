@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ValidationError
 from .fields import CurlGaussian, _integer, _positive, _real, _set_checked, _vec3
 
 # spectral-resolution gate: Nyquist wavenumber must reach 8/sigma so the
@@ -151,14 +151,14 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     grid = grid or default_frame_grid(a_m, t)
     k_nyquist = np.pi / grid.dx
     if k_nyquist * a_m.sigma < KNYQ_SIGMA_MIN:
-        raise ResolutionError(
+        raise ValidationError(
             f"grid Nyquist {k_nyquist:.3g} under-resolves sigma={a_m.sigma:.3g}: "
             f"need k_nyq >= {KNYQ_SIGMA_MIN / a_m.sigma:.3g} (refine n or shrink extent)"
         )
     needed = abs(t) + a_m.effective_radius
     offset = float(np.linalg.norm(np.asarray(grid.center) - a_m.center_vec))
     if grid.half_extent < needed + offset:
-        raise ResolutionError(
+        raise ValidationError(
             f"light shell |x| <= {needed:.3g} leaves the grid "
             f"(half extent {grid.half_extent:.3g}, source offset {offset:.3g}); "
             f"need half extent >= {needed + offset:.3g}"
@@ -169,7 +169,7 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     try:
         eps = np.empty((grid.n, grid.n, grid.n))
     except MemoryError:
-        raise ResolutionError(
+        raise ValidationError(
             f"grid n = {grid.n} needs {8 * grid.n**3:.3g} bytes for one frame, "
             "which cannot be allocated"
         ) from None

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's two exception types, one per CLI exit code; exit 4 is any OSError."""
 
 
 class ValidationError(ValueError):
@@ -9,22 +9,6 @@ class ValidationError(ValueError):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-class CausalityError(ValidationError):
-    """Wait time T too small for the fields to be causally decoupled."""
-
-
-class ResolutionError(ValidationError):
-    """Grid too coarse to resolve the field's spectral content."""
-
-
-class LightConeError(ValidationError):
-    """Point evaluation requested on the light cone, where the kernel is distributional."""
-
-
-class DegenerateFieldError(ValidationError):
-    """An operation profile with zero norm makes the protocol undefined."""
 
 
 class ToleranceFailure(RuntimeError):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .errors import ValidationError
 from .fields import _nonzero, _positive, _set_checked, _unit, _vec3
@@ -45,6 +44,8 @@ def _radial_over_power(l: int, sigma: float, r2):
     Q_l = c_l M(a, b, -r^2/(2 sigma^2)), a = (l + 9/2)/2, b = l + 3/2 and
     c_l = sqrt(pi/2) Gamma(a) / (2^b (sigma^2/2)^a Gamma(b)).
     """
+    from scipy.special import hyp1f1  # here, so that importing the package loads no scipy
+
     a, b, s = (l + 4.5) / 2.0, l + 1.5, 0.5 * sigma * sigma
     c = math.sqrt(math.pi / 2.0) * math.gamma(a) / (2.0**b * s**a * math.gamma(b))
     return c * hyp1f1(a, b, -r2 / (4.0 * s))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import CausalityError, DegenerateFieldError, ToleranceFailure, ValidationError
+from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _nonnegative, _real, _set_checked
 from .spectral import overlap_kernel, weighted_spectral_integral
 
@@ -59,8 +59,7 @@ class ProtocolConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        _set_checked(self, T=_real, lam=_nonnegative)
-        after_causal_wait(self.a_m, self.f_o)(self.T, "T")
+        _set_checked(self, T=after_causal_wait(self.a_m, self.f_o), lam=_nonnegative)
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
@@ -70,14 +69,14 @@ def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
 
 
 def after_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian):
-    """The value rule for a wait time T past min_causal_wait(a_m, f_o); it raises CausalityError."""
+    """The value rule for a wait time T past min_causal_wait(a_m, f_o)."""
     wait = min_causal_wait(a_m, f_o)
 
     def rule(value, name: str) -> float:
         T = _real(value, name)
         if T > wait:
             return T
-        raise CausalityError(
+        raise ValidationError(
             f"{name}: must exceed the causal wait |d| + {CAUSAL_SIGMA_FACTOR:g}(sigma_a + sigma_f)"
             f" = {wait:.6g}, got {value!r}"
         )
@@ -195,7 +194,7 @@ def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, O
     """
     xi = inv.xi
     if xi == 0.0:
-        raise DegenerateFieldError(
+        raise ValidationError(
             "operation profile has zero norm; the displacement parameter is undefined"
         )
     K = lam * K1
@@ -241,12 +240,12 @@ def large_amplitude_limit(cfg: ProtocolConfig) -> float:
     """
     inv = PairInvariants.of(cfg.a_m, cfg.f_o)
     if inv.I1 == 0.0:
-        raise DegenerateFieldError("zero measurement amplitude: rescaled profile undefined")
+        raise ValidationError("zero measurement amplitude: rescaled profile undefined")
     K1 = inv.kernel(cfg.T)
     if inv.xi == 0.0:
         if K1 == 0.0:
             return 0.0
-        raise DegenerateFieldError("zero-norm operation profile with nonzero overlap")
+        raise ValidationError("zero-norm operation profile with nonzero overlap")
     return K1 * K1 / (4.0 * inv.I1 * inv.xi)
 
 
@@ -258,7 +257,7 @@ def crossover_amplitude(cfg: ProtocolConfig) -> float:
     """
     I1 = weighted_spectral_integral(cfg.a_m, 1).value
     if I1 <= 0.0:
-        raise DegenerateFieldError("crossover undefined for a zero measurement profile")
+        raise ValidationError("crossover undefined for a zero measurement profile")
     return math.sqrt(CROSSOVER_U / (2.0 * I1))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,61 +21,28 @@ from .protocols import OscillatorOutcome, PairInvariants, SpinOutcome, teleport
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    scenario_hash: str
-    probe: str
-    lam: float
-    T: float
-    E_m: float
-    eta: float | None
-    xi: float
-    theta_star: float | None
-    E_o: float | None
-    D_q: float
-    eta_prime: float | None
-    theta_prime_star: float | None
-    E_o_prime: float | None
-    D_ho: float
-    ratio: float | None
-
-    def to_line(self) -> str:
-        values = (_jsonable(getattr(self, f.name)) for f in _RECORD_FIELDS)
-        return json.dumps(dict(zip(RECORD_KEYS, values)), allow_nan=False)
-
-
-_RECORD_FIELDS = fields(ResultRecord)
-# JSON keys in field order; `lam` is written as "lambda"
-RECORD_KEYS = tuple("lambda" if f.name == "lam" else f.name for f in _RECORD_FIELDS)
-
-
-def _jsonable(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
-
-
 def _record(
     scenario_hash: str, probe: str, lam: float, T: float, spin: SpinOutcome, osc: OscillatorOutcome
-) -> ResultRecord:
+) -> dict:
+    """One results line, its keys in the README's order; the other probe's fields are None."""
     is_spin = probe == "spin"
-    return ResultRecord(
-        scenario_hash=scenario_hash,
-        probe=probe,
-        lam=lam,
-        T=T,
-        E_m=spin.E_m,
-        eta=spin.eta if is_spin else None,
-        xi=spin.xi,
-        theta_star=spin.theta_star if is_spin else None,
-        E_o=spin.E_o if is_spin else None,
-        D_q=spin.D_q,
-        eta_prime=None if is_spin else osc.eta_prime,
-        theta_prime_star=None if is_spin else osc.theta_prime_star,
-        E_o_prime=None if is_spin else osc.E_o_prime,
-        D_ho=osc.D_ho,
-        ratio=osc.D_ho / spin.D_q if spin.D_q > 0.0 else math.inf,
-    )
+    return {
+        "scenario_hash": scenario_hash,
+        "probe": probe,
+        "lambda": lam,
+        "T": T,
+        "E_m": spin.E_m,
+        "eta": spin.eta if is_spin else None,
+        "xi": spin.xi,
+        "theta_star": spin.theta_star if is_spin else None,
+        "E_o": spin.E_o if is_spin else None,
+        "D_q": spin.D_q,
+        "eta_prime": None if is_spin else osc.eta_prime,
+        "theta_prime_star": None if is_spin else osc.theta_prime_star,
+        "E_o_prime": None if is_spin else osc.E_o_prime,
+        "D_ho": osc.D_ho,
+        "ratio": osc.D_ho / spin.D_q if spin.D_q > 0.0 else math.inf,
+    }
 
 
 def _at_sweep_point(where: str, fn, *args):
@@ -88,7 +54,7 @@ def _at_sweep_point(where: str, fn, *args):
         raise type(exc)(f"sweep point ({where}): {exc}") from exc
 
 
-def run_scenario(scenario: Scenario) -> list[ResultRecord]:
+def run_scenario(scenario: Scenario) -> list[dict]:
     """All (probe, lambda, T) combinations, in deterministic task order.
 
     The pair invariants are computed once and K(T) once per T; both probes'
@@ -111,10 +77,15 @@ def run_scenario(scenario: Scenario) -> list[ResultRecord]:
 
 
 def emit_records(records, path) -> None:
-    """JSON Lines, one record per line, fixed key order; empty input is a valid file."""
+    """JSON Lines, one record per line in its key order; a non-finite float is written null.
+
+    Empty input is a valid file.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(rec.to_line())
+            line = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in rec.items()}
+            fh.write(json.dumps(line, allow_nan=False))
             fh.write("\n")
 
 

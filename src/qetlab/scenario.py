@@ -41,15 +41,15 @@ class Scenario:
     a_m: CurlGaussian
     f_o: CurlGaussian
     window: RadialWindow
-    probe: str = "both"
-    T_list: tuple = (12.0,)
-    lambdas: tuple = (1.0,)
-    seed: int = 0
-    grid_n: int = 128
-    grid_half_extent: float | None = None
-    times: tuple = ()
-    results_name: str = "results.jsonl"
-    frames_prefix: str = "frame"
+    probe: str
+    T_list: tuple
+    lambdas: tuple
+    seed: int
+    grid_n: int
+    grid_half_extent: float | None
+    times: tuple
+    results_name: str
+    frames_prefix: str
 
     @property
     def scenario_hash(self) -> str:
@@ -177,8 +177,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     grid_n = errs.call("scenario.grid", _integer(8), grid.get("n", 128), "n")
     grid_half = grid.get("half_extent")
     if grid_half is not None:
-        # kept as written, since it enters scenario_hash; FrameGrid stores the float
-        errs.call("scenario.grid", _positive, grid_half, "half_extent")
+        grid_half = errs.call("scenario.grid", _positive, grid_half, "half_extent")
 
     times = tuple(_number_list(spec["times"], _nonnegative, "times", errs)) if "times" in spec else ()
     if len({frame_stem("", t) for t in times}) < len(times):

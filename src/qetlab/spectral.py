@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import LightConeError, ToleranceFailure, ValidationError
+from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _checked, _integer, _nonnegative, _positive, _real, _set_checked
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
@@ -174,7 +173,7 @@ def _off_cone(t: float, r: float) -> float:
     t, r = _checked(t=(_real, t), r=(_nonnegative, r))
     u = t * t - r * r
     if abs(u) <= CONE_EPS * (t * t + r * r):
-        raise LightConeError(
+        raise ValidationError(
             f"(t={t}, r={r}) lies on the light cone; the kernel is distributional there"
         )
     return u
@@ -191,6 +190,8 @@ def pauli_jordan_delta_quadrature(t: float, r: float) -> IntegralResult:
     Integrates the damped radial Fourier integral for damping strengths 0.05,
     0.025 and 0.0125 and Richardson-extrapolates in the damping squared (the residual is even).
     """
+    from scipy.integrate import quad  # here, so that importing the package loads no scipy
+
     _off_cone(t, r)
 
     def damped(epsilon: float) -> float:
@@ -341,7 +342,7 @@ def brute_force_overlap_oracle(
         d += offset
         r2 = np.einsum("ij,ij->i", d, d)
         if np.any(np.abs(T2 - r2) <= CONE_EPS * (T2 + r2)):
-            raise LightConeError("sampled pair fell on the light cone")
+            raise ValidationError("sampled pair fell on the light cone")
         field = np.einsum("ij,ij->i", zx, zy)
         field *= cos_axes
         field -= (zx @ na) * (zy @ nf)

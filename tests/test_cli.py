@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,16 @@ class TestExitCodes:
         )
         assert main(["verify", "--mc-samples", "20000"]) == EXIT_TOLERANCE
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the two functions that need it, so no verb pays for it at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qetlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestTeleport:

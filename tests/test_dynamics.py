@@ -9,7 +9,7 @@ from qetlab import (
     input_energy,
 )
 from qetlab.dynamics import _energy_density, default_frame_grid
-from qetlab.errors import ResolutionError
+from qetlab.errors import ValidationError
 
 from oracles import (
     density_reference,
@@ -105,11 +105,11 @@ class TestFrameConstruction:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
 
     def test_rejects_shell_escaping_grid(self, source):
-        with pytest.raises(ResolutionError, match="half extent"):
+        with pytest.raises(ValidationError, match="light shell .* leaves the grid"):
             energy_density_frame(source, 20.0, FrameGrid(n=64, half_extent=10.0))
 
     def test_rejects_underresolved_grid(self, source):
-        with pytest.raises(ResolutionError, match="Nyquist|resolves|under-resolves"):
+        with pytest.raises(ValidationError, match="grid Nyquist .* under-resolves sigma"):
             energy_density_frame(source, 2.0, FrameGrid(n=16, half_extent=12.0))
 
 

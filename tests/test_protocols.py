@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qetlab import (
-    CausalityError,
     CurlGaussian,
-    DegenerateFieldError,
     PairInvariants,
     ProtocolConfig,
     ValidationError,
@@ -195,15 +193,20 @@ class TestSpinProtocol:
 
     def test_degenerate_operation_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=canonical_field, f_o=CurlGaussian(0.0, 1.0), T=8.0)
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(ValidationError, match="operation profile has zero norm"):
             run_protocols(cfg)
 
     def test_causality_violation_rejected(self, canonical_field):
-        with pytest.raises(CausalityError):
+        with pytest.raises(ValidationError, match="T: must exceed the causal wait"):
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=5.0)
 
+    def test_every_bad_field_is_reported_at_once(self, canonical_field):
+        with pytest.raises(ValidationError) as bad:
+            ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=2.0, lam=-1.0)
+        assert [e.split(":")[0] for e in bad.value.errors] == ["T", "lam"]
+
     def test_parser_words_the_causal_gate_as_protocol_config_does(self, canonical_field):
-        with pytest.raises(CausalityError) as built:
+        with pytest.raises(ValidationError, match="causal wait") as built:
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=5.0)
         with pytest.raises(ValidationError) as parsed:
             scenario_from_dict({"T": 5.0, "fields": {"a_m": {"sigma": 1.0}}})
@@ -349,7 +352,7 @@ class TestLargeAmplitudeLimit:
 
     def test_zero_measurement_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=CurlGaussian(0.0, 1.0), f_o=canonical_field, T=8.0)
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(ValidationError, match="zero measurement amplitude"):
             large_amplitude_limit(cfg)
 
 
@@ -397,7 +400,7 @@ class TestCrossover:
 
     def test_zero_measurement_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=CurlGaussian(0.0, 1.0), f_o=canonical_field, T=8.0)
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(ValidationError, match="crossover undefined for a zero measurement profile"):
             crossover_amplitude(cfg)
 
 
@@ -420,7 +423,7 @@ class TestSeparationScaling:
         assert abs(f1.slope - f2.slope) < 0.05
 
     def test_T_inside_the_causal_wait_rejected(self, canonical_cfg):
-        with pytest.raises(CausalityError, match="causal wait"):
+        with pytest.raises(ValidationError, match="causal wait"):
             separation_scaling_fit(canonical_cfg, [50.0, 5.0], quantity="kernel")
 
     def test_needs_two_points(self, canonical_cfg):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qetlab import DegenerateFieldError, ValidationError, parse_scenario
+from qetlab import ValidationError, parse_scenario
 from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import CurlGaussian
@@ -275,24 +275,33 @@ class TestParsing:
         path = Path(__file__).resolve().parents[1] / "scenarios" / "canonical.yaml"
         assert parse_scenario(path).scenario_hash == "1c269aa53db7c168"
 
+    def test_integer_half_extent_hashes_as_its_float(self):
+        def scenario(half_extent):
+            grid = {"half_extent": half_extent}
+            return scenario_from_dict({"T": 8.0, "fields": {"a_m": {"sigma": 1.0}}, "grid": grid})
+
+        as_int, as_float = scenario(16), scenario(16.0)
+        assert as_int.grid_half_extent == 16.0 and isinstance(as_int.grid_half_extent, float)
+        assert as_int.scenario_hash == as_float.scenario_hash
+
 
 class TestRunScenario:
     def test_both_probes_share_input_energy(self, tmp_path):
         s = parse_scenario(write(tmp_path, MINIMAL.replace("probe: spin", "probe: both")))
         records = run_scenario(s)
         assert len(records) == 2
-        spin = next(r for r in records if r.probe == "spin")
-        osc = next(r for r in records if r.probe == "oscillator")
-        assert spin.E_m == osc.E_m
-        assert spin.E_o is not None and osc.E_o_prime is not None
-        assert osc.E_o is None and spin.E_o_prime is None
+        spin = next(r for r in records if r["probe"] == "spin")
+        osc = next(r for r in records if r["probe"] == "oscillator")
+        assert spin["E_m"] == osc["E_m"]
+        assert spin["E_o"] is not None and osc["E_o_prime"] is not None
+        assert osc["E_o"] is None and spin["E_o_prime"] is None
 
     def test_lambda_sweep_monotone_damping(self, tmp_path):
         text = MINIMAL + "lambda: [0.2, 0.5, 0.8, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]\n"
         s = parse_scenario(write(tmp_path, text))
         records = run_scenario(s)
         assert len(records) == 10
-        dqs = [r.D_q for r in records]
+        dqs = [r["D_q"] for r in records]
         assert all(a > b for a, b in zip(dqs, dqs[1:]))
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -307,7 +316,8 @@ class TestRunScenario:
         broken = type(s).__new__(type(s))
         object.__setattr__(broken, "__dict__", dict(s.__dict__))
         object.__setattr__(broken, "f_o", CurlGaussian(0.0, 1.1))
-        with pytest.raises(DegenerateFieldError, match="sweep point"):
+        zero_norm = r"sweep point \(lambda=.*\): operation profile has zero norm"
+        with pytest.raises(ValidationError, match=zero_norm):
             run_scenario(broken)
 
     def test_foreign_sweep_error_propagates_unchanged(self, tmp_path, monkeypatch):
@@ -360,10 +370,12 @@ class TestRecordEmission:
         s = parse_scenario(write(tmp_path, MINIMAL))
         path = tmp_path / "records.jsonl"
         emit_records(run_scenario(s), path)
-        line = path.read_text().splitlines()[0]
-        keys = [seg.split('":')[0].strip('{" ') for seg in line.split(",") if '":' in seg]
-        assert keys[:4] == ["scenario_hash", "probe", "lambda", "T"]
-        assert keys[-1] == "ratio"
+        keys = list(json.loads(path.read_text().splitlines()[0]))
+        # the README's key order
+        assert keys == [
+            "scenario_hash", "probe", "lambda", "T", "E_m", "eta", "xi", "theta_star", "E_o", "D_q",
+            "eta_prime", "theta_prime_star", "E_o_prime", "D_ho", "ratio",
+        ]
 
     def test_empty_record_list_is_valid_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -376,9 +388,7 @@ class TestRecordEmission:
         path = tmp_path / "records.jsonl"
         emit_records(records, path)
         loaded = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert len(loaded) == len(records)
-        assert loaded[0]["E_m"] == records[0].E_m
-        assert loaded[0]["lambda"] == records[0].lam
+        assert loaded == records
 
 
 @pytest.fixture(scope="module")
