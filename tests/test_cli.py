@@ -97,6 +97,33 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_one_exception_type_per_exit_code(self):
+        # exit 2 is ValidationError and exit 3 ToleranceFailure; exit 4 is any OSError
+        import qetlab.errors
+
+        defined = sorted(
+            name
+            for name, value in vars(qetlab.errors).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        )
+        assert defined == ["ToleranceFailure", "ValidationError"]
+
+    @pytest.mark.parametrize(
+        "argv, handler",
+        [
+            (["energy", "--scenario", "s.yaml"], "_cmd_energy"),
+            (["teleport", "--scenario", "s.yaml"], "_cmd_teleport"),
+            (["sweep", "--scenario", "s.yaml"], "_cmd_teleport"),
+            (["density", "--scenario", "s.yaml"], "_cmd_density"),
+            (["demo", "negative-energy"], "_cmd_demo_negative_energy"),
+            (["verify"], "_cmd_verify"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_every_verb_dispatches_to_its_handler(self, argv, handler):
+        assert cli.build_parser().parse_args(argv).run is getattr(cli, handler)
+
+
 def test_import_loads_no_scipy():
     # scipy is imported inside the two functions that need it, so no verb pays for it at start-up
     src = str(Path(__file__).resolve().parents[1] / "src")

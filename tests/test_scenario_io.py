@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,7 @@ from qetlab.results import (
     load_frame_csv,
     run_scenario,
 )
-from qetlab.scenario import _SHAPE, scenario_from_dict
+from qetlab.scenario import _SHAPE, Scenario, scenario_from_dict
 
 from oracles import grid_positions
 
@@ -50,6 +51,15 @@ def write(tmp_path, text, name="scenario.yaml"):
 
 
 class TestParsing:
+    def test_defaults_live_in_the_parser_only(self):
+        # Scenario declares no field defaults, so scenario_from_dict is the one place they are set
+        missing = [
+            f.name
+            for f in dataclasses.fields(Scenario)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        ]
+        assert missing == [f.name for f in dataclasses.fields(Scenario)]
+
     def test_minimal_scenario_fills_defaults(self, tmp_path):
         s = parse_scenario(write(tmp_path, MINIMAL))
         assert s.probe == "spin"
@@ -376,6 +386,12 @@ class TestRecordEmission:
             "scenario_hash", "probe", "lambda", "T", "E_m", "eta", "xi", "theta_star", "E_o", "D_q",
             "eta_prime", "theta_prime_star", "E_o_prime", "D_ho", "ratio",
         ]
+
+    def test_non_finite_floats_are_written_null(self, tmp_path):
+        # a zero D_q makes the ratio infinite; JSON has no inf, so the line carries null
+        path = tmp_path / "records.jsonl"
+        emit_records([{"D_q": 0.0, "ratio": math.inf, "eta": math.nan, "E_o": None}], path)
+        assert path.read_text() == '{"D_q": 0.0, "ratio": null, "eta": null, "E_o": null}\n'
 
     def test_empty_record_list_is_valid_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
