@@ -16,7 +16,6 @@ from qetlab import (
     ProtocolConfig,
     commutator_residual,
     crossover_amplitude,
-    large_amplitude_limit,
     overlap_kernel,
     teleport,
 )
@@ -51,7 +50,8 @@ def main() -> int:
     print(f"             E_o'={osc.E_o_prime:.6g}  D_ho={osc.D_ho:.6g}")
     print(f"ratio E_o'/E_o      = {osc.E_o_prime / spin.E_o:.6g} (= D_ho/D_q)")
     print(f"crossover lambda_c  = {crossover_amplitude(cfg):.10g}")
-    print(f"large-lambda |E_o'| = {large_amplitude_limit(cfg):.6g}")
+    # |E_o'| saturates as lambda grows: D_ho K^2 -> K1^2/(2 I1), independent of lambda
+    print(f"large-lambda |E_o'| = {K1.value * K1.value / (4.0 * inv.I1 * inv.xi):.6g}")
 
     scenario = scenario_from_dict(
         {

@@ -29,10 +29,7 @@ from .protocols import (
     crossover_amplitude,
     damping_oscillator,
     damping_spin,
-    input_energy,
-    large_amplitude_limit,
     povm_identity_check,
-    run_protocols,
     separation_scaling_fit,
     teleport,
 )

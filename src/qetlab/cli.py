@@ -5,8 +5,8 @@ One verb per capability: `energy` (input energy and damping factors),
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
 cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, a
 scenario file that is not UTF-8 text, an under-resolved grid, a frame too
-large to allocate, a degenerate field, a light-cone evaluation), 3 numerical
-tolerance failure, 4 I/O error.
+large to allocate, a zero or overflowing field pair, a light-cone evaluation),
+3 numerical tolerance failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from .fields import CurlGaussian
 from .negative_energy import GaussianPhotonMode, demo_rows
 from .protocols import (
     PairInvariants,
-    ProtocolConfig,
     damping_oscillator,
     damping_spin,
-    input_energy,
     input_energy_position_oracle,
     povm_identity_check,
-    run_protocols,
+    teleport,
 )
 from .results import (
     emit_frame_binary,
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_energy(args) -> int:
     scenario = parse_scenario(args.scenario)
-    inv = PairInvariants.of(scenario.a_m, scenario.f_o)
+    inv = scenario.pair
     print(f"scenario_hash = {scenario.scenario_hash}")
     print(f"E_m = {inv.E_m:.12g}")
     print(f"I1 = {inv.I1:.12g}")
@@ -185,7 +183,8 @@ def _cmd_verify(args) -> int:
     abs(value - reference) <= tolerance, which a NaN anywhere fails.
     """
     a = CurlGaussian(1.0, 1.0)
-    E_spec = input_energy(a)
+    inv = PairInvariants.of(a, a)
+    E_spec = inv.E_m
     E_pos = input_energy_position_oracle(a)
     expected = 1.25 * np.pi**1.5
     rows = [
@@ -209,7 +208,7 @@ def _cmd_verify(args) -> int:
     # I1 in closed form at the scaled field, so the lambda^2 law is under test too
     I1 = weighted_spectral_integral(a.scaled(1.3), 1).value
     ratio = damping_oscillator(I1) / damping_spin(I1)
-    spin, osc = run_protocols(ProtocolConfig(a_m=a, f_o=a, T=T, lam=1.3))
+    spin, osc = teleport(inv, K, 1.3)
     rows.append(("damping-ratio identity", osc.E_o_prime / spin.E_o, ratio, 1e-12 * abs(ratio)))
 
     failures = []

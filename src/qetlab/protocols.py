@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import ToleranceFailure, ValidationError
-from .fields import CurlGaussian, _nonnegative, _real, _set_checked
+from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _set_checked
 from .spectral import overlap_kernel, weighted_spectral_integral
 
 PI2_OVER_4 = np.pi**2 / 4.0
@@ -104,14 +104,6 @@ class OscillatorOutcome:
     D_ho: float
 
 
-def input_energy(a_m) -> float:
-    """E_m = (1/2) int (curl a_m)^2 d^3x, via the |k|^2-weighted spectral norm.
-
-    The same value is the input energy for both probe types.
-    """
-    return 0.5 * weighted_spectral_integral(a_m, 2).value
-
-
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Hermite nodes u and weights w e^{u^2}: exact for the plain integral
     of any e^{-u^2} times a polynomial of degree < 2n."""
@@ -143,10 +135,15 @@ def damping_oscillator(I1: float) -> float:
 
 @dataclass(frozen=True)
 class PairInvariants:
-    """E_m, I1 and xi of a field pair at unit amplitude multiplier.
+    """E_m, I1 and xi of a field pair at unit amplitude multiplier; the one
+    checked entry into both protocols.
 
-    The fields are linear in the amplitude, so at multiplier lam the protocol
-    sees lam^2 E_m, lam^2 I1, the same xi and lam K(T).
+    E_m = (1/2) int (curl a_m)^2 is the input energy of both probes, I1 the
+    damping exponent and xi = int f_o^2 the operation norm.  E_m and I1 must
+    be finite and >= 0, xi finite and > 0, so a zero operation profile or an
+    overflowing norm stops here.  The fields are linear in the amplitude, so
+    at multiplier lam the protocol sees lam^2 E_m, lam^2 I1, the same xi and
+    lam K(T).
     """
 
     a_m: CurlGaussian
@@ -155,11 +152,19 @@ class PairInvariants:
     I1: float
     xi: float
 
+    def __post_init__(self):
+        _checked(**{
+            "a_m.E_m": (_nonnegative, self.E_m),
+            "a_m.I1": (_nonnegative, self.I1),
+            "f_o.xi": (_positive, self.xi),
+        })
+
     @classmethod
     def of(cls, a_m: CurlGaussian, f_o: CurlGaussian) -> "PairInvariants":
+        E_m = 0.5 * weighted_spectral_integral(a_m, 2).value
         I1 = weighted_spectral_integral(a_m, 1).value
         xi = weighted_spectral_integral(f_o, 0).value
-        return cls(a_m=a_m, f_o=f_o, E_m=input_energy(a_m), I1=I1, xi=xi)
+        return cls(a_m=a_m, f_o=f_o, E_m=E_m, I1=I1, xi=xi)
 
     def kernel(self, T: float) -> float:
         """K(T) at lam = 1."""
@@ -167,8 +172,10 @@ class PairInvariants:
 
 
 def _check_assembly(direct: float, assembled: float, what: str) -> None:
+    # written so that a NaN or infinite energy fails; the floor lets an
+    # energy that has underflowed to a subnormal pass
     scale = max(abs(direct), abs(assembled), 1e-300)
-    if abs(direct - assembled) > 1e-12 * scale:
+    if not abs(direct - assembled) <= 1e-12 * scale:
         raise ToleranceFailure(
             f"{what}: optimized form {direct!r} vs damping-factor assembly {assembled!r}"
         )
@@ -193,10 +200,6 @@ def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, O
     sign errors in eta.
     """
     xi = inv.xi
-    if xi == 0.0:
-        raise ValidationError(
-            "operation profile has zero norm; the displacement parameter is undefined"
-        )
     K = lam * K1
     I1 = lam * lam * inv.I1
     E_m = lam * lam * inv.E_m
@@ -224,29 +227,6 @@ def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, O
         D_ho=D_ho,
     )
     return spin, osc
-
-
-def run_protocols(cfg: ProtocolConfig) -> tuple[SpinOutcome, OscillatorOutcome]:
-    """One-off run of both protocols at cfg's (T, lam)."""
-    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
-    return teleport(inv, inv.kernel(cfg.T), cfg.lam)
-
-
-def large_amplitude_limit(cfg: ProtocolConfig) -> float:
-    """Amplitude-independent limit of |E_o'|: K^2/(4 I1 xi) at any reference amplitude.
-
-    A literal zero operation profile extracts nothing and returns 0; a zero
-    measurement amplitude leaves the rescaled profile undefined and is rejected.
-    """
-    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
-    if inv.I1 == 0.0:
-        raise ValidationError("zero measurement amplitude: rescaled profile undefined")
-    K1 = inv.kernel(cfg.T)
-    if inv.xi == 0.0:
-        if K1 == 0.0:
-            return 0.0
-        raise ValidationError("zero-norm operation profile with nonzero overlap")
-    return K1 * K1 / (4.0 * inv.I1 * inv.xi)
 
 
 def crossover_amplitude(cfg: ProtocolConfig) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import DensityFrame, FrameGrid, default_frame_grid, energy_density_frame
 from .errors import ToleranceFailure, ValidationError
-from .protocols import OscillatorOutcome, PairInvariants, SpinOutcome, teleport
+from .protocols import OscillatorOutcome, SpinOutcome, teleport
 from .scenario import Scenario
 
 
@@ -57,11 +57,11 @@ def _at_sweep_point(where: str, fn, *args):
 def run_scenario(scenario: Scenario) -> list[dict]:
     """All (probe, lambda, T) combinations, in deterministic task order.
 
-    The pair invariants are computed once and K(T) once per T; both probes'
-    records at a (lambda, T) come from one `teleport` call.  Errors propagate
-    with the sweep coordinate attached.
+    The pair invariants come from the scenario and K(T) is computed once per
+    T; both probes' records at a (lambda, T) come from one `teleport` call.
+    Errors propagate with the sweep coordinate attached.
     """
-    inv = PairInvariants.of(scenario.a_m, scenario.f_o)
+    inv = scenario.pair
     outcomes = {}
     for T in scenario.T_list:
         K1 = _at_sweep_point(f"T={T}", inv.kernel, T)

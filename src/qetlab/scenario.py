@@ -17,7 +17,7 @@ import yaml
 
 from .errors import ValidationError
 from .fields import CurlGaussian, RadialWindow, _integer, _nonnegative, _positive
-from .protocols import after_causal_wait
+from .protocols import PairInvariants, after_causal_wait
 
 PROBES = ("spin", "oscillator", "both")
 
@@ -38,8 +38,7 @@ _SHAPE = {
 
 @dataclass(frozen=True)
 class Scenario:
-    a_m: CurlGaussian
-    f_o: CurlGaussian
+    pair: PairInvariants
     window: RadialWindow
     probe: str
     T_list: tuple
@@ -50,6 +49,14 @@ class Scenario:
     times: tuple
     results_name: str
     frames_prefix: str
+
+    @property
+    def a_m(self) -> CurlGaussian:
+        return self.pair.a_m
+
+    @property
+    def f_o(self) -> CurlGaussian:
+        return self.pair.f_o
 
     @property
     def scenario_hash(self) -> str:
@@ -172,6 +179,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         window = _build(RadialWindow, fields, "window", errs, radius=None, center=center)
     else:
         window = RadialWindow(radius=3.0 * a_m.sigma, center=a_m.center) if a_m else None
+    # E_m, I1 and xi once per scenario; a zero or overflowing norm is filed under its field
+    pair = errs.call("scenario.fields", PairInvariants.of, a_m, f_o) if a_m and f_o else None
 
     grid = spec.get("grid") or {}
     grid_n = errs.call("scenario.grid", _integer(8), grid.get("n", 128), "n")
@@ -195,7 +204,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if errs.errors:
         raise ValidationError(errs.errors)
     return Scenario(
-        a_m=a_m, f_o=f_o, window=window, probe=probe, T_list=tuple(T_list), lambdas=tuple(lambdas),
+        pair=pair, window=window, probe=probe, T_list=tuple(T_list), lambdas=tuple(lambdas),
         seed=seed, grid_n=grid_n, grid_half_extent=grid_half, times=times,
         results_name=results_name, frames_prefix=frames_prefix,
     )

@@ -13,6 +13,7 @@ import pytest
 
 from qetlab import (
     CurlGaussian,
+    PairInvariants,
     ProtocolConfig,
     RadialWindow,
     brute_force_overlap_oracle,
@@ -20,10 +21,8 @@ from qetlab import (
     damping_oscillator,
     damping_spin,
     energy_density_frame,
-    input_energy,
     overlap_kernel,
     povm_identity_check,
-    run_protocols,
     separation_scaling_fit,
     weighted_spectral_integral,
 )
@@ -34,6 +33,7 @@ from qetlab.scenario import scenario_from_dict
 
 from oracles import residual_window_energy, total_energy
 from test_negative_energy import random_mode_set
+from test_protocols import both_protocols
 
 I1 = 8.0 * np.pi / 3.0
 
@@ -83,7 +83,7 @@ def _random_cfg(rng) -> ProtocolConfig:
 
 def test_criterion_01_input_energy_oracle(canonical):
     with _Budget("criterion 01 input-energy oracle", 1.0):
-        spectral = input_energy(canonical)
+        spectral = PairInvariants.of(canonical, canonical).E_m
         position = input_energy_position_oracle(canonical)
         expected = 1.25 * np.pi**1.5
         assert abs(spectral - position) <= 1e-6 * abs(position)
@@ -109,7 +109,7 @@ def test_criterion_03_negativity_and_bound():
         checked = 0
         while checked < 100:
             cfg = _random_cfg(rng)
-            spin, osc = run_protocols(cfg)
+            spin, osc = both_protocols(cfg)
             if spin.eta == 0.0:
                 continue  # measure-zero orthogonal draw carries no information
             assert spin.E_o < 0.0 and osc.E_o_prime < 0.0
@@ -141,7 +141,7 @@ def test_criterion_05_ratio_identity():
         rng = np.random.default_rng(271828)
         for _ in range(20):
             cfg = _random_cfg(rng)
-            spin, osc = run_protocols(cfg)
+            spin, osc = both_protocols(cfg)
             if spin.E_o == 0.0:
                 continue
             lhs = osc.E_o_prime / spin.E_o
@@ -155,7 +155,7 @@ def test_criterion_06_crossover(canonical_cfg):
         u = 2.0 * lam_c**2 * I1
         assert abs(math.exp(u) - (1.0 + np.pi**2 / 4.0 + u)) <= 1e-10
         cfg2 = replace(canonical_cfg, lam=2.0 * lam_c)
-        spin, osc = run_protocols(cfg2)
+        spin, osc = both_protocols(cfg2)
         assert abs(osc.E_o_prime) > abs(spin.E_o)
 
 
@@ -170,7 +170,7 @@ def test_criterion_07_separation_scaling(canonical_cfg):
 
 def test_criterion_08_dynamics_conservation(canonical):
     with _Budget("criterion 08 dynamics conservation", 120.0):
-        E_m = input_energy(canonical)
+        E_m = PairInvariants.of(canonical, canonical).E_m
         for t in (0.0, 2.0, 4.0, 8.0, 12.0):
             frame = energy_density_frame(canonical, t)  # default n=128 grid
             assert frame.grid.n == 128

@@ -89,6 +89,39 @@ class TestExitCodes:
         assert "n = 100000" in err and "8e+15 bytes" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["energy", "teleport", "sweep", "density"])
+    def test_zero_operation_profile_exits_2(self, verb, tmp_path, capsys):
+        # xi = int f_o^2 = 0 leaves the displacement undefined; the parser rejects the pair
+        path = tmp_path / "zero.yaml"
+        path.write_text(MINIMAL + "  f_o: {amplitude: 0.0, sigma: 1.0}\n")
+        argv = [verb, "--scenario", str(path)] + ([] if verb == "energy" else ["--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario.fields.f_o.xi: must be a positive finite number, got 0.0\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("amplitude", ["1.0e+155", "1.0e+160"])
+    @pytest.mark.parametrize("verb", ["energy", "teleport"])
+    def test_overflowing_amplitude_exits_2(self, verb, amplitude, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text(MINIMAL.replace("{sigma: 1.0}", f"{{amplitude: {amplitude}, sigma: 1.0}}"))
+        argv = [verb, "--scenario", str(path)] + ([] if verb == "energy" else ["--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        for name in ("a_m.E_m", "a_m.I1", "f_o.xi"):
+            assert f"error: scenario.fields.{name}: must be a " in err and "got inf" in err
+        assert "estimated_error" not in err
+
+    def test_overflowing_protocol_energy_exits_3(self, tmp_path, capsys):
+        # amplitude 1e100: the norms are finite, but E_o' is inf/inf; nothing is written
+        path = tmp_path / "huge.yaml"
+        path.write_text(MINIMAL.replace("{sigma: 1.0}", "{amplitude: 1.0e+100, sigma: 1.0}"))
+        out_dir = tmp_path / "out"
+        assert main(["teleport", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_TOLERANCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point (lambda=1.0, T=8.0): oscillator teleported energy")
+        assert not (out_dir / "results.jsonl").exists()
+
     def test_verify_tolerance_failure_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "input_energy_position_oracle", lambda *a, **k: 123.456
@@ -234,8 +267,8 @@ def _break_identities(real, how):
 
 
 def _break_protocols(real, how):
-    def oracle(cfg):
-        spin, osc = real(cfg)
+    def oracle(inv, K1, lam):
+        spin, osc = real(inv, K1, lam)
         ratio = osc.E_o_prime / spin.E_o
         moved = _away(ratio, 1e-12 * abs(ratio), how) * spin.E_o
         return spin, dataclasses.replace(osc, E_o_prime=moved)
@@ -249,7 +282,7 @@ VERIFY_BREAKS = [
     ("pauli_jordan_delta_quadrature", _break_light_cone, "light-cone kernel"),
     ("brute_force_overlap_oracle", _break_monte_carlo, "overlap kernel vs Monte Carlo"),
     ("povm_identity_check", _break_identities, "measurement identities"),
-    ("run_protocols", _break_protocols, "damping-ratio identity"),
+    ("teleport", _break_protocols, "damping-ratio identity"),
 ]
 
 VERIFY_LINE = re.compile(

@@ -5,8 +5,8 @@ from qetlab import (
     CurlGaussian,
     FrameGrid,
     RadialWindow,
+    PairInvariants,
     energy_density_frame,
-    input_energy,
 )
 from qetlab.dynamics import _energy_density, default_frame_grid
 from qetlab.errors import ValidationError
@@ -30,7 +30,7 @@ def source():
 
 @pytest.fixture(scope="module")
 def E_source(source):
-    return input_energy(source)
+    return PairInvariants.of(source, source).E_m
 
 
 class TestFrameConstruction:

@@ -15,10 +15,7 @@ from qetlab import (
     crossover_amplitude,
     damping_oscillator,
     damping_spin,
-    input_energy,
-    large_amplitude_limit,
     povm_identity_check,
-    run_protocols,
     separation_scaling_fit,
     teleport,
     weighted_spectral_integral,
@@ -44,6 +41,17 @@ def scaled_I1(a, lam: float = 1.0) -> float:
     that law under test.
     """
     return weighted_spectral_integral(a.scaled(lam), 1).value
+
+
+def input_energy(a) -> float:
+    """E_m of a as the pair invariants hold it; a unit operation profile keeps xi > 0."""
+    return PairInvariants.of(a, CurlGaussian(1.0, 1.0)).E_m
+
+
+def both_protocols(cfg: ProtocolConfig):
+    """Both outcomes at cfg's (T, lam), through the checked pair."""
+    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
+    return teleport(inv, inv.kernel(cfg.T), cfg.lam)
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +171,7 @@ class TestDamping:
 
 class TestSpinProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = run_protocols(canonical_cfg)[0]
+        out = both_protocols(canonical_cfg)[0]
         assert out.E_o < 0.0
         assert abs(out.E_o) < out.E_m
         np.testing.assert_allclose(out.E_o, -out.eta**2 / (2.0 * out.xi), rtol=1e-14)
@@ -173,13 +181,13 @@ class TestSpinProtocol:
         # perpendicular co-centered axes: K(T) = 0, so no information, no energy
         a = CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
         f = CurlGaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
-        out = run_protocols(ProtocolConfig(a_m=a, f_o=f, T=8.0))[0]
+        out = both_protocols(ProtocolConfig(a_m=a, f_o=f, T=8.0))[0]
         assert out.eta == pytest.approx(0.0, abs=1e-16)
         assert out.theta_star == pytest.approx(0.0, abs=1e-16)
         assert out.E_o == pytest.approx(0.0, abs=1e-30)
 
     def test_optimal_theta_is_quadratic_minimum(self, canonical_cfg):
-        out = run_protocols(canonical_cfg)[0]
+        out = both_protocols(canonical_cfg)[0]
 
         def spin_objective(theta, eta, xi):
             # energy cost of the displacement theta: theta eta + (1/2) theta^2 xi
@@ -192,9 +200,8 @@ class TestSpinProtocol:
             assert spin_objective(perturbed, out.eta, out.xi) > best
 
     def test_degenerate_operation_profile_rejected(self, canonical_field):
-        cfg = ProtocolConfig(a_m=canonical_field, f_o=CurlGaussian(0.0, 1.0), T=8.0)
-        with pytest.raises(ValidationError, match="operation profile has zero norm"):
-            run_protocols(cfg)
+        with pytest.raises(ValidationError, match="f_o.xi: must be a positive"):
+            PairInvariants.of(canonical_field, CurlGaussian(0.0, 1.0))
 
     def test_causality_violation_rejected(self, canonical_field):
         with pytest.raises(ValidationError, match="T: must exceed the causal wait"):
@@ -233,10 +240,34 @@ class TestSpinProtocol:
         with pytest.raises(ToleranceFailure, match="spin teleported energy"):
             _check_assembly(-1.0, 1.0, "spin teleported energy")
 
+    @pytest.mark.parametrize("direct, assembled", [(math.nan, -1.0), (-1.0, math.nan), (-math.inf, -math.inf)])
+    def test_assembly_fails_a_nan_or_infinite_energy(self, direct, assembled):
+        from qetlab import ToleranceFailure
+        from qetlab.protocols import _check_assembly
+
+        with pytest.raises(ToleranceFailure, match="oscillator teleported energy"):
+            _check_assembly(direct, assembled, "oscillator teleported energy")
+
+    def test_assembly_passes_a_subnormal_energy(self):
+        # at large lambda E_o underflows to a subnormal, whose last bit is a
+        # large relative step; the 1e-300 floor lets one such step pass
+        from qetlab.protocols import _check_assembly
+
+        _check_assembly(-5e-320, -5e-320 - 5e-324, "spin teleported energy")
+
+    def test_overflowing_pair_nan_is_a_tolerance_failure(self):
+        # amplitude 1e100: the norms are finite, but K^2 and xi <G^2> overflow
+        # in the oscillator formula, giving inf/inf
+        from qetlab import ToleranceFailure
+
+        huge = CurlGaussian(1e100, 1.0)
+        with pytest.raises(ToleranceFailure, match="oscillator teleported energy: optimized form nan"):
+            both_protocols(ProtocolConfig(a_m=huge, f_o=huge, T=8.0))
+
 
 class TestOscillatorProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = run_protocols(canonical_cfg)[1]
+        out = both_protocols(canonical_cfg)[1]
         assert out.E_o_prime < 0.0
         assert abs(out.E_o_prime) < out.E_m
         np.testing.assert_allclose(
@@ -244,14 +275,14 @@ class TestOscillatorProtocol:
         )
 
     def test_shared_input_energy(self, canonical_cfg):
-        spin, osc = run_protocols(canonical_cfg)
+        spin, osc = both_protocols(canonical_cfg)
         assert osc.E_m == spin.E_m
 
     def test_ratio_law(self, rng):
         # E_o'/E_o = D_ho/D_q: the bracketed kernel and xi cancel exactly
         for _ in range(4):
             cfg = random_config(rng)
-            spin, osc = run_protocols(cfg)
+            spin, osc = both_protocols(cfg)
             if spin.E_o == 0.0:
                 continue
             np.testing.assert_allclose(
@@ -262,7 +293,7 @@ class TestOscillatorProtocol:
         # eta = 2 sqrt(D_q) eta' since <0|(0,2a)> = sqrt(D_q)
         for _ in range(4):
             cfg = random_config(rng)
-            spin, osc = run_protocols(cfg)
+            spin, osc = both_protocols(cfg)
             np.testing.assert_allclose(
                 spin.eta, 2.0 * math.sqrt(spin.D_q) * osc.eta_prime, rtol=1e-12, atol=1e-300
             )
@@ -272,7 +303,7 @@ class TestOscillatorProtocol:
         # sign of eta' exactly as the spin-side regression does for eta
         from qetlab import weighted_spectral_integral
 
-        out = run_protocols(canonical_cfg)[1]
+        out = both_protocols(canonical_cfg)[1]
         xi = weighted_spectral_integral(canonical_cfg.f_o, 0).value
         curvature = xi * (out.G2_vev + 0.25)
 
@@ -290,7 +321,7 @@ class TestRandomizedBounds:
         # teleported energy is negative and strictly below the input energy
         for _ in range(25):
             cfg = random_config(rng)
-            spin, osc = run_protocols(cfg)
+            spin, osc = both_protocols(cfg)
             assert spin.E_o <= 0.0 and osc.E_o_prime <= 0.0
             if spin.E_o != 0.0:
                 assert abs(spin.E_o) < spin.E_m
@@ -303,7 +334,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6):
-            out = run_protocols(replace(cfg, lam=lam))[0]
+            out = both_protocols(replace(cfg, lam=lam))[0]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o * math.exp(2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -312,7 +343,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6, 3.0):
-            out = run_protocols(replace(cfg, lam=lam))[1]
+            out = both_protocols(replace(cfg, lam=lam))[1]
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o_prime * (1.0 + np.pi**2 / 4.0 + 2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -336,24 +367,69 @@ class TestAmplitudeScalingLaws:
 
 
 class TestLargeAmplitudeLimit:
+    """|E_o'| = D_ho lam^2 K1^2/(2 xi) tends to K1^2/(4 I1 xi) as lam grows."""
+
     def test_convergence_at_lambda_100(self, canonical_cfg):
-        limit = large_amplitude_limit(canonical_cfg)
-        at_100 = abs(run_protocols(replace(canonical_cfg, lam=100.0))[1].E_o_prime)
+        inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
+        K1 = inv.kernel(canonical_cfg.T)
+        limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
+        at_100 = abs(teleport(inv, K1, 100.0)[1].E_o_prime)
         assert abs(at_100 - limit) <= 0.01 * limit
 
     def test_invariant_under_amplitude_rescaling(self, canonical_cfg):
-        base = large_amplitude_limit(canonical_cfg)
-        scaled = large_amplitude_limit(replace(canonical_cfg, lam=7.0))
-        np.testing.assert_allclose(scaled, base, rtol=1e-10)
+        # the outcomes approach one value, and the limit read from a pair
+        # whose measurement field is 7x stronger is the same
+        inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
+        K1 = inv.kernel(canonical_cfg.T)
+        limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
+        far = [abs(teleport(inv, K1, lam)[1].E_o_prime) for lam in (1e3, 1e4, 1e5)]
+        np.testing.assert_allclose(far, limit, rtol=1e-5)
+        strong = PairInvariants.of(canonical_cfg.a_m.scaled(7.0), canonical_cfg.f_o)
+        K7 = strong.kernel(canonical_cfg.T)
+        np.testing.assert_allclose(K7 * K7 / (4.0 * strong.I1 * strong.xi), limit, rtol=1e-10)
 
-    def test_zero_operation_profile(self, canonical_field):
-        cfg = ProtocolConfig(a_m=canonical_field, f_o=CurlGaussian(0.0, 1.0), T=8.0)
-        assert large_amplitude_limit(cfg) == 0.0
 
-    def test_zero_measurement_profile_rejected(self, canonical_field):
-        cfg = ProtocolConfig(a_m=CurlGaussian(0.0, 1.0), f_o=canonical_field, T=8.0)
-        with pytest.raises(ValidationError, match="zero measurement amplitude"):
-            large_amplitude_limit(cfg)
+class TestPairRule:
+    """E_m, I1 >= 0 and xi > 0, all finite, checked once when the pair is built."""
+
+    def test_zero_measurement_profile_is_a_valid_pair(self, canonical_field):
+        inv = PairInvariants.of(CurlGaussian(0.0, 1.0), canonical_field)
+        assert (inv.E_m, inv.I1) == (0.0, 0.0)
+        spin, osc = teleport(inv, inv.kernel(8.0), 1.0)
+        assert spin.E_o == 0.0 and osc.E_o_prime == 0.0
+
+    @pytest.mark.parametrize("amplitude", [1e155, 1e160])
+    def test_overflowing_norms_are_named(self, amplitude):
+        huge = CurlGaussian(amplitude, 1.0)
+        with pytest.raises(ValidationError) as err:
+            PairInvariants.of(huge, huge)
+        assert err.value.errors == [
+            "a_m.E_m: must be a nonnegative finite number, got inf",
+            "a_m.I1: must be a nonnegative finite number, got inf",
+            "f_o.xi: must be a positive finite number, got inf",
+        ]
+
+    def test_subnormal_width_overflows_E_m_only(self, canonical_field):
+        with pytest.raises(ValidationError) as err:
+            PairInvariants.of(CurlGaussian(1.0, 1e-310), canonical_field)
+        assert [e.split(":")[0] for e in err.value.errors] == ["a_m.E_m"]
+
+    @pytest.mark.parametrize(
+        "E_m, I1, xi, named",
+        [
+            (math.nan, 1.0, 1.0, "a_m.E_m"),
+            (-1.0, 1.0, 1.0, "a_m.E_m"),
+            (1.0, math.inf, 1.0, "a_m.I1"),
+            (1.0, -0.5, 1.0, "a_m.I1"),
+            (1.0, 1.0, 0.0, "f_o.xi"),
+            (1.0, 1.0, -1.0, "f_o.xi"),
+            (1.0, 1.0, math.nan, "f_o.xi"),
+        ],
+    )
+    def test_rule_applies_to_direct_construction(self, canonical_field, E_m, I1, xi, named):
+        with pytest.raises(ValidationError) as err:
+            PairInvariants(canonical_field, canonical_field, E_m=E_m, I1=I1, xi=xi)
+        assert [e.split(":")[0] for e in err.value.errors] == [named]
 
 
 class TestCrossover:
@@ -389,13 +465,13 @@ class TestCrossover:
     def test_oscillator_wins_beyond_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = replace(canonical_cfg, lam=2.0 * lam_c)
-        spin, osc = run_protocols(cfg)
+        spin, osc = both_protocols(cfg)
         assert abs(osc.E_o_prime) > abs(spin.E_o)
 
     def test_spin_wins_below_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = replace(canonical_cfg, lam=0.5 * lam_c)
-        spin, osc = run_protocols(cfg)
+        spin, osc = both_protocols(cfg)
         assert abs(osc.E_o_prime) < abs(spin.E_o)
 
     def test_zero_measurement_profile_rejected(self, canonical_field):

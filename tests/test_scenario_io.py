@@ -83,6 +83,17 @@ class TestParsing:
             parse_scenario(write(tmp_path, bad))
         assert any("fields.a_m.sigma" in e for e in err.value.errors)
 
+    def test_scenario_carries_the_checked_pair(self, tmp_path):
+        s = parse_scenario(write(tmp_path, FULL))
+        assert (s.a_m, s.f_o) == (s.pair.a_m, s.pair.f_o)
+        assert s.pair.xi > 0.0 and s.pair.E_m > 0.0
+
+    def test_pair_errors_are_filed_with_the_others(self, tmp_path):
+        bad = MINIMAL.replace("probe: spin", "probe: spn") + "  f_o: {amplitude: 0.0, sigma: 1.0}\n"
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(write(tmp_path, bad))
+        assert [e.split(":")[0] for e in err.value.errors] == ["scenario.probe", "scenario.fields.f_o.xi"]
+
     def test_unknown_key_suggests_nearest(self, tmp_path):
         bad = MINIMAL.replace("sigma: 1.0", "sigma_m: 1.0")
         with pytest.raises(ValidationError) as err:
@@ -321,14 +332,22 @@ class TestRunScenario:
         emit_records(run_scenario(s), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_sweep_error_carries_coordinate(self, tmp_path):
+    def test_sweep_error_carries_coordinate(self, tmp_path, monkeypatch):
+        import qetlab.protocols
+        from qetlab.errors import ToleranceFailure
+
+        real = qetlab.protocols.overlap_kernel
+
+        def kernel_missing_at_10(f_o, a_m, T):
+            if T == 10.0:
+                raise ToleranceFailure(f"estimated error too large for K(T={T})")
+            return real(f_o, a_m, T)
+
+        monkeypatch.setattr(qetlab.protocols, "overlap_kernel", kernel_missing_at_10)
         s = parse_scenario(write(tmp_path, FULL))
-        broken = type(s).__new__(type(s))
-        object.__setattr__(broken, "__dict__", dict(s.__dict__))
-        object.__setattr__(broken, "f_o", CurlGaussian(0.0, 1.1))
-        zero_norm = r"sweep point \(lambda=.*\): operation profile has zero norm"
-        with pytest.raises(ValidationError, match=zero_norm):
-            run_scenario(broken)
+        at_10 = r"^sweep point \(T=10.0\): estimated error too large for K\(T=10.0\)$"
+        with pytest.raises(ToleranceFailure, match=at_10):
+            run_scenario(s)
 
     def test_foreign_sweep_error_propagates_unchanged(self, tmp_path, monkeypatch):
         import qetlab.protocols

@@ -1,12 +1,15 @@
 """Smoke runs of the study scripts: they exit 0 and write their outputs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from qetlab import CurlGaussian, PairInvariants, teleport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +27,12 @@ def test_run_canonical(tmp_path):
     proc = run_script("run_canonical.py", "--out", "out", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "crossover lambda_c" in proc.stdout
+    # the printed saturation value is |E_o'| at lambda = 100 to within 1%
+    limit = float(re.search(r"large-lambda \|E_o'\| = (\S+)", proc.stdout).group(1))
+    a = CurlGaussian(1.0, 1.0)
+    inv = PairInvariants.of(a, a)
+    at_100 = abs(teleport(inv, inv.kernel(8.0), 100.0)[1].E_o_prime)
+    assert abs(at_100 - limit) <= 0.01 * limit
     assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 2
 
 
