@@ -12,7 +12,6 @@ import numpy as np
 
 from qetlab import (
     CurlGaussian,
-    PairInvariants,
     ProtocolConfig,
     commutator_residual,
     crossover_amplitude,
@@ -35,20 +34,22 @@ def main() -> int:
     cfg = ProtocolConfig(a_m=a, f_o=a, T=args.T, lam=args.lam)
 
     print(f"# canonical run: sigma={args.sigma}, T={args.T}, lambda={args.lam}")
-    inv = PairInvariants.of(a, a)
+    inv = cfg.pair
     print(f"E_m                 = {args.lam**2 * inv.E_m:.12g}")
     # K and the commutator are linear in the measurement amplitude
     K1 = overlap_kernel(a, a, cfg.T)
     print(f"K(T)                = {args.lam * K1.value:.12g}  (estimated error {args.lam * K1.estimated_error:.2g})")
     print(f"commutator residual = {args.lam * commutator_residual(a, a, cfg.T):.3g}")
 
-    spin, osc = teleport(inv, K1.value, args.lam)
-    print(f"spin probe:  eta={spin.eta:.6g} xi={spin.xi:.6g} theta*={spin.theta_star:.6g}")
-    print(f"             E_o={spin.E_o:.6g}  D_q={spin.D_q:.6g}")
+    out = teleport(inv, K1.value, args.lam)
+    print(f"spin probe:  eta={out.eta:.6g} xi={out.xi:.6g} theta*={out.theta_star:.6g}")
+    print(f"             E_o={out.E_o:.6g}  D_q={out.D_q:.6g}")
 
-    print(f"oscillator:  eta'={osc.eta_prime:.6g} <G^2>={osc.G2_vev:.6g} theta'={osc.theta_prime_star:.6g}")
-    print(f"             E_o'={osc.E_o_prime:.6g}  D_ho={osc.D_ho:.6g}")
-    print(f"ratio E_o'/E_o      = {osc.E_o_prime / spin.E_o:.6g} (= D_ho/D_q)")
+    # the pointer's vacuum variance <G^2> = pi^2/16 + I1/2 at the scaled field
+    G2 = np.pi**2 / 16.0 + 0.5 * (args.lam * args.lam * inv.I1)
+    print(f"oscillator:  eta'={out.eta_prime:.6g} <G^2>={G2:.6g} theta'={out.theta_prime_star:.6g}")
+    print(f"             E_o'={out.E_o_prime:.6g}  D_ho={out.D_ho:.6g}")
+    print(f"ratio E_o'/E_o      = {out.E_o_prime / out.E_o:.6g} (= D_ho/D_q)")
     print(f"crossover lambda_c  = {crossover_amplitude(cfg):.10g}")
     # |E_o'| saturates as lambda grows: D_ho K^2 -> K1^2/(2 I1), independent of lambda
     print(f"large-lambda |E_o'| = {K1.value * K1.value / (4.0 * inv.I1 * inv.xi):.6g}")

@@ -14,7 +14,6 @@ import numpy as np
 
 from qetlab import (
     CurlGaussian,
-    PairInvariants,
     ProtocolConfig,
     crossover_amplitude,
     separation_scaling_fit,
@@ -35,13 +34,13 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    inv = PairInvariants.of(a, a)
+    inv = cfg.pair
     T_values = np.geomspace(args.t_min, args.t_max, args.points)
     rows = []
     for T in T_values:
         K = inv.kernel(float(T))
-        spin, osc = teleport(inv, K, 1.0)
-        rows.append([T, abs(K), abs(spin.E_o), abs(osc.E_o_prime)])
+        out = teleport(inv, K, 1.0)
+        rows.append([T, abs(K), abs(out.E_o), abs(out.E_o_prime)])
     sep_path = out_dir / "separation.csv"
     with open(sep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("T,abs_K,abs_E_o,abs_E_o_prime\n")
@@ -57,8 +56,8 @@ def main() -> int:
     K = inv.kernel(args.t_min)
     rows = []
     for lam in lams:
-        spin, osc = teleport(inv, K, float(lam))
-        rows.append([lam, spin.D_q, osc.D_ho, abs(spin.E_o), abs(osc.E_o_prime)])
+        out = teleport(inv, K, float(lam))
+        rows.append([lam, out.D_q, out.D_ho, abs(out.E_o), abs(out.E_o_prime)])
     cross_path = out_dir / "crossover.csv"
     with open(cross_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("lambda,D_q,D_ho,abs_E_o,abs_E_o_prime\n")

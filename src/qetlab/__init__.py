@@ -22,10 +22,9 @@ from .spectral import (
     weighted_spectral_integral,
 )
 from .protocols import (
-    OscillatorOutcome,
+    Outcome,
     PairInvariants,
     ProtocolConfig,
-    SpinOutcome,
     crossover_amplitude,
     damping_oscillator,
     damping_spin,

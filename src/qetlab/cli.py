@@ -5,8 +5,9 @@ One verb per capability: `energy` (input energy and damping factors),
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
 cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, a
 scenario file that is not UTF-8 text, an under-resolved grid, a frame too
-large to allocate, a zero or overflowing field pair, a light-cone evaluation),
-3 numerical tolerance failure, 4 I/O error.
+large to allocate, a zero or overflowing field pair, a width beyond the
+float range, a light-cone evaluation), 3 numerical tolerance failure, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian
 from .negative_energy import GaussianPhotonMode, demo_rows
 from .protocols import (
+    PROBE_FIELDS,
     PairInvariants,
     damping_oscillator,
     damping_spin,
@@ -130,7 +132,7 @@ def _cmd_teleport(args) -> int:
     path = out_dir / scenario.results_name
     emit_records(records, path)
     for rec in records:
-        E = rec["E_o"] if rec["probe"] == "spin" else rec["E_o_prime"]
+        E = rec[PROBE_FIELDS[rec["probe"]][-1]]
         print(
             f"{rec['probe']:>10s} lambda={rec['lambda']:g} T={rec['T']:g} "
             f"E_m={rec['E_m']:.6g} E_out={E:.6g}"
@@ -208,8 +210,8 @@ def _cmd_verify(args) -> int:
     # I1 in closed form at the scaled field, so the lambda^2 law is under test too
     I1 = weighted_spectral_integral(a.scaled(1.3), 1).value
     ratio = damping_oscillator(I1) / damping_spin(I1)
-    spin, osc = teleport(inv, K, 1.3)
-    rows.append(("damping-ratio identity", osc.E_o_prime / spin.E_o, ratio, 1e-12 * abs(ratio)))
+    out = teleport(inv, K, 1.3)
+    rows.append(("damping-ratio identity", out.E_o_prime / out.E_o, ratio, 1e-12 * abs(ratio)))
 
     failures = []
     for name, value, reference, tolerance in rows:

@@ -129,6 +129,13 @@ def _scaled_density(tau: float, r2: np.ndarray, w2: np.ndarray) -> np.ndarray:
 def _energy_density(a_m: CurlGaussian, t: float, x, y, z) -> np.ndarray:
     """eps(t) at the points of broadcastable coordinate arrays x, y, z."""
     sigma = a_m.sigma
+    try:
+        scale = a_m.amplitude**2 / sigma**4
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if math.isinf(scale):
+        raise ValidationError(f"a_m: amplitude^2/sigma^4 leaves the float range at "
+                              f"amplitude = {a_m.amplitude!r}, sigma = {sigma!r}")
     c = a_m.center_vec
     n = a_m.axis_vec
     ux = (np.asarray(x, dtype=float) - c[0]) / sigma
@@ -137,7 +144,7 @@ def _energy_density(a_m: CurlGaussian, t: float, x, y, z) -> np.ndarray:
     r2 = ux * ux + uy * uy + uz * uz
     w = n[0] * ux + n[1] * uy + n[2] * uz
     r2, w2 = np.broadcast_arrays(r2, w * w)
-    return (a_m.amplitude**2 / sigma**4) * _scaled_density(t / sigma, r2, w2)
+    return scale * _scaled_density(t / sigma, r2, w2)
 
 
 def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = None) -> DensityFrame:
@@ -145,8 +152,8 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
 
     The same frame is valid for both probe types.  Rejects grids that either
     under-resolve the envelope spectrally, so that the grid sum of the density
-    misses energy, or cannot contain the light shell.
-    """
+    misses energy, or cannot contain the light shell, and a field whose
+    amplitude^2/sigma^4 leaves the float range."""
     t = _real(t, "t")
     grid = grid or default_frame_grid(a_m, t)
     k_nyquist = np.pi / grid.dx

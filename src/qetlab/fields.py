@@ -38,22 +38,30 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _real(value, name: str) -> float:
-    if _is_real(value):
-        return float(value)
-    raise ValidationError(f"{name}: must be a finite number, got {value!r}")
+def _number(what: str, accepts):
+    """The rule for a finite number that `accepts`; a string gets a note that YAML read it as text."""
+
+    def rule(value, name: str) -> float:
+        if _is_real(value) and accepts(value):
+            return float(value)
+        message = f"{name}: must be {what}, got {value!r}"
+        if isinstance(value, str):
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            # PyYAML reads a float only with a dot and a signed exponent; repr signs it
+            spelled = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+            hint = f"; write it as {spelled}" if math.isfinite(number) else ""
+            message += f" (YAML read the value as text{hint})"
+        raise ValidationError(message)
+
+    return rule
 
 
-def _positive(value, name: str) -> float:
-    if _is_real(value) and value > 0:
-        return float(value)
-    raise ValidationError(f"{name}: must be a positive finite number, got {value!r}")
-
-
-def _nonnegative(value, name: str) -> float:
-    if _is_real(value) and value >= 0:
-        return float(value)
-    raise ValidationError(f"{name}: must be a nonnegative finite number, got {value!r}")
+_real = _number("a finite number", lambda v: True)
+_positive = _number("a positive finite number", lambda v: v > 0)
+_nonnegative = _number("a nonnegative finite number", lambda v: v >= 0)
 
 
 def _vec3(value, name: str) -> tuple:

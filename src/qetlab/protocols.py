@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -25,23 +25,11 @@ from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _set_checked
 from .spectral import overlap_kernel, weighted_spectral_integral
 
-PI2_OVER_4 = np.pi**2 / 4.0
-
-
-def _crossover_root() -> float:
-    # Newton on e^u - 1 - pi^2/4 - u from u = 2: the function is convex and
-    # positive there, so the steps fall monotonically onto the root
-    c = 1.0 + float(PI2_OVER_4)
-    u = 2.0
-    for _ in range(8):
-        u -= (math.exp(u) - c - u) / math.expm1(u)
-    return u
-
-
 # u* = 2 lam_c^2 I1 where the damping factors cross: e^u = 1 + pi^2/4 + u.
 # e^u - u grows without bound from 1 < 1 + pi^2/4 at u = 0, so one positive
-# root exists and it is the same for every field.
-CROSSOVER_U = _crossover_root()
+# root exists and it is the same for every field; this is the float nearest
+# its 50-digit value, pinned by a test.
+CROSSOVER_U = 1.6284210099293508
 
 # causal gate: wait until the light front has cleared both supports at the
 # few-sigma level; the Monte Carlo oracle demands more, the full effective
@@ -51,15 +39,18 @@ CAUSAL_SIGMA_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """One protocol run: fields, wait time, and the amplitude multiplier."""
+    """One protocol run: fields, wait time, the amplitude multiplier, and the
+    checked pair of the fields, which `dataclasses.replace` rebuilds."""
 
     a_m: CurlGaussian
     f_o: CurlGaussian
     T: float
     lam: float = 1.0
+    pair: PairInvariants = field(init=False, repr=False)
 
     def __post_init__(self):
         _set_checked(self, T=after_causal_wait(self.a_m, self.f_o), lam=_nonnegative)
+        object.__setattr__(self, "pair", PairInvariants.of(self.a_m, self.f_o))
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
@@ -82,26 +73,6 @@ def after_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian):
         )
 
     return rule
-
-
-@dataclass(frozen=True)
-class SpinOutcome:
-    E_m: float
-    eta: float
-    xi: float
-    theta_star: float
-    E_o: float
-    D_q: float
-
-
-@dataclass(frozen=True)
-class OscillatorOutcome:
-    E_m: float
-    eta_prime: float
-    G2_vev: float
-    theta_prime_star: float
-    E_o_prime: float
-    D_ho: float
 
 
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +101,7 @@ def damping_spin(I1: float) -> float:
 
 def damping_oscillator(I1: float) -> float:
     """Power factor D_ho = [1 + pi^2/4 + 2 I1]^{-1}; in (0, (1 + pi^2/4)^{-1}]."""
-    return 1.0 / (1.0 + PI2_OVER_4 + 2.0 * I1)
+    return 1.0 / (1.0 + np.pi**2 / 4.0 + 2.0 * I1)
 
 
 @dataclass(frozen=True)
@@ -171,6 +142,29 @@ class PairInvariants:
         return overlap_kernel(self.f_o, self.a_m, T).value
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """Both probes at one (lambda, T): a results line's eleven numbers in its
+    key order.  PROBE_FIELDS names those of one probe; the rest are shared."""
+
+    E_m: float
+    eta: float
+    xi: float
+    theta_star: float
+    E_o: float
+    D_q: float
+    eta_prime: float
+    theta_prime_star: float
+    E_o_prime: float
+    D_ho: float
+    ratio: float
+
+
+# each probe's own fields of an Outcome, its teleported energy last
+PROBE_FIELDS = {"spin": ("eta", "theta_star", "E_o"),
+                "oscillator": ("eta_prime", "theta_prime_star", "E_o_prime")}
+
+
 def _check_assembly(direct: float, assembled: float, what: str) -> None:
     # written so that a NaN or infinite energy fails; the floor lets an
     # energy that has underflowed to a subnormal pass
@@ -190,14 +184,15 @@ def _check_bookkeeping(E_out: float, E_m: float, name: str) -> None:
         )
 
 
-def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, OscillatorOutcome]:
+def teleport(inv: PairInvariants, K1: float, lam: float) -> Outcome:
     """Both protocols at amplitude multiplier lam, given K1 = inv.kernel(T).
 
     Spin probe (binary measurement): eta = <0|(0,2a)> K, theta* = -eta/xi,
     E_o = -eta^2/(2 xi).  Oscillator probe (Gaussian pointer): eta' = K/2,
-    theta'* = -eta'/(xi (<G^2> + 1/4)), E_o' = -eta'^2/(2 xi (<G^2> + 1/4)).
-    Each result is cross-assembled from its damping factor to guard against
-    sign errors in eta.
+    theta'* = -eta'/(xi (<G^2> + 1/4)), E_o' = -eta'^2/(2 xi (<G^2> + 1/4))
+    with <G^2> = pi^2/16 + I1/2.  Each energy is cross-assembled from its
+    damping factor to guard against sign errors in eta; ratio = D_ho/D_q is
+    inf once D_q underflows to 0.
     """
     xi = inv.xi
     K = lam * K1
@@ -217,26 +212,21 @@ def teleport(inv: PairInvariants, K1: float, lam: float) -> tuple[SpinOutcome, O
     _check_assembly(E_o_prime, -D_ho * K * K / (2.0 * xi), "oscillator teleported energy")
     _check_bookkeeping(E_o_prime, E_m, "E_o'")
 
-    spin = SpinOutcome(E_m=E_m, eta=eta, xi=xi, theta_star=-eta / xi, E_o=E_o, D_q=D_q)
-    osc = OscillatorOutcome(
-        E_m=E_m,
-        eta_prime=eta_prime,
-        G2_vev=float(G2),
-        theta_prime_star=-eta_prime / (xi * (G2 + 0.25)),
-        E_o_prime=E_o_prime,
-        D_ho=D_ho,
+    return Outcome(
+        E_m=E_m, eta=eta, xi=xi, theta_star=-eta / xi, E_o=E_o, D_q=D_q,
+        eta_prime=eta_prime, theta_prime_star=-eta_prime / (xi * (G2 + 0.25)), E_o_prime=E_o_prime,
+        D_ho=D_ho, ratio=D_ho / D_q if D_q > 0.0 else math.inf,
     )
-    return spin, osc
 
 
 def crossover_amplitude(cfg: ProtocolConfig) -> float:
     """Amplitude multiplier where the oscillator protocol overtakes the spin one.
 
     exp(2 lam^2 I1) = 1 + pi^2/4 + 2 lam^2 I1 holds at 2 lam^2 I1 = CROSSOVER_U,
-    so lam_c = sqrt(CROSSOVER_U / (2 I1)).
+    so lam_c = sqrt(CROSSOVER_U / (2 I1)), with I1 from the config's checked pair.
     """
-    I1 = weighted_spectral_integral(cfg.a_m, 1).value
-    if I1 <= 0.0:
+    I1 = cfg.pair.I1
+    if I1 == 0.0:
         raise ValidationError("crossover undefined for a zero measurement profile")
     return math.sqrt(CROSSOVER_U / (2.0 * I1))
 
@@ -264,11 +254,11 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
     if max(T_values) < 10.0 * min(T_values):
         warnings.warn("T range spans less than a decade; slope may not be converged", stacklevel=2)
 
-    if quantity not in ("spin", "oscillator", "kernel"):
+    if quantity != "kernel" and quantity not in PROBE_FIELDS:
         raise ValidationError(f"unknown quantity {quantity!r}")
     after_causal_wait(cfg.a_m, cfg.f_o)(T_values[0], "T")
 
-    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
+    inv = cfg.pair
     logs_T, logs_v = [], []
     dropped = 0
     for T in T_values:
@@ -276,8 +266,7 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
         if quantity == "kernel":
             v = abs(cfg.lam * K1)
         else:
-            spin, osc = teleport(inv, K1, cfg.lam)
-            v = abs(spin.E_o) if quantity == "spin" else abs(osc.E_o_prime)
+            v = abs(getattr(teleport(inv, K1, cfg.lam), PROBE_FIELDS[quantity][-1]))
         if v < _FLOOR:
             dropped += 1
             warnings.warn(f"dropping T={T}: value {v:.3e} under numerical floor", stacklevel=2)

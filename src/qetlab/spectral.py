@@ -119,7 +119,14 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     c_d = float((d @ n1) * (d @ n2)) / (dist * dist) if dist > 0.0 else 0.0
     s1, s2 = f1.sigma, f2.sigma
     amp = f1.amplitude * f2.amplitude
-    pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
+    # a power raises on overflow and a product goes to inf; a prefactor that
+    # underflows to 0 zeroes K(T), or makes it NaN against an overflowing k^5
+    try:
+        pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
+    except OverflowError:
+        pref = math.inf
+    if math.isinf(pref) or (pref == 0.0 and amp != 0.0):
+        raise ValidationError(f"widths sigma = {s1!r} and {s2!r}: the K(T) prefactor leaves the float range")
     alpha = 0.5 * (s1**2 + s2**2)
 
     b = t - dist

@@ -109,12 +109,12 @@ def test_criterion_03_negativity_and_bound():
         checked = 0
         while checked < 100:
             cfg = _random_cfg(rng)
-            spin, osc = both_protocols(cfg)
-            if spin.eta == 0.0:
+            out = both_protocols(cfg)
+            if out.eta == 0.0:
                 continue  # measure-zero orthogonal draw carries no information
-            assert spin.E_o < 0.0 and osc.E_o_prime < 0.0
-            assert abs(spin.E_o) < spin.E_m
-            assert abs(osc.E_o_prime) < osc.E_m
+            assert out.E_o < 0.0 and out.E_o_prime < 0.0
+            assert abs(out.E_o) < out.E_m
+            assert abs(out.E_o_prime) < out.E_m
             checked += 1
 
 
@@ -141,11 +141,11 @@ def test_criterion_05_ratio_identity():
         rng = np.random.default_rng(271828)
         for _ in range(20):
             cfg = _random_cfg(rng)
-            spin, osc = both_protocols(cfg)
-            if spin.E_o == 0.0:
+            out = both_protocols(cfg)
+            if out.E_o == 0.0:
                 continue
-            lhs = osc.E_o_prime / spin.E_o
-            rhs = osc.D_ho / spin.D_q
+            lhs = out.E_o_prime / out.E_o
+            rhs = out.D_ho / out.D_q
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -155,8 +155,8 @@ def test_criterion_06_crossover(canonical_cfg):
         u = 2.0 * lam_c**2 * I1
         assert abs(math.exp(u) - (1.0 + np.pi**2 / 4.0 + u)) <= 1e-10
         cfg2 = replace(canonical_cfg, lam=2.0 * lam_c)
-        spin, osc = both_protocols(cfg2)
-        assert abs(osc.E_o_prime) > abs(spin.E_o)
+        out = both_protocols(cfg2)
+        assert abs(out.E_o_prime) > abs(out.E_o)
 
 
 def test_criterion_07_separation_scaling(canonical_cfg):

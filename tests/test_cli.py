@@ -21,6 +21,10 @@ fields:
   a_m: {sigma: 1.0}
 """
 
+# widths whose powers in K(T) and in the density leave the float range
+WIDE = "T: 1.0e+162\nfields: {a_m: {sigma: 1.0e+160}}\n"
+NARROW = "T: 1.0\nfields: {a_m: {sigma: 1.0e-90}}\ngrid: {n: 32, half_extent: 6.0e-90}\ntimes: [0.0]\n"
+
 
 @pytest.fixture()
 def scenario_path(tmp_path):
@@ -111,6 +115,35 @@ class TestExitCodes:
         for name in ("a_m.E_m", "a_m.I1", "f_o.xi"):
             assert f"error: scenario.fields.{name}: must be a " in err and "got inf" in err
         assert "estimated_error" not in err
+
+    @pytest.mark.parametrize(
+        "verb, scenario, sigma",
+        [
+            ("teleport", WIDE, "1e+160"),
+            ("density", WIDE, "1e+160"),
+            ("teleport", NARROW, "1e-90"),
+            ("density", NARROW, "1e-90"),
+        ],
+        ids=["wide-teleport", "wide-density", "narrow-teleport", "narrow-density"],
+    )
+    def test_extreme_width_exits_2_naming_it(self, verb, scenario, sigma, tmp_path, capsys):
+        # the parser accepts both, since their norms stay finite
+        path = tmp_path / "extreme.yaml"
+        path.write_text(scenario)
+        out_dir = tmp_path / "out"
+        assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"sigma = {sigma}" in captured.err
+        assert not out_dir.exists()
+
+    def test_float_without_a_dot_is_named_as_text(self, tmp_path, capsys):
+        path = tmp_path / "text.yaml"
+        path.write_text(MINIMAL.replace("{sigma: 1.0}", "{amplitude: 1e100, sigma: 1.0}"))
+        assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: scenario.fields.a_m.amplitude: must be a finite number, got '1e100'"
+            " (YAML read the value as text; write it as 1.0e+100)\n"
+        )
 
     def test_overflowing_protocol_energy_exits_3(self, tmp_path, capsys):
         # amplitude 1e100: the norms are finite, but E_o' is inf/inf; nothing is written
@@ -268,10 +301,10 @@ def _break_identities(real, how):
 
 def _break_protocols(real, how):
     def oracle(inv, K1, lam):
-        spin, osc = real(inv, K1, lam)
-        ratio = osc.E_o_prime / spin.E_o
-        moved = _away(ratio, 1e-12 * abs(ratio), how) * spin.E_o
-        return spin, dataclasses.replace(osc, E_o_prime=moved)
+        out = real(inv, K1, lam)
+        ratio = out.E_o_prime / out.E_o
+        moved = _away(ratio, 1e-12 * abs(ratio), how) * out.E_o
+        return dataclasses.replace(out, E_o_prime=moved)
 
     return oracle
 

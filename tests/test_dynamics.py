@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ class TestFrameConstruction:
         half_curl2 = 0.5 * np.sum(direct * direct, axis=-1)
         np.testing.assert_allclose(frame.eps, half_curl2, rtol=0, atol=1e-12 * half_curl2.max())
         np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
+
+    @pytest.mark.parametrize(
+        "sigma, grid",
+        [(1e160, FrameGrid(n=128, half_extent=1e161)), (1e-90, FrameGrid(n=32, half_extent=6e-90))],
+        ids=["sigma^4-overflows", "sigma^4-underflows"],
+    )
+    def test_density_scale_beyond_the_float_range_is_named(self, sigma, grid):
+        with pytest.raises(ValidationError, match=re.escape(f"amplitude = 1.0, sigma = {sigma!r}")):
+            energy_density_frame(CurlGaussian(1.0, sigma), 0.0, grid)
 
     def test_zero_source_gives_vacuum_frame(self):
         zero = CurlGaussian(0.0, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -237,6 +238,24 @@ class TestValueRules:
     def test_accepts_the_valid_value(self, where):
         build, good = PARAMETERS[where]
         build(good)
+
+    @pytest.mark.parametrize("text", ["1e100", "2.5e-7", "1E5", "1e0", "+3e2"])
+    def test_a_number_read_as_text_gets_a_spelling_yaml_reads(self, text):
+        # PyYAML reads a float only with a dot and a signed exponent
+        with pytest.raises(ValidationError) as err:
+            CurlGaussian(amplitude=text, sigma=1.0)
+        (message,) = err.value.errors
+        assert f"got {text!r} (YAML read the value as text; write it as " in message
+        spelled = message.split("write it as ")[1].rstrip(")")
+        assert yaml.safe_load(f"v: {spelled}")["v"] == float(text)
+
+    @pytest.mark.parametrize("text", ["abc", "1e1000", "nan"])
+    def test_text_that_is_no_finite_number_gets_no_spelling(self, text):
+        with pytest.raises(ValidationError) as err:
+            CurlGaussian(amplitude=1.0, sigma=text)
+        assert err.value.errors == [
+            f"sigma: must be a positive finite number, got {text!r} (YAML read the value as text)"
+        ]
 
     def test_every_failing_parameter_reported_at_once(self):
         with pytest.raises(ValidationError) as err:

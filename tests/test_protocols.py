@@ -49,9 +49,13 @@ def input_energy(a) -> float:
 
 
 def both_protocols(cfg: ProtocolConfig):
-    """Both outcomes at cfg's (T, lam), through the checked pair."""
-    inv = PairInvariants.of(cfg.a_m, cfg.f_o)
-    return teleport(inv, inv.kernel(cfg.T), cfg.lam)
+    """Both probes' outcome at cfg's (T, lam), through the config's checked pair."""
+    return teleport(cfg.pair, cfg.pair.kernel(cfg.T), cfg.lam)
+
+
+def G2_closed_form(I1: float) -> float:
+    """The oscillator pointer's <G^2> = pi^2/16 + I1/2 at damping exponent I1."""
+    return np.pi**2 / 16.0 + 0.5 * I1
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +169,13 @@ class TestDamping:
             inv = PairInvariants.of(a, a)
             np.testing.assert_allclose(inv.I1, I1_grid, rtol=1e-6)
             K1 = inv.kernel(8.0)
-            spin, _ = teleport(inv, K1, lam)
-            np.testing.assert_allclose(spin.eta, math.exp(-lam * lam * I1_grid) * lam * K1, rtol=1e-6)
+            out = teleport(inv, K1, lam)
+            np.testing.assert_allclose(out.eta, math.exp(-lam * lam * I1_grid) * lam * K1, rtol=1e-6)
 
 
 class TestSpinProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = both_protocols(canonical_cfg)[0]
+        out = both_protocols(canonical_cfg)
         assert out.E_o < 0.0
         assert abs(out.E_o) < out.E_m
         np.testing.assert_allclose(out.E_o, -out.eta**2 / (2.0 * out.xi), rtol=1e-14)
@@ -181,13 +185,13 @@ class TestSpinProtocol:
         # perpendicular co-centered axes: K(T) = 0, so no information, no energy
         a = CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
         f = CurlGaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
-        out = both_protocols(ProtocolConfig(a_m=a, f_o=f, T=8.0))[0]
+        out = both_protocols(ProtocolConfig(a_m=a, f_o=f, T=8.0))
         assert out.eta == pytest.approx(0.0, abs=1e-16)
         assert out.theta_star == pytest.approx(0.0, abs=1e-16)
         assert out.E_o == pytest.approx(0.0, abs=1e-30)
 
     def test_optimal_theta_is_quadratic_minimum(self, canonical_cfg):
-        out = both_protocols(canonical_cfg)[0]
+        out = both_protocols(canonical_cfg)
 
         def spin_objective(theta, eta, xi):
             # energy cost of the displacement theta: theta eta + (1/2) theta^2 xi
@@ -267,35 +271,31 @@ class TestSpinProtocol:
 
 class TestOscillatorProtocol:
     def test_canonical_outcome(self, canonical_cfg):
-        out = both_protocols(canonical_cfg)[1]
+        out = both_protocols(canonical_cfg)
         assert out.E_o_prime < 0.0
         assert abs(out.E_o_prime) < out.E_m
-        np.testing.assert_allclose(
-            out.G2_vev, np.pi**2 / 16.0 + 0.5 * I1_CANONICAL, rtol=1e-9
-        )
-
-    def test_shared_input_energy(self, canonical_cfg):
-        spin, osc = both_protocols(canonical_cfg)
-        assert osc.E_m == spin.E_m
+        # <G^2> as theta'* = -eta'/(xi (<G^2> + 1/4)) holds it
+        G2 = -out.eta_prime / (out.xi * out.theta_prime_star) - 0.25
+        np.testing.assert_allclose(G2, G2_closed_form(I1_CANONICAL), rtol=1e-9)
 
     def test_ratio_law(self, rng):
         # E_o'/E_o = D_ho/D_q: the bracketed kernel and xi cancel exactly
         for _ in range(4):
             cfg = random_config(rng)
-            spin, osc = both_protocols(cfg)
-            if spin.E_o == 0.0:
+            out = both_protocols(cfg)
+            if out.E_o == 0.0:
                 continue
             np.testing.assert_allclose(
-                osc.E_o_prime / spin.E_o, osc.D_ho / spin.D_q, rtol=1e-12
+                out.E_o_prime / out.E_o, out.D_ho / out.D_q, rtol=1e-12
             )
 
     def test_eta_relation(self, rng):
         # eta = 2 sqrt(D_q) eta' since <0|(0,2a)> = sqrt(D_q)
         for _ in range(4):
             cfg = random_config(rng)
-            spin, osc = both_protocols(cfg)
+            out = both_protocols(cfg)
             np.testing.assert_allclose(
-                spin.eta, 2.0 * math.sqrt(spin.D_q) * osc.eta_prime, rtol=1e-12, atol=1e-300
+                out.eta, 2.0 * math.sqrt(out.D_q) * out.eta_prime, rtol=1e-12, atol=1e-300
             )
 
     def test_optimal_theta_prime_is_quadratic_minimum(self, canonical_cfg):
@@ -303,9 +303,9 @@ class TestOscillatorProtocol:
         # sign of eta' exactly as the spin-side regression does for eta
         from qetlab import weighted_spectral_integral
 
-        out = both_protocols(canonical_cfg)[1]
+        out = both_protocols(canonical_cfg)
         xi = weighted_spectral_integral(canonical_cfg.f_o, 0).value
-        curvature = xi * (out.G2_vev + 0.25)
+        curvature = xi * (G2_closed_form(I1_CANONICAL) + 0.25)
 
         def objective(theta):
             return theta * out.eta_prime + 0.5 * theta * theta * curvature
@@ -321,11 +321,11 @@ class TestRandomizedBounds:
         # teleported energy is negative and strictly below the input energy
         for _ in range(25):
             cfg = random_config(rng)
-            spin, osc = both_protocols(cfg)
-            assert spin.E_o <= 0.0 and osc.E_o_prime <= 0.0
-            if spin.E_o != 0.0:
-                assert abs(spin.E_o) < spin.E_m
-                assert abs(osc.E_o_prime) < osc.E_m
+            out = both_protocols(cfg)
+            assert out.E_o <= 0.0 and out.E_o_prime <= 0.0
+            if out.E_o != 0.0:
+                assert abs(out.E_o) < out.E_m
+                assert abs(out.E_o_prime) < out.E_m
 
 
 class TestAmplitudeScalingLaws:
@@ -334,7 +334,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6):
-            out = both_protocols(replace(cfg, lam=lam))[0]
+            out = both_protocols(replace(cfg, lam=lam))
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o * math.exp(2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -343,7 +343,7 @@ class TestAmplitudeScalingLaws:
         cfg = ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=8.0)
         vals = []
         for lam in (0.3, 0.7, 1.0, 1.6, 3.0):
-            out = both_protocols(replace(cfg, lam=lam))[1]
+            out = both_protocols(replace(cfg, lam=lam))
             I1 = lam * lam * I1_CANONICAL
             vals.append(out.E_o_prime * (1.0 + np.pi**2 / 4.0 + 2.0 * I1) / lam**2)
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
@@ -373,7 +373,7 @@ class TestLargeAmplitudeLimit:
         inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
         K1 = inv.kernel(canonical_cfg.T)
         limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
-        at_100 = abs(teleport(inv, K1, 100.0)[1].E_o_prime)
+        at_100 = abs(teleport(inv, K1, 100.0).E_o_prime)
         assert abs(at_100 - limit) <= 0.01 * limit
 
     def test_invariant_under_amplitude_rescaling(self, canonical_cfg):
@@ -382,7 +382,7 @@ class TestLargeAmplitudeLimit:
         inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
         K1 = inv.kernel(canonical_cfg.T)
         limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
-        far = [abs(teleport(inv, K1, lam)[1].E_o_prime) for lam in (1e3, 1e4, 1e5)]
+        far = [abs(teleport(inv, K1, lam).E_o_prime) for lam in (1e3, 1e4, 1e5)]
         np.testing.assert_allclose(far, limit, rtol=1e-5)
         strong = PairInvariants.of(canonical_cfg.a_m.scaled(7.0), canonical_cfg.f_o)
         K7 = strong.kernel(canonical_cfg.T)
@@ -395,8 +395,8 @@ class TestPairRule:
     def test_zero_measurement_profile_is_a_valid_pair(self, canonical_field):
         inv = PairInvariants.of(CurlGaussian(0.0, 1.0), canonical_field)
         assert (inv.E_m, inv.I1) == (0.0, 0.0)
-        spin, osc = teleport(inv, inv.kernel(8.0), 1.0)
-        assert spin.E_o == 0.0 and osc.E_o_prime == 0.0
+        out = teleport(inv, inv.kernel(8.0), 1.0)
+        assert out.E_o == 0.0 and out.E_o_prime == 0.0
 
     @pytest.mark.parametrize("amplitude", [1e155, 1e160])
     def test_overflowing_norms_are_named(self, amplitude):
@@ -432,6 +432,33 @@ class TestPairRule:
         assert [e.split(":")[0] for e in err.value.errors] == [named]
 
 
+class TestConfigPair:
+    """ProtocolConfig builds its checked pair once; the fit and the crossover read it."""
+
+    def test_overflowing_measurement_field_stops_the_config(self):
+        # I1 = inf once made crossover_amplitude return 0.0 for this config
+        with pytest.raises(ValidationError) as err:
+            ProtocolConfig(a_m=CurlGaussian(1e155, 1.0), f_o=CurlGaussian(1.0, 1.0), T=8.0)
+        assert [e.split(":")[0] for e in err.value.errors] == ["a_m.E_m", "a_m.I1"]
+
+    def test_replace_rebuilds_the_pair(self, canonical_cfg):
+        cfg = replace(canonical_cfg, a_m=canonical_cfg.a_m.scaled(2.0))
+        assert cfg.pair == PairInvariants.of(cfg.a_m, cfg.f_o)
+        assert cfg.pair.I1 == 4.0 * canonical_cfg.pair.I1
+
+    def test_fit_and_crossover_read_the_config_pair(self, canonical_cfg, monkeypatch):
+        import qetlab.protocols as protocols
+
+        def rebuilt(*args):
+            raise AssertionError("the pair's norms were computed again")
+
+        monkeypatch.setattr(PairInvariants, "of", rebuilt)
+        monkeypatch.setattr(protocols, "weighted_spectral_integral", rebuilt)
+        for quantity in ("spin", "oscillator", "kernel"):
+            separation_scaling_fit(canonical_cfg, [20.0, 200.0], quantity=quantity)
+        assert crossover_amplitude(canonical_cfg) > 0.0
+
+
 class TestCrossover:
     def test_ratio_at_zero_amplitude(self, canonical_field):
         np.testing.assert_allclose(
@@ -452,6 +479,11 @@ class TestCrossover:
             root = mp.findroot(lambda u: mp.exp(u) - 1 - mp.pi**2 / 4 - u, 2)
             assert abs(CROSSOVER_U - root) <= 2 * math.ulp(float(root))
 
+    def test_crossover_exponent_is_the_nearest_float(self):
+        with mp.workdps(50):
+            root = mp.findroot(lambda u: mp.exp(u) - 1 - mp.pi**2 / 4 - u, 2)
+        assert CROSSOVER_U == float(root)
+
     def test_weak_field_has_crossover(self):
         # lam_c ~ 312: far outside any fixed search bracket
         weak = CurlGaussian(1e-3, 1.0)
@@ -465,14 +497,14 @@ class TestCrossover:
     def test_oscillator_wins_beyond_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = replace(canonical_cfg, lam=2.0 * lam_c)
-        spin, osc = both_protocols(cfg)
-        assert abs(osc.E_o_prime) > abs(spin.E_o)
+        out = both_protocols(cfg)
+        assert abs(out.E_o_prime) > abs(out.E_o)
 
     def test_spin_wins_below_crossover(self, canonical_cfg):
         lam_c = crossover_amplitude(canonical_cfg)
         cfg = replace(canonical_cfg, lam=0.5 * lam_c)
-        spin, osc = both_protocols(cfg)
-        assert abs(osc.E_o_prime) < abs(spin.E_o)
+        out = both_protocols(cfg)
+        assert abs(out.E_o_prime) < abs(out.E_o)
 
     def test_zero_measurement_profile_rejected(self, canonical_field):
         cfg = ProtocolConfig(a_m=CurlGaussian(0.0, 1.0), f_o=canonical_field, T=8.0)

@@ -11,6 +11,7 @@ from qetlab import ValidationError, parse_scenario
 from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import CurlGaussian
+from qetlab.protocols import PROBE_FIELDS, Outcome
 from qetlab.results import (
     emit_frame_binary,
     emit_frame_csv,
@@ -405,6 +406,20 @@ class TestRecordEmission:
             "scenario_hash", "probe", "lambda", "T", "E_m", "eta", "xi", "theta_star", "E_o", "D_q",
             "eta_prime", "theta_prime_star", "E_o_prime", "D_ho", "ratio",
         ]
+
+    def test_keys_after_T_are_the_outcome_fields(self, tmp_path):
+        s = parse_scenario(write(tmp_path, MINIMAL.replace("probe: spin", "probe: both")))
+        outcome_keys = [f.name for f in dataclasses.fields(Outcome)]
+        for rec in run_scenario(s):
+            assert list(rec) == ["scenario_hash", "probe", "lambda", "T", *outcome_keys]
+
+    def test_each_probe_fields_are_null_in_the_other_record(self, tmp_path):
+        s = parse_scenario(write(tmp_path, MINIMAL.replace("probe: spin", "probe: both")))
+        records = {rec["probe"]: rec for rec in run_scenario(s)}
+        assert set(records) == set(PROBE_FIELDS)
+        for probe, names in PROBE_FIELDS.items():
+            for other, rec in records.items():
+                assert [rec[n] is None for n in names] == [other != probe] * len(names)
 
     def test_non_finite_floats_are_written_null(self, tmp_path):
         # a zero D_q makes the ratio infinite; JSON has no inf, so the line carries null

@@ -31,7 +31,7 @@ def test_run_canonical(tmp_path):
     limit = float(re.search(r"large-lambda \|E_o'\| = (\S+)", proc.stdout).group(1))
     a = CurlGaussian(1.0, 1.0)
     inv = PairInvariants.of(a, a)
-    at_100 = abs(teleport(inv, inv.kernel(8.0), 100.0)[1].E_o_prime)
+    at_100 = abs(teleport(inv, inv.kernel(8.0), 100.0).E_o_prime)
     assert abs(at_100 - limit) <= 0.01 * limit
     assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 2
 

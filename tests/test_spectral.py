@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -232,6 +233,14 @@ class TestOverlapKernel:
         K = overlap_kernel(canonical_field, canonical_field, T)
         mc = brute_force_overlap_oracle(canonical_field, canonical_field, T, samples=400_000, seed=3)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
+
+    @pytest.mark.parametrize("sigma, T", [(1e160, 1e162), (1e110, 1e112), (1e-90, 1.0)])
+    def test_width_beyond_the_float_range_is_named(self, sigma, T):
+        # sigma^2 raises, (2 pi sigma^2)^(3/2) raises, or the prefactor underflows
+        wide = CurlGaussian(1.0, sigma)
+        for integral in (overlap_kernel, commutator_residual):
+            with pytest.raises(ValidationError, match=re.escape(f"widths sigma = {sigma!r} and {sigma!r}")):
+                integral(wide, wide, T)
 
     def test_perpendicular_axes_cancel(self):
         a = CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
