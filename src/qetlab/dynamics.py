@@ -10,12 +10,15 @@ radial and travels as d'Alembert's spherical wave
 so Pi = grad(d_t psi) x n and b = mu P r^ - Q n with mu = n.r^,
 P = psi_rr - psi_r/r, Q = psi_rr + psi_r/r, and the density
 
-    eps(t, x) = (1/2) (Pi^2 + b^2)
-              = (1/2) [(1 - mu^2)(psi_tr^2 + Q^2) + 4 mu^2 (psi_r/r)^2]
+    eps(t, x) = (1/2) [(1 - mu^2)(psi_tr^2 + Q^2) + 4 mu^2 (psi_r/r)^2]
+              = across(r) + mu^2 (along(r) - across(r))
 
-is elementary at every point.  Frames evaluate it plane by plane from the
-grid's 1D axes.  Wave packets leave the source region on the light cone and
-the grid sum of the density conserves the input energy.
+is a radial profile blended by the axis angle.  A frame's grid is centred
+on the source, so each node sits at an integer lattice vector L times one
+step and its squared radius is |L|^2 steps^2: the profile is evaluated once
+per distinct |L|^2, and the blend node by node, plane by plane.  Wave
+packets leave the source region on the light cone and the grid sum of the
+density conserves the input energy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import CurlGaussian, _integer, _positive, _real, _set_checked, _vec3
+from .fields import CurlGaussian, _integer, _positive, _real, _set_checked
 
 # spectral-resolution gate: Nyquist wavenumber must reach 8/sigma so the
 # grid sum of the density captures the Gaussian spectrum below the 1e-12
@@ -45,35 +48,36 @@ _SERIES_FACTORIALS = np.array([float(math.factorial(2 * k + 1)) for k in _SERIES
 
 @dataclass(frozen=True)
 class FrameGrid:
-    """Cubic position grid centered on the source: n nodes per axis, half extent."""
+    """Cubic position grid about the source: n nodes per axis, half extent."""
 
     n: int = 128
     half_extent: float = 16.0
-    center: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _set_checked(self, n=_integer(8), half_extent=_positive, center=_vec3)
+        _set_checked(self, n=_integer(8), half_extent=_positive)
 
     @property
     def dx(self) -> float:
         return 2.0 * self.half_extent / self.n
 
     def axis(self) -> np.ndarray:
+        """Node offsets from the source along each axis."""
         return -self.half_extent + self.dx * np.arange(self.n)
 
 
 def default_frame_grid(a_m: CurlGaussian, t: float, n: int = 128) -> FrameGrid:
-    """Box holding the light shell at time t with a tail margin, centered on the source."""
+    """Box holding the light shell at time t with a tail margin."""
     half = 1.15 * (abs(t) + a_m.effective_radius + 2.0 * a_m.sigma)
-    return FrameGrid(n=n, half_extent=half, center=a_m.center)
+    return FrameGrid(n=n, half_extent=half)
 
 
 @dataclass(frozen=True)
 class DensityFrame:
-    """Mean energy density on one spatial grid at one time."""
+    """Mean energy density at one time on a grid centred on the source."""
 
     t: float
     grid: FrameGrid
+    center: tuple  # the source centre, where the grid's axis offsets start
     eps: np.ndarray  # (n, n, n)
 
 
@@ -96,11 +100,11 @@ def _series_coefficients(tau: float):
     return 4.0 * k * k * c, 2.0 * k * c, 2.0 * k * d
 
 
-def _scaled_density(tau: float, r2: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """eps for A = sigma = 1 at time tau, squared radius r2 and squared axial offset w2."""
+def _radial_profile(tau: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(across, along): eps for A = sigma = 1 at time tau and squared radius r2, at mu^2 = 0 and 1."""
     small = r2 < _SERIES_R * _SERIES_R
     any_small = bool(small.any())
-    # the series nodes go through the closed form at r = 1, then are overwritten
+    # the series radii go through the closed form at r = 1, then are overwritten
     rr = np.where(small, 1.0, r2) if any_small else r2
     r = np.sqrt(rr)
     # per light-cone branch s = r +- tau: F' = (1 - s^2) E and F'' = -s (3 - s^2) E
@@ -114,37 +118,22 @@ def _scaled_density(tau: float, r2: np.ndarray, w2: np.ndarray) -> np.ndarray:
     g = r * (la + lb) - (sa + sb)  # 2 r^3 psi_r/r
     q = rr * (ma + mb) + g  # -2 r^3 Q
     v = r * (ma - mb) + (la - lb)  # -2 r^2 psi_tr
-    perp2 = np.maximum(rr - w2, 0.0)
-    out = (perp2 * (rr * v * v + q * q) + 4.0 * w2 * g * g) / (8.0 * (rr * rr) * (rr * rr))
+    den = 8.0 * rr * rr * rr
+    across = (rr * v * v + q * q) / den
+    along = 4.0 * g * g / den
     if any_small:
-        y = r2[small]
-        wy = w2[small]
-        q0, g0, v0 = (np.polynomial.polynomial.polyval(y, c) for c in _series_coefficients(tau))
-        cos2 = np.divide(wy, y, out=np.zeros_like(y), where=y > 0.0)
-        sin2 = np.maximum(1.0 - cos2, 0.0)
-        out[small] = 0.5 * (sin2 * (y * v0 * v0 + q0 * q0) + 4.0 * cos2 * g0 * g0)
-    return out
+        q0, g0, v0 = (np.polynomial.polynomial.polyval(r2[small], c) for c in _series_coefficients(tau))
+        across[small] = 0.5 * (r2[small] * v0 * v0 + q0 * q0)
+        along[small] = 2.0 * g0 * g0
+    return across, along
 
 
-def _energy_density(a_m: CurlGaussian, t: float, x, y, z) -> np.ndarray:
-    """eps(t) at the points of broadcastable coordinate arrays x, y, z."""
-    sigma = a_m.sigma
-    try:
-        scale = a_m.amplitude**2 / sigma**4
-    except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    if math.isinf(scale):
-        raise ValidationError(f"a_m: amplitude^2/sigma^4 leaves the float range at "
-                              f"amplitude = {a_m.amplitude!r}, sigma = {sigma!r}")
-    c = a_m.center_vec
-    n = a_m.axis_vec
-    ux = (np.asarray(x, dtype=float) - c[0]) / sigma
-    uy = (np.asarray(y, dtype=float) - c[1]) / sigma
-    uz = (np.asarray(z, dtype=float) - c[2]) / sigma
-    r2 = ux * ux + uy * uy + uz * uz
-    w = n[0] * ux + n[1] * uy + n[2] * uz
-    r2, w2 = np.broadcast_arrays(r2, w * w)
-    return scale * _scaled_density(t / sigma, r2, w2)
+def _blend(across, along, w2, r2, out=None) -> np.ndarray:
+    """eps = across + mu^2 (along - across), mu^2 = w2/r2 clamped to [0, 1] and 0 at r2 = 0."""
+    mu2 = np.divide(w2, r2, out=np.zeros(np.shape(w2)), where=r2 > 0)
+    np.clip(mu2, 0.0, 1.0, out=mu2)
+    mu2 *= along - across
+    return np.add(mu2, across, out=out)
 
 
 def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = None) -> DensityFrame:
@@ -163,16 +152,19 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
             f"need k_nyq >= {KNYQ_SIGMA_MIN / a_m.sigma:.3g} (refine n or shrink extent)"
         )
     needed = abs(t) + a_m.effective_radius
-    offset = float(np.linalg.norm(np.asarray(grid.center) - a_m.center_vec))
-    if grid.half_extent < needed + offset:
+    if grid.half_extent < needed:
         raise ValidationError(
             f"light shell |x| <= {needed:.3g} leaves the grid "
-            f"(half extent {grid.half_extent:.3g}, source offset {offset:.3g}); "
-            f"need half extent >= {needed + offset:.3g}"
+            f"(half extent {grid.half_extent:.3g}); need half extent >= {needed:.3g}"
         )
-
-    ax = grid.axis()
-    xs, ys, zs = (ax + c for c in grid.center)
+    sigma = a_m.sigma
+    try:
+        scale = a_m.amplitude**2 / sigma**4
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if math.isinf(scale):
+        raise ValidationError(f"a_m: amplitude^2/sigma^4 leaves the float range at "
+                              f"amplitude = {a_m.amplitude!r}, sigma = {sigma!r}")
     try:
         eps = np.empty((grid.n, grid.n, grid.n))
     except MemoryError:
@@ -180,6 +172,22 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
             f"grid n = {grid.n} needs {8 * grid.n**3:.3g} bytes for one frame, "
             "which cannot be allocated"
         ) from None
-    for i, x in enumerate(xs):
-        eps[i] = _energy_density(a_m, t, x, ys[:, None], zs[None, :])
-    return DensityFrame(t=t, grid=grid, eps=eps)
+
+    # node i sits at L_i steps from the source: L = i - n/2 steps of dx for
+    # even n, L = 2i - n half steps for odd n; |L|^2 is an exact integer
+    n = grid.n
+    half_steps = n % 2
+    L = (2 * np.arange(n) - n) // (2 - half_steps)
+    step = grid.dx / sigma / (1 + half_steps)
+    L2 = L * L
+    across, along = _radial_profile(t / sigma, np.arange(3 * int(L2.max()) + 1) * (step * step))
+    across *= scale
+    along *= scale
+    nx, ny, nz = a_m.axis_vec
+    m_yz = L2[:, None] + L2[None, :]
+    w_yz = ny * L[:, None] + nz * L[None, :]
+    for i in range(n):
+        m = m_yz + L2[i]
+        w = w_yz + nx * L[i]
+        _blend(across[m], along[m], w * w, m, out=eps[i])
+    return DensityFrame(t=t, grid=grid, center=a_m.center, eps=eps)

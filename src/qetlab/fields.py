@@ -38,6 +38,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _text_note(text: str, what: str = "the value") -> str:
+    """A note that YAML read `text` as a string, with a spelling it reads as the number, if it is one."""
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan
+    # PyYAML reads a float only with a dot and a signed exponent; repr signs it
+    spelled = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+    hint = f"; write it as {spelled}" if math.isfinite(number) else ""
+    return f" (YAML read {what} as text{hint})"
+
+
 def _number(what: str, accepts):
     """The rule for a finite number that `accepts`; a string gets a note that YAML read it as text."""
 
@@ -46,14 +58,7 @@ def _number(what: str, accepts):
             return float(value)
         message = f"{name}: must be {what}, got {value!r}"
         if isinstance(value, str):
-            try:
-                number = float(value)
-            except ValueError:
-                number = math.nan
-            # PyYAML reads a float only with a dot and a signed exponent; repr signs it
-            spelled = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
-            hint = f"; write it as {spelled}" if math.isfinite(number) else ""
-            message += f" (YAML read the value as text{hint})"
+            message += _text_note(value)
         raise ValidationError(message)
 
     return rule
@@ -68,7 +73,10 @@ def _vec3(value, name: str) -> tuple:
     items = value.tolist() if isinstance(value, np.ndarray) else value
     if isinstance(items, (list, tuple)) and len(items) == 3 and all(map(_is_real, items)):
         return tuple(float(v) for v in items)
-    raise ValidationError(f"{name}: must be a list of three finite numbers, got {value!r}")
+    message = f"{name}: must be a list of three finite numbers, got {value!r}"
+    if isinstance(items, (list, tuple)):
+        message += "".join(_text_note(v, repr(v)) for v in items if isinstance(v, str))
+    raise ValidationError(message)
 
 
 def _nonzero(value, name: str) -> tuple:

@@ -79,11 +79,7 @@ def scenario_frames(scenario: Scenario) -> list[DensityFrame]:
 
     def build(t: float) -> DensityFrame:
         if scenario.grid_half_extent is not None:
-            grid = FrameGrid(
-                n=scenario.grid_n,
-                half_extent=scenario.grid_half_extent,
-                center=scenario.a_m.center,
-            )
+            grid = FrameGrid(n=scenario.grid_n, half_extent=scenario.grid_half_extent)
         else:
             grid = default_frame_grid(scenario.a_m, t, n=scenario.grid_n)
         return energy_density_frame(scenario.a_m, t, grid)
@@ -101,7 +97,7 @@ def emit_frame_csv(frame: DensityFrame, path) -> None:
     """
     grid = frame.grid
     ax = grid.axis()
-    xs, ys, zs = (["%.17g" % v for v in (ax + c).tolist()] for c in np.asarray(grid.center, dtype=float))
+    xs, ys, zs = (["%.17g" % v for v in (ax + c).tolist()] for c in np.asarray(frame.center, dtype=float))
     z_tails = [f"{z},%.17g" for z in zs]
     t = "%.17g" % frame.t
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -127,7 +123,7 @@ _HEADER = struct.Struct("<8sI I d d 3d")  # magic, version, n, dx, t, origin
 def emit_frame_binary(frame: DensityFrame, path) -> None:
     """Flat float64 grid with a validated header (dims, spacing, time, origin)."""
     grid = frame.grid
-    origin = np.asarray(grid.center, dtype=float) - grid.half_extent
+    origin = np.asarray(frame.center, dtype=float) - grid.half_extent
     header = _HEADER.pack(_MAGIC, 1, grid.n, grid.dx, frame.t, *origin)
     with open(path, "wb") as fh:
         fh.write(header)

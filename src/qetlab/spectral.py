@@ -100,6 +100,9 @@ _GL_T, _GL_W = np.polynomial.legendre.leggauss(64)
 _SPLIT_DECAY = 60.0
 _PANEL_PHASE = 50.0
 _ROUNDING_ULPS = 16
+# The horizontal panel count grows like |d|/sigma: 3,200 at |d| = 1 and
+# sigma = 1e-4 (45 MB of nodes).  Past this bound the pair is rejected.
+_MAX_HORIZONTAL_PANELS = 4096
 
 
 def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[complex, float, int]:
@@ -136,7 +139,15 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     split = min(0.5 * h, 2.0 * _SPLIT_DECAY / (b + math.sqrt(disc))) if disc > 0.0 else 0.5 * h
     vertical = [0.0, 1j * split] if h > 0.0 else []
     x_max = 8.0 / math.sqrt(alpha)
-    n_h = max(1, math.ceil((t + dist - 2.0 * alpha * h) * x_max / _PANEL_PHASE))
+    # the leg's residual phase per unit x, t + |d| - 2 alpha h, is exactly 2|d|
+    # when h > 0; written so, rounding adds no panels to a co-centred pair
+    n_h = max(1, math.ceil((2.0 * dist if h > 0.0 else t + dist) * x_max / _PANEL_PHASE))
+    if n_h > _MAX_HORIZONTAL_PANELS:
+        raise ValidationError(
+            f"|d|/sigma = {dist / math.sqrt(alpha):.3g} (|d| = {dist!r}, sigma = sqrt((sigma_1^2 + "
+            f"sigma_2^2)/2) = {math.sqrt(alpha):.3g}): K(T) would need {n_h:.3g} contour panels, "
+            f"above the bound {_MAX_HORIZONTAL_PANELS}"
+        )
     path = np.array(vertical + list(1j * h + x_max * np.arange(n_h + 1) / n_h))
     half = 0.5 * np.diff(path)
     k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()

@@ -301,14 +301,14 @@ def commutator_reference(T: float, amp_f=1.0, sig_f=1.0, amp_a=1.0, sig_a=1.0, c
         return float(pref * S)
 
 
-def grid_positions(grid) -> np.ndarray:
-    """(n, n, n, 3) node positions of a FrameGrid, in C order of its eps array."""
-    axes = [grid.axis() + c for c in np.asarray(grid.center, dtype=float)]
+def grid_positions(grid, center) -> np.ndarray:
+    """(n, n, n, 3) node positions of a FrameGrid about `center`, in C order of its eps array."""
+    axes = [grid.axis() + c for c in np.asarray(center, dtype=float)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def fft_frame_reference(a_m, t: float, grid):
-    """(eps, b, Pi) on the grid by FFT propagation of the closed-form spectrum.
+    """(eps, b, Pi) on the grid about a_m's centre by FFT propagation of the closed-form spectrum.
 
     b~(t,k) = cos(|k|t) (ik x a~(k)) and Pi~(t,k) = -|k| sin(|k|t) a~(k),
     sampled on the grid's FFT k-lattice and inverse transformed; exact up to
@@ -323,7 +323,7 @@ def fft_frame_reference(a_m, t: float, grid):
 
     a_tilde = curl_gaussian_spectrum(a_m, kvec)
     # refer spectral phases to the grid origin so the inverse FFT lands on it
-    origin = np.asarray(grid.center, dtype=float) - grid.half_extent
+    origin = a_m.center_vec - grid.half_extent
     phase = np.exp(1j * (KX * origin[0] + KY * origin[1] + KZ * origin[2]))
     a_tilde *= phase[..., None]
 
@@ -376,7 +376,7 @@ def total_energy(frame) -> float:
 
 
 def energy_in_shell(frame, r_lo: float, r_hi: float) -> float:
-    """Grid quadrature of the density over r_lo <= r <= r_hi, radii measured from grid.center."""
+    """Grid quadrature of the density over r_lo <= r <= r_hi, radii measured from the source."""
     ax = frame.grid.axis()
     sq = ax * ax
     total = 0.0
@@ -394,7 +394,7 @@ def residual_window_energy(a_m, T: float, window, grid=None) -> float:
     """
     frame = energy_density_frame(a_m, T, grid)
     ax = frame.grid.axis()
-    xs, ys, zs = (ax + c for c in frame.grid.center)
+    xs, ys, zs = (ax + c for c in frame.center)
     total = 0.0
     for i, x in enumerate(xs):
         plane = np.stack(np.broadcast_arrays(x, ys[:, None], zs[None, :]), axis=-1)

@@ -145,6 +145,29 @@ class TestExitCodes:
             " (YAML read the value as text; write it as 1.0e+100)\n"
         )
 
+    @pytest.mark.parametrize("verb", ["teleport", "sweep"])
+    def test_displaced_narrow_pair_beyond_the_panel_bound_exits_2(self, verb, tmp_path, capsys):
+        # |d|/sigma = 1e30 would need 3.2e29 contour panels for K(T)
+        path = tmp_path / "narrow.yaml"
+        path.write_text(
+            "T: 2.0\nfields:\n  a_m: {sigma: 1.0e-30}\n"
+            "  f_o: {sigma: 1.0e-30, center: [1.0, 0.0, 0.0]}\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "|d|/sigma = 1e+30" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_vector_item_read_as_text_is_named(self, tmp_path, capsys):
+        path = tmp_path / "text.yaml"
+        path.write_text(MINIMAL.replace("{sigma: 1.0}", "{sigma: 1.0, center: [1e-3, 0, 0]}"))
+        assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: scenario.fields.a_m.center: must be a list of three finite numbers,"
+            " got ['1e-3', 0, 0] (YAML read '1e-3' as text; write it as 0.001)\n"
+        )
+
     def test_overflowing_protocol_energy_exits_3(self, tmp_path, capsys):
         # amplitude 1e100: the norms are finite, but E_o' is inf/inf; nothing is written
         path = tmp_path / "huge.yaml"

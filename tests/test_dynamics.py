@@ -10,7 +10,8 @@ from qetlab import (
     PairInvariants,
     energy_density_frame,
 )
-from qetlab.dynamics import _energy_density, default_frame_grid
+from qetlab import dynamics
+from qetlab.dynamics import _blend, _radial_profile, default_frame_grid
 from qetlab.errors import ValidationError
 
 from oracles import (
@@ -51,7 +52,7 @@ class TestFrameConstruction:
         grid = default_frame_grid(field, 0.0, n=96)
         eps_fft, b, Pi = fft_frame_reference(field, 0.0, grid)
         np.testing.assert_allclose(Pi, 0.0, atol=1e-12)
-        direct = field.curl(grid_positions(grid))
+        direct = field.curl(grid_positions(grid, field.center))
         np.testing.assert_allclose(b, direct, atol=1e-8 * np.max(np.abs(direct)))
         frame = energy_density_frame(field, 0.0, grid)
         half_curl2 = 0.5 * np.sum(direct * direct, axis=-1)
@@ -95,6 +96,36 @@ class TestFrameConstruction:
         frame = energy_density_frame(field, t, grid)
         np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_odd_n_half_step_lattice_matches_fft_oracle(self, t):
+        # odd n puts the source between nodes: the lattice runs in half steps
+        grid = FrameGrid(n=33, half_extent=5.8)
+        eps_fft, _, _ = fft_frame_reference(DISPLACED_TILTED, t, grid)
+        frame = energy_density_frame(DISPLACED_TILTED, t, grid)
+        np.testing.assert_allclose(frame.eps, eps_fft, rtol=0, atol=1e-12 * eps_fft.max())
+
+    @pytest.mark.parametrize(
+        "grid, radii",
+        [(None, 3 * 64**2 + 1), (FrameGrid(n=33, half_extent=5.8), 3 * 33**2 + 1)],
+        ids=["n128", "n33"],
+    )
+    def test_profile_is_evaluated_once_per_lattice_radius(self, grid, radii, monkeypatch):
+        evaluated = []
+
+        def counting(tau, r2):
+            evaluated.append(np.size(r2))
+            return _radial_profile(tau, r2)
+
+        monkeypatch.setattr(dynamics, "_radial_profile", counting)
+        frame = energy_density_frame(DISPLACED_TILTED, 0.5, grid)
+        assert sum(evaluated) <= radii < frame.eps.size // 2
+
+    def test_frame_carries_the_source_centre(self):
+        frame = energy_density_frame(DISPLACED_TILTED, 0.0, FrameGrid(n=36, half_extent=5.0))
+        assert frame.center == DISPLACED_TILTED.center
+        # the centre is a tuple, so eps stays the one array a frame computes
+        assert [name for name, v in vars(frame).items() if isinstance(v, np.ndarray)] == ["eps"]
+
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 8.0])
     def test_small_radius_against_50_digit_density(self, t):
         # the d'Alembert quotients cancel as r -> 0; the series branch must
@@ -112,7 +143,10 @@ class TestFrameConstruction:
             ]
         )
         ref = np.array([density_reference(field, t, p) for p in points])
-        got = _energy_density(field, t, points[:, 0], points[:, 1], points[:, 2])
+        u = (points - field.center_vec) / field.sigma
+        r2 = np.sum(u * u, axis=1)
+        across, along = _radial_profile(t / field.sigma, r2)
+        got = field.amplitude**2 / field.sigma**4 * _blend(across, along, (u @ n) ** 2, r2)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
 
     def test_rejects_shell_escaping_grid(self, source):

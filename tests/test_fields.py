@@ -198,7 +198,6 @@ PARAMETERS = {
     "RadialWindow.center": (lambda v: RadialWindow(1.0, center=(0.0, 0.0, v)), 1.0),
     "FrameGrid.n": (lambda v: FrameGrid(n=v), 8),
     "FrameGrid.half_extent": (lambda v: FrameGrid(half_extent=v), 1.0),
-    "FrameGrid.center": (lambda v: FrameGrid(center=(v, 0.0, 0.0)), 1.0),
     "GaussianPhotonMode.sigma": (lambda v: GaussianPhotonMode(sigma=v), 1.0),
     "GaussianPhotonMode.center": (lambda v: GaussianPhotonMode(1.0, center=(0.0, v, 0.0)), 1.0),
     "GaussianPhotonMode.axis": (lambda v: GaussianPhotonMode(1.0, axis=(v, 0.0, 1.0)), 1.0),
@@ -255,6 +254,25 @@ class TestValueRules:
             CurlGaussian(amplitude=1.0, sigma=text)
         assert err.value.errors == [
             f"sigma: must be a positive finite number, got {text!r} (YAML read the value as text)"
+        ]
+
+    @pytest.mark.parametrize("text", ["1e-3", "1E5", "+3e2"])
+    @pytest.mark.parametrize("where", ["center", "axis"])
+    def test_a_vector_item_read_as_text_gets_the_same_note(self, where, text):
+        with pytest.raises(ValidationError) as err:
+            CurlGaussian(1.0, 1.0, **{where: [1.0, text, 0.0]})
+        (message,) = err.value.errors
+        assert message.startswith(f"{where}: must be a list of three finite numbers, got [1.0, {text!r}, 0.0]")
+        assert f" (YAML read {text!r} as text; write it as " in message
+        spelled = message.split("write it as ")[1].rstrip(")")
+        assert yaml.safe_load(f"v: {spelled}")["v"] == float(text)
+
+    def test_a_vector_item_that_is_no_number_gets_no_spelling(self):
+        with pytest.raises(ValidationError) as err:
+            CurlGaussian(1.0, 1.0, center=["x", 0.0, "nan"])
+        assert err.value.errors == [
+            "center: must be a list of three finite numbers, got ['x', 0.0, 'nan']"
+            " (YAML read 'x' as text) (YAML read 'nan' as text)"
         ]
 
     def test_every_failing_parameter_reported_at_once(self):

@@ -461,18 +461,19 @@ class TestFrameEmission:
     def test_csv_bytes_match_savetxt(self, n, tmp_path):
         from qetlab.dynamics import DensityFrame, FrameGrid
 
-        grid = FrameGrid(n=n, half_extent=3.7, center=(0.3, -1.25, 2.0))
+        grid = FrameGrid(n=n, half_extent=3.7)
+        center = (0.3, -1.25, 2.0)
         rng = np.random.default_rng(n)
         # magnitudes from 1e-300 to 1e3, exact zeros and ties in the mantissa
         eps = rng.random((n, n, n)) * 10.0 ** rng.integers(-300, 4, (n, n, n))
         eps.reshape(-1)[::7] = 0.0
         eps.reshape(-1)[3::11] = 0.125
-        frame = DensityFrame(t=2.5, grid=grid, eps=eps)
+        frame = DensityFrame(t=2.5, grid=grid, center=center, eps=eps)
         path = tmp_path / "frame.csv"
         emit_frame_csv(frame, path)
 
         cols = np.column_stack(
-            [np.full(n**3, frame.t), grid_positions(grid).reshape(-1, 3), eps.reshape(-1)]
+            [np.full(n**3, frame.t), grid_positions(grid, center).reshape(-1, 3), eps.reshape(-1)]
         )
         expected = tmp_path / "savetxt.csv"
         with open(expected, "w", encoding="utf-8", newline="\n") as fh:

@@ -242,6 +242,25 @@ class TestOverlapKernel:
             with pytest.raises(ValidationError, match=re.escape(f"widths sigma = {sigma!r} and {sigma!r}")):
                 integral(wide, wide, T)
 
+    @pytest.mark.parametrize("dist, rejected", [(1.0, False), (1.25, False), (1.3, True)])
+    def test_horizontal_panel_count_is_bounded(self, dist, rejected):
+        # at sigma = 1e-4 the horizontal leg takes 0.32 |d|/sigma panels: 3,200,
+        # 4,000 and 4,160 here, against the bound of 4,096
+        f = CurlGaussian(1.0, 1e-4, center=(dist, 0.0, 0.0))
+        a = CurlGaussian(1.0, 1e-4)
+        if rejected:
+            for integral in (overlap_kernel, commutator_residual):
+                with pytest.raises(ValidationError, match=r"\|d\|/sigma = 1\.3e\+04 .* above the bound 4096"):
+                    integral(f, a, 2.0)
+        else:
+            assert overlap_kernel(f, a, 2.0).samples_or_nodes == 64 * (2 + round(3200 * dist))
+
+    @pytest.mark.parametrize("T", [13.0, 50.0])
+    def test_cocentred_pair_takes_one_horizontal_panel_however_narrow(self, T):
+        # 2 alpha h rounds to T + 1 ulp at these T; the leg's phase span is still 0
+        K = overlap_kernel(CurlGaussian(1.0, 1e-20), CurlGaussian(1.0, 3e-20), T)
+        assert K.samples_or_nodes == 3 * 64
+
     def test_perpendicular_axes_cancel(self):
         a = CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 1.0))
         f = CurlGaussian(1.0, 1.0, axis=(1.0, 0.0, 0.0))
