@@ -32,13 +32,8 @@ from .protocols import (
     povm_identity_check,
     teleport,
 )
-from .results import (
-    emit_frame_binary,
-    emit_frame_csv,
-    emit_records,
-    run_scenario,
-    scenario_frames,
-)
+from .dynamics import scenario_frames
+from .results import emit_frame_binary, emit_frame_csv, emit_records, run_scenario
 from .scenario import frame_stem, parse_scenario
 from .spectral import (
     brute_force_overlap_oracle,
@@ -155,6 +150,7 @@ def _cmd_density(args) -> int:
             path = out_dir / f"{stem}.bin"
             emit_frame_binary(frame, path)
         print(f"wrote {path}")
+        del frame  # so that only one frame is alive while the next is built
     return EXIT_OK
 
 

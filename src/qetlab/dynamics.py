@@ -24,6 +24,7 @@ density conserves the input energy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,15 +137,8 @@ def _blend(across, along, w2, r2, out=None) -> np.ndarray:
     return np.add(mu2, across, out=out)
 
 
-def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = None) -> DensityFrame:
-    """Propagate the measurement imprint to time t and return the density frame.
-
-    The same frame is valid for both probe types.  Rejects grids that either
-    under-resolve the envelope spectrally, so that the grid sum of the density
-    misses energy, or cannot contain the light shell, and a field whose
-    amplitude^2/sigma^4 leaves the float range."""
-    t = _real(t, "t")
-    grid = grid or default_frame_grid(a_m, t)
+def _frame_scale(a_m: CurlGaussian, t: float, grid: FrameGrid) -> float:
+    """amplitude^2/sigma^4, once the frame at t passes `energy_density_frame`'s checks on grid and field."""
     k_nyquist = np.pi / grid.dx
     if k_nyquist * a_m.sigma < KNYQ_SIGMA_MIN:
         raise ValidationError(
@@ -165,13 +159,33 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     if math.isinf(scale):
         raise ValidationError(f"a_m: amplitude^2/sigma^4 leaves the float range at "
                               f"amplitude = {a_m.amplitude!r}, sigma = {sigma!r}")
+    return scale
+
+
+def _frame_array(n: int) -> np.ndarray:
+    """An uninitialised (n, n, n) frame, or a ValidationError if it cannot be allocated."""
     try:
-        eps = np.empty((grid.n, grid.n, grid.n))
+        return np.empty((n, n, n))
     except MemoryError:
         raise ValidationError(
-            f"grid n = {grid.n} needs {8 * grid.n**3:.3g} bytes for one frame, "
+            f"grid n = {n} needs {8 * n**3:.3g} bytes for one frame, "
             "which cannot be allocated"
         ) from None
+
+
+def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = None) -> DensityFrame:
+    """Propagate the measurement imprint to time t and return the density frame.
+
+    The same frame is valid for both probe types.  Rejects grids that either
+    under-resolve the envelope spectrally, so that the grid sum of the density
+    misses energy, or cannot contain the light shell, a field whose
+    amplitude^2/sigma^4 leaves the float range, and a frame too large to
+    allocate."""
+    t = _real(t, "t")
+    grid = grid or default_frame_grid(a_m, t)
+    scale = _frame_scale(a_m, t, grid)
+    eps = _frame_array(grid.n)
+    sigma = a_m.sigma
 
     # node i sits at L_i steps from the source: L = i - n/2 steps of dx for
     # even n, L = 2i - n half steps for odd n; |L|^2 is an exact integer
@@ -191,3 +205,22 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
         w = w_yz + nx * L[i]
         _blend(across[m], along[m], w * w, m, out=eps[i])
     return DensityFrame(t=t, grid=grid, center=a_m.center, eps=eps)
+
+
+def scenario_frames(scenario) -> Iterator[DensityFrame]:
+    """Density frames at a parsed scenario's times (source field a_m, shared grid policy).
+
+    Every time's checks run before this returns, so a scenario that fails at
+    any time fails before anything is built or written; the frames are then
+    built one at a time as they are iterated.
+    """
+    a_m = scenario.a_m
+    times = scenario.times or (0.0, max(scenario.T_list))
+    if scenario.grid_half_extent is not None:
+        grids = [FrameGrid(n=scenario.grid_n, half_extent=scenario.grid_half_extent)] * len(times)
+    else:
+        grids = [default_frame_grid(a_m, t, n=scenario.grid_n) for t in times]
+    for t, grid in zip(times, grids):
+        _frame_scale(a_m, t, grid)
+    _frame_array(scenario.grid_n)  # every grid has this n; the probe allocation is dropped at once
+    return (energy_density_frame(a_m, t, grid) for t, grid in zip(times, grids))

@@ -93,6 +93,17 @@ class TestExitCodes:
         assert "n = 100000" in err and "8e+15 bytes" in err
         assert "Traceback" not in err
 
+    def test_density_failing_at_a_later_time_writes_nothing(self, tmp_path, capsys):
+        # the fixed box holds the light shell at t = 0 but not at t = 100, and
+        # the frames are built one at a time: every time is checked first
+        path = tmp_path / "late.yaml"
+        path.write_text(MINIMAL + "times: [0.0, 100.0]\ngrid: {n: 32, half_extent: 5.8}\n")
+        out_dir = tmp_path / "frames"
+        code = main(["density", "--scenario", str(path), "--out", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert "light shell" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("verb", ["energy", "teleport", "sweep", "density"])
     def test_zero_operation_profile_exits_2(self, verb, tmp_path, capsys):
         # xi = int f_o^2 = 0 leaves the displacement undefined; the parser rejects the pair

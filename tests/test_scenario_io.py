@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from qetlab import ValidationError, parse_scenario
+from qetlab import ValidationError, parse_scenario, results
 from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import CurlGaussian
@@ -457,18 +458,28 @@ class TestFrameEmission:
         assert t == frame.t
         np.testing.assert_array_equal(eps, frame.eps.reshape(-1))
 
-    @pytest.mark.parametrize("n", [9, 33])
-    def test_csv_bytes_match_savetxt(self, n, tmp_path):
+    @pytest.mark.parametrize("n, real", [(9, False), (33, False), (33, True)], ids=["9", "33", "frame-33"])
+    def test_csv_bytes_match_savetxt(self, n, real, tmp_path):
         from qetlab.dynamics import DensityFrame, FrameGrid
 
-        grid = FrameGrid(n=n, half_extent=3.7)
-        center = (0.3, -1.25, 2.0)
-        rng = np.random.default_rng(n)
-        # magnitudes from 1e-300 to 1e3, exact zeros and ties in the mantissa
-        eps = rng.random((n, n, n)) * 10.0 ** rng.integers(-300, 4, (n, n, n))
-        eps.reshape(-1)[::7] = 0.0
-        eps.reshape(-1)[3::11] = 0.125
-        frame = DensityFrame(t=2.5, grid=grid, center=center, eps=eps)
+        if real:
+            # tilted and off the origin at odd n, so the nodes sit half a step off the
+            # source; sigma = 4 lets n = 33 resolve the envelope and hold the shell at t = 4
+            source = CurlGaussian(1.3, 4.0, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+            frame = energy_density_frame(source, 4.0, FrameGrid(n=n, half_extent=25.5))
+            grid, center, eps = frame.grid, frame.center, frame.eps
+        else:
+            grid = FrameGrid(n=n, half_extent=3.7)
+            center = (0.3, -1.25, 2.0)
+            rng = np.random.default_rng(n)
+            # magnitudes from 1e-300 to 1e3 of either sign, exact zeros of either sign
+            # and ties in the mantissa
+            eps = rng.random((n, n, n)) * 10.0 ** rng.integers(-300, 4, (n, n, n))
+            eps *= rng.choice([-1.0, 1.0], eps.shape)
+            eps.reshape(-1)[::7] = 0.0
+            eps.reshape(-1)[5::14] = -0.0
+            eps.reshape(-1)[3::11] = 0.125
+            frame = DensityFrame(t=2.5, grid=grid, center=center, eps=eps)
         path = tmp_path / "frame.csv"
         emit_frame_csv(frame, path)
 
@@ -480,6 +491,23 @@ class TestFrameEmission:
             fh.write("t,x,y,z,eps\n")
             np.savetxt(fh, cols, delimiter=",", fmt="%.17g")
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_csv_write_stays_plane_wise(self, tmp_path):
+        from qetlab.dynamics import DensityFrame, FrameGrid
+
+        n = 64
+        rng = np.random.default_rng(3)
+        eps = rng.random((n, n, n)) * 10.0 ** rng.integers(-30, 2, (n, n, n))
+        frame = DensityFrame(t=1.5, grid=FrameGrid(n=n, half_extent=6.1), center=(0.2, -0.3, 0.7), eps=eps)
+        path = tmp_path / "frame.csv"
+        tracemalloc.start()
+        try:
+            emit_frame_csv(frame, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 20e6
+        assert peak < 4e6
 
     def test_binary_round_trip(self, frame, tmp_path):
         path = tmp_path / "frame.bin"
@@ -506,3 +534,56 @@ class TestFrameEmission:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="expected"):
             load_frame_binary(path)
+
+
+def exact_texts(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestExactDigits:
+    """`results._format_values` against "%.17g" itself, value by value."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        both = np.concatenate([values, -values])
+        assert results._format_values(both) == exact_texts(both)
+
+    def test_random_bit_patterns(self):
+        # uniform bit patterns cover every binary exponent, subnormals, both
+        # signs, and NaNs with many payloads
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64 - 1, 200_000, dtype=np.uint64, endpoint=True)
+        self.check(np.concatenate([bits.view(np.float64), [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308]]))
+
+    def test_exact_ties(self):
+        # exact decimal ties at the 17th digit round half to even
+        self.check([1234567890123456.25, 1234567890123456.75, 0.125, 2.5, 1e16 + 2.0]
+                   + [2.0**-k for k in range(1, 1075)] + [2.0**k for k in range(0, 1024)])
+
+    def test_one_ulp_around_powers_of_ten(self):
+        powers = [10.0**k for k in range(-323, 309)]
+        self.check(powers + [np.nextafter(p, 0.0) for p in powers] + [np.nextafter(p, math.inf) for p in powers])
+
+    def test_edges_of_the_fast_range(self):
+        edges = [results._FAST_MIN, results._FAST_MAX]
+        self.check(edges + [np.nextafter(x, 0.0) for x in edges] + [np.nextafter(x, math.inf) for x in edges])
+
+    def test_every_form_and_digit_count(self):
+        # the doubles nearest short decimals reach every form (fixed below and
+        # above 1, scientific with 2- and 3-digit exponents) with 1 to 17 digits
+        rng = np.random.default_rng(5)
+        self.check([float(f"{m}e{e}") for d in range(1, 18) for e in range(-124, 124)
+                    for m in rng.integers(10 ** (d - 1), 10**d, 4)])
+
+    def test_fast_path_covers_a_tilted_frame(self, monkeypatch):
+        from qetlab.dynamics import FrameGrid
+
+        source = CurlGaussian(1.3, 1.0, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+        frame = energy_density_frame(source, 0.5, FrameGrid(n=32, half_extent=5.8))
+        exact = results._exact
+        calls = []
+        monkeypatch.setattr(results, "_exact", lambda v: calls.append(v) or exact(v))
+        values = frame.eps.reshape(-1)
+        assert results._format_values(values) == exact_texts(values)
+        assert len(calls) <= 1e-3 * values.size
