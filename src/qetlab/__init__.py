@@ -17,8 +17,6 @@ from .spectral import (
     brute_force_overlap_oracle,
     commutator_residual,
     overlap_kernel,
-    pauli_jordan_delta,
-    pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
 from .protocols import (

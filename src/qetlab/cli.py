@@ -37,9 +37,9 @@ from .results import emit_frame_binary, emit_frame_csv, emit_records, run_scenar
 from .scenario import frame_stem, parse_scenario
 from .spectral import (
     brute_force_overlap_oracle,
+    d2_delta_fourier,
+    d2_delta_offcone,
     overlap_kernel,
-    pauli_jordan_delta,
-    pauli_jordan_delta_quadrature,
     weighted_spectral_integral,
 )
 
@@ -189,10 +189,10 @@ def _cmd_verify(args) -> int:
         ("input energy vs position oracle", E_spec, E_pos, 1e-6 * abs(E_pos)),
         ("input energy vs 5 pi^(3/2)/4", E_spec, expected, 1e-6 * expected),
     ]
-    for t, r in ((2.0, 1.0), (1.0, 2.0), (10.0, 0.0)):
-        closed = pauli_jordan_delta(t, r)
-        quadr = pauli_jordan_delta_quadrature(t, r).value
-        rows.append((f"light-cone kernel at (t, r) = ({t:g}, {r:g})", quadr, closed, 1e-6 * abs(closed)))
+    for t, r in ((2.0, 1.0), (1.0, 2.0), (10.0, 0.0), (14.0, 3.0)):
+        fourier = d2_delta_fourier(t, r)
+        rows.append((f"d_t^2 Delta vs Fourier integral at (t, r) = ({t:g}, {r:g})",
+                     float(d2_delta_offcone(t, r * r)), fourier, 1e-6 * abs(fourier)))
 
     T = 14.0
     K = overlap_kernel(a, a, T).value

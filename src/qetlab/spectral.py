@@ -1,12 +1,12 @@
 """Spectral integrals of the protocol analysis.
 
 The weighted norms int d^3k/(2pi)^3 |k|^p |a~|^2 of a curl-Gaussian are
-Gaussian moments in closed form.  The light-cone kernels, the shared overlap
-integral K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) and the commutator
-integral are oscillatory; an independent position-space Monte Carlo oracle
-checks K(T).  Field arguments are `CurlGaussian`s, of which only amplitude,
-sigma, center and axis are read: the transform a~ enters the closed forms
-but is never evaluated.
+Gaussian moments in closed form.  The shared overlap integral
+K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) and the commutator integral
+are oscillatory; a position-space Monte Carlo oracle checks K(T), and a
+Fourier rule its kernel d_T^2 Delta.  Field arguments are `CurlGaussian`s, of
+which only amplitude, sigma, center and axis are read: the transform a~
+enters the closed forms but is never evaluated.
 
 Every curl-Gaussian pairing reduces to a 1D radial integral: the angular
 part is analytic in spherical Bessel functions even for displaced centers and
@@ -37,7 +37,7 @@ CONE_EPS = 1e-9
 class IntegralResult:
     value: float
     estimated_error: float
-    method: str  # "closed-form" | "steepest-descent" | "radial-quadrature" | "monte-carlo"
+    method: str  # "closed-form" | "steepest-descent" | "monte-carlo"
     samples_or_nodes: int
 
     def __post_init__(self):
@@ -190,58 +190,6 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> IntegralResul
     )
 
 
-def _off_cone(t: float, r: float) -> float:
-    """t^2 - r^2 for finite t, r >= 0 off the light cone; the kernel is distributional on it."""
-    t, r = _checked(t=(_real, t), r=(_nonnegative, r))
-    u = t * t - r * r
-    if abs(u) <= CONE_EPS * (t * t + r * r):
-        raise ValidationError(
-            f"(t={t}, r={r}) lies on the light cone; the kernel is distributional there"
-        )
-    return u
-
-
-def pauli_jordan_delta(t: float, r: float) -> float:
-    """Off-cone closed form -1/(2 pi^2 (t^2 - r^2)); rejects on-cone input."""
-    return -1.0 / (2.0 * np.pi**2 * _off_cone(t, r))
-
-
-def pauli_jordan_delta_quadrature(t: float, r: float) -> IntegralResult:
-    """Oscillatory-quadrature route to the same value.
-
-    Integrates the damped radial Fourier integral for damping strengths 0.05,
-    0.025 and 0.0125 and Richardson-extrapolates in the damping squared (the residual is even).
-    """
-    from scipy.integrate import quad  # here, so that importing the package loads no scipy
-
-    _off_cone(t, r)
-
-    def damped(epsilon: float) -> float:
-        if r == 0.0:
-            # angular limit: (1/2pi^2) int k cos(kt) e^{-eps k} dk
-            val, _ = quad(lambda k: k * np.exp(-epsilon * k), 0, np.inf, weight="cos", wvar=t)
-            return val / (2.0 * np.pi**2)
-        total = 0.0
-        for a in (r + t, r - t):
-            if a == 0.0:
-                continue
-            val, _ = quad(lambda k: np.exp(-epsilon * k), 0, np.inf, weight="sin", wvar=a)
-            total += 0.5 * val
-        return total / (2.0 * np.pi**2 * r)
-
-    v0, v1, v2 = (damped(e) for e in (0.05, 0.025, 0.0125))
-    # the residual is even in eps and eps^2 falls 4x per step, so these
-    # weights cancel its eps^2 and eps^4 terms; the estimate is the distance
-    # to the extrapolation that cancels eps^2 alone
-    best = (v0 - 20.0 * v1 + 64.0 * v2) / 45.0
-    return IntegralResult(
-        value=best,
-        estimated_error=abs(best - (4.0 * v1 - v0) / 3.0),
-        method="radial-quadrature",
-        samples_or_nodes=3,
-    )
-
-
 def d2_delta_offcone(t: float, r2) -> np.ndarray:
     """Second time derivative of the off-cone kernel at squared distance r2 = r^2.
 
@@ -250,6 +198,48 @@ def d2_delta_offcone(t: float, r2) -> np.ndarray:
     r2 = np.asarray(r2, dtype=float)
     u = t * t - r2
     return -(3.0 * t * t + r2) / (np.pi**2 * (u * u * u))
+
+
+def _fourier_moment(p: int, w: float, cosine: bool) -> float:
+    """int_0^inf k^p sin(w k) dk, or k^p cos(w k), for w > 0 in the Abel sense.
+
+    The double-exponential rule for Fourier-type integrals (Ooura & Mori, J.
+    Comput. Appl. Math. 112 (1999) 229-241), step h = 0.1 and beta = 1/4 on
+    s in [-6, 6]: k = M phi(s)/w with M = pi/h, phi = s (1 + q),
+    q = 1/(e^u - 1) and u = 2s + alpha(1 - e^{-s}) + beta(e^s - 1).  At the
+    nodes s = (j - c/2) h, c = 1 for the cosine, M s is a zero of the
+    oscillating factor, which M phi approaches double-exponentially; the
+    factor is taken as (-1)^j sin(M s q), free of that zero's rounding.
+    Since k -> k/w scales the rule exactly, its relative error depends on p
+    alone: 7e-19 (p = 2) and 9e-17 (p = 3) in 40-digit arithmetic, about
+    3e-12 and 3e-11 in float64, where node terms of size (M phi)^p cancel.
+    A finer step does worse, since those terms grow.
+    """
+    h, beta = 0.1, 0.25
+    M = math.pi / h
+    alpha = beta / math.sqrt(1.0 + M * math.log1p(M) / (4.0 * math.pi))
+    j = np.arange(cosine - 60, 61)
+    s = (j - 0.5 * cosine) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 / np.expm1(2.0 * s - alpha * np.expm1(-s) + beta * np.expm1(s))
+        phi, osc = s * (1.0 + q), (-1.0) ** j * np.sin(M * s * q)
+        dphi = (1.0 + q) * (1.0 - s * (2.0 + alpha * np.exp(-s) + beta * np.exp(s)) * q)
+    if not cosine:  # the node j = 0 at s = 0 takes the limits, with c1 = u'(0)
+        c1 = 2.0 + alpha + beta
+        phi[60], dphi[60], osc[60] = 1.0 / c1, 0.5 - (beta - alpha) / (2.0 * c1 * c1), math.sin(M / c1)
+    return float(np.sum(h * M / w * dphi * (M * phi / w) ** p * osc))
+
+
+def d2_delta_fourier(t: float, r: float) -> float:
+    """d_t^2 Delta(t, r) off the light cone, from its Fourier representation.
+
+    -(1/(4 pi^2 r)) sum_{a = r +- t} sgn(a) int_0^inf k^2 sin(|a| k) dk for r > 0,
+    and -(1/(2 pi^2)) int_0^inf k^3 cos(t k) dk at r = 0.
+    """
+    if r == 0.0:
+        return -_fourier_moment(3, abs(t), True) / (2.0 * np.pi**2)
+    parts = (math.copysign(1.0, a) * _fourier_moment(2, abs(a), False) for a in (r + t, r - t))
+    return -sum(parts) / (4.0 * np.pi**2 * r)
 
 
 # K(T) is returned only if its estimated error is at most _KERNEL_RTOL |K|

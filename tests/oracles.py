@@ -16,8 +16,9 @@ and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
 its normalization).  The Monte Carlo oracle's batches are re-evaluated with
 the plain per-sample formula, with or without its control variate
-(`mc_batch_reference`), and the input energy
-from one full position lattice (`input_energy_position_reference`).  Frame
+(`mc_batch_reference`); their kernel is d_t^2 of the light-cone closed form
+-1/(2 pi^2 (t^2 - r^2)) (`pauli_jordan_delta_reference`).  The input energy
+comes from one full position lattice (`input_energy_position_reference`).  Frame
 energies are plain grid sums (`total_energy`, `energy_in_shell`,
 `residual_window_energy`), and the vacuum moments behind D_q come from a
 truncated Fock-space matrix exponential (`vacuum_probe_functional_moments`).
@@ -116,6 +117,11 @@ def input_energy_position_reference(a_m) -> float:
     curls = a_m.curl(np.stack([xs, ys, zs], axis=-1))
     dx = float(ax[1] - ax[0])
     return 0.5 * float(np.sum(curls * curls)) * dx**3
+
+
+def pauli_jordan_delta_reference(t: float, r: float) -> float:
+    """The light-cone kernel Delta(t, r) = -1/(2 pi^2 (t^2 - r^2)) off the cone."""
+    return -1.0 / (2.0 * np.pi**2 * (t * t - r * r))
 
 
 def mc_batch_reference(

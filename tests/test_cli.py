@@ -12,7 +12,7 @@ import pytest
 
 import qetlab.cli as cli
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from qetlab.spectral import overlap_kernel, pauli_jordan_delta
+from qetlab.spectral import overlap_kernel
 
 MINIMAL = """
 T: 8.0
@@ -224,14 +224,34 @@ class TestExitCodes:
         assert cli.build_parser().parse_args(argv).run is getattr(cli, handler)
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported inside the two functions that need it, so no verb pays for it at start-up
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        (["energy", "--scenario", "{scenario}"], False),
+        (["teleport", "--scenario", "{scenario}", "--out", "{out}"], False),
+        (["density", "--scenario", "{scenario}", "--out", "{out}", "--format", "csv"], False),
+        (["verify", "--mc-samples", "2000"], False),
+        (["demo", "negative-energy", "--out", "{out}"], True),
+    ],
+    ids=["energy", "teleport", "density-csv", "verify", "demo-negative-energy"],
+)
+def test_only_the_demo_loads_scipy(argv, loads_scipy, tmp_path):
+    # scipy is imported inside the one function that needs it, the demo's packet
+    # amplitudes, so no other verb pays for it; the modules are listed after the verb ran
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(MINIMAL + "times: [0.0]\ngrid: {n: 32, half_extent: 5.8}\n")
+    argv = [a.format(scenario=scenario, out=tmp_path / "out") for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, qetlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code = (
+        "import sys, qetlab.cli; code = qetlab.cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert (loaded != "[]") == loads_scipy, loaded
 
 
 class TestTeleport:
@@ -300,18 +320,11 @@ def _away(value: float, tolerance: float, how: str) -> float:
     return value + 2.0 * tolerance if how == "far" else math.nan
 
 
-def _break_energy(real, how):
-    def oracle(a_m):
-        E = real(a_m)
-        return _away(E, 1e-6 * E, how)
-
-    return oracle
-
-
-def _break_light_cone(real, how):
-    def oracle(t, r):
-        closed = pauli_jordan_delta(t, r)
-        return dataclasses.replace(real(t, r), value=_away(closed, 1e-6 * abs(closed), how))
+def _break_value(real, how):
+    # for the oracles whose rows have a 1e-6 relative tolerance
+    def oracle(*args):
+        value = real(*args)
+        return _away(value, 1e-6 * abs(value), how)
 
     return oracle
 
@@ -345,8 +358,8 @@ def _break_protocols(real, how):
 
 # the oracle verify reads, how to move its output, and the check that must fail
 VERIFY_BREAKS = [
-    ("input_energy_position_oracle", _break_energy, "input energy vs position oracle"),
-    ("pauli_jordan_delta_quadrature", _break_light_cone, "light-cone kernel"),
+    ("input_energy_position_oracle", _break_value, "input energy vs position oracle"),
+    ("d2_delta_fourier", _break_value, "d_t^2 Delta vs Fourier integral"),
     ("brute_force_overlap_oracle", _break_monte_carlo, "overlap kernel vs Monte Carlo"),
     ("povm_identity_check", _break_identities, "measurement identities"),
     ("teleport", _break_protocols, "damping-ratio identity"),
@@ -370,12 +383,12 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "[verify] all checks passed"
         rows = [VERIFY_LINE.match(line) for line in lines[:-1]]
-        assert all(rows) and len(rows) == 8
+        assert all(rows) and len(rows) == 9
         assert {m["verdict"] for m in rows} == {"PASS"}
-        # the input-energy check has two comparisons, the light-cone check three points
+        # the input-energy check has two comparisons, the kernel check four points
         names = [m["name"] for m in rows]
         assert sum(n.startswith("input energy vs ") for n in names) == 2
-        assert sum(n.startswith("light-cone kernel at ") for n in names) == 3
+        assert sum(n.startswith("d_t^2 Delta vs Fourier integral at ") for n in names) == 4
 
     @pytest.mark.parametrize("how", ["far", "nan"])
     @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from qetlab import (
     energy_density_frame,
     fields,
     overlap_kernel,
-    pauli_jordan_delta,
 )
 
 from oracles import curl_gaussian_spectrum
@@ -214,8 +213,6 @@ PARAMETERS = {
     "ProtocolConfig.lam": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=8.0, lam=v), 1.0),
     "IntegralResult.estimated_error": (lambda v: IntegralResult(0.0, v, "closed-form", 0), 0.0),
     "energy_density_frame.t": (lambda v: energy_density_frame(_A, v, _SMALL_GRID), 1.0),
-    "pauli_jordan_delta.t": (lambda v: pauli_jordan_delta(v, 1.0), 2.0),
-    "pauli_jordan_delta.r": (lambda v: pauli_jordan_delta(2.0, v), 1.0),
     "overlap_kernel.T": (lambda v: overlap_kernel(_A, _A, v), 8.0),
     "commutator_residual.T": (lambda v: commutator_residual(_A, _A, v), 8.0),
     "brute_force_overlap_oracle.T": (lambda v: brute_force_overlap_oracle(_A, _A, v, samples=100), 14.0),
