@@ -234,8 +234,12 @@ def d2_delta_fourier(t: float, r: float) -> float:
     """d_t^2 Delta(t, r) off the light cone, from its Fourier representation.
 
     -(1/(4 pi^2 r)) sum_{a = r +- t} sgn(a) int_0^inf k^2 sin(|a| k) dk for r > 0,
-    and -(1/(2 pi^2)) int_0^inf k^3 cos(t k) dk at r = 0.
+    and -(1/(2 pi^2)) int_0^inf k^3 cos(t k) dk at r = 0.  Takes finite t and
+    r >= 0 off the light cone, where a frequency |r - t| would be zero.
     """
+    t, r = _checked(t=(_real, t), r=(_nonnegative, r))
+    if abs(t * t - r * r) <= CONE_EPS * (t * t + r * r):
+        raise ValidationError(f"(t={t}, r={r}) lies on the light cone; the kernel is distributional there")
     if r == 0.0:
         return -_fourier_moment(3, abs(t), True) / (2.0 * np.pi**2)
     parts = (math.copysign(1.0, a) * _fourier_moment(2, abs(a), False) for a in (r + t, r - t))

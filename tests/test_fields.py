@@ -21,6 +21,8 @@ from qetlab import (
     overlap_kernel,
 )
 
+from qetlab.spectral import d2_delta_fourier
+
 from oracles import curl_gaussian_spectrum
 
 unit_axes = st.tuples(
@@ -213,6 +215,8 @@ PARAMETERS = {
     "ProtocolConfig.lam": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=8.0, lam=v), 1.0),
     "IntegralResult.estimated_error": (lambda v: IntegralResult(0.0, v, "closed-form", 0), 0.0),
     "energy_density_frame.t": (lambda v: energy_density_frame(_A, v, _SMALL_GRID), 1.0),
+    "d2_delta_fourier.t": (lambda v: d2_delta_fourier(v, 1.0), 2.0),
+    "d2_delta_fourier.r": (lambda v: d2_delta_fourier(2.0, v), 1.0),
     "overlap_kernel.T": (lambda v: overlap_kernel(_A, _A, v), 8.0),
     "commutator_residual.T": (lambda v: commutator_residual(_A, _A, v), 8.0),
     "brute_force_overlap_oracle.T": (lambda v: brute_force_overlap_oracle(_A, _A, v, samples=100), 14.0),

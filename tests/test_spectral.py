@@ -144,6 +144,54 @@ class TestPauliJordanDelta:
     def test_fourier_reference_matches_offcone(self, t, r):
         np.testing.assert_allclose(d2_delta_fourier(t, r), float(d2_delta_offcone(t, r * r)), rtol=1e-9)
 
+    # -(3t^2 + r^2)/(pi^2 (t^2 - r^2)^3) by hand at the three points verify checked before
+    def test_timelike_value(self):
+        np.testing.assert_allclose(float(d2_delta_offcone(2.0, 1.0)), -13.0 / (27.0 * np.pi**2), rtol=1e-14)
+        np.testing.assert_allclose(d2_delta_fourier(2.0, 1.0), -13.0 / (27.0 * np.pi**2), rtol=1e-9)
+
+    def test_spacelike_value(self):
+        np.testing.assert_allclose(float(d2_delta_offcone(1.0, 4.0)), 7.0 / (27.0 * np.pi**2), rtol=1e-14)
+        np.testing.assert_allclose(d2_delta_fourier(1.0, 2.0), 7.0 / (27.0 * np.pi**2), rtol=1e-9)
+
+    def test_coincident_point(self):
+        np.testing.assert_allclose(float(d2_delta_offcone(10.0, 0.0)), -3e-4 / np.pi**2, rtol=1e-14)
+        np.testing.assert_allclose(d2_delta_fourier(10.0, 0.0), -3e-4 / np.pi**2, rtol=1e-9)
+
+    @given(
+        t=st.floats(0.05, 60.0),
+        r=st.one_of(st.just(0.0), st.floats(0.05, 60.0)),
+    )
+    def test_fourier_reference_matches_offcone_anywhere_off_the_cone(self, t, r):
+        # near the cone the two sgn(a) terms have opposite signs and both grow,
+        # and for r << t they nearly cancel; these bounds keep rounding under 1e-11
+        if abs(t * t - r * r) <= 1e-3 * (t * t + r * r) or 0.0 < r < 1e-3 * t:
+            return
+        np.testing.assert_allclose(d2_delta_fourier(t, r), float(d2_delta_offcone(t, r * r)), rtol=1e-9)
+
+    @given(t=st.floats(0.05, 60.0), r=st.one_of(st.just(0.0), st.floats(0.05, 60.0)))
+    def test_even_in_time(self, t, r):
+        # swapping t -> -t swaps the two frequencies r +- t, so the sum is the same
+        if abs(t * t - r * r) <= 1e-6 * (t * t + r * r):
+            return
+        assert d2_delta_fourier(-t, r) == d2_delta_fourier(t, r)
+
+    @pytest.mark.parametrize("t,r", [(2.0, 1.0), (1.0, 2.0), (10.0, 0.0), (14.0, 3.0)])
+    @pytest.mark.parametrize("scale", [1e-2, 7.0])
+    def test_scales_as_inverse_fourth_power(self, t, r, scale):
+        # d_t^2 Delta is homogeneous of degree -4 in (t, r)
+        np.testing.assert_allclose(d2_delta_fourier(scale * t, scale * r), d2_delta_fourier(t, r) / scale**4,
+                                   rtol=1e-9)
+
+    def test_on_cone_rejected(self):
+        # there a frequency r - t is zero and the reference would divide by it
+        for t, r in [(3.0, 3.0), (1.0, 1.0 + 1e-12), (0.0, 0.0), (-2.0, 2.0)]:
+            with pytest.raises(ValidationError, match="on the light cone; the kernel is distributional"):
+                d2_delta_fourier(t, r)
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValidationError, match="r: must be a nonnegative finite number"):
+            d2_delta_fourier(2.0, -1.0)
+
     @pytest.mark.parametrize("t,r", [(4.0, 1.0), (6.0, 2.0), (1.0, 2.0), (10.0, 0.0)])
     def test_d2_delta_offcone_is_second_time_derivative(self, t, r):
         # the kernel the Monte Carlo oracle integrates is d_t^2 of the closed form
