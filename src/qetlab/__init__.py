@@ -26,7 +26,6 @@ from .protocols import (
     crossover_amplitude,
     damping_oscillator,
     damping_spin,
-    povm_identity_check,
     separation_scaling_fit,
     teleport,
 )

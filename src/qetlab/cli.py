@@ -14,34 +14,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .errors import ToleranceFailure, ValidationError
-from .fields import CurlGaussian
 from .negative_energy import GaussianPhotonMode, demo_rows
-from .protocols import (
-    PROBE_FIELDS,
-    PairInvariants,
-    damping_oscillator,
-    damping_spin,
-    input_energy_position_oracle,
-    povm_identity_check,
-    teleport,
-)
+from .protocols import PROBE_FIELDS, damping_oscillator, damping_spin
 from .dynamics import scenario_frames
 from .results import emit_frame_binary, emit_frame_csv, emit_records, run_scenario
 from .scenario import frame_stem, parse_scenario
-from .spectral import (
-    brute_force_overlap_oracle,
-    d2_delta_fourier,
-    d2_delta_offcone,
-    overlap_kernel,
-    weighted_spectral_integral,
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(neg)
     neg.set_defaults(run=_cmd_demo_negative_energy)
 
-    verify = sub.add_parser("verify", help="run the oracle cross-checks")
-    verify.add_argument(
+    verify_cmd = sub.add_parser("verify", help="run the oracle cross-checks")
+    verify_cmd.add_argument(
         "--mc-samples", type=int, default=200_000, help="Monte Carlo samples per check"
     )
-    verify.set_defaults(run=_cmd_verify)
+    verify_cmd.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -175,53 +158,8 @@ def _cmd_demo_negative_energy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Oracle cross-checks; exits 3 on any numerical-tolerance failure.
-
-    Each check is a row (name, value, reference, tolerance) and passes when
-    abs(value - reference) <= tolerance, which a NaN anywhere fails.
-    """
-    a = CurlGaussian(1.0, 1.0)
-    inv = PairInvariants.of(a, a)
-    E_spec = inv.E_m
-    E_pos = input_energy_position_oracle(a)
-    expected = 1.25 * np.pi**1.5
-    rows = [
-        ("input energy vs position oracle", E_spec, E_pos, 1e-6 * abs(E_pos)),
-        ("input energy vs 5 pi^(3/2)/4", E_spec, expected, 1e-6 * expected),
-    ]
-    for t, r in ((2.0, 1.0), (1.0, 2.0), (10.0, 0.0), (14.0, 3.0)):
-        fourier = d2_delta_fourier(t, r)
-        rows.append((f"d_t^2 Delta vs Fourier integral at (t, r) = ({t:g}, {r:g})",
-                     float(d2_delta_offcone(t, r * r)), fourier, 1e-6 * abs(fourier)))
-
-    T = 14.0
-    K = overlap_kernel(a, a, T).value
-    mc = brute_force_overlap_oracle(a, a, T, samples=args.mc_samples, seed=11)
-    rows.append(("overlap kernel vs Monte Carlo", mc.value, K, 3.0 * mc.estimated_error))
-
-    # np.max, unlike max, passes a NaN residual on to the check
-    worst = float(np.max(astuple(povm_identity_check(np.linspace(-10.0, 10.0, 20)))))
-    rows.append(("measurement identities, max residual", worst, 0.0, 1e-10))
-
-    # I1 in closed form at the scaled field, so the lambda^2 law is under test too
-    I1 = weighted_spectral_integral(a.scaled(1.3), 1).value
-    ratio = damping_oscillator(I1) / damping_spin(I1)
-    out = teleport(inv, K, 1.3)
-    rows.append(("damping-ratio identity", out.E_o_prime / out.E_o, ratio, 1e-12 * abs(ratio)))
-
-    failures = []
-    for name, value, reference, tolerance in rows:
-        diff = abs(value - reference)
-        ok = diff <= tolerance
-        print(
-            f"[verify] {name}: {'PASS' if ok else 'FAIL'} (value {value:.12g}, "
-            f"reference {reference:.12g}, |diff| {diff:.2e}, tolerance {tolerance:.2e})"
-        )
-        if not ok:
-            failures.append(name)
-    if failures:
-        raise ToleranceFailure(f"verification failed: {', '.join(failures)}")
-    print("[verify] all checks passed")
+    """Oracle cross-checks (`verify.checks`); exits 3 on any numerical-tolerance failure."""
+    verify.run(args.mc_samples)
     return EXIT_OK
 
 

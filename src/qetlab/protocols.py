@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _set_checked
@@ -73,25 +72,6 @@ def after_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian):
         )
 
     return rule
-
-
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Hermite nodes u and weights w e^{u^2}: exact for the plain integral
-    of any e^{-u^2} times a polynomial of degree < 2n."""
-    u, w = hermgauss(n)
-    return u, w * np.exp(u * u)
-
-
-def input_energy_position_oracle(a_m: CurlGaussian) -> float:
-    """Independent route to E_m: (1/2) int (curl a)^2 d^3x by a tensor Gauss-Hermite rule.
-
-    At x = c + sigma u, (curl a)^2 is e^{-|u|^2} times a polynomial of degree
-    <= 4 in each component of u; 4 nodes per axis are exact through degree 7.
-    """
-    u, w = _hermite_rule(4)
-    x = np.stack(np.meshgrid(*(c + a_m.sigma * u for c in a_m.center_vec), indexing="ij"), axis=-1)
-    curl2 = np.sum(a_m.curl(x) ** 2, axis=-1)
-    return 0.5 * a_m.sigma**3 * float(np.einsum("ijk,i,j,k->", curl2, w, w, w))
 
 
 def damping_spin(I1: float) -> float:
@@ -277,33 +257,3 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
         raise ValidationError("too few usable points for a slope fit")
     slope, intercept = np.polyfit(logs_T, logs_v, 1)
     return SlopeFit(slope=float(slope), intercept=float(intercept), n_used=len(logs_T), n_dropped=dropped)
-
-
-@dataclass(frozen=True)
-class MeasurementIdentityReport:
-    """Max absolute residuals of the pointer-measurement operator identities."""
-
-    completeness: float  # int M^2 dq = 1
-    first_moment: float  # int q M^2 dq = g
-    second_moment: float  # int q^2 M^2 dq = g^2 + 1/4
-    spin_completeness: float  # cos^2 g + sin^2 g = 1
-    spin_signed_sum: float  # cos^2 g - sin^2 g = cos 2g
-
-
-def povm_identity_check(g_values) -> MeasurementIdentityReport:
-    """Scalar reductions of the measurement-operator identities at fixed eigenvalue.
-
-    The Gaussian pointer kernel M_q(g) = (2/pi)^{1/4} exp[-(q-g)^2] gives
-    moments 1, g, g^2 + 1/4; the binary-probe pair (cos g, sin g) satisfies the
-    two trigonometric closures.  Returns the max residual over g_values.
-    """
-    g = np.atleast_1d(np.asarray(g_values, dtype=float))
-    # M_q^2 is e^{-2(q-g)^2} times a constant, so at q = g + v/sqrt(2) each
-    # moment is e^{-v^2} times a polynomial of degree <= 2: 2 nodes are exact
-    v, w = _hermite_rule(2)
-    q = g[:, None] + v / math.sqrt(2.0)
-    kernel = math.sqrt(2.0 / np.pi) * np.exp(-2.0 * (q - g[:, None]) ** 2)
-    m0, m1, m2 = ((kernel * q**n) @ w / math.sqrt(2.0) for n in range(3))
-    c2, s2 = np.cos(g) ** 2, np.sin(g) ** 2
-    residuals = (m0 - 1.0, m1 - g, m2 - (g * g + 0.25), c2 + s2 - 1.0, c2 - s2 - np.cos(2.0 * g))
-    return MeasurementIdentityReport(*(float(np.max(np.abs(r))) for r in residuals))

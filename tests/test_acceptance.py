@@ -22,14 +22,14 @@ from qetlab import (
     damping_spin,
     energy_density_frame,
     overlap_kernel,
-    povm_identity_check,
     separation_scaling_fit,
     weighted_spectral_integral,
 )
 from qetlab.negative_energy import min_energy_density
-from qetlab.protocols import input_energy_position_oracle, min_causal_wait
+from qetlab.protocols import min_causal_wait
 from qetlab.results import emit_records, run_scenario
 from qetlab.scenario import scenario_from_dict
+from qetlab.verify import input_energy_position_oracle, povm_identity_check
 
 from oracles import residual_window_energy, total_energy
 from test_negative_energy import random_mode_set
@@ -183,11 +183,11 @@ def test_criterion_08_dynamics_conservation(canonical):
 def test_criterion_09_measurement_identities():
     with _Budget("criterion 09 measurement identities", 1.0):
         report = povm_identity_check(np.linspace(-10.0, 10.0, 20))
-        assert report.completeness <= 1e-10
-        assert report.first_moment <= 1e-10
-        assert report.second_moment <= 1e-10
-        assert report.spin_completeness <= 1e-14
-        assert report.spin_signed_sum <= 1e-14
+        assert report["completeness"] <= 1e-10
+        assert report["first_moment"] <= 1e-10
+        assert report["second_moment"] <= 1e-10
+        assert report["spin_completeness"] <= 1e-14
+        assert report["spin_signed_sum"] <= 1e-14
 
 
 def test_criterion_10_negative_energy_demo():

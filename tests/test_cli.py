@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qetlab.cli as cli
+from qetlab import verify
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from qetlab.spectral import overlap_kernel
 
@@ -191,7 +192,7 @@ class TestExitCodes:
 
     def test_verify_tolerance_failure_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "input_energy_position_oracle", lambda *a, **k: 123.456
+            verify, "input_energy_position_oracle", lambda *a, **k: 123.456
         )
         assert main(["verify", "--mc-samples", "20000"]) == EXIT_TOLERANCE
         assert "FAIL" in capsys.readouterr().out
@@ -341,7 +342,7 @@ def _break_monte_carlo(real, how):
 def _break_identities(real, how):
     # a residual that is not the first: max() over a list would drop a NaN there
     def oracle(g_values):
-        return dataclasses.replace(real(g_values), second_moment=_away(0.0, 1e-10, how))
+        return {**real(g_values), "second_moment": _away(0.0, 1e-10, how)}
 
     return oracle
 
@@ -356,7 +357,7 @@ def _break_protocols(real, how):
     return oracle
 
 
-# the oracle verify reads, how to move its output, and the check that must fail
+# the name qetlab.verify reads, how to move its output, and the check that must fail
 VERIFY_BREAKS = [
     ("input_energy_position_oracle", _break_value, "input energy vs position oracle"),
     ("d2_delta_fourier", _break_value, "d_t^2 Delta vs Fourier integral"),
@@ -367,8 +368,23 @@ VERIFY_BREAKS = [
 
 VERIFY_LINE = re.compile(
     r"\[verify\] (?P<name>.+): (?P<verdict>PASS|FAIL) \(value \S+, reference \S+, "
-    r"\|diff\| \S+, tolerance \S+\)$"
+    r"\|diff\| \S+, tolerance (?P<tolerance>\S+)\)$"
 )
+
+# verify's nine rows in order, each with its tolerance as printed at --mc-samples 20000:
+# 1e-6 relative for the input energy and the kernel, 3 standard errors of the
+# Monte Carlo at seed 11, 1e-10 absolute for the identities, 1e-12 relative for the ratio
+VERIFY_TABLE = [
+    ("input energy vs position oracle", "6.96e-06"),
+    ("input energy vs 5 pi^(3/2)/4", "6.96e-06"),
+    ("d_t^2 Delta vs Fourier integral at (t, r) = (2, 1)", "4.88e-08"),
+    ("d_t^2 Delta vs Fourier integral at (t, r) = (1, 2)", "2.63e-08"),
+    ("d_t^2 Delta vs Fourier integral at (t, r) = (10, 0)", "3.04e-11"),
+    ("d_t^2 Delta vs Fourier integral at (t, r) = (14, 3)", "9.25e-12"),
+    ("overlap kernel vs Monte Carlo", "1.66e-05"),
+    ("measurement identities, max residual", "1.00e-10"),
+    ("damping-ratio identity", "6.24e-02"),
+]
 
 
 class TestVerify:
@@ -383,19 +399,16 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "[verify] all checks passed"
         rows = [VERIFY_LINE.match(line) for line in lines[:-1]]
-        assert all(rows) and len(rows) == 9
+        assert all(rows)
         assert {m["verdict"] for m in rows} == {"PASS"}
-        # the input-energy check has two comparisons, the kernel check four points
-        names = [m["name"] for m in rows]
-        assert sum(n.startswith("input energy vs ") for n in names) == 2
-        assert sum(n.startswith("d_t^2 Delta vs Fourier integral at ") for n in names) == 4
+        assert [(m["name"], m["tolerance"]) for m in rows] == VERIFY_TABLE
 
     @pytest.mark.parametrize("how", ["far", "nan"])
     @pytest.mark.parametrize(
         "oracle, breaker, check", VERIFY_BREAKS, ids=[b[0] for b in VERIFY_BREAKS]
     )
     def test_every_check_can_fail(self, monkeypatch, capsys, oracle, breaker, check, how):
-        monkeypatch.setattr(cli, oracle, breaker(getattr(cli, oracle), how))
+        monkeypatch.setattr(verify, oracle, breaker(getattr(verify, oracle), how))
         assert main(["verify", "--mc-samples", "20000"]) == EXIT_TOLERANCE
         captured = capsys.readouterr()
         failed = [line for line in captured.out.splitlines() if ": FAIL (" in line]

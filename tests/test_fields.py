@@ -21,7 +21,7 @@ from qetlab import (
     overlap_kernel,
 )
 
-from qetlab.spectral import d2_delta_fourier
+from qetlab.verify import d2_delta_fourier
 
 from oracles import curl_gaussian_spectrum
 
@@ -220,6 +220,10 @@ PARAMETERS = {
     "overlap_kernel.T": (lambda v: overlap_kernel(_A, _A, v), 8.0),
     "commutator_residual.T": (lambda v: commutator_residual(_A, _A, v), 8.0),
     "brute_force_overlap_oracle.T": (lambda v: brute_force_overlap_oracle(_A, _A, v, samples=100), 14.0),
+    "brute_force_overlap_oracle.workers": (
+        lambda v: brute_force_overlap_oracle(_A, _A, 14.0, samples=100, workers=v),
+        2,
+    ),
 }
 BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1.0", None]
 

@@ -15,16 +15,12 @@ from qetlab import (
     crossover_amplitude,
     damping_oscillator,
     damping_spin,
-    povm_identity_check,
     separation_scaling_fit,
     teleport,
     weighted_spectral_integral,
 )
-from qetlab.protocols import (
-    CROSSOVER_U,
-    input_energy_position_oracle,
-    min_causal_wait,
-)
+from qetlab.protocols import CROSSOVER_U, min_causal_wait
+from qetlab.verify import input_energy_position_oracle, povm_identity_check
 
 from qetlab.scenario import scenario_from_dict
 
@@ -553,21 +549,28 @@ class TestSeparationScaling:
 class TestMeasurementIdentities:
     def test_zero_eigenvalue_moments(self):
         report = povm_identity_check([0.0])
-        assert report.completeness < 1e-12
-        assert report.first_moment < 1e-12
-        assert report.second_moment < 1e-12
+        assert report["completeness"] < 1e-12
+        assert report["first_moment"] < 1e-12
+        assert report["second_moment"] < 1e-12
 
     def test_shifted_eigenvalue_moments(self):
         report = povm_identity_check([3.7])
-        assert report.completeness < 1e-10
-        assert report.first_moment < 1e-10
-        assert report.second_moment < 1e-10
+        assert report["completeness"] < 1e-10
+        assert report["first_moment"] < 1e-10
+        assert report["second_moment"] < 1e-10
 
     def test_wide_eigenvalue_range(self):
         report = povm_identity_check(np.linspace(-10.0, 10.0, 20))
-        assert max(report.completeness, report.first_moment, report.second_moment) < 1e-10
+        assert max(report["completeness"], report["first_moment"], report["second_moment"]) < 1e-10
+
+    def test_one_residual_per_identity_by_name(self):
+        report = povm_identity_check([0.0, 3.7])
+        assert list(report) == [
+            "completeness", "first_moment", "second_moment", "spin_completeness", "spin_signed_sum"
+        ]
+        assert all(type(v) is float for v in report.values())
 
     def test_spin_identities(self):
         report = povm_identity_check(np.linspace(-10.0, 10.0, 20))
-        assert report.spin_completeness < 1e-15
-        assert report.spin_signed_sum < 1e-14
+        assert report["spin_completeness"] < 1e-15
+        assert report["spin_signed_sum"] < 1e-14

@@ -10,7 +10,8 @@ the tests read belong in `tests/oracles.py`.
 
 A module in `src/qetlab` may import or read a `_private` name (dunders
 excepted) of a sibling module only from `fields`, which holds the value rules
-every layer shares.
+every layer shares.  No module but `cli` imports `verify`, which holds the
+oracle cross-checks and the routes only they read.
 """
 
 import ast
@@ -94,6 +95,16 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _from_sibling(node: ast.ImportFrom):
+    """The sibling a `from` import names: "x" for `from .x` or `from qetlab.x`,
+    None for `from .` or `from qetlab`, and False outside the package."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module is not None and node.module.split(".")[0] == "qetlab":
+        return node.module.removeprefix("qetlab").removeprefix(".") or None
+    return False
+
+
 def private_uses(source: str) -> list:
     """(line, source module, name) for each sibling `_private` name a module's source reaches.
 
@@ -106,11 +117,8 @@ def private_uses(source: str) -> list:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if node.level == 1:
-                source_module = node.module
-            elif node.level == 0 and node.module is not None and node.module.split(".")[0] == "qetlab":
-                source_module = node.module.removeprefix("qetlab").removeprefix(".") or None
-            else:
+            source_module = _from_sibling(node)
+            if source_module is False:
                 continue
             for alias in node.names:
                 if source_module is None and alias.name in SIBLINGS:
@@ -165,12 +173,12 @@ def test_private_walk_sees_attribute_reads_on_sibling_modules():
         "import qetlab.scenario\n"
         "from . import spectral\n"
         "from qetlab import fields as f\n"
-        "from .protocols import PairInvariants, _hermite_rule\n"
+        "from .protocols import PairInvariants, _check_assembly\n"
         "def g():\n"
         "    return spectral._integrand, res._jsonable, qetlab.scenario._strict, f._real, spectral.__name__\n"
     )
     assert sorted(private_uses(source)) == [
-        (5, "protocols", "_hermite_rule"),
+        (5, "protocols", "_check_assembly"),
         (7, "fields", "_real"),
         (7, "results", "_jsonable"),
         (7, "scenario", "_strict"),
@@ -181,3 +189,52 @@ def test_private_walk_sees_attribute_reads_on_sibling_modules():
 def test_private_import_walk_sees_the_value_rules():
     # the walk must find the package's own imports of the fields rules
     assert any(source == SHARED_PRIVATE_MODULE for _, _, source, _ in private_imports())
+
+
+VERIFY_IMPORTER = "cli"
+
+
+def verify_imports(source: str) -> list:
+    """Lines of a module's source that import the sibling `verify`, in any of the
+    forms `private_uses` reads: `from . import verify`, `from .verify import ...`,
+    their `qetlab` spellings, and `import qetlab.verify [as alias]`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = _from_sibling(node)
+            if module == "verify" or (module is None and any(a.name == "verify" for a in node.names)):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "qetlab.verify" for a in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_cli_imports_verify():
+    # check code stays out of the paper's modules and out of `import qetlab`
+    importers = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != VERIFY_IMPORTER
+        for line in verify_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not importers, f"only {VERIFY_IMPORTER}.py may import verify: " + ", ".join(importers)
+
+
+def test_verify_walk_sees_every_import_form():
+    source = (
+        "from . import fields, verify\n"
+        "from .verify import run\n"
+        "from qetlab import verify as checks\n"
+        "from qetlab.verify import checks\n"
+        "import qetlab.verify\n"
+        "import numpy, qetlab.verify as v\n"
+        "from .spectral import verify_rows\n"
+        "import verify\n"
+        "def f():\n"
+        "    from . import verify\n"
+    )
+    assert verify_imports(source) == [1, 2, 3, 4, 5, 6, 10]
+
+
+def test_verify_walk_sees_the_cli_import():
+    assert verify_imports((PACKAGE / f"{VERIFY_IMPORTER}.py").read_text(encoding="utf-8"))

@@ -20,14 +20,8 @@ from qetlab import (
     weighted_spectral_integral,
 )
 from qetlab import spectral
-from qetlab.spectral import (
-    _SERIES_X,
-    _fourier_moment,
-    _integrand,
-    d2_delta_fourier,
-    d2_delta_offcone,
-    min_oracle_wait,
-)
+from qetlab.spectral import _SERIES_X, _integrand, d2_delta_offcone, min_oracle_wait
+from qetlab.verify import _fourier_moment, d2_delta_fourier
 
 from oracles import (
     angular_components_reference,
@@ -401,6 +395,11 @@ class TestBruteForceOracle:
         for r in runs[1:]:
             assert r.value == runs[0].value
             assert r.estimated_error == runs[0].estimated_error
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_rejects_a_worker_count_that_is_no_positive_integer(self, canonical_field, workers):
+        with pytest.raises(ValidationError, match=r"workers: must be an integer >= 1"):
+            brute_force_overlap_oracle(canonical_field, canonical_field, 13.0, samples=100, workers=workers)
 
     @pytest.mark.parametrize("seed", [4, 29])
     def test_matches_per_sample_reference(self, seed):
