@@ -51,8 +51,8 @@ _SERIES_FACTORIALS = np.array([float(math.factorial(2 * k + 1)) for k in _SERIES
 class FrameGrid:
     """Cubic position grid about the source: n nodes per axis, half extent."""
 
-    n: int = 128
-    half_extent: float = 16.0
+    n: int
+    half_extent: float
 
     def __post_init__(self):
         _set_checked(self, n=_integer(8), half_extent=_positive)
@@ -66,7 +66,7 @@ class FrameGrid:
         return -self.half_extent + self.dx * np.arange(self.n)
 
 
-def default_frame_grid(a_m: CurlGaussian, t: float, n: int = 128) -> FrameGrid:
+def default_frame_grid(a_m: CurlGaussian, t: float, n: int) -> FrameGrid:
     """Box holding the light shell at time t with a tail margin."""
     half = 1.15 * (abs(t) + a_m.effective_radius + 2.0 * a_m.sigma)
     return FrameGrid(n=n, half_extent=half)
@@ -104,9 +104,8 @@ def _series_coefficients(tau: float):
 def _radial_profile(tau: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(across, along): eps for A = sigma = 1 at time tau and squared radius r2, at mu^2 = 0 and 1."""
     small = r2 < _SERIES_R * _SERIES_R
-    any_small = bool(small.any())
     # the series radii go through the closed form at r = 1, then are overwritten
-    rr = np.where(small, 1.0, r2) if any_small else r2
+    rr = np.where(small, 1.0, r2)
     r = np.sqrt(rr)
     # per light-cone branch s = r +- tau: F' = (1 - s^2) E and F'' = -s (3 - s^2) E
     terms = []
@@ -122,10 +121,9 @@ def _radial_profile(tau: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     den = 8.0 * rr * rr * rr
     across = (rr * v * v + q * q) / den
     along = 4.0 * g * g / den
-    if any_small:
-        q0, g0, v0 = (np.polynomial.polynomial.polyval(r2[small], c) for c in _series_coefficients(tau))
-        across[small] = 0.5 * (r2[small] * v0 * v0 + q0 * q0)
-        along[small] = 2.0 * g0 * g0
+    q0, g0, v0 = (np.polynomial.polynomial.polyval(r2[small], c) for c in _series_coefficients(tau))
+    across[small] = 0.5 * (r2[small] * v0 * v0 + q0 * q0)
+    along[small] = 2.0 * g0 * g0
     return across, along
 
 
@@ -173,7 +171,7 @@ def _frame_array(n: int) -> np.ndarray:
         ) from None
 
 
-def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = None) -> DensityFrame:
+def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid) -> DensityFrame:
     """Propagate the measurement imprint to time t and return the density frame.
 
     The same frame is valid for both probe types.  Rejects grids that either
@@ -182,7 +180,6 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid | None = N
     amplitude^2/sigma^4 leaves the float range, and a frame too large to
     allocate."""
     t = _real(t, "t")
-    grid = grid or default_frame_grid(a_m, t)
     scale = _frame_scale(a_m, t, grid)
     eps = _frame_array(grid.n)
     sigma = a_m.sigma

@@ -48,8 +48,9 @@ class ProtocolConfig:
     pair: PairInvariants = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set_checked(self, T=after_causal_wait(self.a_m, self.f_o), lam=_nonnegative)
-        object.__setattr__(self, "pair", PairInvariants.of(self.a_m, self.f_o))
+        pair = PairInvariants.of(self.a_m, self.f_o)
+        _set_checked(self, T=after_causal_wait(self.a_m, self.f_o), lam=scaled_norms_finite(pair))
+        object.__setattr__(self, "pair", pair)
 
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
@@ -112,14 +113,30 @@ class PairInvariants:
 
     @classmethod
     def of(cls, a_m: CurlGaussian, f_o: CurlGaussian) -> "PairInvariants":
-        E_m = 0.5 * weighted_spectral_integral(a_m, 2).value
-        I1 = weighted_spectral_integral(a_m, 1).value
-        xi = weighted_spectral_integral(f_o, 0).value
+        E_m = 0.5 * weighted_spectral_integral(a_m, 2)
+        I1 = weighted_spectral_integral(a_m, 1)
+        xi = weighted_spectral_integral(f_o, 0)
         return cls(a_m=a_m, f_o=f_o, E_m=E_m, I1=I1, xi=xi)
 
     def kernel(self, T: float) -> float:
         """K(T) at lam = 1."""
         return overlap_kernel(self.f_o, self.a_m, T).value
+
+
+def scaled_norms_finite(inv: PairInvariants):
+    """The value rule for an amplitude multiplier lam >= 0 at which the pair's
+    scaled norms, lam^2 E_m and 2 lam^2 I1 (the term of D_ho), stay finite."""
+
+    def rule(value, name: str) -> float:
+        lam = _nonnegative(value, name)
+        if math.isfinite(lam * lam * inv.E_m) and math.isfinite(2.0 * (lam * lam * inv.I1)):
+            return lam
+        raise ValidationError(
+            f"{name}: lambda^2 E_m and 2 lambda^2 I1 must be finite, got {value!r}"
+            f" (E_m = {inv.E_m:.6g}, I1 = {inv.I1:.6g} at lambda = 1)"
+        )
+
+    return rule
 
 
 @dataclass(frozen=True)

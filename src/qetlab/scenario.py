@@ -17,9 +17,9 @@ import yaml
 
 from .errors import ValidationError
 from .fields import CurlGaussian, RadialWindow, _integer, _nonnegative, _positive
-from .protocols import PairInvariants, after_causal_wait
+from .protocols import PROBE_FIELDS, PairInvariants, after_causal_wait, scaled_norms_finite
 
-PROBES = ("spin", "oscillator", "both")
+PROBES = (*PROBE_FIELDS, "both")
 
 # The shape of a scenario: each key maps to None (it holds a value) or to the
 # table of the mapping it holds.
@@ -77,7 +77,7 @@ class Scenario:
 
     @property
     def probes(self) -> tuple:
-        return ("spin", "oscillator") if self.probe == "both" else (self.probe,)
+        return tuple(PROBE_FIELDS) if self.probe == "both" else (self.probe,)
 
 
 class _Collector:
@@ -200,6 +200,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         causal = after_causal_wait(a_m, f_o)
         for T in T_list:
             errs.call("scenario", causal, T, "T")
+    if pair is not None:
+        scaled = scaled_norms_finite(pair)
+        for lam in lambdas:
+            errs.call("scenario", scaled, lam, "lambda")
 
     if errs.errors:
         raise ValidationError(errs.errors)

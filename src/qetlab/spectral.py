@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceFailure, ValidationError
-from .fields import CurlGaussian, _checked, _integer, _nonnegative, _positive, _real, _set_checked
+from .fields import CurlGaussian, _checked, _integer, _nonnegative, _positive, _set_checked
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
 
@@ -37,14 +37,11 @@ CONE_EPS = 1e-9
 class IntegralResult:
     value: float
     estimated_error: float
-    method: str  # "closed-form" | "steepest-descent" | "monte-carlo"
+    method: str  # "steepest-descent" | "monte-carlo"
     samples_or_nodes: int
 
     def __post_init__(self):
-        # a value that overflowed to inf carries an unbounded error; the
-        # caller's own rule rejects the value and names it
-        if not math.isinf(self.value):
-            _set_checked(self, estimated_error=_nonnegative)
+        _set_checked(self, estimated_error=_nonnegative)
 
 
 # Below |z| = _SERIES_X the closed form of A(z) cancels (at |z| = 1e-4 the two
@@ -158,13 +155,7 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     return pref * complex(J), err, len(k)
 
 
-# Rounding bound of the closed-form norms: against 40-digit arithmetic the
-# float64 expression stays within 5 ulp over amplitudes 1e-3..5e3, widths
-# 0.01..50 and all three powers.
-_NORM_ROUNDING_ULPS = 8
-
-
-def weighted_spectral_integral(field: CurlGaussian, power: int) -> IntegralResult:
+def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
     """int d^3k/(2pi)^3 |k|^power |a~(k)|^2 for power in {0, 1, 2}, in closed form.
 
     With |a~|^2 = A^2 (2 pi sigma^2)^3 e^{-sigma^2 k^2} |k x n|^2 the angular
@@ -176,17 +167,11 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> IntegralResul
     """
     if power not in (0, 1, 2):
         raise ValidationError(f"power must be in {{0, 1, 2}}, got {power}")
-    value = (
+    return (
         field.amplitude * field.amplitude
         * (field.sigma, 1.0, 1.0 / field.sigma)[power]
         * (4.0 * math.pi / 3.0)
         * math.gamma((power + 5) / 2.0)
-    )
-    return IntegralResult(
-        value=value,
-        estimated_error=_NORM_ROUNDING_ULPS * math.ulp(value),
-        method="closed-form",
-        samples_or_nodes=0,
     )
 
 
@@ -227,10 +212,8 @@ def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float
     Kernel weight is -|k| sin(|k|T), the imaginary part of `_contour_pairing`;
     for causally decoupled configurations the result is of Gaussian-tail size.
     """
-    T = _real(T, "T")
-    if T == 0.0:
-        return 0.0
-    return -math.copysign(1.0, T) * _contour_pairing(f_o, a_m, abs(T))[0].imag
+    T = _positive(T, "T")
+    return -_contour_pairing(f_o, a_m, T)[0].imag
 
 
 def min_oracle_wait(f_o: CurlGaussian, a_m: CurlGaussian) -> float:

@@ -134,7 +134,7 @@ def checks(mc_samples: int) -> list[tuple[str, float, float, float]]:
     rows.append(("measurement identities, max residual", worst, 0.0, 1e-10))
 
     # I1 in closed form at the scaled field, so the lambda^2 law is under test too
-    I1 = weighted_spectral_integral(a.scaled(1.3), 1).value
+    I1 = weighted_spectral_integral(a.scaled(1.3), 1)
     ratio = damping_oscillator(I1) / damping_spin(I1)
     out = teleport(inv, K, 1.3)
     rows.append(("damping-ratio identity", out.E_o_prime / out.E_o, ratio, 1e-12 * abs(ratio)))

@@ -392,7 +392,7 @@ def energy_in_shell(frame, r_lo: float, r_hi: float) -> float:
     return total * frame.grid.dx**3
 
 
-def residual_window_energy(a_m, T: float, window, grid=None) -> float:
+def residual_window_energy(a_m, T: float, window, grid) -> float:
     """int w(x) eps(T, x) d^3x: energy left in the windowed region at the operation time.
 
     The window sees one x-plane of grid positions at a time, so no (n^3, 3)

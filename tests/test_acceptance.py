@@ -25,6 +25,7 @@ from qetlab import (
     separation_scaling_fit,
     weighted_spectral_integral,
 )
+from qetlab.dynamics import default_frame_grid
 from qetlab.negative_energy import min_energy_density
 from qetlab.protocols import min_causal_wait
 from qetlab.results import emit_records, run_scenario
@@ -123,7 +124,7 @@ def test_criterion_04_damping_laws(canonical):
         lams = np.linspace(0.15, 2.2, 16)
         lam2 = lams**2
         # I1 by quadrature at each scaled field, so the lambda^2 law is tested
-        I1s = [weighted_spectral_integral(canonical.scaled(l), 1).value for l in lams]
+        I1s = [weighted_spectral_integral(canonical.scaled(l), 1) for l in lams]
         log_dq = np.array([math.log(damping_spin(i1)) for i1 in I1s])
         slope, intercept = np.polyfit(lam2, log_dq, 1)
         assert np.max(np.abs(log_dq - (slope * lam2 + intercept))) < 1e-8
@@ -172,11 +173,12 @@ def test_criterion_08_dynamics_conservation(canonical):
     with _Budget("criterion 08 dynamics conservation", 120.0):
         E_m = PairInvariants.of(canonical, canonical).E_m
         for t in (0.0, 2.0, 4.0, 8.0, 12.0):
-            frame = energy_density_frame(canonical, t)  # default n=128 grid
-            assert frame.grid.n == 128
+            frame = energy_density_frame(canonical, t, default_frame_grid(canonical, t, n=128))
             total = total_energy(frame)
             assert abs(total - E_m) <= 1e-3 * E_m, f"t={t}: {total} vs {E_m}"
-        residual = residual_window_energy(canonical, 10.0, RadialWindow(radius=3.0))
+        residual = residual_window_energy(
+            canonical, 10.0, RadialWindow(radius=3.0), default_frame_grid(canonical, 10.0, n=128)
+        )
         assert residual < 1e-4 * E_m
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -148,6 +150,20 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and f"sigma = {sigma}" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("verb", ["energy", "teleport", "sweep", "density"])
+    def test_lambda_whose_scaled_norms_overflow_exits_2(self, verb, tmp_path, capsys):
+        # lambda^2 I1 of the canonical pair is inf past lambda = 4.6e153
+        path = tmp_path / "big.yaml"
+        path.write_text("T: 8.0\nlambda: [1.0, 1.0e+200]\nfields: {a_m: {sigma: 1.0}}\n")
+        argv = [verb, "--scenario", str(path)] + ([] if verb == "energy" else ["--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scenario.lambda: lambda^2 E_m and 2 lambda^2 I1 must be finite, got 1e+200"
+            " (E_m = 6.96041, I1 = 8.37758 at lambda = 1)\n"
+        )
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_float_without_a_dot_is_named_as_text(self, tmp_path, capsys):
         path = tmp_path / "text.yaml"
         path.write_text(MINIMAL.replace("{sigma: 1.0}", "{amplitude: 1e100, sigma: 1.0}"))
@@ -253,6 +269,20 @@ def test_only_the_demo_loads_scipy(argv, loads_scipy, tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     loaded = proc.stdout.splitlines()[-1]
     assert (loaded != "[]") == loads_scipy, loaded
+
+
+def test_module_entry_point_runs_main():
+    # `python -m qetlab` goes through __main__.py, the one module entry point
+    root = Path(__file__).resolve().parents[1]
+    scenario = str(root / "scenarios" / "canonical.yaml")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qetlab", "energy", "--scenario", scenario], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["energy", "--scenario", scenario]) == EXIT_OK
+    assert proc.stdout == stdout.getvalue()
 
 
 class TestTeleport:

@@ -106,7 +106,10 @@ class TestFrameConstruction:
 
     @pytest.mark.parametrize(
         "grid, radii",
-        [(None, 3 * 64**2 + 1), (FrameGrid(n=33, half_extent=5.8), 3 * 33**2 + 1)],
+        [
+            (default_frame_grid(DISPLACED_TILTED, 0.5, n=128), 3 * 64**2 + 1),
+            (FrameGrid(n=33, half_extent=5.8), 3 * 33**2 + 1),
+        ],
         ids=["n128", "n33"],
     )
     def test_profile_is_evaluated_once_per_lattice_radius(self, grid, radii, monkeypatch):
@@ -161,23 +164,23 @@ class TestFrameConstruction:
 class TestConservationAndCausality:
     @pytest.mark.parametrize("t", [0.0, 2.0, 4.0, 8.0, 12.0])
     def test_total_energy_conserved(self, source, E_source, t):
-        frame = energy_density_frame(source, t)
+        frame = energy_density_frame(source, t, default_frame_grid(source, t, n=128))
         np.testing.assert_allclose(total_energy(frame), E_source, rtol=1e-3)
 
     def test_energy_leaves_source_region(self, source, E_source):
-        frame = energy_density_frame(source, 10.0)
+        frame = energy_density_frame(source, 10.0, default_frame_grid(source, 10.0, n=128))
         assert energy_in_shell(frame, 0.0, 3.0) < 1e-4 * E_source
 
     def test_energy_rides_the_light_shell(self, source):
         t = 12.0
-        frame = energy_density_frame(source, t)
+        frame = energy_density_frame(source, t, default_frame_grid(source, t, n=128))
         R = source.effective_radius
         shell = energy_in_shell(frame, t - 2.0 * R, t + 2.0 * R)
         assert shell >= (1.0 - 1e-3) * total_energy(frame)
 
     def test_grid_refinement_converges(self, source):
         t = 4.0
-        half = default_frame_grid(source, t).half_extent
+        half = default_frame_grid(source, t, n=128).half_extent
         e96 = total_energy(energy_density_frame(source, t, FrameGrid(n=96, half_extent=half)))
         e128 = total_energy(energy_density_frame(source, t, FrameGrid(n=128, half_extent=half)))
         assert abs(e128 - e96) < 1e-3 * abs(e96)
@@ -185,7 +188,9 @@ class TestConservationAndCausality:
 
 class TestWindowedResidual:
     def test_residual_negligible_after_escape(self, source, E_source):
-        res = residual_window_energy(source, 10.0, RadialWindow(radius=3.0))
+        res = residual_window_energy(
+            source, 10.0, RadialWindow(radius=3.0), default_frame_grid(source, 10.0, n=128)
+        )
         assert res < 1e-4 * E_source
 
     def test_initial_window_holds_everything(self, source, E_source):

@@ -197,8 +197,8 @@ PARAMETERS = {
     "CurlGaussian.axis": (lambda v: CurlGaussian(1.0, 1.0, axis=(0.0, v, 1.0)), 1.0),
     "RadialWindow.radius": (lambda v: RadialWindow(radius=v), 1.0),
     "RadialWindow.center": (lambda v: RadialWindow(1.0, center=(0.0, 0.0, v)), 1.0),
-    "FrameGrid.n": (lambda v: FrameGrid(n=v), 8),
-    "FrameGrid.half_extent": (lambda v: FrameGrid(half_extent=v), 1.0),
+    "FrameGrid.n": (lambda v: FrameGrid(n=v, half_extent=1.0), 8),
+    "FrameGrid.half_extent": (lambda v: FrameGrid(n=8, half_extent=v), 1.0),
     "GaussianPhotonMode.sigma": (lambda v: GaussianPhotonMode(sigma=v), 1.0),
     "GaussianPhotonMode.center": (lambda v: GaussianPhotonMode(1.0, center=(0.0, v, 0.0)), 1.0),
     "GaussianPhotonMode.axis": (lambda v: GaussianPhotonMode(1.0, axis=(v, 0.0, 1.0)), 1.0),
@@ -213,7 +213,7 @@ PARAMETERS = {
     ),
     "ProtocolConfig.T": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=v), 8.0),
     "ProtocolConfig.lam": (lambda v: ProtocolConfig(a_m=_A, f_o=_A, T=8.0, lam=v), 1.0),
-    "IntegralResult.estimated_error": (lambda v: IntegralResult(0.0, v, "closed-form", 0), 0.0),
+    "IntegralResult.estimated_error": (lambda v: IntegralResult(0.0, v, "steepest-descent", 0), 0.0),
     "energy_density_frame.t": (lambda v: energy_density_frame(_A, v, _SMALL_GRID), 1.0),
     "d2_delta_fourier.t": (lambda v: d2_delta_fourier(v, 1.0), 2.0),
     "d2_delta_fourier.r": (lambda v: d2_delta_fourier(2.0, v), 1.0),

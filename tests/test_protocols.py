@@ -36,7 +36,7 @@ def scaled_I1(a, lam: float = 1.0) -> float:
     `teleport` applies the lam^2 law, so tests that compare against this keep
     that law under test.
     """
-    return weighted_spectral_integral(a.scaled(lam), 1).value
+    return weighted_spectral_integral(a.scaled(lam), 1)
 
 
 def input_energy(a) -> float:
@@ -212,6 +212,26 @@ class TestSpinProtocol:
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=2.0, lam=-1.0)
         assert [e.split(":")[0] for e in bad.value.errors] == ["T", "lam"]
 
+    # 2 lam^2 I1, the term of D_ho, leaves the float range at lam = 3.275e153 on
+    # the canonical measurement.  A small xi keeps E_o' from underflowing with
+    # D_ho, so past that lam the damping-factor assembly would fail.
+    SMALL_XI = {"T": 8.0, "fields": {"a_m": {"sigma": 1.0}, "f_o": {"amplitude": 0.01, "sigma": 1.0}}}
+
+    def test_largest_lambda_the_rule_passes_runs(self):
+        scenario = scenario_from_dict({**self.SMALL_XI, "lambda": 3.27e153})
+        cfg = ProtocolConfig(a_m=scenario.a_m, f_o=scenario.f_o, T=8.0, lam=3.27e153)
+        assert math.isfinite(both_protocols(cfg).E_o_prime)
+
+    @pytest.mark.parametrize("lam", [3.28e153, 1e200])
+    def test_lambda_whose_scaled_norms_overflow_rejected(self, lam):
+        with pytest.raises(ValidationError) as parsed:
+            scenario_from_dict({**self.SMALL_XI, "lambda": lam})
+        (message,) = parsed.value.errors
+        assert message.startswith("scenario.lambda: lambda^2 E_m and 2 lambda^2 I1 must be finite")
+        with pytest.raises(ValidationError) as built:
+            ProtocolConfig(a_m=CurlGaussian(1.0, 1.0), f_o=CurlGaussian(0.01, 1.0), T=8.0, lam=lam)
+        assert built.value.errors == [message.replace("scenario.lambda:", "lam:")]
+
     def test_parser_words_the_causal_gate_as_protocol_config_does(self, canonical_field):
         with pytest.raises(ValidationError, match="causal wait") as built:
             ProtocolConfig(a_m=canonical_field, f_o=canonical_field, T=5.0)
@@ -300,7 +320,7 @@ class TestOscillatorProtocol:
         from qetlab import weighted_spectral_integral
 
         out = both_protocols(canonical_cfg)
-        xi = weighted_spectral_integral(canonical_cfg.f_o, 0).value
+        xi = weighted_spectral_integral(canonical_cfg.f_o, 0)
         curvature = xi * (G2_closed_form(I1_CANONICAL) + 0.25)
 
         def objective(theta):

@@ -225,12 +225,14 @@ class TestParsing:
             (lambda raw: raw["fields"].update(window=None), "scenario.fields.window", None),
             (lambda raw: raw.update(grid=None), "scenario.grid", None),
             (lambda raw: raw.update(output=None), "scenario.output", None),
+            # lambda^2 I1 and lambda^2 E_m leave the float range
+            (lambda raw: raw.update({"lambda": [1.0, 1.0e200]}), "scenario.lambda", None),
         ],
         ids=[
             "empty-T", "empty-lambda", "empty-times", "missing-fields", "a_m-number", "f_o-null",
             "window-list", "grid-number", "output-string", "top-hint", "fields-hint", "grid-hint",
             "output-hint", "a_m-hint", "f_o-hint", "repeated-T", "repeated-lambda", "times-one-name",
-            "window-null", "grid-null", "output-null",
+            "window-null", "grid-null", "output-null", "lambda-overflows-norms",
         ],
     )
     def test_each_bad_shape_is_one_error_at_its_own_path(self, edit, path, hint):
