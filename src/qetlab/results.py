@@ -7,12 +7,12 @@ byte: sweep points run in a fixed task order, so repeated runs write
 identical bytes.
 
 A CSV frame holds the bytes of "%.17g" for every value, but only its
-coordinates go through Python's formatting.  The eps digits come from numpy,
-one x-plane at a time: a double-double product scales each value to a
-17-digit integer rounded half to even, with an error bound that proves the
-rounding.  A value it cannot prove (near a rounding tie, log10 off by one at a
-power of ten, outside 1e-280 to 1e280, or not finite) falls back to "%.17g"
-itself.
+coordinates go through Python's formatting.  Each x-plane is one masked byte
+matrix: a double-double product scales each eps to a 17-digit integer rounded
+half to even, with an error bound that proves the rounding, and tables turn
+its digits, exponent, form and sign into the row's bytes and keep mask.  A
+value it cannot prove (near a rounding tie, log10 off by one at a power of
+ten, 1e280 or more, or not finite) falls back to "%.17g" itself.
 """
 
 from __future__ import annotations
@@ -82,11 +82,14 @@ def emit_records(records, path) -> None:
             fh.write("\n")
 
 
-# Exact "%.17g" of float64 values, vectorised.  A finite x with 1e-280 <=
-# |x| < 1e280 has decimal exponent e = floor(log10|x|) and 17 significant
-# digits D = round-half-even(|x| 10^k), k = 16 - e, in [10^16, 10^17).  The
+# Exact "%.17g" of float64 values, vectorised.  A finite x with 0 < |x| <
+# 1e280 has decimal exponent e = floor(log10|x|) and 17 significant digits
+# D = round-half-even(|x| 10^k), k = 16 - e, in [10^16, 10^17).  The
 # product is a double-double: 10^k = hi + lo from exact integer arithmetic,
-# |x| hi = p + q exactly by Dekker's two-product, and s = q + |x| lo.
+# |x| hi = p + q exactly by Dekker's two-product, and s = q + |x| lo.  Below
+# 1e-280 (e < _E_SCALED) |x| is first scaled by 2^_SCALE, exactly, and hi +
+# lo stands for 10^k 2^-_SCALE, so every factor stays a normal double whose
+# splits cannot overflow and the relative bounds below hold unchanged.
 # Error bound for D < 10^17: dropping 10^k - hi - lo (<= 2^-106 10^k) and
 # rounding |x| lo each cost at most 2^-106 D < 1.3e-15, and rounding s
 # (|s| <= 20) at most 2^-49, so p + s is D to within 2^-47 absolute.  Hence
@@ -94,44 +97,81 @@ def emit_records(records, path) -> None:
 # neighbour rounds to the same D; and the fraction s - floor(s) decides the
 # rounding unless it lies within _TIE_WINDOW (10^8 times the bound) of one
 # half.  The values this cannot prove go to `_exact`: those near a tie,
-# those whose log10 is off by one (floor(D) outside [10^16, 10^17)),
-# non-finite ones, and nonzero |x| outside the range where the splits cannot
-# overflow and 10^k is a normal double.  Zeros are written directly.
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-_E_MIN, _E_MAX = -281, 280  # decimal exponents the power table covers
+# those whose log10 is off by one (floor(D) outside [10^16, 10^17)), and
+# those that are not finite or not below 1e280.  Zeros are written directly.
+_FAST_MAX = 1e280
+_E_MIN, _E_MAX = -324, 280  # decimal exponents the tables cover
+_E_SCALED, _SCALE = -280, 200
 _TIE_WINDOW = 1e-6
 _SPLITTER = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 _D_MIN, _D_MAX = 10**16, 10**17
-_ZERO, _MINUS, _PLUS, _NEWLINE = b"0-+\n"
-_ROW = 25  # the longest text, "-1.2345678901234567e-300", and a newline
+
+# The text of a value is its row of _TEMPLATE with some bytes dropped: the
+# sign, "0.000" for the fixed notation below 1, two copies of the 17 digits
+# with a dot between them (so a dot can follow any digit), the exponent and
+# the newline.  `_text_tables` holds, for each form, count of significant
+# digits and sign, which bytes "%.17g" keeps.  Forms 0-20 are the fixed
+# notation with e = form - 4, 21 and 22 the scientific one with a 2- or
+# 3-digit exponent, and 23 is zero.
+_TEMPLATE = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000\n"
+_WIDTH = len(_TEMPLATE)
+_DIGITS, _DOT, _DIGITS2, _EXPONENT = 6, 23, 24, 42
+_ZERO_FORM = 23
 
 
 def _exact(v: float) -> str:
-    """The reference text of one value, and `_format_values`'s fallback."""
+    """The reference text of one value, and `_format_plane`'s fallback."""
     return "%.17g" % v
 
 
 @functools.cache
 def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi + lo = 10^(16-e) to a relative 2^-106, indexed by _E_MAX - e.
+    """(hi, lo) with hi + lo = 10^(16-e), times 2^-_SCALE for e < _E_SCALED, to a relative 2^-106.
 
-    Built from Python integers: hi is the correctly rounded 10^k and lo the
-    correctly rounded residual, for k < 0 from 1/10^-k and its exact ratio.
+    Indexed by _E_MAX - e.  hi is the correctly rounded quotient of two
+    Python integers and lo the correctly rounded residual.
     """
     hi, lo = [], []
     for e in range(_E_MAX, _E_MIN - 1, -1):
         k = 16 - e
-        if k >= 0:
-            h = float(10**k)
-            r = float(10**k - int(h))
-        else:
-            q = 10**-k
-            h = 1 / q
-            a, b = h.as_integer_ratio()
-            r = (b - a * q) / (b * q)
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0) << (_SCALE if e < _E_SCALED else 0)
+        h = num / den
+        a, b = h.as_integer_ratio()
         hi.append(h)
-        lo.append(r)
+        lo.append((num * b - a * den) / (den * b))
     return np.array(hi), np.array(lo)
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, zeros, exponents, keep): the keep masks, and tables indexed by 0..9999 and by _E_MAX - e.
+
+    digits holds "%04d" and exponents "%+04d" as uint32 text, zeros the
+    trailing zeros of "%04d".  keep's row 36 form + 2 sd + negative is the
+    mask over _TEMPLATE of a value of that form with sd significant digits.
+    """
+    text = [b"%04d" % i for i in range(10_000)]
+    digits = np.frombuffer(b"".join(text), np.uint32)
+    zeros = np.array([4 - len(t.rstrip(b"0")) for t in text])
+    exponents = np.frombuffer(b"".join(b"%+04d" % e for e in range(_E_MAX, _E_MIN - 1, -1)), np.uint32)
+    keep = np.zeros((_ZERO_FORM + 1, 18, 2, _WIDTH), bool)
+    keep[:, :, 1, 0] = keep[..., -1] = True  # the sign and the newline
+    keep[_ZERO_FORM, :, :, 1] = True
+    for sd in range(1, 18):
+        for e in range(-4, 17):
+            row = keep[e + 4, sd]
+            if e < 0:  # "0." and -e - 1 zeros, then the digits
+                row[:, 1:2 - e] = row[:, _DIGITS:_DIGITS + sd] = True
+                continue
+            row[:, _DIGITS:_DIGITS + e + 1] = True
+            if sd > e + 1:
+                row[:, _DOT] = row[:, _DIGITS2 + e + 1:_DIGITS2 + sd] = True
+        for form, places in ((21, 2), (22, 3)):
+            row = keep[form, sd]
+            row[:, [_DIGITS, _EXPONENT - 1, _EXPONENT]] = row[:, _EXPONENT + 4 - places:_EXPONENT + 4] = True
+            if sd > 1:
+                row[:, _DOT] = row[:, _DIGITS2 + 1:_DIGITS2 + sd] = True
+    return digits, zeros, exponents, keep.reshape(-1, _WIDTH)
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +181,12 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, D, proven) for |x| values a in the fast range; D is valid where proven."""
+    """(e, D, proven) for |x| values 0 < a < _FAST_MAX; D is valid where proven."""
     e = np.floor(np.log10(a)).astype(np.int64)
     np.clip(e, _E_MIN, _E_MAX, out=e)
     hi_table, lo_table = _pow10_table()
     hi, lo = hi_table[_E_MAX - e], lo_table[_E_MAX - e]
+    a = np.ldexp(a, np.where(e < _E_SCALED, _SCALE, 0))
     p = a * hi
     a1, a2 = _split(a)
     h1, h2 = _split(hi)
@@ -160,111 +201,70 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e, D, proven
 
 
-def _rows(m: int, *blocks) -> np.ndarray:
-    """(m, w) bytes: the blocks side by side, a bytes block repeated on every row."""
-    return np.concatenate(
-        [np.broadcast_to(np.frombuffer(b, np.uint8), (m, len(b))) if isinstance(b, bytes) else b
-         for b in blocks], axis=1)
+def _format_plane(v: np.ndarray, text: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Fill row i of text and keep so that text[i][keep[i]] is `_exact(v[i])` and a newline.
 
-
-def _layout(digits: np.ndarray, e: np.ndarray, form: int, sd: int) -> np.ndarray:
-    """The %g text of rows that share a form and sd significant digits, signs aside.
-
-    form is e + 4 for the fixed notation (-4 <= e < 17) and 21 or 22 for the
-    scientific one with a 2- or 3-digit exponent.
+    text holds _TEMPLATE on every row.  Returns the rows `_exact` wrote,
+    which the caller restores to _TEMPLATE before the next call.
     """
-    m = len(digits)
-    if form <= 20:
-        e0 = form - 4
-        if e0 < 0:
-            return _rows(m, b"0." + b"0" * (-e0 - 1), digits[:, :sd])
-        if sd <= e0 + 1:
-            return digits[:, :e0 + 1]
-        return _rows(m, digits[:, :e0 + 1], b".", digits[:, e0 + 1:sd])
-    places = form - 19
-    exponent = np.empty((m, places + 1), np.uint8)
-    exponent[:, 0] = np.where(e < 0, _MINUS, _PLUS)
-    mag = np.abs(e)
-    for j in range(places, 0, -1):
-        exponent[:, j] = _ZERO + mag % 10
-        mag //= 10
-    mantissa = (digits[:, :1], b".", digits[:, 1:sd]) if sd > 1 else (digits[:, :1],)
-    return _rows(m, *mantissa, b"e", exponent)
-
-
-def _format_values(v: np.ndarray) -> list[str]:
-    """`_exact(x)` for each x of the 1-D float64 array v, in order."""
     a = np.abs(v)
-    negative = np.signbit(v)
-    in_range = (a >= _FAST_MIN) & (a < _FAST_MAX)
-    fast = np.flatnonzero(in_range)
-    e, D, proven = _significand(a[fast])
-    slow = np.union1d(np.flatnonzero(~in_range & (a != 0)), fast[~proven])
-    fast, e, D = fast[proven], e[proven], D[proven]
-
-    digits = np.empty((len(D), 17), np.uint8)
-    for j in range(16, 0, -1):
-        q = D // 10
-        digits[:, j] = D - 10 * q
+    fast = (a > 0) & (a < _FAST_MAX)
+    e, D, proven = _significand(np.where(fast, a, 1.0))
+    proven &= fast
+    digit_table, zeros_table, exponent_table, keep_table = _text_tables()
+    quads = np.empty((len(v), 5), np.int64)  # D in base 10^4, leading digit first
+    for j in range(4, 0, -1):
+        q = D // 10_000
+        quads[:, j] = D - 10_000 * q
         D = q
-    digits[:, 0] = D
-    sd = 17 - np.argmax(digits[:, ::-1] != 0, axis=1)
-    digits += _ZERO
-
-    # one row of text per value, laid out group by group: a group shares the
-    # form, the significant digits and the sign, so its rows have one width
-    text = np.empty((len(v), _ROW), np.uint8)
-    text[:, 0] = _MINUS  # kept by the negative rows, overwritten by the others
-    width = np.empty(len(v), np.int64)
-    zero = np.flatnonzero(a == 0)
-    sign = negative[zero].view(np.uint8)
-    text[zero, sign] = _ZERO
-    width[zero] = sign + 1
-    form = np.where((e >= -4) & (e < 17), e + 4, 21 + (e <= -100) + (e >= 100))
-    key = 64 * form + 2 * sd + negative[fast]
-    order = np.argsort(key, kind="stable")
-    for g in np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if len(order) else ():
-        f, rest = divmod(int(key[g[0]]), 64)
-        s, neg = divmod(rest, 2)
-        body = _layout(digits[g], e[g], f, s)
-        rows = fast[g]
-        text[rows, neg:neg + body.shape[1]] = body
-        width[rows] = neg + body.shape[1]
-    for i, x in zip(slow.tolist(), v[slow].tolist()):
-        exact = _exact(x).encode("ascii")
-        text[i, :len(exact)] = np.frombuffer(exact, np.uint8)
-        width[i] = len(exact)
-    text[np.arange(len(v)), width] = _NEWLINE
-    out = text[np.arange(_ROW) <= width[:, None]].tobytes().decode("ascii").split("\n")
-    out.pop()
-    return out
+    quads[:, 0] = D
+    digits = digit_table.take(quads).view(np.uint8)[:, 3:]  # "000d" and four "dddd", less "000"
+    text[:, _DIGITS:_DIGITS + 17] = digits
+    text[:, _DIGITS2:_DIGITS2 + 17] = digits
+    text[:, _EXPONENT:_EXPONENT + 4] = exponent_table[_E_MAX - e].view(np.uint8).reshape(-1, 4)
+    tz = zeros_table.take(quads[:, 4])  # trailing zeros of D: those of its last chunk,
+    for j in (3, 2, 1):  # and of the next where every chunk after it is "0000"
+        rows = np.flatnonzero(tz == 16 - 4 * j)
+        tz[rows] += zeros_table.take(quads[rows, j])
+    form = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
+    form[a == 0] = _ZERO_FORM
+    keep[:] = keep_table.take(36 * form + 2 * (17 - tz) + np.signbit(v), axis=0)
+    slow = np.flatnonzero(~proven & (a != 0))
+    exact = np.array([(_exact(x) + "\n").encode("ascii") for x in v[slow].tolist()], f"S{_WIDTH}")
+    exact = exact.view(np.uint8).reshape(len(slow), _WIDTH)
+    text[slow], keep[slow] = exact, exact != 0
+    return slow
 
 
 def emit_frame_csv(frame: DensityFrame, path) -> None:
     """Columns t,x,y,z,eps at 17 significant digits (lossless float round trip).
 
     The bytes equal `np.savetxt(fmt="%.17g", delimiter=",")` of the
-    (t, x, y, z, eps) column stack in C order.  t and each axis coordinate are
-    formatted once with "%.17g"; eps is formatted one x-plane at a time by
-    `_format_values`, which derives the 17 digits of each value in numpy from
-    an exact double-double product and hands the few values it cannot prove
-    correctly rounded to "%.17g" itself.  Each z-row of the plane is one
-    %-formatting of a line template that already holds its t,x,y,z prefixes.
+    (t, x, y, z, eps) column stack in C order.  t and each axis coordinate
+    are formatted once with "%.17g".  An x-plane is one uint8 matrix with a
+    row per (y, z): the "y,z," columns, padded and set once per frame, then
+    the eps text from `_format_plane`.  One boolean mask compacts it and one
+    `bytes.replace` puts "t,x," after each newline, so no row is copied alone.
     """
     grid = frame.grid
     n = grid.n
     ax = grid.axis()
     xs, ys, zs = (["%.17g" % v for v in (ax + c).tolist()] for c in np.asarray(frame.center, dtype=float))
-    z_tails = [f"{z},%s" for z in zs]
     t = "%.17g" % frame.t
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y,z,eps\n")
-        for i, x in enumerate(xs):
-            values = _format_values(frame.eps[i].reshape(-1))
-            for j, y in enumerate(ys):
-                prefix = f"{t},{x},{y},"
-                row = prefix + ("\n" + prefix).join(z_tails) + "\n"
-                fh.write(row % tuple(values[j * n:(j + 1) * n]))
+    y, z = (np.array([f"{c},".encode("ascii") for c in cs]).view(np.uint8).reshape(n, -1) for cs in (ys, zs))
+    template = np.frombuffer(_TEMPLATE, np.uint8)
+    text = np.concatenate([np.repeat(y, n, axis=0), np.tile(z, (n, 1)), np.tile(template, (n * n, 1))], axis=1)
+    keep = text != 0  # drops the padding of y and z; `_format_plane` sets the eps columns
+    eps = slice(y.shape[1] + z.shape[1], None)
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,y,z,eps\n")
+        for x, plane in zip(xs, frame.eps):
+            slow = _format_plane(plane.reshape(-1), text[:, eps], keep[:, eps])
+            prefix = f"{t},{x},".encode("ascii")
+            rows = text[keep].tobytes().replace(b"\n", b"\n" + prefix)
+            fh.write(prefix)
+            fh.write(memoryview(rows)[:-len(prefix)])  # no row follows the last newline
+            text[slow, eps] = template
 
 
 def load_frame_csv(path) -> tuple[float, np.ndarray]:

@@ -271,6 +271,25 @@ def test_only_the_demo_loads_scipy(argv, loads_scipy, tmp_path):
     assert (loaded != "[]") == loads_scipy, loaded
 
 
+def test_import_builds_no_table():
+    # the CSV writer's tables are built on its first call, so no verb pays for them
+    # at import; the check covers every cached builder in the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qetlab.cli\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.split('.')[0] == 'qetlab':\n"
+        "        for attr, f in vars(module).items():\n"
+        "            if hasattr(f, 'cache_info'): print(f'{name}.{attr}', f.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    sizes = dict(line.split() for line in proc.stdout.splitlines())
+    assert {"qetlab.results._pow10_table", "qetlab.results._text_tables"} <= set(sizes)
+    assert set(sizes.values()) == {"0"}, sizes
+
+
 def test_module_entry_point_runs_main():
     # `python -m qetlab` goes through __main__.py, the one module entry point
     root = Path(__file__).resolve().parents[1]

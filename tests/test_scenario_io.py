@@ -460,11 +460,12 @@ class TestFrameEmission:
         assert t == frame.t
         np.testing.assert_array_equal(eps, frame.eps.reshape(-1))
 
-    @pytest.mark.parametrize("n, real", [(9, False), (33, False), (33, True)], ids=["9", "33", "frame-33"])
-    def test_csv_bytes_match_savetxt(self, n, real, tmp_path):
+    @pytest.mark.parametrize("n, kind", [(9, "random"), (33, "random"), (33, "frame"), (8, "fallback")],
+                             ids=["9", "33", "frame-33", "fallback-planes"])
+    def test_csv_bytes_match_savetxt(self, n, kind, tmp_path):
         from qetlab.dynamics import DensityFrame, FrameGrid
 
-        if real:
+        if kind == "frame":
             # tilted and off the origin at odd n, so the nodes sit half a step off the
             # source; sigma = 4 lets n = 33 resolve the envelope and hold the shell at t = 4
             source = CurlGaussian(1.3, 4.0, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
@@ -481,6 +482,15 @@ class TestFrameEmission:
             eps.reshape(-1)[::7] = 0.0
             eps.reshape(-1)[5::14] = -0.0
             eps.reshape(-1)[3::11] = 0.125
+            if kind == "fallback":
+                # values that "%.17g" itself writes (not finite, or on a tie) beside
+                # ones the fast path writes, in consecutive planes: along one row the
+                # kinds move one z further each plane, and one (y, z) alternates them
+                special = [math.nan, -math.inf, 0.0, -0.0, 5e-324, 1234567890123456.25, math.inf, -2.5e-310]
+                for i in range(n):
+                    eps[i, 4] = np.roll(special, i)
+                eps[:, 2, 3] = [math.nan, 0.000123, math.inf, -0.0, 1234567890123456.25, -1.5e-10,
+                                -1234567890123456.75, 12.5]
             frame = DensityFrame(t=2.5, grid=grid, center=center, eps=eps)
         path = tmp_path / "frame.csv"
         emit_frame_csv(frame, path)
@@ -542,14 +552,23 @@ def exact_texts(values) -> list[str]:
     return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
+def plane_texts(values) -> list[str]:
+    """The text `results._format_plane` gives each value, one row per value."""
+    values = np.asarray(values, dtype=float)
+    text = np.tile(np.frombuffer(results._TEMPLATE, np.uint8), (len(values), 1))
+    keep = np.zeros(text.shape, bool)
+    results._format_plane(values, text, keep)
+    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
+
+
 class TestExactDigits:
-    """`results._format_values` against "%.17g" itself, value by value."""
+    """`results._format_plane` against "%.17g" itself, value by value."""
 
     @staticmethod
     def check(values):
         values = np.asarray(values, dtype=float)
         both = np.concatenate([values, -values])
-        assert results._format_values(both) == exact_texts(both)
+        assert plane_texts(both) == exact_texts(both)
 
     def test_random_bit_patterns(self):
         # uniform bit patterns cover every binary exponent, subnormals, both
@@ -568,7 +587,7 @@ class TestExactDigits:
         self.check(powers + [np.nextafter(p, 0.0) for p in powers] + [np.nextafter(p, math.inf) for p in powers])
 
     def test_edges_of_the_fast_range(self):
-        edges = [results._FAST_MIN, results._FAST_MAX]
+        edges = [1e-280, results._FAST_MAX]  # below 1e-280 the values are scaled by 2^_SCALE
         self.check(edges + [np.nextafter(x, 0.0) for x in edges] + [np.nextafter(x, math.inf) for x in edges])
 
     def test_every_form_and_digit_count(self):
@@ -579,13 +598,16 @@ class TestExactDigits:
                     for m in rng.integers(10 ** (d - 1), 10**d, 4)])
 
     def test_fast_path_covers_a_tilted_frame(self, monkeypatch):
+        # the second frame reaches 29 sigma from the source, where 1% of the values lie
+        # below 1e-280 and 0.2% are subnormal; the fast path scales them by a power of two
         from qetlab.dynamics import FrameGrid
 
         source = CurlGaussian(1.3, 1.0, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
-        frame = energy_density_frame(source, 0.5, FrameGrid(n=32, half_extent=5.8))
         exact = results._exact
         calls = []
         monkeypatch.setattr(results, "_exact", lambda v: calls.append(v) or exact(v))
-        values = frame.eps.reshape(-1)
-        assert results._format_values(values) == exact_texts(values)
-        assert len(calls) <= 1e-3 * values.size
+        for t, grid in [(0.5, FrameGrid(n=32, half_extent=5.8)), (0.0, FrameGrid(n=88, half_extent=17.0))]:
+            values = energy_density_frame(source, t, grid).eps.reshape(-1)
+            calls.clear()
+            assert plane_texts(values) == exact_texts(values)
+            assert len(calls) <= 1e-3 * values.size
