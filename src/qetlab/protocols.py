@@ -202,16 +202,18 @@ def teleport(inv: PairInvariants, K1: float, lam: float) -> Outcome:
     _check_assembly(E_o, -D_q * K * K / (2.0 * xi), "spin teleported energy")
     _check_bookkeeping(E_o, E_m, "E_o")
 
+    # E_o' = theta'* eta'/2: eta'^2 and xi (<G^2> + 1/4) overflow where E_o' is finite
     eta_prime = 0.5 * K
     G2 = np.pi**2 / 16.0 + 0.5 * I1
-    E_o_prime = -(eta_prime * eta_prime) / (2.0 * xi * (G2 + 0.25))
+    theta_prime_star = -(eta_prime / xi) / (G2 + 0.25)
+    E_o_prime = 0.5 * theta_prime_star * eta_prime
     D_ho = damping_oscillator(I1)
     _check_assembly(E_o_prime, -D_ho * K * K / (2.0 * xi), "oscillator teleported energy")
     _check_bookkeeping(E_o_prime, E_m, "E_o'")
 
     return Outcome(
         E_m=E_m, eta=eta, xi=xi, theta_star=-eta / xi, E_o=E_o, D_q=D_q,
-        eta_prime=eta_prime, theta_prime_star=-eta_prime / (xi * (G2 + 0.25)), E_o_prime=E_o_prime,
+        eta_prime=eta_prime, theta_prime_star=theta_prime_star, E_o_prime=E_o_prime,
         D_ho=D_ho, ratio=D_ho / D_q if D_q > 0.0 else math.inf,
     )
 

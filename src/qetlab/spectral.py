@@ -148,6 +148,11 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     path = np.array(vertical + list(1j * h + x_max * np.arange(n_h + 1) / n_h))
     half = 0.5 * np.diff(path)
     k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
+    # the series nodes, |k d| < _SERIES_X, form k^5, which leaves the float range
+    # once h passes about 4.5e61; a product of floats gives inf where ** would raise
+    k_top = float(np.abs(k[np.abs(k * dist) < _SERIES_X]).max(initial=0.0))
+    if math.isinf(k_top * k_top * k_top * k_top * k_top):
+        raise ValidationError(f"K(T={t!r}): the contour reaches |k| = {k_top:.3g}, whose k^5 overflows")
     terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d)
     m = len(vertical) * len(_GL_T)
     J = terms[:m].real.sum() + terms[m:].sum()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +15,9 @@ from qetlab import (
     min_energy_density,
 )
 from qetlab.negative_energy import (
+    _KUMMER_SWITCH,
     FockSpace,
+    _kummer_m_of_negative,
     demo_rows,
     matrix_elements_from_amplitudes,
     packet_amplitudes,
@@ -142,6 +145,25 @@ class TestOptimalSuperposition:
         for a, b, e in zip(A, B, eps):
             assert e == min_energy_density(a, b)
             assert e == pytest.approx(lowest_eigenvalue(a, b), abs=1e-12)
+
+
+class TestKummerFunction:
+    # x = 0, a log grid out to 5e4 (r = 316 sigma), and the ulps around the switch
+    X = np.sort(np.concatenate([
+        [0.0, np.nextafter(_KUMMER_SWITCH, 0.0), _KUMMER_SWITCH, np.nextafter(_KUMMER_SWITCH, np.inf)],
+        np.geomspace(1e-8, 5e4, 3000),
+    ]))
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_matches_40_digit_reference_within_the_local_envelope(self, l):
+        # M(a, b, -x) changes sign for l = 0, 1, so the error is measured against
+        # max_{y >= x} |M(a, b, -y)|, the size the amplitudes' sums work at
+        a, b = (l + 4.5) / 2.0, l + 1.5
+        with mp.workdps(40):
+            ref = np.array([float(mp.hyp1f1(a, b, -mp.mpf(x))) for x in self.X])
+        envelope = np.maximum.accumulate(np.abs(ref)[::-1])[::-1]
+        err = np.abs(_kummer_m_of_negative(a, b, self.X) - ref) / envelope
+        assert err.max() <= 4e-15, f"x = {self.X[err.argmax()]!r}"
 
 
 class TestContinuumMode:

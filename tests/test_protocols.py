@@ -275,14 +275,25 @@ class TestSpinProtocol:
 
         _check_assembly(-5e-320, -5e-320 - 5e-324, "spin teleported energy")
 
-    def test_overflowing_pair_nan_is_a_tolerance_failure(self):
-        # amplitude 1e100: the norms are finite, but K^2 and xi <G^2> overflow
-        # in the oscillator formula, giving inf/inf
-        from qetlab import ToleranceFailure
-
-        huge = CurlGaussian(1e100, 1.0)
-        with pytest.raises(ToleranceFailure, match="oscillator teleported energy: optimized form nan"):
-            both_protocols(ProtocolConfig(a_m=huge, f_o=huge, T=8.0))
+    @pytest.mark.parametrize(
+        "a_m, f_o, lam",
+        [
+            (CurlGaussian(1e100, 1.0), CurlGaussian(1e100, 1.0), 1.0),
+            (CurlGaussian(1.0, 1.0), CurlGaussian(1e10, 1.0), 1e153),
+        ],
+        ids=["amplitude-1e100", "lambda-1e153"],
+    )
+    def test_energy_past_overflowing_squares_is_finite(self, a_m, f_o, lam):
+        # the norms are finite and eta'^2 and xi (<G^2> + 1/4) overflow, but E_o'
+        # matches the damping-factor assembly and, since <G^2> ~ I1/2, its limit
+        # -K^2/(4 xi I1), which is the same at unit amplitudes
+        cfg = ProtocolConfig(a_m=a_m, f_o=f_o, T=8.0, lam=lam)
+        K1 = cfg.pair.kernel(8.0)
+        out = teleport(cfg.pair, K1, lam)
+        K = lam * K1
+        assert out.E_o_prime == pytest.approx(-out.D_ho * K * K / (2.0 * out.xi), rel=1e-12, abs=0.0)
+        unit = PairInvariants.of(CurlGaussian(1.0, 1.0), CurlGaussian(1.0, 1.0))
+        assert out.E_o_prime == pytest.approx(-unit.kernel(8.0) ** 2 / (4.0 * unit.xi * unit.I1), rel=1e-12)
 
 
 class TestOscillatorProtocol:

@@ -12,10 +12,15 @@ A module in `src/qetlab` may import or read a `_private` name (dunders
 excepted) of a sibling module only from `fields`, which holds the value rules
 every layer shares.  No module but `cli` imports `verify`, which holds the
 oracle cross-checks and the routes only they read.
+
+The third-party modules the package imports, deferred imports included, are
+exactly the runtime dependencies that `pyproject.toml` declares.
 """
 
 import ast
 import io
+import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -238,3 +243,41 @@ def test_verify_walk_sees_every_import_form():
 
 def test_verify_walk_sees_the_cli_import():
     assert verify_imports((PACKAGE / f"{VERIFY_IMPORTER}.py").read_text(encoding="utf-8"))
+
+
+# distributions whose import name is not their own
+IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level modules that a source imports by absolute name at any depth,
+    outside the standard library and the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"qetlab"}
+
+
+def test_third_party_imports_are_the_runtime_dependencies():
+    # a stray `import scipy` in the package, deferred or not, fails here
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+    assert imported == {IMPORT_NAMES.get(name, name) for name in declared}
+
+
+def test_third_party_walk_sees_deferred_and_dotted_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy.linalg as la\n"
+        "from . import fields\n"
+        "from qetlab.spectral import overlap_kernel\n"
+        "def f():\n"
+        "    from scipy.special import hyp1f1\n"
+        "    import yaml\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy", "yaml"}

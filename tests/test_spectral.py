@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from functools import lru_cache
 
 import mpmath as mp
@@ -266,6 +267,30 @@ class TestOverlapKernel:
                     integral(f, a, 2.0)
         else:
             assert overlap_kernel(f, a, 2.0).samples_or_nodes == 64 * (2 + round(3200 * dist))
+
+    @pytest.mark.parametrize(
+        "center, T, rejected",
+        [
+            ((0.0, 0.0, 0.0), 1e61, False),
+            ((0.0, 0.0, 0.0), 1e62, True),
+            ((0.0, 0.0, 0.0), 1e100, True),
+            # a displaced pair forms k^5 only below |k| = 2/|d|, so the gate passes it
+            ((1.0, 0.0, 0.0), 1e62, False),
+            ((1.0, 0.0, 0.0), 1e154, False),
+        ],
+    )
+    def test_T_whose_contour_overflows_k5_is_named(self, center, T, rejected):
+        # the saddle height is about T/2 at sigma = 1; its fifth power passes the
+        # float range near T = 9e61, where K ~ 1005 T^-6 is long below it
+        f, a = CurlGaussian(1.0, 1.0, center=center), CurlGaussian(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rejected:
+                for integral in (overlap_kernel, commutator_residual):
+                    with pytest.raises(ValidationError, match=re.escape(f"K(T={T!r}): the contour reaches")):
+                        integral(f, a, T)
+            else:
+                assert overlap_kernel(f, a, T).value == 0.0
 
     @pytest.mark.parametrize("T", [13.0, 50.0])
     def test_cocentred_pair_takes_one_horizontal_panel_however_narrow(self, T):
