@@ -5,9 +5,9 @@ One verb per capability: `energy` (input energy and damping factors),
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
 cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, a
 scenario file that is not UTF-8 text, an under-resolved grid, a frame too
-large to allocate, a zero or overflowing field pair, a width beyond the
-float range, a pair whose K(T) contour would need more panels than its
-bound, a light-cone evaluation), 3 numerical tolerance failure, 4 I/O error.
+large to allocate, a zero or overflowing field pair, a width, separation or
+T beyond the float range, a light-cone evaluation), 3 numerical tolerance
+failure, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -55,14 +55,15 @@ _SERIES_J0, _SERIES_J2 = (
 )
 
 
-def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float) -> np.ndarray:
+def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float, sides=(1, -1)) -> np.ndarray:
     """k^5 e^{-alpha k^2 + ikt} A(k dist) at complex nodes k.
 
     A(z) = (j0 - j1/z) c_a + j2(z) c_d, with c_a = n1.n2 and c_d = (d^.n1)(d^.n2),
     is the angular integral of e^{ik.d}[k^2 (n1.n2) - (k.n1)(k.n2)]/(4 pi k^2).
     Below the switch A = (2/3) c_a j0 + (c_d - c_a/3) j2 in series; above it
     A = [P sin z + Q cos z]/z^3, and e^{+-iz} join the exponent so that
-    e^{|Im z|} is never formed alone.
+    e^{|Im z|} is never formed alone.  sides = (+-1,) keeps the e^{+-iz} part
+    alone, which has no series: every node takes the closed form.
     """
     x, y = k.real, k.imag
 
@@ -73,8 +74,19 @@ def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float) -
         return np.exp(ym * (alpha * ym - u) - alpha * xm * xm + 1j * xm * (u - 2.0 * alpha * ym))
 
     z = k * dist
-    small = np.abs(z) < _SERIES_X
+    small = (np.abs(z) < _SERIES_X) & (len(sides) == 2)
     big = ~small
+    # the series forms k^5, the closed form k^2/(2|d|^3) and z^2; a product of
+    # floats gives inf where ** would raise
+    k_abs = np.abs(k)
+    k_s, k_c = (float(k_abs[m].max(initial=0.0)) for m in (small, big))
+    cube, z_c, reach = 2.0 * dist * dist * dist, k_c * dist, f"K(T={t!r}): the contour reaches |k| = "
+    if math.isinf(k_s * k_s * k_s * k_s * k_s):
+        raise ValidationError(f"{reach}{k_s:.3g}, whose k^5 overflows")
+    if k_c and math.isinf(cube):
+        raise ValidationError(f"separation |d| = {dist!r}: 2|d|^3 leaves the float range")
+    if math.isinf(z_c * z_c) or k_c * k_c / np.finfo(float).max > cube:
+        raise ValidationError(f"{reach}{k_c:.3g}, whose k^2/(2|d|^3) or (k|d|)^2 overflows")
     f = np.empty_like(k)
     z2 = z[small] ** 2
     A = (2.0 / 3.0) * c_a * np.polyval(_SERIES_J0, z2) + (c_d - c_a / 3.0) * z2 * np.polyval(_SERIES_J2, z2)
@@ -83,23 +95,28 @@ def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float) -
         zb = z[big]
         P = (c_a - c_d) * zb * zb + (3.0 * c_d - c_a)
         Q = (c_a - 3.0 * c_d) * zb
-        f[big] = k[big] ** 2 / (2.0 * dist**3) * (
-            (Q - 1j * P) * saddle_factor(t + dist, big) + (Q + 1j * P) * saddle_factor(t - dist, big)
-        )
+        parts = [(Q - 1j * (s * P)) * saddle_factor(t + s * dist, big) for s in sides]
+        f[big] = k[big] ** 2 / (2.0 * dist**3) * sum(parts[1:], parts[0])
     return f
 
 
-# the contour is summed in 64-node Gauss-Legendre panels; the vertical leg
-# splits where the saddle factor falls to e^-_SPLIT_DECAY, each horizontal
-# panel spans at most _PANEL_PHASE radians, and the estimate is
-# _ROUNDING_ULPS ulps of the sum of |node terms|
+# the contour is summed in 64-node Gauss-Legendre panels; a vertical leg
+# splits where the saddle factor falls to e^-_SPLIT_DECAY, a horizontal leg
+# is one panel while the parts' beat spans at most _PANEL_PHASE radians on
+# it, and the estimate is _ROUNDING_ULPS ulps of the sum of |node terms|
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(64)
 _SPLIT_DECAY = 60.0
 _PANEL_PHASE = 50.0
 _ROUNDING_ULPS = 16
-# The horizontal panel count grows like |d|/sigma: 3,200 at |d| = 1 and
-# sigma = 1e-4 (45 MB of nodes).  Past this bound the pair is rejected.
-_MAX_HORIZONTAL_PANELS = 4096
+
+
+def _vertical_leg(start: complex, b: float, alpha: float) -> list:
+    """Points from `start` to the saddle of e^{-alpha k^2 + iku}, b = u - 2 alpha Im start."""
+    h = b / (2.0 * alpha)
+    disc = b * b - 4.0 * alpha * _SPLIT_DECAY
+    # the smaller root of alpha s^2 - |b| s = -_SPLIT_DECAY, or halfway when there is none
+    split = min(0.5 * abs(h), 2.0 * _SPLIT_DECAY / (abs(b) + math.sqrt(disc))) if disc > 0.0 else 0.5 * abs(h)
+    return [start, start + 1j * math.copysign(split, b), start + 1j * h] if b else [start]
 
 
 def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[complex, float, int]:
@@ -108,10 +125,13 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     J(t) = int_0^inf k^5 e^{-alpha k^2} A(k|d|) e^{ikt} dk has an entire
     integrand, so the path runs from 0 up the imaginary axis to the saddle ih
     of e^{-alpha k^2 + ik(t - |d|)}, h = max(t - |d|, 0)/(2 alpha), then along
-    k = x + ih to x = 8/sqrt(alpha).  On the first leg k^5 A dk is real, and
-    on the second only e^{ik|d|} oscillates.  Returns (pref J, rounding
-    bound, node count).
+    k = x + ih to x = 8/sqrt(alpha).  On the first leg k^5 A dk is real; on
+    the second one part beats at 2|d| rad per unit x.  Where one panel cannot
+    resolve that, or h = 0, the leg stops at x = 2/|d| when that comes first,
+    and each part, in e^{ik(t +- |d|)}, runs on to its own saddle and along
+    it.  At most seven panels.  Returns (pref J, rounding bound, node count).
     """
+    t = _positive(t, "T")
     d = f2.center_vec - f1.center_vec
     dist = float(np.linalg.norm(d))
     n1, n2 = f1.axis_vec, f2.axis_vec
@@ -129,35 +149,27 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
         raise ValidationError(f"widths sigma = {s1!r} and {s2!r}: the K(T) prefactor leaves the float range")
     alpha = 0.5 * (s1**2 + s2**2)
 
-    b = t - dist
-    h = max(b, 0.0) / (2.0 * alpha)
-    disc = b * b - 4.0 * alpha * _SPLIT_DECAY
-    # the smaller root of alpha y^2 - b y = -_SPLIT_DECAY, or halfway when there is none
-    split = min(0.5 * h, 2.0 * _SPLIT_DECAY / (b + math.sqrt(disc))) if disc > 0.0 else 0.5 * h
-    vertical = [0.0, 1j * split] if h > 0.0 else []
     x_max = 8.0 / math.sqrt(alpha)
-    # the leg's residual phase per unit x, t + |d| - 2 alpha h, is exactly 2|d|
-    # when h > 0; written so, rounding adds no panels to a co-centred pair
-    n_h = max(1, math.ceil((2.0 * dist if h > 0.0 else t + dist) * x_max / _PANEL_PHASE))
-    if n_h > _MAX_HORIZONTAL_PANELS:
-        raise ValidationError(
-            f"|d|/sigma = {dist / math.sqrt(alpha):.3g} (|d| = {dist!r}, sigma = sqrt((sigma_1^2 + "
-            f"sigma_2^2)/2) = {math.sqrt(alpha):.3g}): K(T) would need {n_h:.3g} contour panels, "
-            f"above the bound {_MAX_HORIZONTAL_PANELS}"
-        )
-    path = np.array(vertical + list(1j * h + x_max * np.arange(n_h + 1) / n_h))
-    half = 0.5 * np.diff(path)
-    k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
-    # the series nodes, |k d| < _SERIES_X, form k^5, which leaves the float range
-    # once h passes about 4.5e61; a product of floats gives inf where ** would raise
-    k_top = float(np.abs(k[np.abs(k * dist) < _SERIES_X]).max(initial=0.0))
-    if math.isinf(k_top * k_top * k_top * k_top * k_top):
-        raise ValidationError(f"K(T={t!r}): the contour reaches |k| = {k_top:.3g}, whose k^5 overflows")
-    terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d)
-    m = len(vertical) * len(_GL_T)
+    b = t - dist
+    shared = _vertical_leg(0j, max(b, 0.0), alpha)
+    m = (len(shared) - 1) * len(_GL_T)
+    separate = dist * x_max > _SERIES_X and (b <= 0.0 or 2.0 * dist * x_max > _PANEL_PHASE)
+    shared.append((_SERIES_X / dist if separate else x_max) + 1j * shared[-1].imag)
+    legs = [(shared, (1, -1))]
+    for s in (1, -1) if separate else ():
+        # from the shared leg's end to the saddle of the e^{ik(t + s|d|)} part, and along it
+        leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
+        legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
+    terms = []
+    for points, sides in legs:
+        path = np.array(points)
+        half = 0.5 * np.diff(path)
+        k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
+        terms.append((half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d, sides))
+    terms = np.concatenate(terms)
     J = terms[:m].real.sum() + terms[m:].sum()
     err = _ROUNDING_ULPS * np.finfo(float).eps * pref * float(np.abs(terms).sum())
-    return pref * complex(J), err, len(k)
+    return pref * complex(J), err, len(terms)
 
 
 def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
@@ -202,7 +214,6 @@ def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> IntegralRe
     `brute_force_overlap_oracle`.
     Symmetric in (f_o, a_m) and bilinear in each argument.
     """
-    T = _positive(T, "T")
     J, err, n = _contour_pairing(f_o, a_m, T)
     value = -J.real
     # written so that a NaN value or error fails the gate
@@ -217,7 +228,6 @@ def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float
     Kernel weight is -|k| sin(|k|T), the imaginary part of `_contour_pairing`;
     for causally decoupled configurations the result is of Gaussian-tail size.
     """
-    T = _positive(T, "T")
     return -_contour_pairing(f_o, a_m, T)[0].imag
 
 

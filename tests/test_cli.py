@@ -175,18 +175,21 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize("verb", ["teleport", "sweep"])
-    def test_displaced_narrow_pair_beyond_the_panel_bound_exits_2(self, verb, tmp_path, capsys):
-        # |d|/sigma = 1e30 would need 3.2e29 contour panels for K(T)
+    def test_displaced_narrow_pair_is_computed(self, verb, tmp_path):
+        # |d|/sigma = 1e30: each part of the K(T) integrand runs to its own saddle
         path = tmp_path / "narrow.yaml"
         path.write_text(
             "T: 2.0\nfields:\n  a_m: {sigma: 1.0e-30}\n"
             "  f_o: {sigma: 1.0e-30, center: [1.0, 0.0, 0.0]}\n"
         )
         out_dir = tmp_path / "out"
-        assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "|d|/sigma = 1e+30" in err and "Traceback" not in err
-        assert not out_dir.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_OK
+        records = [json.loads(line) for line in (out_dir / "results.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        for rec in records:
+            assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float))
 
     def test_vector_item_read_as_text_is_named(self, tmp_path, capsys):
         path = tmp_path / "text.yaml"
@@ -231,6 +234,25 @@ class TestExitCodes:
         assert err == (
             "error: sweep point (T=1e+100): K(T=1e+100): the contour reaches |k| = 5e+99, whose k^5 overflows\n"
         )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "center, T, cause",
+        [
+            ("[1.0, 0.0, 0.0]", "1.0e+155", "K(T=1e+155): the contour reaches |k| = 5e+154, whose k^2/(2|d|^3)"
+             " or (k|d|)^2 overflows"),
+            ("[1.0e+103, 0.0, 0.0]", "2.0e+103", "separation |d| = 1e+103: 2|d|^3 leaves the float range"),
+        ],
+        ids=["displaced-T-1e155", "d-1e103"],
+    )
+    def test_displaced_pair_whose_closed_form_overflows_exits_2(self, center, T, cause, tmp_path, capsys):
+        path = tmp_path / "late.yaml"
+        path.write_text(f"T: {T}\nfields:\n  a_m: {{sigma: 1.0}}\n  f_o: {{sigma: 1.0, center: {center}}}\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["teleport", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: sweep point (T={float(T):g}): {cause}\n"
         assert not out_dir.exists()
 
     def test_T_whose_K_underflows_returns_zero(self, tmp_path):
