@@ -103,6 +103,7 @@ class PairInvariants:
     E_m: float
     I1: float
     xi: float
+    _K: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _checked(**{
@@ -119,8 +120,10 @@ class PairInvariants:
         return cls(a_m=a_m, f_o=f_o, E_m=E_m, I1=I1, xi=xi)
 
     def kernel(self, T: float) -> float:
-        """K(T) at lam = 1."""
-        return overlap_kernel(self.f_o, self.a_m, T).value
+        """K(T) at lam = 1, computed once per T; a T that raises is not kept."""
+        if T not in self._K:
+            self._K[T] = overlap_kernel(self.f_o, self.a_m, T).value
+        return self._K[T]
 
 
 def scaled_norms_finite(inv: PairInvariants):

@@ -87,6 +87,10 @@ def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float, s
         raise ValidationError(f"separation |d| = {dist!r}: 2|d|^3 leaves the float range")
     if math.isinf(z_c * z_c) or k_c * k_c / np.finfo(float).max > cube:
         raise ValidationError(f"{reach}{k_c:.3g}, whose k^2/(2|d|^3) or (k|d|)^2 overflows")
+    # the saddle factor's exponent y(alpha y - u), u <= t + |d|, overflows first when alpha > 1
+    y_top = float(np.abs(y).max())
+    if math.isinf(y_top * (alpha * y_top + t + dist)):
+        raise ValidationError(f"{reach}{float(k_abs.max()):.3g}, whose saddle exponent overflows")
     f = np.empty_like(k)
     z2 = z[small] ** 2
     A = (2.0 / 3.0) * c_a * np.polyval(_SERIES_J0, z2) + (c_d - c_a / 3.0) * z2 * np.polyval(_SERIES_J2, z2)

@@ -11,6 +11,7 @@ from qetlab import (
     CurlGaussian,
     PairInvariants,
     ProtocolConfig,
+    ToleranceFailure,
     ValidationError,
     crossover_amplitude,
     damping_oscillator,
@@ -484,6 +485,45 @@ class TestConfigPair:
         for quantity in ("spin", "oscillator", "kernel"):
             separation_scaling_fit(canonical_cfg, [20.0, 200.0], quantity=quantity)
         assert crossover_amplitude(canonical_cfg) > 0.0
+
+    def test_fits_on_one_config_compute_each_kernel_once(self, monkeypatch):
+        import qetlab.protocols as protocols
+
+        def config():
+            f = CurlGaussian(1.0, 0.9, center=(0.0, 0.0, 1.5), axis=(0.0, math.sin(2.1), math.cos(2.1)))
+            a = CurlGaussian(1.0, 1.1, axis=(math.sin(0.9), 0.0, math.cos(0.9)))
+            return ProtocolConfig(a_m=a, f_o=f, T=20.0, lam=0.7)
+
+        T_values = np.geomspace(20.0, 200.0, 6)
+        quantities = ("kernel", "spin", "oscillator")
+        # each fit on a fresh config computes its own six K(T)
+        fresh = [separation_scaling_fit(config(), T_values, quantity=q) for q in quantities]
+        real, calls = protocols.overlap_kernel, []
+
+        def counted(f_o, a_m, T):
+            calls.append(T)
+            return real(f_o, a_m, T)
+
+        monkeypatch.setattr(protocols, "overlap_kernel", counted)
+        cfg = config()
+        assert [separation_scaling_fit(cfg, T_values, quantity=q) for q in quantities] == fresh
+        assert calls == [float(T) for T in T_values]
+
+    def test_a_kernel_that_raises_is_not_kept(self, canonical_field, monkeypatch):
+        import qetlab.protocols as protocols
+
+        calls = []
+
+        def failing(f_o, a_m, T):
+            calls.append(T)
+            raise ToleranceFailure(f"K(T={T}) misses its gate")
+
+        inv = PairInvariants.of(canonical_field, canonical_field)
+        monkeypatch.setattr(protocols, "overlap_kernel", failing)
+        for _ in range(2):
+            with pytest.raises(ToleranceFailure):
+                inv.kernel(12.0)
+        assert calls == [12.0, 12.0]
 
 
 class TestCrossover:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qetlab import ValidationError, parse_scenario, results
+from qetlab import ValidationError, parse_scenario, results, scenario
 from qetlab.cli import EXIT_VALIDATION, main
 from qetlab.dynamics import energy_density_frame
 from qetlab.fields import CurlGaussian
@@ -308,6 +308,70 @@ class TestParsing:
         as_int, as_float = scenario(16), scenario(16.0)
         assert as_int.grid_half_extent == 16.0 and isinstance(as_int.grid_half_extent, float)
         assert as_int.scenario_hash == as_float.scenario_hash
+
+
+CANONICAL = Path(__file__).resolve().parents[1] / "scenarios" / "canonical.yaml"
+
+MIXED = """
+# flow and block lists, quoted numbers, special floats, null and an alias
+T: [8.0, 1e100, .inf, -.INF]
+lambda:
+  - 0.5   # a comment after an item
+  - '1.0'
+  - "2"
+times: ~
+grid: &grid {n: 64, half_extent: 1.5e+1}
+copy: *grid
+names: [a, 'b: c', "d\\n"]
+flags: [true, false, yes, null, 0x10, 010, 1_000]
+"""
+
+
+class TestLoaders:
+    """libyaml's safe loader, where PyYAML has it, reads what the pure-Python one reads."""
+
+    def test_libyaml_loader_is_used_where_pyyaml_has_it(self):
+        assert scenario._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.parametrize(
+        "text",
+        [CANONICAL.read_text(encoding="utf-8"), MINIMAL, FULL, MIXED],
+        ids=["canonical", "minimal", "full", "mixed"],
+    )
+    def test_both_loaders_read_the_same_values(self, text):
+        assert yaml.load(text, Loader=scenario._LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_mixed_text_reads_as_yaml_1_1(self):
+        raw = yaml.load(MIXED, Loader=scenario._LOADER)
+        assert raw["T"] == [8.0, "1e100", math.inf, -math.inf]
+        assert raw["lambda"] == [0.5, "1.0", "2"] and raw["times"] is None
+        assert raw["copy"] == raw["grid"] == {"n": 64, "half_extent": 15.0}
+        assert raw["flags"] == [True, False, True, None, 16, 8, 1000]
+
+    @pytest.mark.parametrize("text", [CANONICAL.read_text(encoding="utf-8"), FULL], ids=["canonical", "full"])
+    def test_pure_python_loader_gives_the_same_scenario(self, text, tmp_path, monkeypatch):
+        path = write(tmp_path, text)
+        fast = parse_scenario(path)
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        pure = parse_scenario(path)
+        assert pure == fast and pure.scenario_hash == fast.scenario_hash
+
+    def test_pure_python_loader_keeps_the_canonical_hash(self, monkeypatch):
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        assert parse_scenario(CANONICAL).scenario_hash == "1c269aa53db7c168"
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["qetlab-loader", "SafeLoader"])
+    @pytest.mark.parametrize(
+        "text, line", [("T: [8.0\nfields", "line 1"), ("T: 8.0\n  x: : [\n", "line 2")], ids=["flow", "block"]
+    )
+    def test_malformed_yaml_names_file_and_line(self, pure, text, line, tmp_path, monkeypatch):
+        if pure:
+            monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        path = write(tmp_path, text)
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(path)
+        [message] = err.value.errors
+        assert message.startswith(f"{path}: malformed YAML: ") and line in message
 
 
 class TestRunScenario:

@@ -299,25 +299,31 @@ class TestOverlapKernel:
             assert overlap_kernel(f, a, float(T)).samples_or_nodes == 3 * 64
 
     @pytest.mark.parametrize(
-        "center, T, rejected",
+        "center, T, rejected, sigma",
         [
-            ((0.0, 0.0, 0.0), 1e61, False),
-            ((0.0, 0.0, 0.0), 1e62, True),
-            ((0.0, 0.0, 0.0), 1e100, True),
+            ((0.0, 0.0, 0.0), 1e61, False, 1.0),
+            ((0.0, 0.0, 0.0), 1e62, True, 1.0),
+            ((0.0, 0.0, 0.0), 1e100, True, 1.0),
             # a displaced pair forms k^5 only below |k| = 2/|d|, so the gate passes it
-            ((1.0, 0.0, 0.0), 1e62, False),
-            ((1.0, 0.0, 0.0), 1e154, False),
+            ((1.0, 0.0, 0.0), 1e62, False, 1.0),
+            ((1.0, 0.0, 0.0), 1e154, False, 1.0),
             # ... and k^2 past it, which leaves the float range near T = 2.7e154
-            ((1.0, 0.0, 0.0), 1e155, True),
+            ((1.0, 0.0, 0.0), 1e155, True, 1.0),
             # a nearly co-centred pair's k^2/(2|d|^3) overflows first
-            ((1e-61, 0.0, 0.0), 1e63, False),
-            ((1e-61, 0.0, 0.0), 1e64, True),
+            ((1e-61, 0.0, 0.0), 1e63, False, 1.0),
+            ((1e-61, 0.0, 0.0), 1e64, True, 1.0),
+            # a wide pair (alpha = 100): the saddle exponent, about T^2/(4 alpha),
+            # overflows while k^2 is still near 1e306
+            ((1.0, 0.0, 0.0), 1e154, False, 10.0),
+            ((1.0, 0.0, 0.0), 1e155, False, 10.0),
+            ((1.0, 0.0, 0.0), 4e155, True, 10.0),
+            ((1.0, 0.0, 0.0), 1e156, True, 10.0),
         ],
     )
-    def test_T_whose_contour_overflows_k5_is_named(self, center, T, rejected):
+    def test_T_whose_contour_overflows_k5_is_named(self, center, T, rejected, sigma):
         # the saddle height is about T/2 at sigma = 1; its fifth power passes the
         # float range near T = 9e61, where K ~ 1005 T^-6 is long below it
-        f, a = CurlGaussian(1.0, 1.0, center=center), CurlGaussian(1.0, 1.0)
+        f, a = CurlGaussian(1.0, sigma, center=center), CurlGaussian(1.0, sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if rejected:
