@@ -5,8 +5,9 @@ One verb per capability: `energy` (input energy and damping factors),
 (energy-density frames), `demo negative-energy`, and `verify` (oracle
 cross-checks).  Exit codes: 0 success, 2 invalid input (bad scenario, a
 scenario file that is not UTF-8 text, an under-resolved grid, a frame too
-large to allocate, a zero or overflowing field pair, a width, separation or
-T beyond the float range, a light-cone evaluation), 3 numerical tolerance
+large to allocate, a zero or overflowing field pair, a density scale, K(T)
+prefactor or separation beyond the float range, a T at which a term of K(T)'s
+contour sum leaves it, a light-cone evaluation), 3 numerical tolerance
 failure, 4 I/O error.
 """
 

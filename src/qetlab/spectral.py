@@ -65,32 +65,16 @@ def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float, s
     e^{|Im z|} is never formed alone.  sides = (+-1,) keeps the e^{+-iz} part
     alone, which has no series: every node takes the closed form.
     """
-    x, y = k.real, k.imag
 
     def saddle_factor(u, m):
         # e^{-alpha k^2 + iku} on the nodes m, formed around the saddle so
         # that large terms do not cancel
-        xm, ym = x[m], y[m]
+        xm, ym = k.real[m], k.imag[m]
         return np.exp(ym * (alpha * ym - u) - alpha * xm * xm + 1j * xm * (u - 2.0 * alpha * ym))
 
     z = k * dist
     small = (np.abs(z) < _SERIES_X) & (len(sides) == 2)
     big = ~small
-    # the series forms k^5, the closed form k^2/(2|d|^3) and z^2; a product of
-    # floats gives inf where ** would raise
-    k_abs = np.abs(k)
-    k_s, k_c = (float(k_abs[m].max(initial=0.0)) for m in (small, big))
-    cube, z_c, reach = 2.0 * dist * dist * dist, k_c * dist, f"K(T={t!r}): the contour reaches |k| = "
-    if math.isinf(k_s * k_s * k_s * k_s * k_s):
-        raise ValidationError(f"{reach}{k_s:.3g}, whose k^5 overflows")
-    if k_c and math.isinf(cube):
-        raise ValidationError(f"separation |d| = {dist!r}: 2|d|^3 leaves the float range")
-    if math.isinf(z_c * z_c) or k_c * k_c / np.finfo(float).max > cube:
-        raise ValidationError(f"{reach}{k_c:.3g}, whose k^2/(2|d|^3) or (k|d|)^2 overflows")
-    # the saddle factor's exponent y(alpha y - u), u <= t + |d|, overflows first when alpha > 1
-    y_top = float(np.abs(y).max())
-    if math.isinf(y_top * (alpha * y_top + t + dist)):
-        raise ValidationError(f"{reach}{float(k_abs.max()):.3g}, whose saddle exponent overflows")
     f = np.empty_like(k)
     z2 = z[small] ** 2
     A = (2.0 / 3.0) * c_a * np.polyval(_SERIES_J0, z2) + (c_d - c_a / 3.0) * z2 * np.polyval(_SERIES_J2, z2)
@@ -134,23 +118,26 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     resolve that, or h = 0, the leg stops at x = 2/|d| when that comes first,
     and each part, in e^{ik(t +- |d|)}, runs on to its own saddle and along
     it.  At most seven panels.  Returns (pref J, rounding bound, node count).
+
+    Lengths are in units of `scale`, the wider width rounded down to a power
+    of two, so each float is its caller-unit value times a power of two.  The
+    exponent's real part is a sum of two terms <= 0, whose overflow is -inf
+    (exp gives 0); any other overflow leaves inf or NaN in a term: refused.
     """
-    t = _positive(t, "T")
+    T = _positive(t, "T")
     d = f2.center_vec - f1.center_vec
-    dist = float(np.linalg.norm(d))
+    sep = float(np.linalg.norm(d))
     n1, n2 = f1.axis_vec, f2.axis_vec
     c_a = float(n1 @ n2)
-    c_d = float((d @ n1) * (d @ n2)) / (dist * dist) if dist > 0.0 else 0.0
-    s1, s2 = f1.sigma, f2.sigma
+    c_d = float((d @ n1) * (d @ n2)) / (sep * sep) if sep > 0.0 else 0.0
+    scale = math.ldexp(1.0, math.frexp(max(f1.sigma, f2.sigma))[1] - 1)
+    s1, s2, t, dist = f1.sigma / scale, f2.sigma / scale, T / scale, sep / scale
     amp = f1.amplitude * f2.amplitude
-    # a power raises on overflow and a product goes to inf; a prefactor that
-    # underflows to 0 zeroes K(T), or makes it NaN against an overflowing k^5
-    try:
-        pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
-    except OverflowError:
-        pref = math.inf
-    if math.isinf(pref) or (pref == 0.0 and amp != 0.0):
-        raise ValidationError(f"widths sigma = {s1!r} and {s2!r}: the K(T) prefactor leaves the float range")
+    pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
+    if math.isinf(2.0 * dist * dist * dist):
+        raise ValidationError(f"separation |d| = {sep!r}: 2|d|^3 in units of {scale!r} leaves the float range")
+    if not math.isfinite(pref) or (pref == 0.0 and amp != 0.0):
+        raise ValidationError(f"widths sigma = {f1.sigma!r} and {f2.sigma!r}: the K(T) prefactor leaves the float range")
     alpha = 0.5 * (s1**2 + s2**2)
 
     x_max = 8.0 / math.sqrt(alpha)
@@ -165,14 +152,19 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
         leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
         legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
     terms = []
-    for points, sides in legs:
-        path = np.array(points)
-        half = 0.5 * np.diff(path)
-        k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
-        terms.append((half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d, sides))
-    terms = np.concatenate(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, sides in legs:
+            path = np.array(points)
+            half = 0.5 * np.diff(path)
+            k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
+            terms.append((half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d, sides))
+        terms = np.concatenate(terms)
+        size = float(np.abs(terms).sum())
+    if not math.isfinite(size):
+        reach = max(abs(p) for points, _ in legs for p in points) / scale
+        raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
     J = terms[:m].real.sum() + terms[m:].sum()
-    err = _ROUNDING_ULPS * np.finfo(float).eps * pref * float(np.abs(terms).sum())
+    err = _ROUNDING_ULPS * np.finfo(float).eps * pref * size
     return pref * complex(J), err, len(terms)
 
 

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import qetlab.cli as cli
-from qetlab import verify
+from qetlab import CurlGaussian, verify
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from qetlab.spectral import overlap_kernel
+
+from oracles import kernel_series_reference
 
 MINIMAL = """
 T: 8.0
@@ -25,7 +27,8 @@ fields:
   a_m: {sigma: 1.0}
 """
 
-# widths whose powers in K(T) and in the density leave the float range
+# widths whose density scale leaves the float range; K(T) runs in units of the
+# wider width, so the first pair is computed and the second names T
 WIDE = "T: 1.0e+162\nfields: {a_m: {sigma: 1.0e+160}}\n"
 NARROW = "T: 1.0\nfields: {a_m: {sigma: 1.0e-90}}\ngrid: {n: 32, half_extent: 6.0e-90}\ntimes: [0.0]\n"
 
@@ -133,13 +136,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "verb, scenario, sigma",
-        [
-            ("teleport", WIDE, "1e+160"),
-            ("density", WIDE, "1e+160"),
-            ("teleport", NARROW, "1e-90"),
-            ("density", NARROW, "1e-90"),
-        ],
-        ids=["wide-teleport", "wide-density", "narrow-teleport", "narrow-density"],
+        [("density", WIDE, "1e+160"), ("density", NARROW, "1e-90")],
+        ids=["wide-density", "narrow-density"],
     )
     def test_extreme_width_exits_2_naming_it(self, verb, scenario, sigma, tmp_path, capsys):
         # the parser accepts both, since their norms stay finite
@@ -149,6 +147,29 @@ class TestExitCodes:
         assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and f"sigma = {sigma}" in captured.err
+        assert not out_dir.exists()
+
+    def test_wide_width_teleports_at_the_reference_K(self, tmp_path):
+        path = tmp_path / "wide.yaml"
+        path.write_text(WIDE)
+        out_dir = tmp_path / "out"
+        assert main(["teleport", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_OK
+        lines = (out_dir / "results.jsonl").read_text().splitlines()
+        (rec,) = [r for r in map(json.loads, lines) if r["probe"] == "oscillator"]
+        wide = CurlGaussian(1.0, 1e160)
+        assert 2.0 * rec["eta_prime"] == pytest.approx(kernel_series_reference(wide, wide, 1e162), rel=1e-12, abs=0.0)
+
+    def test_narrow_width_whose_K_underflows_exits_2_naming_T(self, tmp_path, capsys):
+        # K ~ (sigma/T)^6 is far below the float range; the contour's nodes in
+        # units of sigma reach T/sigma ~ 1e90, whose fifth power overflows
+        path = tmp_path / "narrow.yaml"
+        path.write_text(NARROW)
+        out_dir = tmp_path / "out"
+        assert main(["teleport", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: sweep point (T=1.0): K(T=1.0): the contour reaches |k| = 5e+179, where its terms leave"
+            " the float range\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("verb", ["energy", "teleport", "sweep", "density"])
@@ -223,7 +244,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("verb", ["teleport", "sweep"])
     def test_T_whose_contour_overflows_k5_exits_2(self, verb, tmp_path, capsys):
-        # past T ~ 9e61 at sigma = 1 the contour's k^5 leaves the float range
+        # past T ~ 9e61 at sigma = 1 the contour's k^5 terms leave the float range
         path = tmp_path / "late.yaml"
         path.write_text(MINIMAL.replace("T: 8.0", "T: 1.0e+100"))
         out_dir = tmp_path / "out"
@@ -232,16 +253,17 @@ class TestExitCodes:
             assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == (
-            "error: sweep point (T=1e+100): K(T=1e+100): the contour reaches |k| = 5e+99, whose k^5 overflows\n"
+            "error: sweep point (T=1e+100): K(T=1e+100): the contour reaches |k| = 5e+99, where its terms leave"
+            " the float range\n"
         )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "center, T, cause",
         [
-            ("[1.0, 0.0, 0.0]", "1.0e+155", "K(T=1e+155): the contour reaches |k| = 5e+154, whose k^2/(2|d|^3)"
-             " or (k|d|)^2 overflows"),
-            ("[1.0e+103, 0.0, 0.0]", "2.0e+103", "separation |d| = 1e+103: 2|d|^3 leaves the float range"),
+            ("[1.0, 0.0, 0.0]", "1.0e+155", "K(T=1e+155): the contour reaches |k| = 5e+154, where its terms"
+             " leave the float range"),
+            ("[1.0e+103, 0.0, 0.0]", "2.0e+103", "separation |d| = 1e+103: 2|d|^3 in units of 1.0 leaves the float range"),
         ],
         ids=["displaced-T-1e155", "d-1e103"],
     )

@@ -6,7 +6,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qetlab import (
@@ -247,13 +247,20 @@ class TestOverlapKernel:
         mc = brute_force_overlap_oracle(canonical_field, canonical_field, T, samples=400_000, seed=3)
         assert abs(K.value - mc.value) <= 3.0 * mc.estimated_error
 
-    @pytest.mark.parametrize("sigma, T", [(1e160, 1e162), (1e110, 1e112), (1e-90, 1.0)])
-    def test_width_beyond_the_float_range_is_named(self, sigma, T):
-        # sigma^2 raises, (2 pi sigma^2)^(3/2) raises, or the prefactor underflows
+    @pytest.mark.parametrize("sigma", [1e160, 1e110])
+    def test_width_past_the_float_range_of_its_powers_is_computed(self, sigma):
+        # sigma^2 and (2 pi sigma^2)^(3/2) overflow, but K(100 sigma) is 1.0095e-9
+        # at every width, and the contour runs in units of the width
         wide = CurlGaussian(1.0, sigma)
+        K = overlap_kernel(wide, wide, 100.0 * sigma)
+        assert_within_estimate(K, kernel_series_reference(wide, wide, 100.0 * sigma))
+
+    def test_narrow_width_whose_K_underflows_names_T(self):
+        # at T/sigma = 1e90 the series nodes' k^5 overflows, and K ~ 1005 (sigma/T)^6 is 0
+        narrow = CurlGaussian(1.0, 1e-90)
         for integral in (overlap_kernel, commutator_residual):
-            with pytest.raises(ValidationError, match=re.escape(f"widths sigma = {sigma!r} and {sigma!r}")):
-                integral(wide, wide, T)
+            with pytest.raises(ValidationError, match=re.escape("K(T=1.0): the contour reaches |k| = 5e+179, where")):
+                integral(narrow, narrow, 1.0)
 
     @pytest.mark.parametrize(
         "dist, sigma, earlier",
@@ -299,31 +306,24 @@ class TestOverlapKernel:
             assert overlap_kernel(f, a, float(T)).samples_or_nodes == 3 * 64
 
     @pytest.mark.parametrize(
-        "center, T, rejected, sigma",
+        "center, sigma, first",
         [
-            ((0.0, 0.0, 0.0), 1e61, False, 1.0),
-            ((0.0, 0.0, 0.0), 1e62, True, 1.0),
-            ((0.0, 0.0, 0.0), 1e100, True, 1.0),
-            # a displaced pair forms k^5 only below |k| = 2/|d|, so the gate passes it
-            ((1.0, 0.0, 0.0), 1e62, False, 1.0),
-            ((1.0, 0.0, 0.0), 1e154, False, 1.0),
-            # ... and k^2 past it, which leaves the float range near T = 2.7e154
-            ((1.0, 0.0, 0.0), 1e155, True, 1.0),
+            # the series nodes reach the saddle height, about T/2, whose k^5 overflows
+            ((0.0, 0.0, 0.0), 1.0, 8.9531e61),
             # a nearly co-centred pair's k^2/(2|d|^3) overflows first
-            ((1e-61, 0.0, 0.0), 1e63, False, 1.0),
-            ((1e-61, 0.0, 0.0), 1e64, True, 1.0),
-            # a wide pair (alpha = 100): the saddle exponent, about T^2/(4 alpha),
-            # overflows while k^2 is still near 1e306
-            ((1.0, 0.0, 0.0), 1e154, False, 10.0),
-            ((1.0, 0.0, 0.0), 1e155, False, 10.0),
-            ((1.0, 0.0, 0.0), 4e155, True, 10.0),
-            ((1.0, 0.0, 0.0), 1e156, True, 10.0),
+            ((1e-61, 0.0, 0.0), 1.0, 1.19923e63),
+            # a displaced pair forms k^5 only below |k| = 2/|d|; past it k^2 overflows
+            ((1.0, 0.0, 0.0), 1.0, 2.68156e154),
+            # in units of 8, sigma = 1.25 and |d| = 1/8, so k^2/(2|d|^3) overflows first
+            ((1.0, 0.0, 0.0), 10.0, 2.09497e154),
         ],
     )
-    def test_T_whose_contour_overflows_k5_is_named(self, center, T, rejected, sigma):
-        # the saddle height is about T/2 at sigma = 1; its fifth power passes the
-        # float range near T = 9e61, where K ~ 1005 T^-6 is long below it
+    @pytest.mark.parametrize("factor, rejected", [(1.0 - 1e-3, False), (1.0 + 1e-3, True), (1e100, True)])
+    def test_first_T_whose_contour_terms_overflow_is_named(self, center, sigma, first, factor, rejected):
+        # `first` is the pair's first refused T, by bisection; K ~ 1005 (sigma/T)^6
+        # is long below the float range there, so it is 0 just before
         f, a = CurlGaussian(1.0, sigma, center=center), CurlGaussian(1.0, sigma)
+        T = factor * first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if rejected:
@@ -669,6 +669,59 @@ class TestContourAccuracy:
             for T in (0.5, 8.0, 14.0, 400.0):
                 overlap_kernel(f, a, T)
                 commutator_residual(f, a, T)
+
+
+# the smallest normal float: below it K's rounding is not held to 1e-12
+TINY = 2.0**-1022
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@st.composite
+def kernel_draws(draw):
+    """(f_o, a_m, T): widths 1e-3..1e3, |d| 0 or 1e-3..1e2, T from where the Watson series holds to 1e300."""
+    s_f, s_a = draw(_log_uniform(1e-3, 1e3)), draw(_log_uniform(1e-3, 1e3))
+    dist = draw(st.just(0.0) | _log_uniform(1e-3, 1e2))
+    direction = draw(_DIRECTIONS)
+    center = tuple(dist * direction / np.linalg.norm(direction))
+    f = CurlGaussian(draw(_log_uniform(1e-3, 1e3)), s_f, center=center, axis=tuple(draw(_DIRECTIONS)))
+    a = CurlGaussian(1.0, s_a, axis=tuple(draw(_DIRECTIONS)))
+    floor = max(30.0 * math.sqrt(0.5 * (s_f**2 + s_a**2)), 3.0 * dist, min_oracle_wait(f, a))
+    return f, a, math.exp(draw(st.floats(math.log(floor), math.log(1e300))))
+
+
+@settings(max_examples=400, derandomize=True)
+@example(draw=(CurlGaussian(1.0, 1e3), CurlGaussian(1.0, 1e3), 1e54))
+@example(draw=(CurlGaussian(1.0, 1e110), CurlGaussian(1.0, 1e110), 1e112))
+@given(draw=kernel_draws())
+def test_kernel_meets_the_watson_series_or_names_T(draw):
+    # K is within 1e-12 of the 50-digit series wherever that is a normal
+    # float; the contour refuses a T only where it is not, and then for both
+    # parts of the pairing
+    f, a, T = draw
+    try:
+        ref = kernel_series_reference(f, a, T)
+    except ValueError:
+        assume(False)  # the asymptotic series grows before it converges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            K = overlap_kernel(f, a, T).value
+        except ValidationError:
+            assert abs(ref) < TINY
+            with pytest.raises(ValidationError):
+                commutator_residual(f, a, T)
+            return
+        commutator_residual(f, a, T)
+    if abs(ref) >= TINY:
+        assert abs(K - ref) <= 1e-12 * abs(ref)
+    else:
+        assert abs(K) < TINY
 
 
 class TestOrientationLaws:
