@@ -10,14 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qetlab import (
-    CurlGaussian,
-    ProtocolConfig,
-    commutator_residual,
-    crossover_amplitude,
-    overlap_kernel,
-    teleport,
-)
+from qetlab import ProtocolConfig, crossover_amplitude, teleport
 from qetlab.results import emit_records, run_scenario
 from qetlab.scenario import scenario_from_dict
 
@@ -30,16 +23,24 @@ def main() -> int:
     parser.add_argument("--out", default="out_canonical")
     args = parser.parse_args()
 
-    a = CurlGaussian(1.0, args.sigma)
-    cfg = ProtocolConfig(a_m=a, f_o=a, T=args.T, lam=args.lam)
+    scenario = scenario_from_dict(
+        {
+            "probe": "both",
+            "T": args.T,
+            "lambda": args.lam,
+            "fields": {"a_m": {"amplitude": 1.0, "sigma": args.sigma}},
+        }
+    )
+    cfg = ProtocolConfig(a_m=scenario.a_m, f_o=scenario.f_o, T=args.T, lam=args.lam)
 
     print(f"# canonical run: sigma={args.sigma}, T={args.T}, lambda={args.lam}")
-    inv = cfg.pair
+    inv = scenario.pair
     print(f"E_m                 = {args.lam**2 * inv.E_m:.12g}")
-    # K and the commutator are linear in the measurement amplitude
-    K1 = overlap_kernel(a, a, cfg.T)
+    # K and the commutator are linear in the measurement amplitude; the
+    # scenario's pair keeps this record, so run_scenario reuses it below
+    K1 = inv.kernel(args.T)
     print(f"K(T)                = {args.lam * K1.value:.12g}  (estimated error {args.lam * K1.estimated_error:.2g})")
-    print(f"commutator residual = {args.lam * commutator_residual(a, a, cfg.T):.3g}")
+    print(f"commutator residual = {args.lam * K1.commutator:.3g}")
 
     out = teleport(inv, K1.value, args.lam)
     print(f"spin probe:  eta={out.eta:.6g} xi={out.xi:.6g} theta*={out.theta_star:.6g}")
@@ -54,14 +55,6 @@ def main() -> int:
     # |E_o'| saturates as lambda grows: D_ho K^2 -> K1^2/(2 I1), independent of lambda
     print(f"large-lambda |E_o'| = {K1.value * K1.value / (4.0 * inv.I1 * inv.xi):.6g}")
 
-    scenario = scenario_from_dict(
-        {
-            "probe": "both",
-            "T": args.T,
-            "lambda": args.lam,
-            "fields": {"a_m": {"amplitude": 1.0, "sigma": args.sigma}},
-        }
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_records(run_scenario(scenario), out_dir / "results.jsonl")

@@ -38,7 +38,7 @@ def main() -> int:
     T_values = np.geomspace(args.t_min, args.t_max, args.points)
     rows = []
     for T in T_values:
-        K = inv.kernel(float(T))
+        K = inv.kernel(float(T)).value
         out = teleport(inv, K, 1.0)
         rows.append([T, abs(K), abs(out.E_o), abs(out.E_o_prime)])
     sep_path = out_dir / "separation.csv"
@@ -53,7 +53,7 @@ def main() -> int:
     lam_c = crossover_amplitude(cfg)
     print(f"crossover lambda_c = {lam_c:.10g}")
     lams = np.linspace(0.25 * lam_c, 4.0 * lam_c, 25)
-    K = inv.kernel(args.t_min)
+    K = inv.kernel(args.t_min).value
     rows = []
     for lam in lams:
         out = teleport(inv, K, float(lam))

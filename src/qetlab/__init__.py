@@ -14,8 +14,8 @@ from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, RadialWindow
 from .spectral import (
     IntegralResult,
+    KernelResult,
     brute_force_overlap_oracle,
-    commutator_residual,
     overlap_kernel,
     weighted_spectral_integral,
 )

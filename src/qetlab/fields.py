@@ -186,6 +186,20 @@ class CurlGaussian:
         return self
 
 
+def _separation(f1: CurlGaussian, f2: CurlGaussian) -> tuple[float, float]:
+    """|d| and (d^.n1)(d^.n2), 0 where d = 0, for d = f2.center - f1.center, from d/2^e,
+    whose largest component is in [1/2, 1): |d|^2 cannot overflow, and each is np.linalg.norm's
+    arithmetic on d to the bit wherever that stays normal.  A |d| past the float range is refused."""
+    d = [q - p for p, q in zip(f1.center, f2.center)]  # a Python float overflows to inf silently
+    e = math.frexp(max(map(abs, d)))[1]
+    v = np.ldexp(d, -e)
+    norm = float(np.linalg.norm(v))
+    sep = norm * 2.0 * math.ldexp(1.0, e - 1)  # 2^e as 2 * 2^(e - 1), a float for every e
+    if math.isinf(sep):
+        raise ValidationError(f"separation: |d| between the centres {f1.center} and {f2.center} is beyond the float range")
+    return sep, float((v @ f1.axis_vec) * (v @ f2.axis_vec)) / (norm * norm) if norm > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class RadialWindow:
     """Scalar window: 1 inside `radius`, cosine rolloff to 0 over [radius, 2 radius]."""

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ToleranceFailure, ValidationError
-from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _set_checked
-from .spectral import overlap_kernel, weighted_spectral_integral
+from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _separation, _set_checked
+from .spectral import KernelResult, overlap_kernel, weighted_spectral_integral
 
 # u* = 2 lam_c^2 I1 where the damping factors cross: e^u = 1 + pi^2/4 + u.
 # e^u - u grows without bound from 1 < 1 + pi^2/4 at u = 0, so one positive
@@ -55,8 +55,7 @@ class ProtocolConfig:
 
 def min_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian) -> float:
     """Enforced wait-time floor: center separation plus a few envelope widths."""
-    sep = float(np.linalg.norm(a_m.center_vec - f_o.center_vec))
-    return sep + CAUSAL_SIGMA_FACTOR * (a_m.sigma + f_o.sigma)
+    return _separation(a_m, f_o)[0] + CAUSAL_SIGMA_FACTOR * (a_m.sigma + f_o.sigma)
 
 
 def after_causal_wait(a_m: CurlGaussian, f_o: CurlGaussian):
@@ -119,10 +118,10 @@ class PairInvariants:
         xi = weighted_spectral_integral(f_o, 0)
         return cls(a_m=a_m, f_o=f_o, E_m=E_m, I1=I1, xi=xi)
 
-    def kernel(self, T: float) -> float:
-        """K(T) at lam = 1, computed once per T; a T that raises is not kept."""
+    def kernel(self, T: float) -> KernelResult:
+        """K(T)'s record at lam = 1, from one contour per T; a T that raises is not kept."""
         if T not in self._K:
-            self._K[T] = overlap_kernel(self.f_o, self.a_m, T).value
+            self._K[T] = overlap_kernel(self.f_o, self.a_m, T)
         return self._K[T]
 
 
@@ -185,7 +184,7 @@ def _check_bookkeeping(E_out: float, E_m: float, name: str) -> None:
 
 
 def teleport(inv: PairInvariants, K1: float, lam: float) -> Outcome:
-    """Both protocols at amplitude multiplier lam, given K1 = inv.kernel(T).
+    """Both protocols at amplitude multiplier lam, given K1 = inv.kernel(T).value.
 
     Spin probe (binary measurement): eta = <0|(0,2a)> K, theta* = -eta/xi,
     E_o = -eta^2/(2 xi).  Oscillator probe (Gaussian pointer): eta' = K/2,
@@ -264,7 +263,7 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
     logs_T, logs_v = [], []
     dropped = 0
     for T in T_values:
-        K1 = inv.kernel(T)
+        K1 = inv.kernel(T).value
         if quantity == "kernel":
             v = abs(cfg.lam * K1)
         else:

@@ -57,7 +57,7 @@ def run_scenario(scenario: Scenario) -> list[dict]:
     inv = scenario.pair
     outcomes = {}
     for T in scenario.T_list:
-        K1 = _at_sweep_point(f"T={T}", inv.kernel, T)
+        K1 = _at_sweep_point(f"T={T}", inv.kernel, T).value
         for lam in scenario.lambdas:
             outcomes[lam, T] = _at_sweep_point(f"lambda={lam}, T={T}", teleport, inv, K1, lam)
     scenario_hash = scenario.scenario_hash

@@ -199,10 +199,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     results_name = _file_name(output.get("results", "results.jsonl"), "scenario.output.results", errs)
     frames_prefix = _file_name(output.get("frames_prefix", "frame"), "scenario.output.frames_prefix", errs)
 
-    if a_m is not None and f_o is not None:
-        causal = after_causal_wait(a_m, f_o)
-        for T in T_list:
-            errs.call("scenario", causal, T, "T")
+    causal = errs.call("scenario.fields", after_causal_wait, a_m, f_o) if a_m and f_o else None
+    for T in T_list if causal else ():
+        errs.call("scenario", causal, T, "T")
     if pair is not None:
         scaled = scaled_norms_finite(pair)
         for lam in lambdas:

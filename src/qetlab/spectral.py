@@ -14,6 +14,7 @@ tilted axes.  That integrand is entire, so K(T) and the commutator integral
 are the real and imaginary parts of one integral taken along a
 steepest-descent path with fixed Gauss-Legendre panels: no leg oscillates at
 the frequency T, and no large terms cancel at large separations.
+`overlap_kernel` keeps both parts, their rounding bound and node count together.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceFailure, ValidationError
-from .fields import CurlGaussian, _checked, _integer, _nonnegative, _positive, _set_checked
+from .fields import CurlGaussian, _checked, _integer, _nonnegative, _positive, _separation, _set_checked
 
 FOUR_PI_OVER_8PI3 = 4.0 * np.pi / (2.0 * np.pi) ** 3
 
@@ -37,11 +38,19 @@ CONE_EPS = 1e-9
 class IntegralResult:
     value: float
     estimated_error: float
-    method: str  # "steepest-descent" | "monte-carlo"
-    samples_or_nodes: int
 
     def __post_init__(self):
         _set_checked(self, estimated_error=_nonnegative)
+
+
+@dataclass(frozen=True)
+class KernelResult:
+    """K(T) and the commutator integral of one contour, the rounding bound of both, and its node count."""
+
+    value: float
+    commutator: float
+    estimated_error: float
+    samples_or_nodes: int
 
 
 # Below |z| = _SERIES_X the closed form of A(z) cancels (at |z| = 1e-4 the two
@@ -125,11 +134,8 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     (exp gives 0); any other overflow leaves inf or NaN in a term: refused.
     """
     T = _positive(t, "T")
-    d = f2.center_vec - f1.center_vec
-    sep = float(np.linalg.norm(d))
-    n1, n2 = f1.axis_vec, f2.axis_vec
-    c_a = float(n1 @ n2)
-    c_d = float((d @ n1) * (d @ n2)) / (sep * sep) if sep > 0.0 else 0.0
+    sep, c_d = _separation(f1, f2)
+    c_a = float(f1.axis_vec @ f2.axis_vec)
     scale = math.ldexp(1.0, math.frexp(max(f1.sigma, f2.sigma))[1] - 1)
     s1, s2, t, dist = f1.sigma / scale, f2.sigma / scale, T / scale, sep / scale
     amp = f1.amplitude * f2.amplitude
@@ -164,7 +170,7 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
         reach = max(abs(p) for points, _ in legs for p in points) / scale
         raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
     J = terms[:m].real.sum() + terms[m:].sum()
-    err = _ROUNDING_ULPS * np.finfo(float).eps * pref * size
+    err = _ROUNDING_ULPS * np.finfo(float).eps * abs(pref) * size
     return pref * complex(J), err, len(terms)
 
 
@@ -202,36 +208,24 @@ def d2_delta_offcone(t: float, r2) -> np.ndarray:
 _KERNEL_RTOL = 1e-6
 
 
-def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> IntegralResult:
-    """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y.
+def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> KernelResult:
+    """K(T) = int int d_T^2 Delta(T, x-y) f_o(x).a_m(y) d^3x d^3y, with the commutator integral.
 
-    Evaluated spectrally as -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)], the
-    real part of `_contour_pairing`; the overall sign is pinned by agreement with
-    `brute_force_overlap_oracle`.
-    Symmetric in (f_o, a_m) and bilinear in each argument.
+    K is -int d^3k/(2pi)^3 |k| cos(|k|T) Re[f_o~(k)*.a_m~(k)], the real part of `_contour_pairing`,
+    its sign pinned by `brute_force_overlap_oracle`; the commutator, of weight -|k| sin(|k|T), is the
+    imaginary part, Gaussian-tail small for causally decoupled fields.  Symmetric, bilinear in each.
     """
     J, err, n = _contour_pairing(f_o, a_m, T)
     value = -J.real
     # written so that a NaN value or error fails the gate
     if not (math.isfinite(value) and err <= _KERNEL_RTOL * abs(value)):
         raise ToleranceFailure(f"estimated error {err:.3e} exceeds {_KERNEL_RTOL:g} |K| for K(T={T})")
-    return IntegralResult(value=value, estimated_error=err, method="steepest-descent", samples_or_nodes=n)
-
-
-def commutator_residual(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> float:
-    """Spectral value of the equal-support commutator integral.
-
-    Kernel weight is -|k| sin(|k|T), the imaginary part of `_contour_pairing`;
-    for causally decoupled configurations the result is of Gaussian-tail size.
-    """
-    return -_contour_pairing(f_o, a_m, T)[0].imag
+    return KernelResult(value=value, commutator=-J.imag, estimated_error=err, samples_or_nodes=n)
 
 
 def min_oracle_wait(f_o: CurlGaussian, a_m: CurlGaussian) -> float:
     """Smallest T keeping every sampled pair strictly inside the light cone."""
-    sep = float(np.linalg.norm(f_o.center_vec - a_m.center_vec))
-    margin = max(f_o.sigma, a_m.sigma)
-    return f_o.effective_radius + a_m.effective_radius + sep + margin
+    return f_o.effective_radius + a_m.effective_radius + _separation(f_o, a_m)[0] + max(f_o.sigma, a_m.sigma)
 
 
 _MC_BATCH = 1 << 16
@@ -271,7 +265,7 @@ def brute_force_overlap_oracle(
             f"T = {T:.6g} is inside the cone-margin regime; need T > {wait:.6g}"
         )
     if f_o.amplitude == 0.0 or a_m.amplitude == 0.0:
-        return IntegralResult(0.0, 0.0, "monte-carlo", samples)
+        return IntegralResult(0.0, 0.0)
 
     # f/p ratios: the Gaussian envelope cancels, leaving w sigma (z x n) per
     # field; both weights and widths fold into one constant
@@ -318,10 +312,4 @@ def brute_force_overlap_oracle(
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    stderr = math.sqrt(var / samples)
-    return IntegralResult(
-        value=mean,
-        estimated_error=stderr,
-        method="monte-carlo",
-        samples_or_nodes=samples,
-    )
+    return IntegralResult(value=mean, estimated_error=math.sqrt(var / samples))

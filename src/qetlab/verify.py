@@ -1,7 +1,7 @@
-"""`qetlab verify`: the oracle cross-checks as one table of (name, value,
-reference, tolerance) rows, and the routes only those rows read.  A row
-passes when abs(value - reference) <= tolerance, which a NaN fails.  Only
-`cli` imports this module, so `import qetlab` loads no check code.
+"""`qetlab verify`: the oracle cross-checks as one table of (name, value, reference,
+tolerance) rows, and the routes only those rows read; both K rows read the unit pair's
+one K(14) record.  A row passes when abs(value - reference) <= tolerance, which a NaN
+fails.  Only `cli` imports this module, so `import qetlab` loads no check code.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .spectral import (
     CONE_EPS,
     brute_force_overlap_oracle,
     d2_delta_offcone,
-    overlap_kernel,
     weighted_spectral_integral,
 )
 
@@ -125,7 +124,7 @@ def checks(mc_samples: int) -> list[tuple[str, float, float, float]]:
         rows.append((f"d_t^2 Delta vs Fourier integral at (t, r) = ({t:g}, {r:g})",
                      float(d2_delta_offcone(t, r * r)), fourier, 1e-6 * abs(fourier)))
 
-    K = overlap_kernel(a, a, 14.0).value
+    K = inv.kernel(14.0).value
     mc = brute_force_overlap_oracle(a, a, 14.0, samples=mc_samples, seed=11)
     rows.append(("overlap kernel vs Monte Carlo", mc.value, K, 3.0 * mc.estimated_error))
 

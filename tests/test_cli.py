@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import qetlab.cli as cli
-from qetlab import CurlGaussian, verify
+from qetlab import CurlGaussian, spectral, verify
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from qetlab.spectral import overlap_kernel
 
@@ -26,6 +27,8 @@ probe: spin
 fields:
   a_m: {sigma: 1.0}
 """
+
+CANONICAL_YAML = Path(__file__).resolve().parents[1] / "scenarios" / "canonical.yaml"
 
 # widths whose density scale leaves the float range; K(T) runs in units of the
 # wider width, so the first pair is computed and the second names T
@@ -277,6 +280,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: sweep point (T={float(T):g}): {cause}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "fields, T, cause",
+        [
+            ("{a_m: {sigma: 1.0}, f_o: {sigma: 1.0, center: [1.0e+200, 0.0, 0.0]}}", "3.0e+200",
+             "sweep point (T=3e+200): separation |d| = 1e+200: 2|d|^3 in units of 1.0 leaves the float range"),
+            ("{a_m: {sigma: 1.0, center: [-1.5e+308, 0.0, 0.0]}, f_o: {sigma: 1.0, center: [1.5e+308, 0.0, 0.0]}}",
+             "1.0e+300", "scenario.fields.separation: |d| between the centres (-1.5e+308, 0.0, 0.0) and"
+             " (1.5e+308, 0.0, 0.0) is beyond the float range"),
+        ],
+        ids=["d-1e200", "d-3e308"],
+    )
+    def test_separation_whose_square_overflows_exits_2_naming_it(self, fields, T, cause, tmp_path, capsys):
+        # |d|^2 leaves the float range in both; the second |d| does too.  No
+        # numpy warning may fire on the way, and stderr holds the one line
+        path = tmp_path / "far.yaml"
+        path.write_text(f"T: {T}\nfields: {fields}\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["teleport", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert not out_dir.exists()
+
     def test_T_whose_K_underflows_returns_zero(self, tmp_path):
         # K ~ 1005 T^-6 ~ 1e-357 at T = 1e60 is below the float range, so 0 is its rounding
         path = tmp_path / "late.yaml"
@@ -410,6 +436,55 @@ class TestTeleport:
         out_dir = tmp_path / "out"
         assert main(["sweep", "--scenario", scenario_path, "--out", str(out_dir)]) == EXIT_OK
         assert (out_dir / "results.jsonl").exists()
+
+
+    def test_canonical_records_are_pinned(self, tmp_path):
+        # the bytes of the canonical run, pinned on numpy 2.4.6 and Python 3.11.7
+        assert main(["teleport", "--scenario", str(CANONICAL_YAML), "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "results.jsonl").read_bytes()).hexdigest()
+        assert digest == "ec020e12fe7d81a66bea4b33e0088db17f2d9539fd25106232976bcb2003fa44"
+
+    def test_opposite_sign_amplitudes_negate_the_couplings(self, tmp_path):
+        # K is bilinear in the amplitudes: flipping f_o's sign negates eta, eta'
+        # and the optimal operations, and leaves every energy's bits alone
+        records = {}
+        for sign in ("1.0", "-1.0"):
+            path = tmp_path / f"sign{sign}.yaml"
+            path.write_text(f"T: 8.0\nfields:\n  a_m: {{amplitude: 1.0, sigma: 1.0}}\n"
+                            f"  f_o: {{amplitude: {sign}, sigma: 1.0}}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["teleport", "--scenario", str(path), "--out", str(tmp_path / sign)]) == EXIT_OK
+            lines = (tmp_path / sign / "results.jsonl").read_text().splitlines()
+            records[sign] = [json.loads(line) for line in lines]
+        negated = {"eta", "theta_star", "eta_prime", "theta_prime_star"}
+        for same, opposite in zip(records["1.0"], records["-1.0"], strict=True):
+            for key, value in same.items():
+                if key == "scenario_hash" or value is None:
+                    continue
+                assert opposite[key] == (-value if key in negated else value), key
+            assert same["E_o" if same["probe"] == "spin" else "E_o_prime"] < 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["teleport", "--scenario", str(CANONICAL_YAML)], ["sweep", "--scenario", str(CANONICAL_YAML)],
+     ["verify", "--mc-samples", "20000"]],
+    ids=["teleport", "sweep", "verify"],
+)
+def test_one_contour_per_pair_and_T(argv, monkeypatch, tmp_path, capsys):
+    # canonical's one T, and verify's K(14): one contour gives K, its
+    # commutator, estimate and node count
+    real, calls = spectral._contour_pairing, []
+
+    def counted(f1, f2, t):
+        calls.append((f1, f2, t))
+        return real(f1, f2, t)
+
+    monkeypatch.setattr(spectral, "_contour_pairing", counted)
+    out = ["--out", str(tmp_path)] if argv[0] != "verify" else []
+    assert main(argv + out) == EXIT_OK
+    assert len(calls) == len(set(calls)) == 1
 
 
 class TestDensity:

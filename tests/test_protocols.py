@@ -47,7 +47,7 @@ def input_energy(a) -> float:
 
 def both_protocols(cfg: ProtocolConfig):
     """Both probes' outcome at cfg's (T, lam), through the config's checked pair."""
-    return teleport(cfg.pair, cfg.pair.kernel(cfg.T), cfg.lam)
+    return teleport(cfg.pair, cfg.pair.kernel(cfg.T).value, cfg.lam)
 
 
 def G2_closed_form(I1: float) -> float:
@@ -165,7 +165,7 @@ class TestDamping:
             I1_grid = grid_norm_reference(a, 1)
             inv = PairInvariants.of(a, a)
             np.testing.assert_allclose(inv.I1, I1_grid, rtol=1e-6)
-            K1 = inv.kernel(8.0)
+            K1 = inv.kernel(8.0).value
             out = teleport(inv, K1, lam)
             np.testing.assert_allclose(out.eta, math.exp(-lam * lam * I1_grid) * lam * K1, rtol=1e-6)
 
@@ -289,12 +289,12 @@ class TestSpinProtocol:
         # matches the damping-factor assembly and, since <G^2> ~ I1/2, its limit
         # -K^2/(4 xi I1), which is the same at unit amplitudes
         cfg = ProtocolConfig(a_m=a_m, f_o=f_o, T=8.0, lam=lam)
-        K1 = cfg.pair.kernel(8.0)
+        K1 = cfg.pair.kernel(8.0).value
         out = teleport(cfg.pair, K1, lam)
         K = lam * K1
         assert out.E_o_prime == pytest.approx(-out.D_ho * K * K / (2.0 * out.xi), rel=1e-12, abs=0.0)
         unit = PairInvariants.of(CurlGaussian(1.0, 1.0), CurlGaussian(1.0, 1.0))
-        assert out.E_o_prime == pytest.approx(-unit.kernel(8.0) ** 2 / (4.0 * unit.xi * unit.I1), rel=1e-12)
+        assert out.E_o_prime == pytest.approx(-unit.kernel(8.0).value ** 2 / (4.0 * unit.xi * unit.I1), rel=1e-12)
 
 
 class TestOscillatorProtocol:
@@ -399,7 +399,7 @@ class TestLargeAmplitudeLimit:
 
     def test_convergence_at_lambda_100(self, canonical_cfg):
         inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
-        K1 = inv.kernel(canonical_cfg.T)
+        K1 = inv.kernel(canonical_cfg.T).value
         limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
         at_100 = abs(teleport(inv, K1, 100.0).E_o_prime)
         assert abs(at_100 - limit) <= 0.01 * limit
@@ -408,12 +408,12 @@ class TestLargeAmplitudeLimit:
         # the outcomes approach one value, and the limit read from a pair
         # whose measurement field is 7x stronger is the same
         inv = PairInvariants.of(canonical_cfg.a_m, canonical_cfg.f_o)
-        K1 = inv.kernel(canonical_cfg.T)
+        K1 = inv.kernel(canonical_cfg.T).value
         limit = K1 * K1 / (4.0 * inv.I1 * inv.xi)
         far = [abs(teleport(inv, K1, lam).E_o_prime) for lam in (1e3, 1e4, 1e5)]
         np.testing.assert_allclose(far, limit, rtol=1e-5)
         strong = PairInvariants.of(canonical_cfg.a_m.scaled(7.0), canonical_cfg.f_o)
-        K7 = strong.kernel(canonical_cfg.T)
+        K7 = strong.kernel(canonical_cfg.T).value
         np.testing.assert_allclose(K7 * K7 / (4.0 * strong.I1 * strong.xi), limit, rtol=1e-10)
 
 
@@ -423,7 +423,7 @@ class TestPairRule:
     def test_zero_measurement_profile_is_a_valid_pair(self, canonical_field):
         inv = PairInvariants.of(CurlGaussian(0.0, 1.0), canonical_field)
         assert (inv.E_m, inv.I1) == (0.0, 0.0)
-        out = teleport(inv, inv.kernel(8.0), 1.0)
+        out = teleport(inv, inv.kernel(8.0).value, 1.0)
         assert out.E_o == 0.0 and out.E_o_prime == 0.0
 
     @pytest.mark.parametrize("amplitude", [1e155, 1e160])

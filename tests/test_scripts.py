@@ -2,6 +2,7 @@
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qetlab import CurlGaussian, PairInvariants, teleport
+from qetlab import CurlGaussian, PairInvariants, spectral, teleport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,9 +32,27 @@ def test_run_canonical(tmp_path):
     limit = float(re.search(r"large-lambda \|E_o'\| = (\S+)", proc.stdout).group(1))
     a = CurlGaussian(1.0, 1.0)
     inv = PairInvariants.of(a, a)
-    at_100 = abs(teleport(inv, inv.kernel(8.0), 100.0).E_o_prime)
+    at_100 = abs(teleport(inv, inv.kernel(8.0).value, 100.0).E_o_prime)
     assert abs(at_100 - limit) <= 0.01 * limit
     assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 2
+
+
+def test_run_canonical_takes_one_contour(tmp_path, monkeypatch, capsys):
+    # K, its estimate and the commutator it prints, and the records it writes,
+    # all come from the scenario pair's one record at T = 8
+    real, calls = spectral._contour_pairing, []
+
+    def counted(f1, f2, t):
+        calls.append((f1, f2, t))
+        return real(f1, f2, t)
+
+    monkeypatch.setattr(spectral, "_contour_pairing", counted)
+    monkeypatch.setattr(sys, "argv", ["run_canonical.py", "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / "run_canonical.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "commutator residual = -0.000601" in capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 1
 
 
 def test_scaling_study(tmp_path):
