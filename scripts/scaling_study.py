@@ -37,8 +37,8 @@ def main() -> int:
     inv = cfg.pair
     T_values = np.geomspace(args.t_min, args.t_max, args.points)
     rows = []
-    for T in T_values:
-        K = inv.kernel(float(T)).value
+    for T, kernel in zip(T_values, inv.kernels([float(T) for T in T_values])):
+        K = kernel.value
         out = teleport(inv, K, 1.0)
         rows.append([T, abs(K), abs(out.E_o), abs(out.E_o_prime)])
     sep_path = out_dir / "separation.csv"

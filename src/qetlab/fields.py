@@ -79,17 +79,26 @@ def _vec3(value, name: str) -> tuple:
     raise ValidationError(message)
 
 
+def _norm(v) -> tuple:
+    """(w, |w|, |v|) for w = v/2^e, whose largest component is in [1/2, 1): |w|^2 cannot overflow, and |w|
+    and w/|w| are np.linalg.norm's arithmetic on v to the bit wherever that stays normal.  |v| may be inf."""
+    e = math.frexp(max(map(abs, v)))[1]
+    w = np.ldexp(v, -e)
+    norm = float(np.linalg.norm(w))
+    return w, norm, norm * 2.0 * math.ldexp(1.0, e - 1)  # 2^e as 2 * 2^(e - 1), a float for every e
+
+
 def _nonzero(value, name: str) -> tuple:
     v = _vec3(value, name)
-    if 0.0 < np.linalg.norm(v) < math.inf:
+    if 0.0 < _norm(v)[2] < math.inf:
         return v
     raise ValidationError(f"{name}: must be a nonzero vector of finite length, got {value!r}")
 
 
 def _unit(value, name: str) -> tuple:
     """A nonzero vector scaled to unit length."""
-    v = np.asarray(_nonzero(value, name))
-    return tuple((v / float(np.linalg.norm(v))).tolist())
+    w, norm, _ = _norm(_nonzero(value, name))
+    return tuple((w / norm).tolist())
 
 
 def _integer(minimum: int):
@@ -187,14 +196,10 @@ class CurlGaussian:
 
 
 def _separation(f1: CurlGaussian, f2: CurlGaussian) -> tuple[float, float]:
-    """|d| and (d^.n1)(d^.n2), 0 where d = 0, for d = f2.center - f1.center, from d/2^e,
-    whose largest component is in [1/2, 1): |d|^2 cannot overflow, and each is np.linalg.norm's
-    arithmetic on d to the bit wherever that stays normal.  A |d| past the float range is refused."""
+    """|d| and (d^.n1)(d^.n2), 0 where d = 0, for d = f2.center - f1.center, both from `_norm`'s
+    scaled d.  A |d| past the float range is refused."""
     d = [q - p for p, q in zip(f1.center, f2.center)]  # a Python float overflows to inf silently
-    e = math.frexp(max(map(abs, d)))[1]
-    v = np.ldexp(d, -e)
-    norm = float(np.linalg.norm(v))
-    sep = norm * 2.0 * math.ldexp(1.0, e - 1)  # 2^e as 2 * 2^(e - 1), a float for every e
+    v, norm, sep = _norm(d)
     if math.isinf(sep):
         raise ValidationError(f"separation: |d| between the centres {f1.center} and {f2.center} is beyond the float range")
     return sep, float((v @ f1.axis_vec) * (v @ f2.axis_vec)) / (norm * norm) if norm > 0.0 else 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import _nonzero, _positive, _set_checked, _unit, _vec3
+from .fields import _nonzero, _norm, _positive, _set_checked, _unit, _vec3
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,12 @@ class PlaneWaveMode:
     def __post_init__(self):
         _set_checked(self, k=_nonzero, polarization=_unit, volume=_positive)
         k = np.asarray(self.k)
-        if abs(k @ np.asarray(self.polarization)) > 1e-12 * np.linalg.norm(k):
+        if abs(k @ np.asarray(self.polarization)) > 1e-12 * self.omega:
             raise ValidationError("polarization: must be transverse to k")
 
     @property
     def omega(self) -> float:
-        return float(np.linalg.norm(self.k))
+        return _norm(self.k)[2]
 
     def electric_amplitude(self, x) -> np.ndarray:
         """Coefficient of the annihilator in E(x) for this mode."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ToleranceFailure, ValidationError
 from .fields import CurlGaussian, _checked, _nonnegative, _positive, _real, _separation, _set_checked
-from .spectral import KernelResult, overlap_kernel, weighted_spectral_integral
+from .spectral import KernelResult, overlap_kernels, weighted_spectral_integral
 
 # u* = 2 lam_c^2 I1 where the damping factors cross: e^u = 1 + pi^2/4 + u.
 # e^u - u grows without bound from 1 < 1 + pi^2/4 at u = 0, so one positive
@@ -118,11 +118,15 @@ class PairInvariants:
         xi = weighted_spectral_integral(f_o, 0)
         return cls(a_m=a_m, f_o=f_o, E_m=E_m, I1=I1, xi=xi)
 
+    def kernels(self, Ts) -> list[KernelResult]:
+        """K(T)'s records at lam = 1, one contour pass over the Ts not yet kept; a pass that raises keeps none."""
+        if todo := [T for T in dict.fromkeys(Ts) if T not in self._K]:
+            self._K.update(zip(todo, overlap_kernels(self.f_o, self.a_m, todo)))
+        return [self._K[T] for T in Ts]
+
     def kernel(self, T: float) -> KernelResult:
-        """K(T)'s record at lam = 1, from one contour per T; a T that raises is not kept."""
-        if T not in self._K:
-            self._K[T] = overlap_kernel(self.f_o, self.a_m, T)
-        return self._K[T]
+        """`kernels` at one T."""
+        return self.kernels([T])[0]
 
 
 def scaled_norms_finite(inv: PairInvariants):
@@ -262,8 +266,8 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
     inv = cfg.pair
     logs_T, logs_v = [], []
     dropped = 0
-    for T in T_values:
-        K1 = inv.kernel(T).value
+    for T, kernel in zip(T_values, inv.kernels(T_values)):
+        K1 = kernel.value
         if quantity == "kernel":
             v = abs(cfg.lam * K1)
         else:

@@ -17,6 +17,7 @@ ten, 1e280 or more, or not finite) falls back to "%.17g" itself.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -50,11 +51,13 @@ def _at_sweep_point(where: str, fn, *args):
 def run_scenario(scenario: Scenario) -> list[dict]:
     """All (probe, lambda, T) combinations, in deterministic task order.
 
-    The pair invariants come from the scenario and K(T) is computed once per
-    T; both probes' records at a (lambda, T) come from one `teleport` Outcome.
-    Errors propagate with the sweep coordinate attached.
+    The pair invariants come from the scenario, every K(T) from one contour pass,
+    and both probes' records at a (lambda, T) from one `teleport` Outcome.  After a
+    failing pass each T is taken alone, so errors carry the sweep coordinate.
     """
     inv = scenario.pair
+    with contextlib.suppress(ValidationError, ToleranceFailure):
+        inv.kernels(scenario.T_list)
     outcomes = {}
     for T in scenario.T_list:
         K1 = _at_sweep_point(f"T={T}", inv.kernel, T).value

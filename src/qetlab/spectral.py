@@ -8,13 +8,13 @@ arguments are `CurlGaussian`s, of which only amplitude, sigma, center and
 axis are read: the transform a~ enters the closed forms but is never
 evaluated.
 
-Every curl-Gaussian pairing reduces to a 1D radial integral: the angular
-part is analytic in spherical Bessel functions even for displaced centers and
-tilted axes.  That integrand is entire, so K(T) and the commutator integral
-are the real and imaginary parts of one integral taken along a
-steepest-descent path with fixed Gauss-Legendre panels: no leg oscillates at
-the frequency T, and no large terms cancel at large separations.
-`overlap_kernel` keeps both parts, their rounding bound and node count together.
+Every curl-Gaussian pairing reduces to a 1D radial integral: the angular part is
+analytic in spherical Bessel functions even for displaced centers and tilted
+axes.  That integrand is entire, so K(T) and the commutator integral are the
+real and imaginary parts of one integral taken along a steepest-descent path
+with fixed Gauss-Legendre panels: no leg oscillates at the frequency T, and no
+large terms cancel at large separations.  `overlap_kernels` takes a pair's T list
+in one pass of that path; each K keeps both parts, its rounding bound and nodes.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ _SERIES_J0, _SERIES_J2 = (
 )
 
 
-def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float, sides=(1, -1)) -> np.ndarray:
-    """k^5 e^{-alpha k^2 + ikt} A(k dist) at complex nodes k.
+def _integrand(k, t, alpha: float, dist: float, c_a: float, c_d: float, sides=(1, -1)) -> np.ndarray:
+    """k^5 e^{-alpha k^2 + ikt} A(k dist) at complex nodes k, each with its own t.
 
     A(z) = (j0 - j1/z) c_a + j2(z) c_d, with c_a = n1.n2 and c_d = (d^.n1)(d^.n2),
     is the angular integral of e^{ik.d}[k^2 (n1.n2) - (k.n1)(k.n2)]/(4 pi k^2).
@@ -78,7 +78,7 @@ def _integrand(k, t: float, alpha: float, dist: float, c_a: float, c_d: float, s
     def saddle_factor(u, m):
         # e^{-alpha k^2 + iku} on the nodes m, formed around the saddle so
         # that large terms do not cancel
-        xm, ym = k.real[m], k.imag[m]
+        xm, ym, u = k.real[m], k.imag[m], u[m]
         return np.exp(ym * (alpha * ym - u) - alpha * xm * xm + 1j * xm * (u - 2.0 * alpha * ym))
 
     z = k * dist
@@ -116,8 +116,8 @@ def _vertical_leg(start: complex, b: float, alpha: float) -> list:
     return [start, start + 1j * math.copysign(split, b), start + 1j * h] if b else [start]
 
 
-def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[complex, float, int]:
-    """pref J(t) = int d^3k/(2pi)^3 |k| e^{i|k|t} Re[f1~(k)* . f2~(k)] for t > 0.
+def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, ts):
+    """pref J(t) = int d^3k/(2pi)^3 |k| e^{i|k|t} Re[f1~(k)* . f2~(k)] for each t > 0 of ts.
 
     J(t) = int_0^inf k^5 e^{-alpha k^2} A(k|d|) e^{ikt} dk has an entire
     integrand, so the path runs from 0 up the imaginary axis to the saddle ih
@@ -126,18 +126,21 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     the second one part beats at 2|d| rad per unit x.  Where one panel cannot
     resolve that, or h = 0, the leg stops at x = 2/|d| when that comes first,
     and each part, in e^{ik(t +- |d|)}, runs on to its own saddle and along
-    it.  At most seven panels.  Returns (pref J, rounding bound, node count).
+    it.  At most seven panels per t.  One pass serves every t, checked first:
+    the legs with the same parts, of all t's, go through one `_integrand` call,
+    then each t's terms are summed alone, in its legs' order.  Yields (pref J,
+    rounding bound, node count) per t, in order; raises at a non-finite term.
 
     Lengths are in units of `scale`, the wider width rounded down to a power
     of two, so each float is its caller-unit value times a power of two.  The
     exponent's real part is a sum of two terms <= 0, whose overflow is -inf
     (exp gives 0); any other overflow leaves inf or NaN in a term: refused.
     """
-    T = _positive(t, "T")
+    Ts = [_positive(t, "T") for t in ts]
     sep, c_d = _separation(f1, f2)
     c_a = float(f1.axis_vec @ f2.axis_vec)
     scale = math.ldexp(1.0, math.frexp(max(f1.sigma, f2.sigma))[1] - 1)
-    s1, s2, t, dist = f1.sigma / scale, f2.sigma / scale, T / scale, sep / scale
+    s1, s2, dist = f1.sigma / scale, f2.sigma / scale, sep / scale
     amp = f1.amplitude * f2.amplitude
     pref = FOUR_PI_OVER_8PI3 * amp * (2.0 * np.pi * s1**2) ** 1.5 * (2.0 * np.pi * s2**2) ** 1.5
     if math.isinf(2.0 * dist * dist * dist):
@@ -147,31 +150,39 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, t: float) -> tuple[comp
     alpha = 0.5 * (s1**2 + s2**2)
 
     x_max = 8.0 / math.sqrt(alpha)
-    b = t - dist
-    shared = _vertical_leg(0j, max(b, 0.0), alpha)
-    m = (len(shared) - 1) * len(_GL_T)
-    separate = dist * x_max > _SERIES_X and (b <= 0.0 or 2.0 * dist * x_max > _PANEL_PHASE)
-    shared.append((_SERIES_X / dist if separate else x_max) + 1j * shared[-1].imag)
-    legs = [(shared, (1, -1))]
-    for s in (1, -1) if separate else ():
-        # from the shared leg's end to the saddle of the e^{ik(t + s|d|)} part, and along it
-        leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
-        legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
-    terms = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    panels, plans = {}, []  # parts -> (start, end, t, index of t) of each panel; per t, its legs and m
+    for i, T in enumerate(Ts):
+        t = T / scale
+        b = t - dist
+        shared = _vertical_leg(0j, max(b, 0.0), alpha)
+        m = (len(shared) - 1) * len(_GL_T)
+        separate = dist * x_max > _SERIES_X and (b <= 0.0 or 2.0 * dist * x_max > _PANEL_PHASE)
+        shared.append((_SERIES_X / dist if separate else x_max) + 1j * shared[-1].imag)
+        legs = [(shared, (1, -1))]
+        for s in (1, -1) if separate else ():
+            # from the shared leg's end to the saddle of the e^{ik(t + s|d|)} part, and along it
+            leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
+            legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
         for points, sides in legs:
-            path = np.array(points)
-            half = 0.5 * np.diff(path)
-            k = (path[:-1] + half * (1.0 + _GL_T[:, None])).T.ravel()
-            terms.append((half * _GL_W[:, None]).T.ravel() * _integrand(k, t, alpha, dist, c_a, c_d, sides))
-        terms = np.concatenate(terms)
-        size = float(np.abs(terms).sum())
-    if not math.isfinite(size):
-        reach = max(abs(p) for points, _ in legs for p in points) / scale
-        raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
-    J = terms[:m].real.sum() + terms[m:].sum()
-    err = _ROUNDING_ULPS * np.finfo(float).eps * abs(pref) * size
-    return pref * complex(J), err, len(terms)
+            panels.setdefault(sides, []).extend((p, q, t, i) for p, q in zip(points[:-1], points[1:]))
+        plans.append((legs, m))
+    pieces = []  # per parts, each t's terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sides, group in panels.items():
+            start, end, t_panel, owner = map(np.array, zip(*group))
+            half = 0.5 * (end - start)
+            k = (start + half * (1.0 + _GL_T[:, None])).T.ravel()
+            t_node = np.repeat(t_panel, len(_GL_T))
+            terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t_node, alpha, dist, c_a, c_d, sides)
+            pieces.append(np.split(terms, len(_GL_T) * np.cumsum(np.bincount(owner, minlength=len(Ts)))[:-1]))
+        sums = [(terms, float(np.abs(terms).sum())) for terms in map(np.concatenate, zip(*pieces))]
+    for T, (legs, m), (terms, size) in zip(Ts, plans, sums):
+        if not math.isfinite(size):
+            reach = max(abs(p) for points, _ in legs for p in points) / scale
+            raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
+        J = terms[:m].real.sum() + terms[m:].sum()
+        err = _ROUNDING_ULPS * np.finfo(float).eps * abs(pref) * size
+        yield pref * complex(J), err, len(terms)
 
 
 def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
@@ -215,12 +226,19 @@ def overlap_kernel(f_o: CurlGaussian, a_m: CurlGaussian, T: float) -> KernelResu
     its sign pinned by `brute_force_overlap_oracle`; the commutator, of weight -|k| sin(|k|T), is the
     imaginary part, Gaussian-tail small for causally decoupled fields.  Symmetric, bilinear in each.
     """
-    J, err, n = _contour_pairing(f_o, a_m, T)
-    value = -J.real
-    # written so that a NaN value or error fails the gate
-    if not (math.isfinite(value) and err <= _KERNEL_RTOL * abs(value)):
-        raise ToleranceFailure(f"estimated error {err:.3e} exceeds {_KERNEL_RTOL:g} |K| for K(T={T})")
-    return KernelResult(value=value, commutator=-J.imag, estimated_error=err, samples_or_nodes=n)
+    return overlap_kernels(f_o, a_m, [T])[0]
+
+
+def overlap_kernels(f_o: CurlGaussian, a_m: CurlGaussian, Ts) -> list[KernelResult]:
+    """`overlap_kernel` at each T of the sequence Ts, bit for bit, from one contour pass; the first T that fails raises."""
+    results = []
+    for T, (J, err, n) in zip(Ts, _contour_pairing(f_o, a_m, Ts)):
+        value = -J.real
+        # written so that a NaN value or error fails the gate
+        if not (math.isfinite(value) and err <= _KERNEL_RTOL * abs(value)):
+            raise ToleranceFailure(f"estimated error {err:.3e} exceeds {_KERNEL_RTOL:g} |K| for K(T={T})")
+        results.append(KernelResult(value=value, commutator=-J.imag, estimated_error=err, samples_or_nodes=n))
+    return results
 
 
 def min_oracle_wait(f_o: CurlGaussian, a_m: CurlGaussian) -> float:

@@ -261,6 +261,26 @@ class TestExitCodes:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("verb", ["teleport", "sweep"])
+    def test_first_failing_T_of_the_list_decides_the_exit(self, verb, tmp_path, capsys):
+        # K(T) of this pair crosses zero at T = 6.0205..., where no relative
+        # gate can hold (exit 3); 7.0 after it is computed and 1e100 would exit
+        # 2, but the first failing T in list order names the sweep point
+        path = tmp_path / "middle.yaml"
+        path.write_text(
+            "T: [6.02, 6.020508287080727, 7.0, 1.0e+100]\nfields:\n  a_m: {sigma: 1.0}\n"
+            "  f_o: {amplitude: 1.3, sigma: 0.8, center: [0.5, -0.3, 0.2], axis: [1.0, 1.0, 0.0]}\n"
+        )
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([verb, "--scenario", str(path), "--out", str(out_dir)]) == EXIT_TOLERANCE
+        assert capsys.readouterr().err == (
+            "error: sweep point (T=6.020508287080727): estimated error 1.097e-17 exceeds 1e-06 |K|"
+            " for K(T=6.020508287080727)\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "center, T, cause",
         [
@@ -473,18 +493,19 @@ class TestTeleport:
     ids=["teleport", "sweep", "verify"],
 )
 def test_one_contour_per_pair_and_T(argv, monkeypatch, tmp_path, capsys):
-    # canonical's one T, and verify's K(14): one contour gives K, its
-    # commutator, estimate and node count
+    # canonical's one T, and verify's K(14): one contour pass for the pair
+    # gives K, its commutator, estimate and node count
     real, calls = spectral._contour_pairing, []
 
-    def counted(f1, f2, t):
-        calls.append((f1, f2, t))
-        return real(f1, f2, t)
+    def counted(f1, f2, ts):
+        calls.append((f1, f2, tuple(ts)))
+        return real(f1, f2, ts)
 
     monkeypatch.setattr(spectral, "_contour_pairing", counted)
     out = ["--out", str(tmp_path)] if argv[0] != "verify" else []
     assert main(argv + out) == EXIT_OK
-    assert len(calls) == len(set(calls)) == 1
+    points = [(f1, f2, t) for f1, f2, ts in calls for t in ts]
+    assert len(calls) == len(points) == len(set(points)) == 1
 
 
 class TestDensity:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -63,6 +65,29 @@ class TestCurlGaussian:
     def test_rejects_zero_axis(self):
         with pytest.raises(ValidationError):
             CurlGaussian(1.0, 1.0, axis=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "axis, like",
+        [((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)), ((3e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
+         ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)), ((1e160, 1e160, 0.0), (1.0, 1.0, 0.0))],
+    )
+    def test_axis_whose_squares_leave_the_float_range_is_normalised(self, axis, like):
+        # the norm is taken of the axis scaled by a power of two, so its square
+        # neither underflows to 0 nor overflows, and the unit vector keeps the bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = CurlGaussian(1.0, 1.0, axis=axis).axis
+        assert [v.hex() for v in unit] == [v.hex() for v in CurlGaussian(1.0, 1.0, axis=like).axis]
+
+    def test_plane_wave_beyond_the_square_range_keeps_its_length(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mode = PlaneWaveMode(k=(1e200, 0.0, 0.0), polarization=(0.0, 1e-200, 0.0))
+        assert (mode.omega, mode.polarization) == (1e200, (0.0, 1.0, 0.0))
+
+    def test_axis_whose_length_leaves_the_float_range_is_refused(self):
+        with pytest.raises(ValidationError, match="axis: must be a nonzero vector of finite length"):
+            CurlGaussian(1.0, 1.0, axis=(1.7e308, 1.7e308, 0.0))
 
     @given(sigma=st.floats(0.2, 3.0))
     def test_effective_radius_monotone_in_sigma(self, sigma):

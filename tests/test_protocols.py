@@ -498,32 +498,53 @@ class TestConfigPair:
         quantities = ("kernel", "spin", "oscillator")
         # each fit on a fresh config computes its own six K(T)
         fresh = [separation_scaling_fit(config(), T_values, quantity=q) for q in quantities]
-        real, calls = protocols.overlap_kernel, []
+        real, calls = protocols.overlap_kernels, []
 
-        def counted(f_o, a_m, T):
-            calls.append(T)
-            return real(f_o, a_m, T)
+        def counted(f_o, a_m, Ts):
+            calls.append(list(Ts))
+            return real(f_o, a_m, Ts)
 
-        monkeypatch.setattr(protocols, "overlap_kernel", counted)
+        monkeypatch.setattr(protocols, "overlap_kernels", counted)
         cfg = config()
         assert [separation_scaling_fit(cfg, T_values, quantity=q) for q in quantities] == fresh
-        assert calls == [float(T) for T in T_values]
+        # the first fit takes all six in one contour pass; the others find them kept
+        assert calls == [[float(T) for T in T_values]]
 
     def test_a_kernel_that_raises_is_not_kept(self, canonical_field, monkeypatch):
         import qetlab.protocols as protocols
 
         calls = []
 
-        def failing(f_o, a_m, T):
-            calls.append(T)
-            raise ToleranceFailure(f"K(T={T}) misses its gate")
+        def failing(f_o, a_m, Ts):
+            calls.append(list(Ts))
+            raise ToleranceFailure(f"K(T={Ts[-1]}) misses its gate")
 
         inv = PairInvariants.of(canonical_field, canonical_field)
-        monkeypatch.setattr(protocols, "overlap_kernel", failing)
+        monkeypatch.setattr(protocols, "overlap_kernels", failing)
         for _ in range(2):
             with pytest.raises(ToleranceFailure):
                 inv.kernel(12.0)
-        assert calls == [12.0, 12.0]
+        with pytest.raises(ToleranceFailure):
+            inv.kernels([8.0, 12.0])
+        assert calls == [[12.0], [12.0], [8.0, 12.0]]
+
+    def test_a_pass_takes_only_the_Ts_not_yet_kept(self, canonical_field, monkeypatch):
+        import qetlab.protocols as protocols
+        from qetlab.spectral import overlap_kernel
+
+        real, calls = protocols.overlap_kernels, []
+
+        def counted(f_o, a_m, Ts):
+            calls.append(list(Ts))
+            return real(f_o, a_m, Ts)
+
+        monkeypatch.setattr(protocols, "overlap_kernels", counted)
+        inv = PairInvariants.of(canonical_field, canonical_field)
+        K10 = inv.kernel(10.0)
+        got = inv.kernels([12.0, 10.0, 8.0, 12.0])
+        assert calls == [[10.0], [12.0, 8.0]]
+        assert got[1] is K10 and got[0] is got[3]
+        assert got == [overlap_kernel(canonical_field, canonical_field, T) for T in (12.0, 10.0, 8.0, 12.0)]
 
 
 class TestCrossover:

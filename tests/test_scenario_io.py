@@ -404,14 +404,14 @@ class TestRunScenario:
         import qetlab.protocols
         from qetlab.errors import ToleranceFailure
 
-        real = qetlab.protocols.overlap_kernel
+        real = qetlab.protocols.overlap_kernels
 
-        def kernel_missing_at_10(f_o, a_m, T):
-            if T == 10.0:
-                raise ToleranceFailure(f"estimated error too large for K(T={T})")
-            return real(f_o, a_m, T)
+        def kernel_missing_at_10(f_o, a_m, Ts):
+            if 10.0 in Ts:
+                raise ToleranceFailure("estimated error too large for K(T=10.0)")
+            return real(f_o, a_m, Ts)
 
-        monkeypatch.setattr(qetlab.protocols, "overlap_kernel", kernel_missing_at_10)
+        monkeypatch.setattr(qetlab.protocols, "overlap_kernels", kernel_missing_at_10)
         s = parse_scenario(write(tmp_path, FULL))
         at_10 = r"^sweep point \(T=10.0\): estimated error too large for K\(T=10.0\)$"
         with pytest.raises(ToleranceFailure, match=at_10):
@@ -427,24 +427,26 @@ class TestRunScenario:
         def failing_kernel(*args, **kwargs):
             raise TwoArgError(7, "kernel unavailable")
 
-        monkeypatch.setattr(qetlab.protocols, "overlap_kernel", failing_kernel)
+        monkeypatch.setattr(qetlab.protocols, "overlap_kernels", failing_kernel)
         s = parse_scenario(write(tmp_path, FULL))
         with pytest.raises(TwoArgError) as info:
             run_scenario(s)
         assert info.value.args == (7, "kernel unavailable")
 
     def test_norms_once_per_scenario_and_kernel_once_per_T(self, monkeypatch):
-        # 2 probes x 2 lambdas x 3 T: E_m, I1, xi once, K(T) once per T
+        # 2 probes x 2 lambdas x 3 T: E_m, I1, xi once, K(T) once per T, in one contour pass
         import qetlab.protocols
         import qetlab.results
         import qetlab.spectral
 
-        calls = {"overlap_kernel": 0, "weighted_spectral_integral": 0}
+        calls, Ts = {"overlap_kernels": 0, "weighted_spectral_integral": 0}, []
         for name in calls:
             real = getattr(qetlab.spectral, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "overlap_kernels":
+                    Ts.extend(args[2])
                 return _real(*args, **kwargs)
 
             for mod in (qetlab.spectral, qetlab.protocols, qetlab.results):
@@ -459,7 +461,8 @@ class TestRunScenario:
             }
         )
         assert len(run_scenario(s)) == 12
-        assert calls == {"overlap_kernel": 3, "weighted_spectral_integral": 3}
+        assert calls == {"overlap_kernels": 1, "weighted_spectral_integral": 3}
+        assert Ts == [8.0, 10.0, 12.0]
 
 
 class TestRecordEmission:

@@ -42,9 +42,9 @@ def test_run_canonical_takes_one_contour(tmp_path, monkeypatch, capsys):
     # all come from the scenario pair's one record at T = 8
     real, calls = spectral._contour_pairing, []
 
-    def counted(f1, f2, t):
-        calls.append((f1, f2, t))
-        return real(f1, f2, t)
+    def counted(f1, f2, ts):
+        calls.append((f1, f2, tuple(ts)))
+        return real(f1, f2, ts)
 
     monkeypatch.setattr(spectral, "_contour_pairing", counted)
     monkeypatch.setattr(sys, "argv", ["run_canonical.py", "--out", str(tmp_path / "out")])
@@ -52,7 +52,8 @@ def test_run_canonical_takes_one_contour(tmp_path, monkeypatch, capsys):
         runpy.run_path(str(ROOT / "scripts" / "run_canonical.py"), run_name="__main__")
     assert exit_info.value.code == 0
     assert "commutator residual = -0.000601" in capsys.readouterr().out
-    assert len(calls) == len(set(calls)) == 1
+    points = [(f1, f2, t) for f1, f2, ts in calls for t in ts]
+    assert len(calls) == len(points) == len(set(points)) == 1
 
 
 def test_scaling_study(tmp_path):

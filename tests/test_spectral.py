@@ -21,7 +21,7 @@ from qetlab import (
     weighted_spectral_integral,
 )
 from qetlab import spectral
-from qetlab.spectral import _SERIES_X, _integrand, d2_delta_offcone, min_oracle_wait
+from qetlab.spectral import _SERIES_X, KernelResult, _integrand, d2_delta_offcone, min_oracle_wait
 from qetlab.verify import _fourier_moment, d2_delta_fourier
 
 from oracles import (
@@ -214,7 +214,7 @@ class TestAngularFactor:
     def angular(x, c_a, c_d):
         # the integrand at real k with alpha = t = 0 and |d| = 1 is k^5 A(k)
         k = np.asarray(x, dtype=complex)
-        return _integrand(k, 0.0, 0.0, 1.0, c_a, c_d) / k**5
+        return _integrand(k, np.zeros(k.shape), 0.0, 1.0, c_a, c_d) / k**5
 
     def test_components_against_scipy(self):
         # dense grid plus the ulps either side of the series/closed-form switch
@@ -230,7 +230,7 @@ class TestAngularFactor:
         # at d = 0 the series leaves A = (2/3)(n1.n2) exactly
         k = np.array([0.5, 1.0, 3.0], dtype=complex)
         for cos_axes in (1.0, -0.3, 0.7071067811865476):
-            f = _integrand(k, 0.0, 0.0, 0.0, cos_axes, 0.6 * -0.8)
+            f = _integrand(k, np.zeros(3), 0.0, 0.0, cos_axes, 0.6 * -0.8)
             assert np.array_equal(f, k**5 * ((2.0 / 3.0) * cos_axes))
 
 
@@ -283,10 +283,11 @@ class TestOverlapKernel:
         for dist in (0.0, 1e-3, 0.1, 1.0, 20.0, 100.0):
             f = CurlGaussian(1.0, sigma, center=(dist, 0.0, 0.0), axis=(0.3, 1.0, 0.2))
             near = [dist * (1 - 1e-3), dist, dist * (1 + 1e-3)] if dist else []
-            for T in [1e-3, 0.1, 1.0, 10.0, 1e3, 1e4] + near:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    J, err, n = spectral._contour_pairing(f, a, T)
+            Ts = [1e-3, 0.1, 1.0, 10.0, 1e3, 1e4] + near
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = list(spectral._contour_pairing(f, a, Ts))
+            for T, (J, err, n) in zip(Ts, results, strict=True):
                 assert n <= 7 * 64 and math.isfinite(abs(J)) and math.isfinite(err), (dist, T)
 
     @pytest.mark.parametrize("pair", ["displaced", "cocentred"])
@@ -427,7 +428,7 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("value, err", [(np.nan, 1e-12), (1e-3, np.nan)])
     def test_nan_quadrature_fails_the_gate(self, canonical_field, monkeypatch, value, err):
-        monkeypatch.setattr(spectral, "_contour_pairing", lambda *args: (complex(-value, 0.0), err, 1))
+        monkeypatch.setattr(spectral, "_contour_pairing", lambda f1, f2, ts: [(complex(-value, 0.0), err, 1)] * len(ts))
         with pytest.raises(ToleranceFailure):
             overlap_kernel(canonical_field, canonical_field, 14.0)
 
@@ -438,7 +439,7 @@ class TestOverlapKernel:
         lo, hi = 6.0, 8.0  # K(6) > 0 > K(8)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if spectral._contour_pairing(f, a, mid)[0].real < 0.0 else (lo, mid)
+            lo, hi = (mid, hi) if next(spectral._contour_pairing(f, a, [mid]))[0].real < 0.0 else (lo, mid)
         assert overlap_kernel(f, a, 6.0).value > 0.0 > overlap_kernel(f, a, 8.0).value
         with pytest.raises(ToleranceFailure, match="estimated error"):
             overlap_kernel(f, a, 0.5 * (lo + hi))
@@ -717,6 +718,49 @@ def test_kernel_meets_the_watson_series_or_names_T(draw):
         assert abs(K - ref) <= 1e-12 * abs(ref)
     else:
         assert abs(K) < TINY
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValidationError, ToleranceFailure) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(K: KernelResult) -> tuple:
+    return K.value.hex(), K.commutator.hex(), K.estimated_error.hex(), K.samples_or_nodes
+
+
+@st.composite
+def pair_T_lists(draw):
+    """(f_o, a_m, Ts): widths 0.1..10, |d| 0 or up to 100 sigma, so that T < |d|
+    takes the separate legs, and 1-8 T's from 1e-2 to 1e3 sigma past |d|, in any
+    order and with repeats."""
+    s_f, s_a = draw(_log_uniform(0.1, 10.0)), draw(_log_uniform(0.1, 10.0))
+    sigma = max(s_f, s_a)
+    dist = draw(st.just(0.0) | _log_uniform(1e-2 * sigma, 1e2 * sigma))
+    direction = draw(_DIRECTIONS)
+    center = tuple(dist * direction / np.linalg.norm(direction))
+    f = CurlGaussian(draw(_log_uniform(0.1, 10.0)), s_f, center=center, axis=tuple(draw(_DIRECTIONS)))
+    a = CurlGaussian(1.0, s_a, axis=tuple(draw(_DIRECTIONS)))
+    pool = draw(st.lists(_log_uniform(1e-2 * sigma, dist + 1e3 * sigma), min_size=1, max_size=5))
+    return f, a, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(draw=pair_T_lists())
+def test_a_batch_gives_each_T_alone_bit_for_bit(draw):
+    # one contour pass over a T list gives, for every T, the value,
+    # commutator, estimate and node count of that T's own contour; where a T
+    # fails, the batch raises the error of the first that fails alone
+    f, a, Ts = draw
+    alone = [_outcome(overlap_kernel, f, a, T) for T in Ts]
+    batch = _outcome(spectral.overlap_kernels, f, a, Ts)
+    failed = [K for K in alone if isinstance(K, tuple)]
+    if failed:
+        assert batch == failed[0]
+    else:
+        assert [_bits(K) for K in batch] == [_bits(K) for K in alone]
 
 
 class TestOrientationLaws:
