@@ -32,7 +32,6 @@ from .protocols import (
 from .dynamics import DensityFrame, FrameGrid, energy_density_frame
 from .negative_energy import (
     DiscreteModeSet,
-    GaussianPhotonMode,
     PlaneWaveMode,
     fock_matrix_elements,
     min_energy_density,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, verify
 from .errors import ToleranceFailure, ValidationError
-from .negative_energy import GaussianPhotonMode, demo_rows
+from .negative_energy import demo_rows
 from .protocols import PROBE_FIELDS, damping_oscillator, damping_spin
 from .dynamics import scenario_frames
 from .results import emit_frame_binary, emit_frame_csv, emit_records, run_scenario
@@ -139,10 +139,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_demo_negative_energy(args) -> int:
-    mode = GaussianPhotonMode(sigma=1.0)
     xs = np.zeros((41, 3))
     xs[:, 0] = np.linspace(-4.0, 4.0, 41)
-    rows = demo_rows(mode, xs)
+    rows = demo_rows(xs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "negative_energy_demo.csv"

@@ -105,6 +105,9 @@ _GL_T, _GL_W = np.polynomial.legendre.leggauss(64)
 _SPLIT_DECAY = 60.0
 _PANEL_PHASE = 50.0
 _ROUNDING_ULPS = 16
+# a pass forms the nodes of _CHUNK_TS t's at a time, about 36 KB per t on a
+# three-panel pair: a long T list keeps a bounded peak, and a scenario's few T's are one chunk
+_CHUNK_TS = 256
 
 
 def _vertical_leg(start: complex, b: float, alpha: float) -> list:
@@ -126,10 +129,12 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, ts):
     the second one part beats at 2|d| rad per unit x.  Where one panel cannot
     resolve that, or h = 0, the leg stops at x = 2/|d| when that comes first,
     and each part, in e^{ik(t +- |d|)}, runs on to its own saddle and along
-    it.  At most seven panels per t.  One pass serves every t, checked first:
-    the legs with the same parts, of all t's, go through one `_integrand` call,
-    then each t's terms are summed alone, in its legs' order.  Yields (pref J,
-    rounding bound, node count) per t, in order; raises at a non-finite term.
+    it.  At most seven panels per t.  Every t is checked first, then the t's
+    are taken in chunks of `_CHUNK_TS`, so a pass holds at most one chunk's
+    nodes: in a chunk the legs with the same parts, of all its t's, go through
+    one `_integrand` call, then each t's terms are summed alone, in its legs'
+    order.  Yields (pref J, rounding bound, node count) per t, in order; raises
+    at a non-finite term, before the next chunk is formed.
 
     Lengths are in units of `scale`, the wider width rounded down to a power
     of two, so each float is its caller-unit value times a power of two.  The
@@ -150,39 +155,41 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, ts):
     alpha = 0.5 * (s1**2 + s2**2)
 
     x_max = 8.0 / math.sqrt(alpha)
-    panels, plans = {}, []  # parts -> (start, end, t, index of t) of each panel; per t, its legs and m
-    for i, T in enumerate(Ts):
-        t = T / scale
-        b = t - dist
-        shared = _vertical_leg(0j, max(b, 0.0), alpha)
-        m = (len(shared) - 1) * len(_GL_T)
-        separate = dist * x_max > _SERIES_X and (b <= 0.0 or 2.0 * dist * x_max > _PANEL_PHASE)
-        shared.append((_SERIES_X / dist if separate else x_max) + 1j * shared[-1].imag)
-        legs = [(shared, (1, -1))]
-        for s in (1, -1) if separate else ():
-            # from the shared leg's end to the saddle of the e^{ik(t + s|d|)} part, and along it
-            leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
-            legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
-        for points, sides in legs:
-            panels.setdefault(sides, []).extend((p, q, t, i) for p, q in zip(points[:-1], points[1:]))
-        plans.append((legs, m))
-    pieces = []  # per parts, each t's terms
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sides, group in panels.items():
-            start, end, t_panel, owner = map(np.array, zip(*group))
-            half = 0.5 * (end - start)
-            k = (start + half * (1.0 + _GL_T[:, None])).T.ravel()
-            t_node = np.repeat(t_panel, len(_GL_T))
-            terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t_node, alpha, dist, c_a, c_d, sides)
-            pieces.append(np.split(terms, len(_GL_T) * np.cumsum(np.bincount(owner, minlength=len(Ts)))[:-1]))
-        sums = [(terms, float(np.abs(terms).sum())) for terms in map(np.concatenate, zip(*pieces))]
-    for T, (legs, m), (terms, size) in zip(Ts, plans, sums):
-        if not math.isfinite(size):
-            reach = max(abs(p) for points, _ in legs for p in points) / scale
-            raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
-        J = terms[:m].real.sum() + terms[m:].sum()
-        err = _ROUNDING_ULPS * np.finfo(float).eps * abs(pref) * size
-        yield pref * complex(J), err, len(terms)
+    for lo in range(0, len(Ts), _CHUNK_TS):
+        chunk = Ts[lo:lo + _CHUNK_TS]
+        panels, plans = {}, []  # parts -> (start, end, t, index in chunk) of each panel; per t, its legs and m
+        for i, T in enumerate(chunk):
+            t = T / scale
+            b = t - dist
+            shared = _vertical_leg(0j, max(b, 0.0), alpha)
+            m = (len(shared) - 1) * len(_GL_T)
+            separate = dist * x_max > _SERIES_X and (b <= 0.0 or 2.0 * dist * x_max > _PANEL_PHASE)
+            shared.append((_SERIES_X / dist if separate else x_max) + 1j * shared[-1].imag)
+            legs = [(shared, (1, -1))]
+            for s in (1, -1) if separate else ():
+                # from the shared leg's end to the saddle of the e^{ik(t + s|d|)} part, and along it
+                leg = _vertical_leg(shared[-1], min(t + s * dist, (1 + s) * dist), alpha)
+                legs.append((leg + [x_max + 1j * leg[-1].imag], (s,)))
+            for points, sides in legs:
+                panels.setdefault(sides, []).extend((p, q, t, i) for p, q in zip(points[:-1], points[1:]))
+            plans.append((legs, m))
+        pieces = []  # per parts, each t's terms
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sides, group in panels.items():
+                start, end, t_panel, owner = map(np.array, zip(*group))
+                half = 0.5 * (end - start)
+                k = (start + half * (1.0 + _GL_T[:, None])).T.ravel()
+                t_node = np.repeat(t_panel, len(_GL_T))
+                terms = (half * _GL_W[:, None]).T.ravel() * _integrand(k, t_node, alpha, dist, c_a, c_d, sides)
+                pieces.append(np.split(terms, len(_GL_T) * np.cumsum(np.bincount(owner, minlength=len(chunk)))[:-1]))
+            sums = [(terms, float(np.abs(terms).sum())) for terms in map(np.concatenate, zip(*pieces))]
+        for T, (legs, m), (terms, size) in zip(chunk, plans, sums):
+            if not math.isfinite(size):
+                reach = max(abs(p) for points, _ in legs for p in points) / scale
+                raise ValidationError(f"K(T={T!r}): the contour reaches |k| = {reach:.3g}, where its terms leave the float range")
+            J = terms[:m].real.sum() + terms[m:].sum()
+            err = _ROUNDING_ULPS * np.finfo(float).eps * abs(pref) * size
+            yield pref * complex(J), err, len(terms)
 
 
 def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:

@@ -408,26 +408,35 @@ def residual_window_energy(a_m, T: float, window, grid) -> float:
     return total * frame.grid.dx**3
 
 
-def _photon_mode_lattice(mode, n: int, k_max: float | None):
+# the photon-packet references take a Gaussian mode's width sigma, centre c and
+# unit axis n; their defaults are the demo's packet (width 1 at the origin along z)
+_ORIGIN, _Z_AXIS = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+
+
+def _photon_mode_lattice(sigma: float, center, axis, n: int, k_max: float | None):
     """Midpoint k-lattice, the mode spectrum F(k) = N i (k x n) e^{-sigma^2 k^2/2} e^{-ik.c} on it, and dk."""
-    k_max = k_max or 8.0 / mode.sigma
+    k_max = k_max or 8.0 / sigma
     ax = np.linspace(-k_max, k_max, n, endpoint=False) + k_max / n
     kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
     kvec = np.stack([kx, ky, kz], axis=-1)
     kk = np.sum(kvec * kvec, axis=-1)
-    envelope = mode.sigma**2.5 / np.pi**0.75 * np.exp(-0.5 * mode.sigma**2 * kk)
-    phase = np.exp(-1j * (kvec @ np.asarray(mode.center)))
-    F = (1j * envelope * phase)[..., None] * np.cross(kvec, np.asarray(mode.axis))
+    envelope = sigma**2.5 / np.pi**0.75 * np.exp(-0.5 * sigma**2 * kk)
+    phase = np.exp(-1j * (kvec @ np.asarray(center)))
+    F = (1j * envelope * phase)[..., None] * np.cross(kvec, np.asarray(axis))
     return kvec, F, ax[1] - ax[0]
 
 
-def photon_mode_norm_reference(mode, n: int = 96, k_max: float | None = None) -> float:
+def photon_mode_norm_reference(
+    sigma: float = 1.0, center=_ORIGIN, axis=_Z_AXIS, n: int = 96, k_max: float | None = None
+) -> float:
     """Lattice value of int |F|^2 d^3k (1 for a normalized mode)."""
-    _, F, dk = _photon_mode_lattice(mode, n, k_max)
+    _, F, dk = _photon_mode_lattice(sigma, center, axis, n, k_max)
     return float(np.sum(np.abs(F) ** 2)) * dk**3
 
 
-def packet_amplitudes_grid_reference(mode, x, n: int = 96, k_max: float | None = None):
+def packet_amplitudes_grid_reference(
+    x, sigma: float = 1.0, center=_ORIGIN, axis=_Z_AXIS, n: int = 96, k_max: float | None = None
+):
     """(uE, uB) at points x as plain k-lattice sums of the mode spectrum.
 
     uE(x) = int d^3k (-i) sqrt(|k|/(2 (2pi)^3)) F(k) e^{ik.x}
@@ -436,7 +445,7 @@ def packet_amplitudes_grid_reference(mode, x, n: int = 96, k_max: float | None =
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x.reshape(-1, 3)
-    kvec, F, dk = _photon_mode_lattice(mode, n, k_max)
+    kvec, F, dk = _photon_mode_lattice(sigma, center, axis, n, k_max)
     kmag = np.sqrt(np.sum(kvec * kvec, axis=-1))
 
     safe = np.where(kmag > 0.0, kmag, 1.0)
@@ -455,7 +464,7 @@ def packet_amplitudes_grid_reference(mode, x, n: int = 96, k_max: float | None =
     return uE, uB
 
 
-def packet_amplitudes_reference(mode, x):
+def packet_amplitudes_reference(x, sigma: float = 1.0, center=_ORIGIN, axis=_Z_AXIS):
     """(uE, uB) at one point x from 30-digit radial quadratures over `mp.besselj`.
 
     The angular integrals of the packet amplitudes give
@@ -468,10 +477,10 @@ def packet_amplitudes_reference(mode, x):
     At r = 0 the limits j0 - j1/z = 2/3 and j1 = j2 = 0 apply.
     """
     with mp.workdps(30):
-        s = mp.mpf(float(mode.sigma))
-        rv = [mp.mpf(float(xi)) - mp.mpf(float(ci)) for xi, ci in zip(x, mode.center)]
+        s = mp.mpf(float(sigma))
+        rv = [mp.mpf(float(xi)) - mp.mpf(float(ci)) for xi, ci in zip(x, center)]
         r = mp.sqrt(sum(v * v for v in rv))
-        n = [mp.mpf(float(ni)) for ni in mode.axis]
+        n = [mp.mpf(float(ni)) for ni in axis]
         pref = 4 * mp.pi * s ** mp.mpf(2.5) / mp.pi ** mp.mpf(0.75) / mp.sqrt(2 * (2 * mp.pi) ** 3)
         k_max = 12 / s
         pieces = max(3, int(mp.ceil(k_max * r / (4 * mp.pi))))

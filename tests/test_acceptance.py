@@ -214,12 +214,11 @@ def test_criterion_10_negative_energy_demo():
             assert abs(Aw - Af) <= 1e-10 * scale
             assert abs(Bw - Bf) <= 1e-10 * scale
 
-        from qetlab import GaussianPhotonMode
         from qetlab.negative_energy import demo_rows
 
         xs = np.zeros((9, 3))
         xs[:, 0] = np.linspace(-2.0, 2.0, 9)
-        rows = demo_rows(GaussianPhotonMode(sigma=1.0), xs)
+        rows = demo_rows(xs)
         assert np.any(rows[:, 6] < 0.0)
 
 

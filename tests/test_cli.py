@@ -542,6 +542,15 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "negative" in out
 
+    def test_negative_energy_demo_is_pinned(self, tmp_path, capsys):
+        # the bytes of the demo's CSV, pinned on numpy 2.4.6 and Python 3.11.7
+        assert main(["demo", "negative-energy", "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "negative_energy_demo.csv").read_bytes()).hexdigest()
+        assert digest == "29843ede4d401d544be5e916170543e6dc633027a395bce55a74e63c95d1e1dd"
+        assert capsys.readouterr().out.endswith(
+            "41/41 sampled points admit a superposition with negative mean energy density (min -0.0414639)\n"
+        )
+
 
 def _away(value: float, tolerance: float, how: str) -> float:
     """A value twice the tolerance from `value`, or NaN."""

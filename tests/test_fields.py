@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qetlab import (
     CurlGaussian,
     FrameGrid,
-    GaussianPhotonMode,
     IntegralResult,
     PlaneWaveMode,
     ProtocolConfig,
@@ -223,9 +222,6 @@ PARAMETERS = {
     "RadialWindow.center": (lambda v: RadialWindow(1.0, center=(0.0, 0.0, v)), 1.0),
     "FrameGrid.n": (lambda v: FrameGrid(n=v, half_extent=1.0), 8),
     "FrameGrid.half_extent": (lambda v: FrameGrid(n=8, half_extent=v), 1.0),
-    "GaussianPhotonMode.sigma": (lambda v: GaussianPhotonMode(sigma=v), 1.0),
-    "GaussianPhotonMode.center": (lambda v: GaussianPhotonMode(1.0, center=(0.0, v, 0.0)), 1.0),
-    "GaussianPhotonMode.axis": (lambda v: GaussianPhotonMode(1.0, axis=(v, 0.0, 1.0)), 1.0),
     "PlaneWaveMode.k": (lambda v: PlaneWaveMode(k=(1.0, 0.0, v), polarization=(0.0, 1.0, 0.0)), 1.0),
     "PlaneWaveMode.polarization": (
         lambda v: PlaneWaveMode(k=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, v)),

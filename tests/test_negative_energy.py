@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qetlab import (
     DiscreteModeSet,
-    GaussianPhotonMode,
     PlaneWaveMode,
     ValidationError,
     fock_matrix_elements,
@@ -29,10 +28,6 @@ from oracles import (
     photon_mode_norm_reference,
     vacuum_probe_functional_moments,
 )
-
-CANONICAL_MODE = GaussianPhotonMode(sigma=1.0)
-DISPLACED_TILTED_MODE = GaussianPhotonMode(sigma=0.8, center=(0.3, -0.2, 0.5), axis=(1.0, 2.0, -1.0))
-
 
 def random_mode_set(rng, n_modes: int) -> DiscreteModeSet:
     modes = []
@@ -166,60 +161,77 @@ class TestKummerFunction:
         assert err.max() <= 4e-15, f"x = {self.X[err.argmax()]!r}"
 
 
-class TestContinuumMode:
-    def test_normalization(self):
-        mode = GaussianPhotonMode(sigma=1.0)
-        assert photon_mode_norm_reference(mode) == pytest.approx(1.0, abs=1e-8)
+LATTICE_POINTS = np.array([[0.0, 0.0, 0.0], [0.4, -0.3, 0.2], [-1.1, 0.5, 0.9], [2.0, 1.0, -1.5]])
 
-    @pytest.mark.parametrize(
-        "mode", [CANONICAL_MODE, DISPLACED_TILTED_MODE], ids=["canonical", "displaced-tilted"]
-    )
-    def test_amplitudes_match_30_digit_reference(self, mode):
-        # r = 0 and r = 1e-9 probe the removable limits; 12 sigma is the far tail
+
+class TestContinuumMode:
+    # the demo's packet: width 1 (the unit of length), centred at the origin, axis z;
+    # the references default to that mode
+    def test_normalization(self):
+        assert photon_mode_norm_reference() == pytest.approx(1.0, abs=1e-8)
+
+    def test_amplitudes_match_30_digit_reference(self):
+        # r = 0 and r = 1e-9 probe the removable limits; 12 widths is the far tail
         rng = np.random.default_rng(31)
-        radii = np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, 12.0, 6)]) * mode.sigma
+        radii = np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, 12.0, 6)])
         dirs = rng.normal(size=(len(radii), 3))
-        pts = np.asarray(mode.center) + radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-        uE, uB = packet_amplitudes(mode, pts)
-        refs = [packet_amplitudes_reference(mode, p) for p in pts]
+        pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        uE, uB = packet_amplitudes(pts)
+        refs = [packet_amplitudes_reference(p) for p in pts]
         scale = max(max(np.abs(rE).max(), np.abs(rB).max()) for rE, rB in refs)
         for i, (rE, rB) in enumerate(refs):
             np.testing.assert_allclose(uE[i], rE, rtol=0, atol=1e-11 * scale)
             np.testing.assert_allclose(uB[i], rB, rtol=0, atol=1e-11 * scale)
 
     def test_amplitudes_match_lattice_reference(self):
-        mode = DISPLACED_TILTED_MODE
-        pts = np.asarray(mode.center) + np.array(
-            [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2], [-1.1, 0.5, 0.9], [2.0, 1.0, -1.5]]
-        )
-        uE, uB = packet_amplitudes(mode, pts)
-        gE, gB = packet_amplitudes_grid_reference(mode, pts, n=96)
+        uE, uB = packet_amplitudes(LATTICE_POINTS)
+        gE, gB = packet_amplitudes_grid_reference(LATTICE_POINTS, n=96)
         scale = max(np.abs(gE).max(), np.abs(gB).max())
         np.testing.assert_allclose(uE, gE, rtol=0, atol=1e-6 * scale)
         np.testing.assert_allclose(uB, gB, rtol=0, atol=1e-6 * scale)
 
     @pytest.mark.parametrize(
-        "mode, offset",
+        "x",
         [
-            # 25 sigma off the axis, then 40 sigma at 30 degrees to it
-            (CANONICAL_MODE, 25.0 * np.array([1.0, 0.0, 0.0])),
-            (DISPLACED_TILTED_MODE, 40.0 * 0.8 * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)),
+            # 25 widths off the axis, then 40 widths at 30 degrees to it
+            25.0 * np.array([1.0, 0.0, 0.0]),
+            40.0 * np.array([0.5, 0.0, math.sqrt(3.0) / 2.0]),
         ],
-        ids=["canonical-25-sigma-off-axis", "displaced-tilted-40-sigma-oblique"],
+        ids=["25-widths-off-axis", "40-widths-oblique"],
     )
-    def test_far_field_matches_reference_to_the_local_amplitude(self, mode, offset):
+    def test_far_field_matches_reference_to_the_local_amplitude(self, x):
         # the amplitudes fall like r^-4.5, so the bound is relative to the point's own size
-        x = np.asarray(mode.center) + offset
-        uE, uB = packet_amplitudes(mode, x)
-        rE, rB = packet_amplitudes_reference(mode, x)
+        uE, uB = packet_amplitudes(x)
+        rE, rB = packet_amplitudes_reference(x)
         local = max(np.abs(rE).max(), np.abs(rB).max())
         np.testing.assert_allclose(uE, rE, rtol=0, atol=1e-12 * local)
         np.testing.assert_allclose(uB, rB, rtol=0, atol=1e-12 * local)
 
-    def test_nan_point_fails_the_gate(self):
-        # a NaN coordinate raises instead of returning NaN amplitudes
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_fails_the_gate(self, bad):
+        # a NaN or infinite coordinate raises instead of returning NaN amplitudes
         with pytest.raises(ValidationError, match="^x: "):
-            packet_amplitudes(CANONICAL_MODE, np.array([np.nan, 0.0, 0.0]))
+            packet_amplitudes(np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("p", LATTICE_POINTS.tolist())
+    @pytest.mark.parametrize(
+        "sigma, center, axis",
+        [(0.8, (0.3, -0.2, 0.5), (1.0, 2.0, -1.0)), (2.5, (-1.0, 0.0, 4.0), (1.0, 0.0, 0.0))],
+        ids=["displaced-tilted", "wide-along-x"],
+    )
+    def test_any_width_centre_and_axis_is_a_change_of_units_and_frame(self, sigma, center, axis, p):
+        # the mode of width sigma, centre c and axis n = R z^ has
+        # u(c + sigma R p) = sigma^-2 R u_unit(p), so the unit packet is each such mode
+        n = np.asarray(axis) / np.linalg.norm(axis)
+        e1 = np.cross(n, [0.0, 1.0, 0.0] if abs(n[1]) < 0.9 else [1.0, 0.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        R = np.column_stack([e1, np.cross(n, e1), n])
+        x = np.asarray(center) + sigma * R @ np.asarray(p)
+        rE, rB = packet_amplitudes_reference(x, sigma, center, tuple(n))
+        uE, uB = packet_amplitudes(np.asarray(p))
+        scale = max(np.abs(rE).max(), np.abs(rB).max())
+        np.testing.assert_allclose(R @ uE / sigma**2, rE, rtol=0, atol=1e-11 * scale)
+        np.testing.assert_allclose(R @ uB / sigma**2, rB, rtol=0, atol=1e-11 * scale)
 
     @pytest.mark.parametrize(
         "x", [np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros((2, 2))], ids=["flat-two-points", "2x2"]
@@ -228,30 +240,26 @@ class TestContinuumMode:
         # a flat vector of two points used to return the origin's amplitudes
         # alone, and shape (2, 2) raised numpy's own reshape error
         with pytest.raises(ValidationError, match="^x: .*length 3"):
-            packet_amplitudes(CANONICAL_MODE, x)
+            packet_amplitudes(x)
 
     def test_amplitudes_keep_the_points_shape(self, rng):
         x = rng.normal(size=(2, 4, 3))
-        uE, uB = packet_amplitudes(CANONICAL_MODE, x)
+        uE, uB = packet_amplitudes(x)
         assert uE.shape == uB.shape == (2, 4, 3)
-        flat_E, flat_B = packet_amplitudes(CANONICAL_MODE, x.reshape(-1, 3))
+        flat_E, flat_B = packet_amplitudes(x.reshape(-1, 3))
         np.testing.assert_array_equal(uE.reshape(-1, 3), flat_E)
         np.testing.assert_array_equal(uB.reshape(-1, 3), flat_B)
 
     def test_matrix_elements_at_center(self):
-        mode = GaussianPhotonMode(sigma=1.0)
-        A, B = matrix_elements_from_amplitudes(*packet_amplitudes(mode, np.zeros(3)))
+        A, B = matrix_elements_from_amplitudes(*packet_amplitudes(np.zeros(3)))
         assert A > 0.0
         assert abs(B) > 0.0
 
     def test_far_field_decay(self):
         # massless-field packet tails are algebraic, not Gaussian; twelve
         # envelope widths out the density elements are down by > 1e8
-        mode = GaussianPhotonMode(sigma=1.0)
-        A_far, B_far = matrix_elements_from_amplitudes(
-            *packet_amplitudes(mode, np.array([12.0, 0.0, 0.0]))
-        )
-        A_0, _ = matrix_elements_from_amplitudes(*packet_amplitudes(mode, np.zeros(3)))
+        A_far, B_far = matrix_elements_from_amplitudes(*packet_amplitudes(np.array([12.0, 0.0, 0.0])))
+        A_0, _ = matrix_elements_from_amplitudes(*packet_amplitudes(np.zeros(3)))
         assert A_far < 1e-8 * A_0
         assert abs(B_far) < 1e-8 * A_0
 
@@ -269,10 +277,9 @@ class TestContinuumMode:
         np.testing.assert_allclose(B2, B1 * np.exp(2j * phase), rtol=1e-12)
 
     def test_negativity_exists_somewhere(self):
-        mode = GaussianPhotonMode(sigma=1.0)
         xs = np.zeros((9, 3))
         xs[:, 0] = np.linspace(-2.0, 2.0, 9)
-        rows = demo_rows(mode, xs)
+        rows = demo_rows(xs)
         assert np.any(rows[:, 6] < 0.0)
 
 

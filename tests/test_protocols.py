@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -629,6 +630,23 @@ class TestSeparationScaling:
     def test_narrow_range_warns(self, canonical_cfg):
         with pytest.warns(UserWarning, match="decade"):
             separation_scaling_fit(canonical_cfg, [20.0, 40.0], quantity="kernel")
+
+    @pytest.mark.parametrize(
+        "T_values, quantity, match",
+        [
+            ([8.0, 9.0], "energy", "unknown quantity"),
+            ([1.0, 2.0], "energy", "unknown quantity"),
+            ([1.0, 2.0], "spin", "causal wait"),
+            ([1.0, 2.0], "kernel", "causal wait"),
+        ],
+    )
+    def test_a_rejected_narrow_range_raises_without_warning(self, canonical_cfg, T_values, quantity, match):
+        # the arguments are checked before the range warns, so under
+        # warnings-as-errors the warning does not stand in for the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                separation_scaling_fit(canonical_cfg, T_values, quantity=quantity)
 
     def test_underflowed_points_dropped_with_warning(self, canonical_field):
         # lam = 8 puts exp(-2 lam^2 I1) far below the double-precision floor

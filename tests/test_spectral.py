@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -40,6 +41,22 @@ from oracles import (
 )
 
 CANONICAL = CurlGaussian(1.0, 1.0)
+# the shapes of perfbench's sweep pairs, up to rotation and translation
+SWEEP_PAIRS = {
+    "displaced": (
+        CurlGaussian(1.0, 0.9, center=(0.0, 0.0, 1.5), axis=(0.0, math.sin(2.1), math.cos(2.1))),
+        CurlGaussian(1.0, 1.1, axis=(math.sin(0.9), 0.0, math.cos(0.9))),
+    ),
+    "cocentred": (CurlGaussian(1.0, 1.0, axis=(math.sin(0.6), 0.0, math.cos(0.6))), CurlGaussian(1.0, 1.3)),
+}
+
+
+def sweep_T_grid(pair: str, n: int) -> list:
+    """n T's from 1.2 times the pair's causal floor to 400, as perfbench's sweep takes 6."""
+    f, a = SWEEP_PAIRS[pair]
+    floor = float(np.linalg.norm(f.center_vec - a.center_vec)) + 3.0 * (f.sigma + a.sigma)
+    return [float(T) for T in np.geomspace(1.2 * floor, 400.0, n)]
+
 DISPLACED_TILTED = CurlGaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
 
 
@@ -290,19 +307,47 @@ class TestOverlapKernel:
             for T, (J, err, n) in zip(Ts, results, strict=True):
                 assert n <= 7 * 64 and math.isfinite(abs(J)) and math.isfinite(err), (dist, T)
 
-    @pytest.mark.parametrize("pair", ["displaced", "cocentred"])
+    @pytest.mark.parametrize("pair", SWEEP_PAIRS)
     def test_benchmark_sweep_pairs_take_three_panels(self, pair):
-        # the shapes of perfbench's sweep pairs on their T grids, up to rotation
-        # and translation; a path change there would move the benchmark
-        if pair == "displaced":
-            f = CurlGaussian(1.0, 0.9, center=(0.0, 0.0, 1.5), axis=(0.0, math.sin(2.1), math.cos(2.1)))
-            a = CurlGaussian(1.0, 1.1, axis=(math.sin(0.9), 0.0, math.cos(0.9)))
-        else:
-            f = CurlGaussian(1.0, 1.0, axis=(math.sin(0.6), 0.0, math.cos(0.6)))
-            a = CurlGaussian(1.0, 1.3)
-        floor = float(np.linalg.norm(f.center_vec - a.center_vec)) + 3.0 * (f.sigma + a.sigma)
-        for T in np.geomspace(1.2 * floor, 400.0, 6):
-            assert overlap_kernel(f, a, float(T)).samples_or_nodes == 3 * 64
+        # perfbench's sweep pairs on their T grids; a path change there would
+        # move the benchmark
+        f, a = SWEEP_PAIRS[pair]
+        for T in sweep_T_grid(pair, 6):
+            assert overlap_kernel(f, a, T).samples_or_nodes == 3 * 64
+
+    def test_a_long_T_list_keeps_a_bounded_peak(self):
+        # the T's are taken in chunks, so 4,000 of them hold about as much as
+        # one chunk's nodes, not 4,000 T's worth (~150 MB)
+        f, a = SWEEP_PAIRS["displaced"]
+        Ts = sweep_T_grid("displaced", 4000)
+        tracemalloc.start()
+        try:
+            results = spectral.overlap_kernels(f, a, Ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 4000
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_a_list_about_a_chunk_gives_each_T_alone_bit_for_bit(self, n):
+        # at and across the chunk boundaries, in reverse order and with repeats
+        f, a = SWEEP_PAIRS["displaced"]
+        Ts = sweep_T_grid("displaced", n - 6)[::-1] + sweep_T_grid("displaced", 6)
+        batch = spectral.overlap_kernels(f, a, Ts)
+        assert [_bits(K) for K in batch] == [_bits(overlap_kernel(f, a, T)) for T in Ts]
+
+    @pytest.mark.parametrize("earlier", [None, 3, 255, 256])
+    def test_the_first_T_that_fails_is_raised_whatever_its_chunk(self, earlier):
+        # at T = 1e62 the canonical pair's contour terms overflow (see below);
+        # the first failing T in list order is the error, in the first chunk or past it
+        Ts = [8.0 + 0.01 * i for i in range(600)]
+        Ts[400] = 1e62
+        if earlier is not None:
+            Ts[earlier] = 1e70
+        first = Ts[400 if earlier is None else earlier]
+        with pytest.raises(ValidationError, match=re.escape(f"K(T={first!r}): the contour reaches")):
+            spectral.overlap_kernels(CANONICAL, CANONICAL, Ts)
 
     @pytest.mark.parametrize(
         "center, sigma, first",
