@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import _nonzero, _norm, _positive, _set_checked, _unit
+from .fields import _is_real, _nonzero, _norm, _positive, _set_checked, _unit
 
 
 # int |F|^2 d^3k = N^2 (8 pi/3) int k^4 e^{-k^2} dk = N^2 pi^{3/2}
@@ -60,6 +60,18 @@ def _radial_over_power(l: int, r2):
     return c * _kummer_m_of_negative(a, b, r2 / (4.0 * s))
 
 
+def _points(x) -> np.ndarray:
+    """x as a float array of finite points on a last axis of length 3; a bool or a text item is no coordinate."""
+    raw = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    bad = [] if raw.dtype.kind in "iuf" else [v for v in raw.flat if not _is_real(v)]
+    if bad:
+        raise ValidationError(f"x: need finite numbers as coordinates, got {bad[0]!r}")
+    x = np.asarray(raw, dtype=float)
+    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"x: need finite points on a last axis of length 3, got shape {x.shape}")
+    return x
+
+
 def packet_amplitudes(x):
     """Electric and magnetic packet amplitudes (uE, uB) at points x of shape (..., 3).
 
@@ -73,9 +85,7 @@ def packet_amplitudes(x):
     Within 1.4e-15 of the local max(|uE|, |uB|) of a 30-digit reference at 96
     points out to 40 widths, along the axis, across it and in random directions.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,) or not np.all(np.isfinite(x)):
-        raise ValidationError(f"x: need finite points on a last axis of length 3, got shape {x.shape}")
+    x = _points(x)
     d, n = x.reshape(-1, 3), _AXIS
     r2 = np.sum(d * d, axis=-1, keepdims=True)
     Q0, Q1, Q2 = (_radial_over_power(l, r2) for l in range(3))
@@ -245,6 +255,6 @@ def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
 
 def demo_rows(xs) -> np.ndarray:
     """(x, y, z, A, Re B, Im B, eps_min) rows of the packet along the given points."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.atleast_2d(_points(xs))
     A, B = matrix_elements_from_amplitudes(*packet_amplitudes(xs))
     return np.column_stack([xs, A, B.real, B.imag, min_energy_density(A, B)])

@@ -272,14 +272,15 @@ def brute_force_overlap_oracle(
     The subtracted constant is a control variate: int f_o . int a_m = 0 for
     curl fields, so it leaves the mean alone and removes the kernel's
     -3/(pi^2 T^4) term, which would otherwise swamp K ~ T^-6 in every sample
-    and make the relative error grow like T^2.  The envelopes cancel
-    against p, and the field product is taken by the Binet-Cauchy identity
-    (z_x x n_f).(z_y x n_a) = (z_x.z_y)(n_f.n_a) - (z_x.n_a)(z_y.n_f), so a
-    sample costs two row dot products, two matrix-vector products and the
-    kernel of |x-y|^2; drawing its six normals is now most of its cost.
-    Batch seeds are spawned deterministically, and batch partial sums are
-    reduced in index order, so the result is bit-identical for a fixed
-    (seed, samples) pair regardless of worker count.
+    and make the relative error grow like T^2.  The envelopes cancel against
+    p, leaving (z_x x n_f).(z_y x n_a).  The kernel reads only
+    d = c_f - c_a + s u, with s^2 = sigma_f^2 + sigma_a^2 and
+    u = (sigma_f z_x - sigma_a z_y)/s, independent of v = (sigma_a z_x + sigma_f z_y)/s;
+    the field product's mean over v is (sigma_f sigma_a/s^2)[(n_f.n_a)(2 - |u|^2) + (u.n_f)(u.n_a)],
+    so a sample draws the three normals of u alone (Rao-Blackwell: same mean,
+    no larger variance).  Batch seeds are spawned deterministically and batch
+    sums reduced in index order, so a fixed (seed, samples) gives the same
+    bits at every worker count.
     """
     T, samples, workers = _checked(
         T=(_positive, T), samples=(_integer(2), samples), workers=(_integer(1), workers)
@@ -293,48 +294,47 @@ def brute_force_overlap_oracle(
         return IntegralResult(0.0, 0.0)
 
     # f/p ratios: the Gaussian envelope cancels, leaving w sigma (z x n) per
-    # field; both weights and widths fold into one constant
+    # field; both weights, both widths and the v average fold into one constant
     sf, sa = f_o.sigma, a_m.sigma
-    nf, na = f_o.axis_vec, a_m.axis_vec
+    s = math.hypot(sf, sa)
     wf = -f_o.amplitude * (2.0 * np.pi * sf**2) ** 1.5 / sf**2
     wa = -a_m.amplitude * (2.0 * np.pi * sa**2) ** 1.5 / sa**2
-    weight = wf * wa * sf * sa
-    cos_axes = float(nf @ na)
-    offset = f_o.center_vec - a_m.center_vec
+    weight = wf * wa * sf * sa * (sf / s) * (sa / s)
+    axes = np.stack([a_m.axis_vec, f_o.axis_vec])
+    cos_axes = float(axes[0] @ axes[1])
+    offset = (f_o.center_vec - a_m.center_vec)[:, None]
     T2 = T * T
     kernel_at_zero = float(d2_delta_offcone(T, 0.0))
 
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
     batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
 
-    def run_batch(i: int) -> tuple[float, float, int]:
+    def run_batch(i: int) -> tuple[float, float]:
         n = min(_MC_BATCH, samples - i * _MC_BATCH)
-        rng = np.random.default_rng(batch_seeds[i])
-        zx = rng.standard_normal((n, 3))
-        zy = rng.standard_normal((n, 3))
-        # d = x - y = (c_f - c_a) + sigma_f z_x - sigma_a z_y
-        d = zx * sf
-        d -= sa * zy
+        u = np.random.default_rng(batch_seeds[i]).standard_normal((3, n))
+        # d = x - y = (c_f - c_a) + s u
+        d = s * u
         d += offset
-        r2 = np.einsum("ij,ij->i", d, d)
+        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
         if np.any(np.abs(T2 - r2) <= CONE_EPS * (T2 + r2)):
             raise ValidationError("sampled pair fell on the light cone")
-        field = np.einsum("ij,ij->i", zx, zy)
-        field *= cos_axes
-        field -= (zx @ na) * (zy @ nf)
+        ua, uf = axes @ u
+        field = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        field -= 2.0
+        field *= -cos_axes
+        field += ua * uf
         vals = d2_delta_offcone(T, r2)
         vals -= kernel_at_zero
         vals *= field
         vals *= weight
-        return float(np.sum(vals)), float(np.sum(vals * vals)), n
+        return float(np.sum(vals)), float(np.sum(vals * vals))
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(run_batch, range(n_batches)))
 
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
+    total, total_sq = (math.fsum(col) for col in zip(*parts))
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return IntegralResult(value=mean, estimated_error=math.sqrt(var / samples))

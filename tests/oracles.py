@@ -15,11 +15,13 @@ differentiation of the spherical wave.  Photon-packet amplitudes come from a
 and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
 its normalization).  The Monte Carlo oracle's batches are re-evaluated with
-the plain per-sample formula, with or without its control variate
-(`mc_batch_reference`); their kernel is d_t^2 of the light-cone closed form
--1/(2 pi^2 (t^2 - r^2)) (`pauli_jordan_delta_reference`).  The input energy
-comes from one full position lattice (`input_energy_position_reference`).  Frame
-energies are plain grid sums (`total_energy`, `energy_in_shell`,
+the plain per-sample formula, averaged over the undrawn direction at
+Gauss-Hermite nodes, with or without its control variate
+(`mc_batch_reference`); the estimator that draws all six normals of a
+sample is `mc_six_normal_reference`.  Their kernel is d_t^2 of the
+light-cone closed form -1/(2 pi^2 (t^2 - r^2)) (`pauli_jordan_delta_reference`).
+The input energy comes from one full position lattice
+(`input_energy_position_reference`).  Frame energies are plain grid sums (`total_energy`, `energy_in_shell`,
 `residual_window_energy`), and the vacuum moments behind D_q come from a
 truncated Fock-space matrix exponential (`vacuum_probe_functional_moments`).
 """
@@ -129,13 +131,55 @@ def mc_batch_reference(
 ) -> tuple[float, float]:
     """(mean, standard error) of the Monte Carlo K(T) estimate, one sample at a time.
 
-    Draws the oracle's samples (spawned batch seeds, z_x then z_y per batch)
-    and evaluates each as w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
+    Draws the oracle's samples (spawned batch seeds, the three rows of u per
+    batch).  A sample is x - c_f = sigma_f z_x and y - c_a = sigma_a z_y with
+    z_x = (sigma_f u + sigma_a v)/s, z_y = (sigma_f v - sigma_a u)/s and
+    s = hypot(sigma_f, sigma_a), averaged over v at the 8 nodes (+-1, +-1, +-1)
+    of the 2-point-per-axis Gauss-Hermite rule, which is exact for the
+    product's quadratic dependence on v.  At each node it evaluates
+    w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
     d_T^2 Delta(T, |x - y|) - d_T^2 Delta(T, 0), with explicit cross products
     and norms.  control_variate=False keeps the plain kernel d_T^2 Delta(T, |x - y|):
     the same mean, since int f_o . int a_m = 0, with a larger variance.
     """
     offset = d2_delta_offcone(T, 0.0) if control_variate else 0.0
+    cf, ca = f_o.center_vec, a_m.center_vec
+    sf, sa = f_o.sigma, a_m.sigma
+    s = math.hypot(sf, sa)
+    wf = -f_o.amplitude * (2.0 * np.pi * sf**2) ** 1.5 / sf**2
+    wa = -a_m.amplitude * (2.0 * np.pi * sa**2) ** 1.5 / sa**2
+    nodes = np.array([(i, j, k) for i in (-1.0, 1.0) for j in (-1.0, 1.0) for k in (-1.0, 1.0)])
+    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
+    sums, squares = [], []
+    for i, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
+        n = min(_MC_BATCH, samples - i * _MC_BATCH)
+        u = np.random.default_rng(batch_seed).standard_normal((3, n)).T
+        vals = np.zeros(n)
+        for v in nodes:
+            x = cf + sf * (sf * u + sa * v) / s
+            y = ca + sa * (sf * v - sa * u) / s
+            r = np.linalg.norm(x - y, axis=-1)
+            fv = wf * np.cross(x - cf, f_o.axis_vec)
+            av = wa * np.cross(y - ca, a_m.axis_vec)
+            vals += (d2_delta_offcone(T, r * r) - offset) * np.sum(fv * av, axis=-1) / len(nodes)
+        sums.append(float(np.sum(vals)))
+        squares.append(float(np.sum(vals * vals)))
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def mc_six_normal_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[float, float]:
+    """(mean, standard error) of the Monte Carlo K(T) estimate that draws z_x and z_y in full.
+
+    Per batch (spawned batch seeds) it draws x = c_f + sigma_f z_x, then
+    y = c_a + sigma_a z_y, six normals a sample, and evaluates
+    w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
+    d_T^2 Delta(T, |x - y|) - d_T^2 Delta(T, 0), with explicit cross products
+    and norms: the same mean as the oracle, which averages over v in closed
+    form, and no smaller a variance.
+    """
+    offset = d2_delta_offcone(T, 0.0)
     cf, ca = f_o.center_vec, a_m.center_vec
     wf = -f_o.amplitude * (2.0 * np.pi * f_o.sigma**2) ** 1.5 / f_o.sigma**2
     wa = -a_m.amplitude * (2.0 * np.pi * a_m.sigma**2) ** 1.5 / a_m.sigma**2

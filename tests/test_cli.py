@@ -617,7 +617,7 @@ VERIFY_TABLE = [
     ("d_t^2 Delta vs Fourier integral at (t, r) = (1, 2)", "2.63e-08"),
     ("d_t^2 Delta vs Fourier integral at (t, r) = (10, 0)", "3.04e-11"),
     ("d_t^2 Delta vs Fourier integral at (t, r) = (14, 3)", "9.25e-12"),
-    ("overlap kernel vs Monte Carlo", "1.66e-05"),
+    ("overlap kernel vs Monte Carlo", "1.61e-05"),
     ("measurement identities, max residual", "1.00e-10"),
     ("damping-ratio identity", "6.24e-02"),
 ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -212,6 +213,20 @@ class TestContinuumMode:
         # a NaN or infinite coordinate raises instead of returning NaN amplitudes
         with pytest.raises(ValidationError, match="^x: "):
             packet_amplitudes(np.array([bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "build, x, item",
+        [
+            (packet_amplitudes, [0.0, True, 0.0], "True"),
+            (packet_amplitudes, ["0.5", 0.0, 0.0], "'0.5'"),
+            (demo_rows, [[True, 0.0, 0.0]], "True"),
+        ],
+        ids=["bool", "text", "demo-rows-bool"],
+    )
+    def test_bool_and_text_are_no_coordinates(self, build, x, item):
+        # they used to be read as 1 and 0.5
+        with pytest.raises(ValidationError, match=f"^x: need finite numbers as coordinates, got {re.escape(item)}$"):
+            build(x)
 
     @pytest.mark.parametrize("p", LATTICE_POINTS.tolist())
     @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from oracles import (
     kernel_reference,
     kernel_series_reference,
     mc_batch_reference,
+    mc_six_normal_reference,
     pairing_quadrature_reference,
     pauli_jordan_delta_reference,
     position_norm_reference,
@@ -500,6 +501,11 @@ README_PAIR = (
     CurlGaussian(1.3, 0.8, center=(0.5, -0.3, 0.2), axis=(1.0, 1.0, 0.0)),
     CurlGaussian(1.0, 1.0),
 )
+SIX_NORMAL_PAIRS = {
+    "canonical": ((CANONICAL, CANONICAL), 14.0),
+    "readme-displaced": (README_PAIR, 14.0),
+    "displaced-tilted": (MC_DISPLACED_TILTED, MC_T),
+}
 
 
 class TestBruteForceOracle:
@@ -552,6 +558,21 @@ class TestBruteForceOracle:
         plain, plain_err = mc_batch_reference(f, m, T, 200_000, 11, control_variate=False)
         assert abs(res.value - plain) <= 3.0 * np.hypot(res.estimated_error, plain_err)
         assert res.estimated_error <= 0.5 * plain_err
+
+    @pytest.mark.parametrize("pair, T", SIX_NORMAL_PAIRS.values(), ids=SIX_NORMAL_PAIRS.keys())
+    def test_agrees_with_six_normal_estimator(self, pair, T):
+        # verify's default sample count and seed; the six-normal estimator
+        # draws v where the oracle averages over it
+        f, m = pair
+        res = brute_force_overlap_oracle(f, m, T, samples=200_000, seed=11)
+        six, six_err = mc_six_normal_reference(f, m, T, 200_000, 11)
+        assert abs(res.value - six) <= 3.0 * np.hypot(res.estimated_error, six_err)
+
+    @pytest.mark.parametrize("pair, T", SIX_NORMAL_PAIRS.values(), ids=SIX_NORMAL_PAIRS.keys())
+    def test_stderr_not_above_six_normal_estimator(self, pair, T):
+        f, m = pair
+        res = brute_force_overlap_oracle(f, m, T, samples=200_000, seed=11)
+        assert res.estimated_error <= mc_six_normal_reference(f, m, T, 200_000, 11)[1]
 
     @pytest.mark.parametrize("T", [14.0, 30.0])
     def test_canonical_relative_stderr_at_verify_default(self, T):
