@@ -181,50 +181,23 @@ class DiscreteModeSet:
         return matrix_elements_from_amplitudes(uE, uB)
 
 
-class FockSpace:
-    """Dense operators on the total-occupation-truncated Fock space of a few modes."""
+def _annihilators(num_modes: int) -> np.ndarray:
+    """(modes, dim, dim) annihilators on the occupations of total <= 2, vacuum first.
 
-    def __init__(self, num_modes: int, cutoff: int):
-        if num_modes < 1 or num_modes > 3:
-            raise ValidationError("1 to 3 modes supported (basis overflow above)")
-        self.num_modes = num_modes
-        self.cutoff = cutoff
-        self.basis = [
-            occ
-            for occ in itertools.product(range(cutoff + 1), repeat=num_modes)
-            if sum(occ) <= cutoff
-        ]
-        self.index = {occ: i for i, occ in enumerate(self.basis)}
-        self.dim = len(self.basis)
-
-    def annihilator(self, j: int) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        for occ, col in self.index.items():
-            if occ[j] == 0:
-                continue
-            lowered = list(occ)
-            lowered[j] -= 1
-            a[self.index[tuple(lowered)], col] = math.sqrt(occ[j])
-        return a
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.index[(0,) * self.num_modes]] = 1.0
-        return v
+    Entry [j, row, col] is sqrt(n_j) where basis[row] is basis[col] with one quantum
+    fewer in mode j.
+    """
+    basis = np.array([occ for occ in itertools.product(range(3), repeat=num_modes) if sum(occ) <= 2])
+    lowered = basis - np.eye(num_modes, dtype=int)[:, None, :]
+    hits = np.all(basis[None, :, None, :] == lowered[:, None, :, :], axis=-1)
+    return hits * np.sqrt(basis.T)[:, None, :]
 
 
-def _normal_ordered_quadratic(amps: list[np.ndarray], ops: list[np.ndarray], dim: int) -> np.ndarray:
-    """sum_ab : (sum_j amp_j a_j + h.c.)_a (same)_a : as a dense matrix."""
-    total = np.zeros((dim, dim), dtype=complex)
-    for j1, a1 in enumerate(ops):
-        for j2, a2 in enumerate(ops):
-            dot_pp = complex(np.sum(amps[j1] * amps[j2]))  # a a
-            dot_pm = complex(np.sum(np.conj(amps[j1]) * amps[j2]))  # a† a
-            dot_mm = complex(np.sum(np.conj(amps[j1]) * np.conj(amps[j2])))  # a† a†
-            total += dot_pp * (a1 @ a2)
-            total += 2.0 * dot_pm * (a1.conj().T @ a2)
-            total += dot_mm * (a1.conj().T @ a2.conj().T)
-    return total
+def _density_operator(amps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """eps = (1/2) sum_a :(E_a + E_a^dag)^2: for E_a = sum_j amps[j, a] ops[j], as a dense matrix."""
+    E = np.tensordot(amps.T, ops, axes=1)
+    Ed = np.tensordot(amps.conj().T, ops.transpose(0, 2, 1), axes=1)
+    return 0.5 * np.sum(E @ E + 2.0 * (Ed @ E) + Ed @ Ed, axis=0)
 
 
 def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
@@ -232,24 +205,19 @@ def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
 
     The space of total occupation <= 2 holds the two-photon state and is
     exact: the annihilation parts of the normal-ordered quadratic act first,
-    so no truncated intermediate state contributes.
+    so no truncated intermediate state contributes.  eps is quadratic in the
+    amplitudes, so each mode's electric and magnetic amplitudes stack into six
+    components of one field.
     """
-    space = FockSpace(len(modeset.modes), 2)
-    ops = [space.annihilator(j) for j in range(space.num_modes)]
+    ops = _annihilators(len(modeset.modes))
     x = np.asarray(x, dtype=float)
+    amps = np.array([np.concatenate([m.electric_amplitude(x), m.magnetic_amplitude(x)]) for m in modeset.modes])
+    eps = _density_operator(amps, ops)
 
-    eAmps = [np.asarray(m.electric_amplitude(x)) for m in modeset.modes]
-    bAmps = [np.asarray(m.magnetic_amplitude(x)) for m in modeset.modes]
-    eps_op = 0.5 * (
-        _normal_ordered_quadratic(eAmps, ops, space.dim)
-        + _normal_ordered_quadratic(bAmps, ops, space.dim)
-    )
-
-    creator = sum(c * op.conj().T for c, op in zip(modeset.coeffs, ops))
-    vac = space.vacuum().astype(complex)
-    two = creator @ (creator @ vac) / math.sqrt(2.0)
-    A = float(np.real(two.conj() @ (eps_op @ two)))
-    B = complex(vac.conj() @ (eps_op @ two))
+    creator = np.tensordot(np.asarray(modeset.coeffs), ops.transpose(0, 2, 1), axes=1)
+    two = creator @ creator[:, 0] / math.sqrt(2.0)  # basis state 0 is the vacuum
+    A = float(np.real(two.conj() @ (eps @ two)))
+    B = complex(eps[0] @ two)
     return A, B
 
 

@@ -253,12 +253,12 @@ def separation_scaling_fit(cfg: ProtocolConfig, T_values, quantity: str = "spin"
     quantity: 'spin' -> |E_o|, 'oscillator' -> |E_o'|, 'kernel' -> |K(T)|.
     Values under the numerical floor are dropped with a warning.
     """
-    T_values = sorted(float(T) for T in T_values)
-    if len(T_values) < 2:
-        raise ValidationError("need at least two T values to fit a slope")
     if quantity != "kernel" and quantity not in PROBE_FIELDS:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    after_causal_wait(cfg.a_m, cfg.f_o)(T_values[0], "T")
+    causal = after_causal_wait(cfg.a_m, cfg.f_o)
+    T_values = sorted(causal(T, "T") for T in T_values)
+    if len(T_values) < 2:
+        raise ValidationError("need at least two T values to fit a slope")
     if max(T_values) < 10.0 * min(T_values):
         warnings.warn("T range spans less than a decade; slope may not be converged", stacklevel=2)
 

@@ -20,6 +20,7 @@ in one pass of that path; each K keeps both parts, its rounding bound and nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +203,7 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
     beyond the float range is inf: the powers are products, which overflow
     to inf where `**` would raise.
     """
-    if power not in (0, 1, 2):
+    if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power not in (0, 1, 2):
         raise ValidationError(f"power must be in {{0, 1, 2}}, got {power}")
     return (
         field.amplitude * field.amplitude
@@ -290,9 +291,6 @@ def brute_force_overlap_oracle(
         raise ValidationError(
             f"T = {T:.6g} is inside the cone-margin regime; need T > {wait:.6g}"
         )
-    if f_o.amplitude == 0.0 or a_m.amplitude == 0.0:
-        return IntegralResult(0.0, 0.0)
-
     # f/p ratios: the Gaussian envelope cancels, leaving w sigma (z x n) per
     # field; both weights, both widths and the v average fold into one constant
     sf, sa = f_o.sigma, a_m.sigma

@@ -23,9 +23,11 @@ light-cone closed form -1/(2 pi^2 (t^2 - r^2)) (`pauli_jordan_delta_reference`).
 The input energy comes from one full position lattice
 (`input_energy_position_reference`).  Frame energies are plain grid sums (`total_energy`, `energy_in_shell`,
 `residual_window_energy`), and the vacuum moments behind D_q come from a
-truncated Fock-space matrix exponential (`vacuum_probe_functional_moments`).
+truncated Fock-space matrix exponential (`vacuum_probe_functional_moments`, on the
+annihilators of `truncated_annihilators`).
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -34,7 +36,6 @@ from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from qetlab.dynamics import energy_density_frame
-from qetlab.negative_energy import FockSpace
 from qetlab.spectral import _MC_BATCH, d2_delta_offcone
 
 mp.mp.dps = 50
@@ -560,6 +561,21 @@ def packet_amplitudes_reference(x, sigma: float = 1.0, center=_ORIGIN, axis=_Z_A
     return uE, uB
 
 
+def truncated_annihilators(num_modes: int, cutoff: int) -> np.ndarray:
+    """(modes, dim, dim) annihilators on the occupations of total <= cutoff, vacuum first.
+
+    a_j maps |..., n_j, ...> to sqrt(n_j) |..., n_j - 1, ...>, built one basis state at a time.
+    """
+    basis = [occ for occ in itertools.product(range(cutoff + 1), repeat=num_modes) if sum(occ) <= cutoff]
+    index = {occ: i for i, occ in enumerate(basis)}
+    ops = np.zeros((num_modes, len(basis), len(basis)))
+    for col, occ in enumerate(basis):
+        for j, n in enumerate(occ):
+            if n:
+                ops[j, index[occ[:j] + (n - 1,) + occ[j + 1 :]], col] = math.sqrt(n)
+    return ops
+
+
 def vacuum_probe_functional_moments(couplings, cutoff: int = 12) -> tuple[float, float]:
     """Vacuum expectations of cos(2 G) and sin(2 G) for the discretized measured functional.
 
@@ -568,14 +584,15 @@ def vacuum_probe_functional_moments(couplings, cutoff: int = 12) -> tuple[float,
     the positive vacuum overlap exp(-2 sum |g_j|^2) in the untruncated limit.
     """
     couplings = np.atleast_1d(np.asarray(couplings, dtype=complex))
-    space = FockSpace(len(couplings), cutoff)
-    X = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, g in enumerate(couplings):
-        a = space.annihilator(j).astype(complex)
+    ops = truncated_annihilators(len(couplings), cutoff)
+    dim = ops.shape[1]
+    X = np.zeros((dim, dim), dtype=complex)
+    for g, a in zip(couplings, ops.astype(complex)):
         X += g * a + np.conj(g) * a.conj().T
-    two_g = np.pi / 2.0 * np.eye(space.dim) - 2.0 * X
+    two_g = np.pi / 2.0 * np.eye(dim) - 2.0 * X
     evals, evecs = np.linalg.eigh(two_g)
-    vac = space.vacuum().astype(complex)
+    vac = np.zeros(dim, dtype=complex)
+    vac[0] = 1.0
     w = evecs.conj().T @ vac
     cos_val = float(np.real(np.sum(np.abs(w) ** 2 * np.cos(evals))))
     sin_val = float(np.real(np.sum(np.abs(w) ** 2 * np.sin(evals))))

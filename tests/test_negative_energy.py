@@ -16,7 +16,8 @@ from qetlab import (
 )
 from qetlab.negative_energy import (
     _KUMMER_SWITCH,
-    FockSpace,
+    _annihilators,
+    _density_operator,
     _kummer_m_of_negative,
     demo_rows,
     matrix_elements_from_amplitudes,
@@ -27,6 +28,7 @@ from oracles import (
     packet_amplitudes_grid_reference,
     packet_amplitudes_reference,
     photon_mode_norm_reference,
+    truncated_annihilators,
     vacuum_probe_functional_moments,
 )
 
@@ -319,15 +321,15 @@ class TestFockOracle:
     def test_vacuum_expectation_vanishes(self, rng):
         # normal ordering: <0|eps|0> = 0 exactly in the truncated basis
         ms = random_mode_set(rng, 2)
-        space = FockSpace(2, 2)
-        from qetlab.negative_energy import _normal_ordered_quadratic
-
-        ops = [space.annihilator(j) for j in range(2)]
         x = rng.normal(size=3)
-        eAmps = [np.asarray(m.electric_amplitude(x)) for m in ms.modes]
-        eps_op = _normal_ordered_quadratic(eAmps, ops, space.dim)
-        vac = space.vacuum().astype(complex)
-        assert abs(vac.conj() @ (eps_op @ vac)) == 0.0
+        amps = np.array([m.electric_amplitude(x) for m in ms.modes])
+        eps_op = _density_operator(amps, _annihilators(2))
+        assert abs(eps_op[0, 0]) == 0.0
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_annihilators_match_reference(self, n_modes):
+        # same basis order (vacuum first) and sqrt(n) entries as the one-state-at-a-time build
+        np.testing.assert_array_equal(_annihilators(n_modes), truncated_annihilators(n_modes, 2))
 
     def test_mode_overflow_rejected(self, rng):
         modes = tuple(random_mode_set(rng, 3).modes) + tuple(random_mode_set(rng, 1).modes)

@@ -623,6 +623,21 @@ class TestSeparationScaling:
         with pytest.raises(ValidationError, match="causal wait"):
             separation_scaling_fit(canonical_cfg, [50.0, 5.0], quantity="kernel")
 
+    @pytest.mark.parametrize(
+        "T_values, match",
+        [
+            (["20", "200"], "T: must be a finite number, got '20' \\(YAML read"),
+            ([20.0, "200"], "got '200'"),
+            ([True, 200.0], "T: must be a finite number, got True"),
+            ([20.0, np.bool_(True)], "T: must be a finite number, got"),
+        ],
+        ids=["text", "one-text", "bool", "numpy-bool"],
+    )
+    def test_text_and_bool_T_rejected(self, canonical_cfg, T_values, match):
+        # every T passes the same rule as a scenario's T, not float()
+        with pytest.raises(ValidationError, match=match):
+            separation_scaling_fit(canonical_cfg, T_values, quantity="kernel")
+
     def test_needs_two_points(self, canonical_cfg):
         with pytest.raises(ValidationError):
             separation_scaling_fit(canonical_cfg, [20.0], quantity="spin")

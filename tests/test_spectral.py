@@ -147,9 +147,17 @@ class TestWeightedIntegral:
                     worst = max(worst, err)
         assert worst <= 8.0, worst
 
-    def test_rejects_bad_power(self, canonical_field):
-        with pytest.raises(ValidationError):
-            weighted_spectral_integral(canonical_field, 3)
+    @pytest.mark.parametrize("power", [3, -1, 1.0, np.float64(2.0), True, False, np.bool_(True), "1"])
+    def test_rejects_bad_power(self, canonical_field, power):
+        # a bool, a float or a text power is refused, not read as an index
+        with pytest.raises(ValidationError, match=r"power must be in \{0, 1, 2\}"):
+            weighted_spectral_integral(canonical_field, power)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
+    def test_numpy_int_power_keeps_bits(self, cast):
+        for field in (CANONICAL, DISPLACED_TILTED):
+            for power in (0, 1, 2):
+                assert weighted_spectral_integral(field, cast(power)) == weighted_spectral_integral(field, power)
 
 
 class TestPauliJordanDelta:
