@@ -34,8 +34,14 @@ _EFFECTIVE_RADIUS_SIGMAS = 5.270787347173025
 
 
 def _is_real(value) -> bool:
-    # YAML's true/false are bools and its .nan/.inf floats: neither is a number here
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    # YAML's true/false are bools and its .nan/.inf floats: neither is a number here, nor is an
+    # int past the float range, which math.isfinite cannot convert
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _text_note(text: str, what: str = "the value") -> str:

@@ -204,7 +204,7 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
     to inf where `**` would raise.
     """
     if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power not in (0, 1, 2):
-        raise ValidationError(f"power must be in {{0, 1, 2}}, got {power}")
+        raise ValidationError(f"power must be in {{0, 1, 2}}, got {power!r}")
     return (
         field.amplitude * field.amplitude
         * (field.sigma, 1.0, 1.0 / field.sigma)[power]
@@ -274,23 +274,22 @@ def brute_force_overlap_oracle(
     curl fields, so it leaves the mean alone and removes the kernel's
     -3/(pi^2 T^4) term, which would otherwise swamp K ~ T^-6 in every sample
     and make the relative error grow like T^2.  The envelopes cancel against
-    p, leaving (z_x x n_f).(z_y x n_a).  The kernel reads only
-    d = c_f - c_a + s u, with s^2 = sigma_f^2 + sigma_a^2 and
-    u = (sigma_f z_x - sigma_a z_y)/s, independent of v = (sigma_a z_x + sigma_f z_y)/s;
-    the field product's mean over v is (sigma_f sigma_a/s^2)[(n_f.n_a)(2 - |u|^2) + (u.n_f)(u.n_a)],
-    so a sample draws the three normals of u alone (Rao-Blackwell: same mean,
-    no larger variance).  Batch seeds are spawned deterministically and batch
-    sums reduced in index order, so a fixed (seed, samples) gives the same
-    bits at every worker count.
+    p, leaving (z_x x n_f).(z_y x n_a).  The kernel reads only r^2 = |d + s u|^2,
+    d = c_f - c_a, with s^2 = sigma_f^2 + sigma_a^2 and u = (sigma_f z_x - sigma_a z_y)/s,
+    independent of v = (sigma_a z_x + sigma_f z_y)/s; the field product's mean over v
+    is (sigma_f sigma_a/s^2)[(n_f.n_a)(2 - |u|^2) + (u.n_f)(u.n_a)].  Along e = d^, or
+    for d = 0 a direction with c_d = 0, r^2 = (|d| + s u_e)^2 + s^2 rho^2 for u_e = u.e and
+    rho^2 = |u_perp|^2; u_perp's direction is uniform, and the mean over it is
+    (n_f.n_a)(2 - u_e^2 - rho^2) + u_e^2 c_d + (rho^2/2)(n_f.n_a - c_d), c_d = (d^.n_f)(d^.n_a).
+    So a sample draws u_e ~ N(0, 1) and rho^2 ~ chi^2_2 alone (Rao-Blackwell: same
+    mean, no larger variance).  Batch seeds are spawned deterministically and batch
+    sums reduced in index order, so a fixed (seed, samples) gives the same bits at
+    every worker count.
     """
-    T, samples, workers = _checked(
-        T=(_positive, T), samples=(_integer(2), samples), workers=(_integer(1), workers)
-    )
+    T, samples, workers = _checked(T=(_positive, T), samples=(_integer(2), samples), workers=(_integer(1), workers))
     wait = min_oracle_wait(f_o, a_m)
     if T <= wait:
-        raise ValidationError(
-            f"T = {T:.6g} is inside the cone-margin regime; need T > {wait:.6g}"
-        )
+        raise ValidationError(f"T = {T:.6g} is inside the cone-margin regime; need T > {wait:.6g}")
     # f/p ratios: the Gaussian envelope cancels, leaving w sigma (z x n) per
     # field; both weights, both widths and the v average fold into one constant
     sf, sa = f_o.sigma, a_m.sigma
@@ -298,9 +297,8 @@ def brute_force_overlap_oracle(
     wf = -f_o.amplitude * (2.0 * np.pi * sf**2) ** 1.5 / sf**2
     wa = -a_m.amplitude * (2.0 * np.pi * sa**2) ** 1.5 / sa**2
     weight = wf * wa * sf * sa * (sf / s) * (sa / s)
-    axes = np.stack([a_m.axis_vec, f_o.axis_vec])
-    cos_axes = float(axes[0] @ axes[1])
-    offset = (f_o.center_vec - a_m.center_vec)[:, None]
+    sep, c_d = _separation(f_o, a_m)
+    cos_axes = float(f_o.axis_vec @ a_m.axis_vec)
     T2 = T * T
     kernel_at_zero = float(d2_delta_offcone(T, 0.0))
 
@@ -309,18 +307,20 @@ def brute_force_overlap_oracle(
 
     def run_batch(i: int) -> tuple[float, float]:
         n = min(_MC_BATCH, samples - i * _MC_BATCH)
-        u = np.random.default_rng(batch_seeds[i]).standard_normal((3, n))
-        # d = x - y = (c_f - c_a) + s u
-        d = s * u
-        d += offset
-        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        rng = np.random.default_rng(batch_seeds[i])
+        ue = rng.standard_normal(n)
+        rho2 = rng.standard_exponential(n)
+        rho2 *= 2.0  # chi^2 with 2 degrees of freedom
+        r2 = s * ue
+        r2 += sep
+        r2 *= r2
+        r2 += (s * s) * rho2
         if np.any(np.abs(T2 - r2) <= CONE_EPS * (T2 + r2)):
             raise ValidationError("sampled pair fell on the light cone")
-        ua, uf = axes @ u
-        field = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-        field -= 2.0
-        field *= -cos_axes
-        field += ua * uf
+        ue *= ue  # u_e^2 from here on
+        field = (0.5 * (cos_axes - c_d) - cos_axes) * rho2
+        field += (c_d - cos_axes) * ue
+        field += 2.0 * cos_axes
         vals = d2_delta_offcone(T, r2)
         vals -= kernel_at_zero
         vals *= field

@@ -15,10 +15,11 @@ differentiation of the spherical wave.  Photon-packet amplitudes come from a
 and from a plain k-lattice sum of the mode spectrum
 (`packet_amplitudes_grid_reference`, with `photon_mode_norm_reference` for
 its normalization).  The Monte Carlo oracle's batches are re-evaluated with
-the plain per-sample formula, averaged over the undrawn direction at
-Gauss-Hermite nodes, with or without its control variate
-(`mc_batch_reference`); the estimator that draws all six normals of a
-sample is `mc_six_normal_reference`.  Their kernel is d_t^2 of the
+the plain per-sample formula, rebuilt in 6D at four angles around the centre
+line and at Gauss-Hermite nodes in the undrawn direction, with or without its
+control variate (`mc_batch_reference`); the estimators that draw all three
+normals of u, or all six of a sample, are `mc_three_normal_reference` and
+`mc_six_normal_reference`.  Their kernel is d_t^2 of the
 light-cone closed form -1/(2 pi^2 (t^2 - r^2)) (`pauli_jordan_delta_reference`).
 The input energy comes from one full position lattice
 (`input_energy_position_reference`).  Frame energies are plain grid sums (`total_energy`, `energy_in_shell`,
@@ -127,79 +128,114 @@ def pauli_jordan_delta_reference(t: float, r: float) -> float:
     return -1.0 / (2.0 * np.pi**2 * (t * t - r * r))
 
 
+def _batched_estimate(samples: int, seed: int, batch_values) -> tuple[float, float]:
+    """(mean, standard error) over the oracle's batches: spawned batch seeds, batch_values(rng, n)
+    per batch, and the batch sums reduced with `math.fsum` in index order."""
+    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
+    sums, squares = [], []
+    for i, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
+        vals = batch_values(np.random.default_rng(batch_seed), min(_MC_BATCH, samples - i * _MC_BATCH))
+        sums.append(float(np.sum(vals)))
+        squares.append(float(np.sum(vals * vals)))
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def _sample_values(f_o, a_m, T: float, x, y, offset: float) -> np.ndarray:
+    """w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times d_T^2 Delta(T, |x - y|) - offset, per row of x and y,
+    with explicit cross products and norms."""
+    wf = -f_o.amplitude * (2.0 * np.pi * f_o.sigma**2) ** 1.5 / f_o.sigma**2
+    wa = -a_m.amplitude * (2.0 * np.pi * a_m.sigma**2) ** 1.5 / a_m.sigma**2
+    r = np.linalg.norm(x - y, axis=-1)
+    fv = wf * np.cross(x - f_o.center_vec, f_o.axis_vec)
+    av = wa * np.cross(y - a_m.center_vec, a_m.axis_vec)
+    return (d2_delta_offcone(T, r * r) - offset) * np.sum(fv * av, axis=-1)
+
+
+def _v_averaged_values(f_o, a_m, T: float, u, offset: float) -> np.ndarray:
+    """`_sample_values` per row of u, averaged over v at the 8 nodes (+-1, +-1, +-1) of the
+    2-point-per-axis Gauss-Hermite rule, exact for the product's quadratic dependence on v.
+
+    A sample is x - c_f = sigma_f z_x and y - c_a = sigma_a z_y with
+    z_x = (sigma_f u + sigma_a v)/s, z_y = (sigma_f v - sigma_a u)/s and s = hypot(sigma_f, sigma_a).
+    """
+    sf, sa = f_o.sigma, a_m.sigma
+    s = math.hypot(sf, sa)
+    nodes = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    return sum(
+        _sample_values(f_o, a_m, T, f_o.center_vec + sf * (sf * u + sa * v) / s,
+                       a_m.center_vec + sa * (sf * v - sa * u) / s, offset)
+        for v in nodes
+    ) / len(nodes)
+
+
+def _centre_line_frame(f_o, a_m) -> np.ndarray:
+    """Rows e, e1, e2: e along d = c_f - c_a, or along n_f x n_a where d = 0 (any
+    direction perpendicular to the axes where they are parallel too), and e1, e2
+    completing it to a right-handed orthonormal frame."""
+    d = f_o.center_vec - a_m.center_vec
+    e = d if np.any(d) else np.cross(f_o.axis_vec, a_m.axis_vec)
+    if not np.any(e):
+        e = np.cross(f_o.axis_vec, np.eye(3)[np.argmin(np.abs(f_o.axis_vec))])
+    e = e / np.linalg.norm(e)
+    e1 = np.cross(e, np.eye(3)[np.argmin(np.abs(e))])
+    e1 /= np.linalg.norm(e1)
+    return np.stack([e, e1, np.cross(e, e1)])
+
+
 def mc_batch_reference(
     f_o, a_m, T: float, samples: int, seed: int, control_variate: bool = True
 ) -> tuple[float, float]:
     """(mean, standard error) of the Monte Carlo K(T) estimate, one sample at a time.
 
-    Draws the oracle's samples (spawned batch seeds, the three rows of u per
-    batch).  A sample is x - c_f = sigma_f z_x and y - c_a = sigma_a z_y with
-    z_x = (sigma_f u + sigma_a v)/s, z_y = (sigma_f v - sigma_a u)/s and
-    s = hypot(sigma_f, sigma_a), averaged over v at the 8 nodes (+-1, +-1, +-1)
-    of the 2-point-per-axis Gauss-Hermite rule, which is exact for the
-    product's quadratic dependence on v.  At each node it evaluates
-    w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
-    d_T^2 Delta(T, |x - y|) - d_T^2 Delta(T, 0), with explicit cross products
-    and norms.  control_variate=False keeps the plain kernel d_T^2 Delta(T, |x - y|):
-    the same mean, since int f_o . int a_m = 0, with a larger variance.
+    Draws the oracle's samples (per batch u_e, then rho^2 as twice a standard
+    exponential).  With the frame (e, e1, e2) of `_centre_line_frame` a sample
+    is u = u_e e + rho (cos phi e1 + sin phi e2), averaged over the 4 angles
+    phi = 0, pi/2, pi, 3 pi/2, exact for the product's quadratic dependence on
+    u_perp, and at each over v by `_v_averaged_values`: 32 full 6D points.
+    control_variate=False keeps the plain kernel d_T^2 Delta(T, |x - y|): the
+    same mean, since int f_o . int a_m = 0, with a larger variance.
     """
     offset = d2_delta_offcone(T, 0.0) if control_variate else 0.0
-    cf, ca = f_o.center_vec, a_m.center_vec
-    sf, sa = f_o.sigma, a_m.sigma
-    s = math.hypot(sf, sa)
-    wf = -f_o.amplitude * (2.0 * np.pi * sf**2) ** 1.5 / sf**2
-    wa = -a_m.amplitude * (2.0 * np.pi * sa**2) ** 1.5 / sa**2
-    nodes = np.array([(i, j, k) for i in (-1.0, 1.0) for j in (-1.0, 1.0) for k in (-1.0, 1.0)])
-    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
-    sums, squares = [], []
-    for i, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
-        n = min(_MC_BATCH, samples - i * _MC_BATCH)
-        u = np.random.default_rng(batch_seed).standard_normal((3, n)).T
-        vals = np.zeros(n)
-        for v in nodes:
-            x = cf + sf * (sf * u + sa * v) / s
-            y = ca + sa * (sf * v - sa * u) / s
-            r = np.linalg.norm(x - y, axis=-1)
-            fv = wf * np.cross(x - cf, f_o.axis_vec)
-            av = wa * np.cross(y - ca, a_m.axis_vec)
-            vals += (d2_delta_offcone(T, r * r) - offset) * np.sum(fv * av, axis=-1) / len(nodes)
-        sums.append(float(np.sum(vals)))
-        squares.append(float(np.sum(vals * vals)))
-    mean = math.fsum(sums) / samples
-    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+    e, e1, e2 = _centre_line_frame(f_o, a_m)
+
+    def batch_values(rng, n):
+        u_e = rng.standard_normal(n)[:, None]
+        rho = np.sqrt(2.0 * rng.standard_exponential(n))[:, None]
+        return sum(_v_averaged_values(f_o, a_m, T, u_e * e + rho * w, offset) for w in (e1, e2, -e1, -e2)) / 4.0
+
+    return _batched_estimate(samples, seed, batch_values)
+
+
+def mc_three_normal_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[float, float]:
+    """(mean, standard error) of the Monte Carlo K(T) estimate that draws all three normals of u.
+
+    Per batch it draws the three rows of u and averages over v by
+    `_v_averaged_values`: the same mean as the oracle, which also averages
+    over the direction of u_perp, and no smaller a variance.
+    """
+    offset = d2_delta_offcone(T, 0.0)
+    return _batched_estimate(
+        samples, seed, lambda rng, n: _v_averaged_values(f_o, a_m, T, rng.standard_normal((3, n)).T, offset)
+    )
 
 
 def mc_six_normal_reference(f_o, a_m, T: float, samples: int, seed: int) -> tuple[float, float]:
     """(mean, standard error) of the Monte Carlo K(T) estimate that draws z_x and z_y in full.
 
-    Per batch (spawned batch seeds) it draws x = c_f + sigma_f z_x, then
-    y = c_a + sigma_a z_y, six normals a sample, and evaluates
-    w_f (x - c_f) x n_f . w_a (y - c_a) x n_a times
-    d_T^2 Delta(T, |x - y|) - d_T^2 Delta(T, 0), with explicit cross products
-    and norms: the same mean as the oracle, which averages over v in closed
-    form, and no smaller a variance.
+    Per batch it draws x = c_f + sigma_f z_x, then y = c_a + sigma_a z_y, six
+    normals a sample, and evaluates `_sample_values`: the same mean as the
+    oracle, which averages over v in closed form, and no smaller a variance.
     """
     offset = d2_delta_offcone(T, 0.0)
-    cf, ca = f_o.center_vec, a_m.center_vec
-    wf = -f_o.amplitude * (2.0 * np.pi * f_o.sigma**2) ** 1.5 / f_o.sigma**2
-    wa = -a_m.amplitude * (2.0 * np.pi * a_m.sigma**2) ** 1.5 / a_m.sigma**2
-    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
-    sums, squares = [], []
-    for i, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
-        n = min(_MC_BATCH, samples - i * _MC_BATCH)
-        rng = np.random.default_rng(batch_seed)
-        x = cf + f_o.sigma * rng.standard_normal((n, 3))
-        y = ca + a_m.sigma * rng.standard_normal((n, 3))
-        r = np.linalg.norm(x - y, axis=-1)
-        fv = wf * np.cross(x - cf, f_o.axis_vec)
-        av = wa * np.cross(y - ca, a_m.axis_vec)
-        vals = (d2_delta_offcone(T, r * r) - offset) * np.sum(fv * av, axis=-1)
-        sums.append(float(np.sum(vals)))
-        squares.append(float(np.sum(vals * vals)))
-    mean = math.fsum(sums) / samples
-    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+
+    def batch_values(rng, n):
+        x = f_o.center_vec + f_o.sigma * rng.standard_normal((n, 3))
+        y = a_m.center_vec + a_m.sigma * rng.standard_normal((n, 3))
+        return _sample_values(f_o, a_m, T, x, y, offset)
+
+    return _batched_estimate(samples, seed, batch_values)
 
 
 def angular_components_reference(x):

@@ -224,6 +224,29 @@ class TestExitCodes:
             " got ['1e-3', 0, 0] (YAML read '1e-3' as text; write it as 0.001)\n"
         )
 
+    @pytest.mark.parametrize("verb", ["energy", "teleport", "density"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("sigma: 1.0", "sigma: 1.0, amplitude: {huge}", "fields.a_m.amplitude: must be a finite number, got {huge}"),
+            ("T: 8.0", "T: {huge}", "T: must be a positive finite number, got {huge}"),
+            ("sigma: 1.0", "sigma: {huge}", "fields.a_m.sigma: must be a positive finite number, got {huge}"),
+            ("sigma: 1.0", "sigma: 1.0, center: [0.0, {huge}, 0.0]",
+             "fields.a_m.center: must be a list of three finite numbers, got [0.0, {huge}, 0.0]"),
+        ],
+        ids=["amplitude", "T", "sigma", "center"],
+    )
+    def test_int_past_the_float_range_is_named(self, verb, old, new, message, tmp_path, capsys):
+        # YAML reads a 1 and 400 zeros as an int that no float holds: not a finite number
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.yaml"
+        path.write_text(MINIMAL.replace(old, new.format(huge=huge)))
+        argv = [verb, "--scenario", str(path)] + ([] if verb == "energy" else ["--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scenario.{message.format(huge=huge)}\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -617,7 +640,7 @@ VERIFY_TABLE = [
     ("d_t^2 Delta vs Fourier integral at (t, r) = (1, 2)", "2.63e-08"),
     ("d_t^2 Delta vs Fourier integral at (t, r) = (10, 0)", "3.04e-11"),
     ("d_t^2 Delta vs Fourier integral at (t, r) = (14, 3)", "9.25e-12"),
-    ("overlap kernel vs Monte Carlo", "1.61e-05"),
+    ("overlap kernel vs Monte Carlo", "1.38e-05"),
     ("measurement identities, max residual", "1.00e-10"),
     ("damping-ratio identity", "6.24e-02"),
 ]

@@ -35,6 +35,7 @@ from oracles import (
     kernel_series_reference,
     mc_batch_reference,
     mc_six_normal_reference,
+    mc_three_normal_reference,
     pairing_quadrature_reference,
     pauli_jordan_delta_reference,
     position_norm_reference,
@@ -150,7 +151,8 @@ class TestWeightedIntegral:
     @pytest.mark.parametrize("power", [3, -1, 1.0, np.float64(2.0), True, False, np.bool_(True), "1"])
     def test_rejects_bad_power(self, canonical_field, power):
         # a bool, a float or a text power is refused, not read as an index
-        with pytest.raises(ValidationError, match=r"power must be in \{0, 1, 2\}"):
+        # the message shows the power as given: the text '1' is not the integer 1
+        with pytest.raises(ValidationError, match=rf"power must be in \{{0, 1, 2\}}, got {re.escape(repr(power))}$"):
             weighted_spectral_integral(canonical_field, power)
 
     @pytest.mark.parametrize("cast", [np.int64, np.int32, np.uint8])
@@ -514,6 +516,9 @@ SIX_NORMAL_PAIRS = {
     "readme-displaced": (README_PAIR, 14.0),
     "displaced-tilted": (MC_DISPLACED_TILTED, MC_T),
 }
+# MC_DISPLACED_TILTED's fields moved onto one centre: d = 0 with axes that are not parallel
+COCENTRED_TILTED = tuple(CurlGaussian(f.amplitude, f.sigma, axis=f.axis) for f in MC_DISPLACED_TILTED)
+THREE_NORMAL_PAIRS = {**SIX_NORMAL_PAIRS, "cocentred-tilted": (COCENTRED_TILTED, 14.0)}
 
 
 class TestBruteForceOracle:
@@ -545,12 +550,19 @@ class TestBruteForceOracle:
         with pytest.raises(ValidationError, match=r"workers: must be an integer >= 1"):
             brute_force_overlap_oracle(canonical_field, canonical_field, 13.0, samples=100, workers=workers)
 
-    @pytest.mark.parametrize("seed", [4, 29])
-    def test_matches_per_sample_reference(self, seed):
-        f, m = MC_DISPLACED_TILTED
+    @pytest.mark.parametrize(
+        "pair, T, seed",
+        [(MC_DISPLACED_TILTED, MC_T, 4), (MC_DISPLACED_TILTED, MC_T, 29),
+         (COCENTRED_TILTED, 14.0, 4), ((CANONICAL, CANONICAL), 14.0, 4)],
+        ids=["4", "29", "cocentred-tilted-4", "canonical-4"],
+    )
+    def test_matches_per_sample_reference(self, pair, T, seed):
+        # the reference rebuilds each sample in 6D around its own centre-line
+        # frame; co-centred pairs take the axes' normal, or any normal if parallel
+        f, m = pair
         samples = 2 * spectral._MC_BATCH + 5_000
-        res = brute_force_overlap_oracle(f, m, MC_T, samples=samples, seed=seed)
-        value, stderr = mc_batch_reference(f, m, MC_T, samples, seed)
+        res = brute_force_overlap_oracle(f, m, T, samples=samples, seed=seed)
+        value, stderr = mc_batch_reference(f, m, T, samples, seed)
         np.testing.assert_allclose(res.value, value, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.estimated_error, stderr, rtol=1e-12, atol=0.0)
 
@@ -566,6 +578,34 @@ class TestBruteForceOracle:
         plain, plain_err = mc_batch_reference(f, m, T, 200_000, 11, control_variate=False)
         assert abs(res.value - plain) <= 3.0 * np.hypot(res.estimated_error, plain_err)
         assert res.estimated_error <= 0.5 * plain_err
+
+    @pytest.mark.parametrize("pair, T", THREE_NORMAL_PAIRS.values(), ids=THREE_NORMAL_PAIRS.keys())
+    def test_agrees_with_three_normal_estimator(self, pair, T):
+        # verify's default sample count and seed; the three-normal estimator
+        # draws the direction of u_perp where the oracle averages over it
+        f, m = pair
+        res = brute_force_overlap_oracle(f, m, T, samples=200_000, seed=11)
+        three, three_err = mc_three_normal_reference(f, m, T, 200_000, 11)
+        assert abs(res.value - three) <= 3.0 * np.hypot(res.estimated_error, three_err)
+
+    @pytest.mark.parametrize("pair, T", THREE_NORMAL_PAIRS.values(), ids=THREE_NORMAL_PAIRS.keys())
+    def test_stderr_not_above_three_normal_estimator(self, pair, T):
+        f, m = pair
+        res = brute_force_overlap_oracle(f, m, T, samples=200_000, seed=11)
+        assert res.estimated_error <= mc_three_normal_reference(f, m, T, 200_000, 11)[1]
+
+    def test_rigid_motion_invariance(self):
+        # the oracle reads only |d|, (d^.n_f)(d^.n_a) and n_f.n_a, so at one seed a
+        # rotated and shifted pair gives the same value up to rounding
+        angle, (x, y, z) = 1.1, np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5])
+        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        rotation = np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * cross @ cross
+        moved = [CurlGaussian(f.amplitude, f.sigma, center=rotation @ f.center_vec + (3.0, -1.5, 7.25),
+                              axis=rotation @ f.axis_vec) for f in MC_DISPLACED_TILTED]
+        res = brute_force_overlap_oracle(*MC_DISPLACED_TILTED, MC_T, samples=200_000, seed=11)
+        res_moved = brute_force_overlap_oracle(*moved, MC_T, samples=200_000, seed=11)
+        np.testing.assert_allclose(res_moved.value, res.value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res_moved.estimated_error, res.estimated_error, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("pair, T", SIX_NORMAL_PAIRS.values(), ids=SIX_NORMAL_PAIRS.keys())
     def test_agrees_with_six_normal_estimator(self, pair, T):
