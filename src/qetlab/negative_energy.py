@@ -132,9 +132,14 @@ class PlaneWaveMode:
 
     def __post_init__(self):
         _set_checked(self, k=_nonzero, polarization=_unit, volume=_positive)
-        k = np.asarray(self.k)
-        if abs(k @ np.asarray(self.polarization)) > 1e-12 * self.omega:
+        k, pol, omega = np.asarray(self.k), np.asarray(self.polarization), self.omega
+        if abs(k @ pol) > 1e-12 * omega:
             raise ValidationError("polarization: must be transverse to k")
+        # the amplitudes' constants, built once; attributes, not fields, so ==, hash and repr ignore them
+        constants = dict(_k=k, _pol=pol, _e_coef=-1j * math.sqrt(omega / (2.0 * self.volume)),
+                         _b_norm=math.sqrt(2.0 * omega * self.volume), _k_cross_pol=np.cross(k, pol))
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
     @property
     def omega(self) -> float:
@@ -142,20 +147,13 @@ class PlaneWaveMode:
 
     def electric_amplitude(self, x) -> np.ndarray:
         """Coefficient of the annihilator in E(x) for this mode."""
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * (np.asarray(self.k) @ x))
-        return -1j * math.sqrt(self.omega / (2.0 * self.volume)) * phase * np.asarray(self.polarization)
+        phase = np.exp(1j * (self._k @ np.asarray(x, dtype=float)))
+        return self._e_coef * phase * self._pol
 
     def magnetic_amplitude(self, x) -> np.ndarray:
         """Coefficient of the annihilator in curl A(x) for this mode."""
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * (np.asarray(self.k) @ x))
-        return (
-            1j
-            * phase
-            / math.sqrt(2.0 * self.omega * self.volume)
-            * np.cross(np.asarray(self.k), np.asarray(self.polarization))
-        )
+        phase = np.exp(1j * (self._k @ np.asarray(x, dtype=float)))
+        return 1j * phase / self._b_norm * self._k_cross_pol
 
 
 @dataclass(frozen=True)
@@ -174,6 +172,7 @@ class DiscreteModeSet:
         norm = float(np.sum(np.abs(c) ** 2))
         if not (abs(norm - 1.0) <= 1e-10):
             raise ValidationError(f"coefficients not normalized: sum |c|^2 = {norm}")
+        object.__setattr__(self, "_ops", _annihilators(len(self.modes)))  # for fock_matrix_elements
 
     def wick_matrix_elements(self, x) -> tuple[float, complex]:
         uE = sum(c * m.electric_amplitude(x) for c, m in zip(self.coeffs, self.modes))
@@ -209,7 +208,7 @@ def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
     amplitudes, so each mode's electric and magnetic amplitudes stack into six
     components of one field.
     """
-    ops = _annihilators(len(modeset.modes))
+    ops = modeset._ops
     x = np.asarray(x, dtype=float)
     amps = np.array([np.concatenate([m.electric_amplitude(x), m.magnetic_amplitude(x)]) for m in modeset.modes])
     eps = _density_operator(amps, ops)

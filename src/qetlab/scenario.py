@@ -225,6 +225,8 @@ def parse_scenario(path) -> Scenario:
             raise ValidationError([f"{path}: malformed YAML: {exc}"]) from exc
         except UnicodeDecodeError as exc:
             raise ValidationError([f"{path}: not UTF-8 text: {exc}"]) from exc
+        except ValueError as exc:  # a scalar its constructor refuses: an int past Python's digit limit, a bad date
+            raise ValidationError([f"{path}: a value YAML could not convert: {exc}"]) from exc
     if raw is None:
         raise ValidationError([f"{path}: empty scenario"])
     return scenario_from_dict(raw)

@@ -216,7 +216,8 @@ def weighted_spectral_integral(field: CurlGaussian, power: int) -> float:
 def d2_delta_offcone(t: float, r2) -> np.ndarray:
     """Second time derivative of the off-cone kernel at squared distance r2 = r^2.
 
-    -(3t^2 + r^2)/(pi^2 (t^2-r^2)^3); the Monte Carlo oracle forms r^2 directly.
+    -(3t^2 + r^2)/(pi^2 (t^2-r^2)^3); the Monte Carlo oracle forms r^2 directly and
+    repeats these operations, in this order, in place on its blocks.
     """
     r2 = np.asarray(r2, dtype=float)
     u = t * t - r2
@@ -255,6 +256,8 @@ def min_oracle_wait(f_o: CurlGaussian, a_m: CurlGaussian) -> float:
 
 
 _MC_BATCH = 1 << 16
+# samples per block inside a batch: a block's rows (128 KiB each) stay in a core's L2
+_MC_BLOCK = 1 << 14
 
 
 def brute_force_overlap_oracle(
@@ -283,8 +286,10 @@ def brute_force_overlap_oracle(
     (n_f.n_a)(2 - u_e^2 - rho^2) + u_e^2 c_d + (rho^2/2)(n_f.n_a - c_d), c_d = (d^.n_f)(d^.n_a).
     So a sample draws u_e ~ N(0, 1) and rho^2 ~ chi^2_2 alone (Rao-Blackwell: same
     mean, no larger variance).  Batch seeds are spawned deterministically and batch
-    sums reduced in index order, so a fixed (seed, samples) gives the same bits at
-    every worker count.
+    sums reduced in index order.  Inside a batch the arithmetic runs in blocks of
+    _MC_BLOCK samples, but the values and their squares are each summed once over the
+    whole batch, so a fixed (seed, samples) gives the same bits at every worker count
+    and every block size.
     """
     T, samples, workers = _checked(T=(_positive, T), samples=(_integer(2), samples), workers=(_integer(1), workers))
     wait = min_oracle_wait(f_o, a_m)
@@ -305,27 +310,51 @@ def brute_force_overlap_oracle(
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
     batch_seeds = np.random.SeedSequence(seed).spawn(n_batches)
 
+    # where every T^2 - r^2 of a block exceeds this floor, each r^2 < T^2, so each cone
+    # bound CONE_EPS (T^2 + r^2) < 2 CONE_EPS T^2, and the margin covers rounding: no sample
+    # of the block is on the cone, and the exact check below is skipped
+    cone_floor = 2.1 * CONE_EPS * T2
+    three_T2 = 3.0 * T * T
+    rho2_coef, ue2_coef, field_const = 0.5 * (cos_axes - c_d) - cos_axes, c_d - cos_axes, 2.0 * cos_axes
+
     def run_batch(i: int) -> tuple[float, float]:
         n = min(_MC_BATCH, samples - i * _MC_BATCH)
         rng = np.random.default_rng(batch_seeds[i])
         ue = rng.standard_normal(n)
         rho2 = rng.standard_exponential(n)
-        rho2 *= 2.0  # chi^2 with 2 degrees of freedom
-        r2 = s * ue
-        r2 += sep
-        r2 *= r2
-        r2 += (s * s) * rho2
-        if np.any(np.abs(T2 - r2) <= CONE_EPS * (T2 + r2)):
-            raise ValidationError("sampled pair fell on the light cone")
-        ue *= ue  # u_e^2 from here on
-        field = (0.5 * (cos_axes - c_d) - cos_axes) * rho2
-        field += (c_d - cos_axes) * ue
-        field += 2.0 * cos_axes
-        vals = d2_delta_offcone(T, r2)
-        vals -= kernel_at_zero
-        vals *= field
-        vals *= weight
-        return float(np.sum(vals)), float(np.sum(vals * vals))
+        # block by block, with d2_delta_offcone's arithmetic in its order; each block's
+        # values overwrite its draws in ue and their squares in rho2, so the two sums
+        # run over the whole batch whatever the block size.  In a block, e holds u_e, then
+        # intermediates, then the values; r holds r^2; w holds T^2 - r^2; f the field factor
+        r2, u, field = (np.empty(min(n, _MC_BLOCK)) for _ in range(3))
+        for lo in range(0, n, _MC_BLOCK):
+            e, q = ue[lo:lo + _MC_BLOCK], rho2[lo:lo + _MC_BLOCK]
+            r, w, f = r2[:len(e)], u[:len(e)], field[:len(e)]
+            q *= 2.0  # chi^2 with 2 degrees of freedom
+            np.multiply(e, s, out=r)
+            r += sep
+            r *= r
+            np.multiply(q, s * s, out=w)
+            r += w
+            np.subtract(T2, r, out=w)
+            if not w.min() > cone_floor and np.any(np.abs(w) <= CONE_EPS * (T2 + r)):
+                raise ValidationError("sampled pair fell on the light cone")
+            e *= e
+            np.multiply(q, rho2_coef, out=f)
+            e *= ue2_coef
+            f += e
+            f += field_const
+            r += three_T2
+            np.multiply(w, w, out=e)
+            e *= w
+            e *= np.pi**2
+            np.divide(r, e, out=e)
+            np.negative(e, out=e)
+            e -= kernel_at_zero
+            e *= f
+            e *= weight
+            np.multiply(e, e, out=q)
+        return float(np.sum(ue)), float(np.sum(rho2))
 
     from concurrent.futures import ThreadPoolExecutor
 

@@ -247,6 +247,23 @@ class TestExitCodes:
         assert captured.err == f"error: scenario.{message.format(huge=huge)}\n"
         assert captured.out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["energy", "teleport", "density"])
+    @pytest.mark.parametrize(
+        "value, reason",
+        [("1" + "0" * 5000, "Exceeds the limit (4300 digits)"), ("2020-13-45", "month must be in 1..12")],
+        ids=["int-past-the-digit-limit", "impossible-date"],
+    )
+    def test_value_yaml_cannot_convert_is_named(self, verb, value, reason, tmp_path, capsys):
+        # the loader's own scalar constructors raise ValueError before any field rule runs
+        path = tmp_path / "unconvertible.yaml"
+        path.write_text(MINIMAL.replace("T: 8.0", f"T: {value}"))
+        argv = [verb, "--scenario", str(path)] + ([] if verb == "energy" else ["--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: a value YAML could not convert: {reason}")
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "scenario",
         [

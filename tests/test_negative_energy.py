@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -300,7 +301,41 @@ class TestContinuumMode:
         assert np.any(rows[:, 6] < 0.0)
 
 
+# (modes, LATTICE_POINTS row, Wick A, Re B, Im B, Fock A, Re B, Im B) as float.hex, for
+# random_mode_set(np.random.default_rng(modes), modes), recorded before the modes kept their constants
+WICK_FOCK_BITS = [
+    (1, 0, "0x1.7ae0842dde3e7p-1", "-0x1.d250adbba7f84p-4", "-0x1.e26c9a024fc4fp-3", "0x1.7ae0842dde3e8p-1", "-0x1.d250adbba7f83p-4", "-0x1.e26c9a024fc51p-3"),
+    (1, 1, "0x1.7ae0842dde3e6p-1", "-0x1.10f68a1b1643cp-3", "-0x1.cd1242297d2e8p-3", "0x1.7ae0842dde3e8p-1", "-0x1.10f68a1b1643fp-3", "-0x1.cd1242297d2ecp-3"),
+    (1, 2, "0x1.7ae0842dde3e6p-1", "0x1.b638b1b593172p-5", "-0x1.063f241494055p-2", "0x1.7ae0842dde3e7p-1", "0x1.b638b1b593170p-5", "-0x1.063f241494057p-2"),
+    (1, 3, "0x1.7ae0842dde3e7p-1", "0x1.0be208863bc49p-2", "0x1.c6d3034b29531p-9", "0x1.7ae0842dde3e8p-1", "0x1.0be208863bc4ap-2", "0x1.c6d3034b29520p-9"),
+    (2, 0, "0x1.44bf01d655125p+0", "0x1.9837a54378594p-3", "-0x1.632674138f06ap-2", "0x1.44bf01d655124p+0", "0x1.9837a54378594p-3", "-0x1.632674138f06cp-2"),
+    (2, 1, "0x1.451044824a3b9p+0", "0x1.2ac25f03dd4aap-2", "-0x1.21dc1ec5dd2acp-2", "0x1.451044824a3bap+0", "0x1.2ac25f03dd4abp-2", "-0x1.21dc1ec5dd2aep-2"),
+    (2, 2, "0x1.470579ae8054cp+0", "-0x1.c2426d8b286fdp-2", "-0x1.459f5e031f3f6p-4", "0x1.470579ae8054cp+0", "-0x1.c2426d8b286fcp-2", "-0x1.459f5e031f3f4p-4"),
+    (2, 3, "0x1.248b7c6ef83d2p+0", "0x1.220c322869cb7p-2", "-0x1.e53032de9edf5p-3", "0x1.248b7c6ef83d3p+0", "0x1.220c322869cb8p-2", "-0x1.e53032de9edf8p-3"),
+    (3, 0, "0x1.c3cd4e6ee037ep+1", "-0x1.5109fefd93ff5p-5", "0x1.558069cb3ec0ap-2", "0x1.c3cd4e6ee037cp+1", "-0x1.5109fefd9402ap-5", "0x1.558069cb3ec09p-2"),
+    (3, 1, "0x1.11cc313511ff8p+2", "0x1.8298979fca7cfp+0", "0x1.887146d4130b9p-5", "0x1.11cc313511ff8p+2", "0x1.8298979fca7d0p+0", "0x1.887146d4130d0p-5"),
+    (3, 2, "0x1.13e9673e60107p+2", "-0x1.820a3316529f8p+0", "0x1.97f49f6590517p-4", "0x1.13e9673e60108p+2", "-0x1.820a3316529f9p+0", "0x1.97f49f6590510p-4"),
+    (3, 3, "0x1.35bdd5569d132p+2", "0x1.020188d48ea33p+0", "-0x1.b1425d5320847p-2", "0x1.35bdd5569d134p+2", "0x1.020188d48ea33p+0", "-0x1.b1425d532084cp-2"),
+]
+
+
 class TestFockOracle:
+    @pytest.mark.parametrize("row", WICK_FOCK_BITS, ids=[f"{r[0]}-{r[1]}" for r in WICK_FOCK_BITS])
+    def test_bits_pinned(self, row):
+        n_modes, point, *bits = row
+        ms = random_mode_set(np.random.default_rng(n_modes), n_modes)
+        (Aw, Bw), (Af, Bf) = ms.wick_matrix_elements(LATTICE_POINTS[point]), fock_matrix_elements(ms, LATTICE_POINTS[point])
+        assert [float(v).hex() for v in (Aw, Bw.real, Bw.imag, Af, Bf.real, Bf.imag)] == bits
+
+    def test_mode_fields_equality_and_hash(self):
+        # the built constants are attributes, not fields: ==, hash and repr read k, polarization and volume
+        assert [f.name for f in dataclasses.fields(PlaneWaveMode)] == ["k", "polarization", "volume"]
+        a = PlaneWaveMode(k=(1.0, 2.0, 0.0), polarization=(0.0, 0.0, 1.0), volume=2.0)
+        b = PlaneWaveMode(k=(1, 2, 0), polarization=(0.0, 0.0, 3.0), volume=2.0)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != dataclasses.replace(a, volume=3.0)
+        assert repr(a) == "PlaneWaveMode(k=(1.0, 2.0, 0.0), polarization=(0.0, 0.0, 1.0), volume=2.0)"
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_wick_equals_fock(self, rng, n_modes):
         for _ in range(3):

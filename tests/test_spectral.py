@@ -521,7 +521,54 @@ COCENTRED_TILTED = tuple(CurlGaussian(f.amplitude, f.sigma, axis=f.axis) for f i
 THREE_NORMAL_PAIRS = {**SIX_NORMAL_PAIRS, "cocentred-tilted": (COCENTRED_TILTED, 14.0)}
 
 
+# (pair, samples, value.hex(), estimated_error.hex()) at seed 11, recorded when each batch
+# was one block.  In blocks of 2^14: 2 and 8_193 samples are one short block, 16_389 a full
+# block and a short one, 65_536 + 8_193 + 3 a full batch and a short one, and 2e5 three
+# full batches and a short one
+MC_BITS = [
+    ("canonical", 2, "-0x1.e5da193e12fabp-15", "0x1.db203d248712dp-18"),
+    ("canonical", 8193, "0x1.57ec9975eb1c6p-13", "0x1.d133ac29e234cp-18"),
+    ("canonical", 16389, "0x1.563a599d951a4p-13", "0x1.4e4099d4980f3p-18"),
+    ("canonical", 73732, "0x1.64500fc2796acp-13", "0x1.428b3360d9f2cp-19"),
+    ("canonical", 200000, "0x1.62e905d01be7fp-13", "0x1.874b213b018bap-20"),
+    ("displaced-tilted", 2, "-0x1.2f384ac056f0bp-17", "0x1.950fc58b7edbbp-19"),
+    ("displaced-tilted", 8193, "0x1.1b4f541c07243p-16", "0x1.f45de10207434p-21"),
+    ("displaced-tilted", 16389, "0x1.129d89b6e3598p-16", "0x1.641dcd3696c1ap-21"),
+    ("displaced-tilted", 73732, "0x1.23916462c4dd5p-16", "0x1.5e05ce69678a4p-22"),
+    ("displaced-tilted", 200000, "0x1.247b740cb8a76p-16", "0x1.acc7c6a26cff9p-23"),
+    ("cocentred-tilted", 2, "-0x1.c6efcc03823e0p-16", "0x1.ba73afec69344p-19"),
+    ("cocentred-tilted", 8193, "0x1.3d0b68934d69cp-14", "0x1.aa03193d089c2p-19"),
+    ("cocentred-tilted", 16389, "0x1.3b60a89be1024p-14", "0x1.319fa8bb68123p-19"),
+    ("cocentred-tilted", 73732, "0x1.4857f4e7fef22p-14", "0x1.26fe6b980710dp-20"),
+    ("cocentred-tilted", 200000, "0x1.470d7acb67105p-14", "0x1.65b42f674de60p-21"),
+]
+
+
 class TestBruteForceOracle:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name, samples, value, err", MC_BITS, ids=[f"{r[0]}-{r[1]}" for r in MC_BITS])
+    def test_bits_pinned(self, name, samples, value, err, workers):
+        # the blocks inside a batch, and the thread count, change no bit
+        (f, m), T = THREE_NORMAL_PAIRS[name]
+        res = brute_force_overlap_oracle(f, m, T, samples=samples, seed=11, workers=workers)
+        assert (res.value.hex(), res.estimated_error.hex()) == (value, err)
+
+    @pytest.mark.parametrize("block", [1000, spectral._MC_BATCH])
+    @pytest.mark.parametrize("name, samples, value, err", MC_BITS[3::5], ids=[r[0] for r in MC_BITS[3::5]])
+    def test_bits_do_not_depend_on_the_block_size(self, name, samples, value, err, block, monkeypatch):
+        monkeypatch.setattr(spectral, "_MC_BLOCK", block)
+        (f, m), T = THREE_NORMAL_PAIRS[name]
+        res = brute_force_overlap_oracle(f, m, T, samples=samples, seed=11, workers=2)
+        assert (res.value.hex(), res.estimated_error.hex()) == (value, err)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("samples", [2, spectral._MC_BATCH + 1])
+    def test_sample_on_the_cone_is_refused(self, samples, workers, monkeypatch):
+        # with CONE_EPS = 1 every |T^2 - r^2| <= T^2 + r^2, so every sample is on the cone
+        monkeypatch.setattr(spectral, "CONE_EPS", 1.0)
+        with pytest.raises(ValidationError, match="sampled pair fell on the light cone"):
+            brute_force_overlap_oracle(*MC_DISPLACED_TILTED, MC_T, samples=samples, seed=11, workers=workers)
+
     def test_deterministic_bit_exact(self, canonical_field):
         a = canonical_field
         r1 = brute_force_overlap_oracle(a, a, 13.0, samples=100_000, seed=42)
