@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import CurlGaussian, _integer, _positive, _real, _set_checked
+from .fields import CurlGaussian, _grid_n, _positive, _real, _set_checked
 
 # spectral-resolution gate: Nyquist wavenumber must reach 8/sigma so the
 # grid sum of the density captures the Gaussian spectrum below the 1e-12
@@ -55,7 +55,7 @@ class FrameGrid:
     half_extent: float
 
     def __post_init__(self):
-        _set_checked(self, n=_integer(8), half_extent=_positive)
+        _set_checked(self, n=_grid_n, half_extent=_positive)
 
     @property
     def dx(self) -> float:

@@ -118,6 +118,14 @@ def _integer(minimum: int):
     return rule
 
 
+def _grid_n(value, name: str) -> int:
+    """The rule for a frame grid's n: an integer >= 8 whose (n, n, n) frame of 8 n^3 bytes numpy can index."""
+    n, largest = _integer(8)(value, name), np.iinfo(np.intp).max
+    if 8 * n**3 > largest:
+        raise ValidationError(f"{name}: one frame takes 8 n^3 bytes, past numpy's largest array ({largest} bytes), got {n}")
+    return n
+
+
 def _checked(**params) -> list:
     """rule(value, name) for each name=(rule, value), in order; one ValidationError lists every failure."""
     values, errors = [], []

@@ -145,15 +145,10 @@ class PlaneWaveMode:
     def omega(self) -> float:
         return _norm(self.k)[2]
 
-    def electric_amplitude(self, x) -> np.ndarray:
-        """Coefficient of the annihilator in E(x) for this mode."""
+    def amplitudes(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of this mode's annihilator in E(x) and in curl A(x), from one phase."""
         phase = np.exp(1j * (self._k @ np.asarray(x, dtype=float)))
-        return self._e_coef * phase * self._pol
-
-    def magnetic_amplitude(self, x) -> np.ndarray:
-        """Coefficient of the annihilator in curl A(x) for this mode."""
-        phase = np.exp(1j * (self._k @ np.asarray(x, dtype=float)))
-        return 1j * phase / self._b_norm * self._k_cross_pol
+        return self._e_coef * phase * self._pol, 1j * phase / self._b_norm * self._k_cross_pol
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,16 @@ class DiscreteModeSet:
         norm = float(np.sum(np.abs(c) ** 2))
         if not (abs(norm - 1.0) <= 1e-10):
             raise ValidationError(f"coefficients not normalized: sum |c|^2 = {norm}")
-        object.__setattr__(self, "_ops", _annihilators(len(self.modes)))  # for fock_matrix_elements
+        # fock_matrix_elements' annihilators and two-photon state (basis state 0 is the vacuum)
+        ops = _annihilators(len(self.modes))
+        creator = np.tensordot(np.asarray(self.coeffs), ops.transpose(0, 2, 1), axes=1)
+        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_two", creator @ creator[:, 0] / math.sqrt(2.0))
 
     def wick_matrix_elements(self, x) -> tuple[float, complex]:
-        uE = sum(c * m.electric_amplitude(x) for c, m in zip(self.coeffs, self.modes))
-        uB = sum(c * m.magnetic_amplitude(x) for c, m in zip(self.coeffs, self.modes))
+        amps = [m.amplitudes(x) for m in self.modes]
+        uE = sum(c * e for c, (e, _) in zip(self.coeffs, amps))
+        uB = sum(c * b for c, (_, b) in zip(self.coeffs, amps))
         return matrix_elements_from_amplitudes(uE, uB)
 
 
@@ -208,13 +208,9 @@ def fock_matrix_elements(modeset: DiscreteModeSet, x) -> tuple[float, complex]:
     amplitudes, so each mode's electric and magnetic amplitudes stack into six
     components of one field.
     """
-    ops = modeset._ops
     x = np.asarray(x, dtype=float)
-    amps = np.array([np.concatenate([m.electric_amplitude(x), m.magnetic_amplitude(x)]) for m in modeset.modes])
-    eps = _density_operator(amps, ops)
-
-    creator = np.tensordot(np.asarray(modeset.coeffs), ops.transpose(0, 2, 1), axes=1)
-    two = creator @ creator[:, 0] / math.sqrt(2.0)  # basis state 0 is the vacuum
+    eps = _density_operator(np.array([np.concatenate(m.amplitudes(x)) for m in modeset.modes]), modeset._ops)
+    two = modeset._two
     A = float(np.real(two.conj() @ (eps @ two)))
     B = complex(eps[0] @ two)
     return A, B

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import yaml
 
 from .errors import ValidationError
-from .fields import CurlGaussian, RadialWindow, _integer, _nonnegative, _positive
+from .fields import CurlGaussian, RadialWindow, _grid_n, _integer, _nonnegative, _positive
 from .protocols import PROBE_FIELDS, PairInvariants, after_causal_wait, scaled_norms_finite
 
 PROBES = (*PROBE_FIELDS, "both")
@@ -186,7 +186,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     pair = errs.call("scenario.fields", PairInvariants.of, a_m, f_o) if a_m and f_o else None
 
     grid = spec.get("grid") or {}
-    grid_n = errs.call("scenario.grid", _integer(8), grid.get("n", 128), "n")
+    grid_n = errs.call("scenario.grid", _grid_n, grid.get("n", 128), "n")
     grid_half = grid.get("half_extent")
     if grid_half is not None:
         grid_half = errs.call("scenario.grid", _positive, grid_half, "half_extent")

@@ -152,7 +152,9 @@ def _contour_pairing(f1: CurlGaussian, f2: CurlGaussian, ts):
     if math.isinf(2.0 * dist * dist * dist):
         raise ValidationError(f"separation |d| = {sep!r}: 2|d|^3 in units of {scale!r} leaves the float range")
     if not math.isfinite(pref) or (pref == 0.0 and amp != 0.0):
-        raise ValidationError(f"widths sigma = {f1.sigma!r} and {f2.sigma!r}: the K(T) prefactor leaves the float range")
+        cause = (f"widths sigma = {f1.sigma!r} and {f2.sigma!r}" if math.isfinite(amp)
+                 else f"amplitudes {f1.amplitude!r} and {f2.amplitude!r}")
+        raise ValidationError(f"{cause}: the K(T) prefactor leaves the float range")
     alpha = 0.5 * (s1**2 + s2**2)
 
     x_max = 8.0 / math.sqrt(alpha)

@@ -8,15 +8,20 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qetlab.cli as cli
 from qetlab import CurlGaussian, spectral, verify
 from qetlab.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from qetlab.scenario import _SHAPE
 from qetlab.spectral import overlap_kernel
 
 from oracles import kernel_series_reference
@@ -92,15 +97,37 @@ class TestExitCodes:
         assert "under-resolves" in err
         assert "Traceback" not in err
 
-    def test_unallocatable_frame_exits_2(self, tmp_path, capsys):
-        # n = 100000 asks for 8e15 bytes, beyond any 48-bit address space, so
-        # the allocation fails at once without touching memory
+    @pytest.mark.parametrize("n, named", [
+        # 8e15 bytes, beyond any 48-bit address space: the allocation fails at once without touching memory
+        ("100000", "n = 100000 needs 8e+15 bytes"),
+        # 8 n^3 bytes past numpy's index range, where numpy raises ValueError or OverflowError instead
+        ("3000000", "scenario.grid.n: one frame takes 8 n^3 bytes"),
+        ("1" + "0" * 25, "scenario.grid.n: one frame takes 8 n^3 bytes"),
+        ("1" + "0" * 400, "scenario.grid.n: one frame takes 8 n^3 bytes"),
+    ], ids=["1e5", "3e6", "1e25", "1e400"])
+    def test_unallocatable_frame_exits_2(self, n, named, tmp_path, capsys):
         path = tmp_path / "huge.yaml"
-        path.write_text(MINIMAL + "times: [0.0]\ngrid: {n: 100000}\n")
-        code = main(["density", "--scenario", str(path), "--out", str(tmp_path / "frames")])
+        path.write_text(MINIMAL + f"times: [0.0]\ngrid: {{n: {n}}}\n")
+        out_dir = tmp_path / "frames"
+        code = main(["density", "--scenario", str(path), "--out", str(out_dir)])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "n = 100000" in err and "8e+15 bytes" in err
+        assert named in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("- T: 8.0\n", "scenario: top level must be a mapping"),
+        ("fields:\n  a_m: {sigma: 1.0}\n", "scenario.T: required"),
+        ("T: 8.0\nfields:\n  f_o: {sigma: 1.0}\n", "scenario.fields.a_m: required"),
+        ("", "empty scenario"),
+    ], ids=["top-level-list", "no-T", "fields-without-a_m", "empty-file"])
+    def test_scenario_shape_errors_exit_2(self, text, named, tmp_path, capsys):
+        path = tmp_path / "shape.yaml"
+        path.write_text(text)
+        assert main(["energy", "--scenario", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err
         assert "Traceback" not in err
 
     def test_density_failing_at_a_later_time_writes_nothing(self, tmp_path, capsys):
@@ -456,6 +483,101 @@ def test_import_builds_no_table():
     sizes = dict(line.split() for line in proc.stdout.splitlines())
     assert {"qetlab.results._pow10_table", "qetlab.results._text_tables"} <= set(sizes)
     assert set(sizes.values()) == {"0"}, sizes
+
+
+class _Verbatim(str):
+    """A scalar written into the YAML text as it stands, for what no Python value dumps to."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(
+    _Verbatim, lambda dumper, text: dumper.represent_scalar(dumper.resolve(yaml.ScalarNode, text, (True, False)), text)
+)
+
+# The value classes a scenario may hold where a number, a list or a mapping belongs.  Ints stay at
+# or below 16 or at or above 2^21, so that a drawn grid n makes `density` refuse the grid or build
+# frames of at most 16^3 nodes.
+_INTS = st.one_of(st.integers(-3, 16), st.integers(2**21, 2**70), st.sampled_from([10**400, -(10**400)]))
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JUNK_SCALARS = st.one_of(
+    _FLOATS, _INTS, st.booleans(), st.none(),
+    st.sampled_from(["1.0", "1e100", "-2", "nan", "inf", "abc", "", "a/b", ".."]),
+    # an int past Python's 4,300-digit string limit and an impossible date, which the loader refuses
+    st.sampled_from([_Verbatim("1" + "0" * 5000), _Verbatim("2020-13-45")]),
+)
+_JUNK = st.one_of(
+    _JUNK_SCALARS,
+    st.lists(_JUNK_SCALARS, max_size=4),
+    st.dictionaries(st.sampled_from(["x", "sigma", 1]), _JUNK_SCALARS, max_size=2),
+)
+# values that pass their rule, so that draws also reach the protocols and the frame checks
+_GOOD = {
+    "seed": [0, 7], "probe": ["spin", "oscillator", "both"], "T": [8.0, 14.0, [10.0, 20.0]],
+    "lambda": [1.0, [0.5, 2.0]], "amplitude": [1.0, -2.0], "sigma": [1.0, 0.5],
+    "center": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "axis": [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "radius": [3.0],
+    "n": [8, 16, 2**21, 2**40], "half_extent": [6.0, 20.0], "times": [[0.0], [0.0, 4.0]],
+    "results": ["r.jsonl"], "frames_prefix": ["f"],
+}
+_REQUIRED = {"sigma", "radius"}  # within their own mapping; T, fields.a_m and grid.n are the scenario's
+
+
+def _good(shape: dict):
+    """Mappings over a `scenario._SHAPE` table whose every value passes its rule."""
+    drawn = {key: _good(table) if table else st.sampled_from(_GOOD[key]) for key, table in shape.items()}
+    required = {key: value for key, value in drawn.items() if key in _REQUIRED}
+    return st.fixed_dictionaries(required, optional={k: v for k, v in drawn.items() if k not in required})
+
+
+def _paths(shape: dict, prefix=()):
+    for key, table in shape.items():
+        yield prefix + (key,)
+        yield from _paths(table or {}, prefix + (key,))
+
+
+_PATHS = list(_paths(_SHAPE))
+
+
+@st.composite
+def _scenarios(draw):
+    """A valid scenario with up to three of its values, at any depth, removed or replaced by junk."""
+    raw = draw(_good(_SHAPE))
+    raw.setdefault("T", 14.0)
+    raw.setdefault("fields", {}).setdefault("a_m", {"sigma": 1.0})
+    raw.setdefault("grid", {}).setdefault("n", draw(st.sampled_from(_GOOD["n"])))
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, key = draw(st.sampled_from(_PATHS))
+        node = raw
+        for parent in parents:
+            node = node.get(parent) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            if draw(st.booleans()):
+                node[key] = draw(_JUNK)
+            else:
+                node.pop(key, None)
+    return raw
+
+
+@settings(max_examples=250, derandomize=True, database=None)
+@given(raw=st.one_of(_scenarios(), _JUNK))
+def test_any_scenario_ends_in_records_or_a_named_exit(raw):
+    # never a traceback: each verb returns a documented exit code, with every warning an error
+    grid = raw.get("grid") if isinstance(raw, dict) else None
+    runs_density = isinstance(grid, dict) and "n" in grid  # never the default n = 128
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.dump(raw, Dumper=_Dumper), encoding="utf-8")
+        verbs = [["energy"], ["teleport", "--out", tmp]] + [["density", "--format", "binary", "--out", tmp]] * runs_density
+        for verb in verbs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([verb[0], "--scenario", str(path), *verb[1:]])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE, EXIT_IO), (verb, raw)
 
 
 def test_module_entry_point_runs_main():

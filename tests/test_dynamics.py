@@ -68,6 +68,16 @@ class TestFrameConstruction:
         with pytest.raises(ValidationError, match=re.escape(f"amplitude = 1.0, sigma = {sigma!r}")):
             energy_density_frame(CurlGaussian(1.0, sigma), 0.0, grid)
 
+    @pytest.mark.parametrize("n", [1_048_576, 3_000_000, 10**25, 10**400], ids=["2^20", "3e6", "1e25", "1e400"])
+    def test_n_past_numpy_index_range_is_refused(self, n):
+        # 8 n^3 bytes past intp's maximum, where np.empty raises ValueError and dx OverflowError
+        with pytest.raises(ValidationError, match=re.escape("n: one frame takes 8 n^3 bytes, past numpy's largest array")):
+            FrameGrid(n=n, half_extent=1.0)
+
+    def test_n_just_inside_numpy_index_range_is_a_grid(self):
+        # 8 (2^20 - 1)^3 < 2^63 - 1; only the allocation, never made here, could refuse it
+        assert FrameGrid(n=1_048_575, half_extent=1.0).n == 1_048_575
+
     def test_zero_source_gives_vacuum_frame(self):
         zero = CurlGaussian(0.0, 1.0)
         frame = energy_density_frame(zero, 4.0, FrameGrid(n=64, half_extent=12.0))

@@ -357,7 +357,7 @@ class TestFockOracle:
         # normal ordering: <0|eps|0> = 0 exactly in the truncated basis
         ms = random_mode_set(rng, 2)
         x = rng.normal(size=3)
-        amps = np.array([m.electric_amplitude(x) for m in ms.modes])
+        amps = np.array([m.amplitudes(x)[0] for m in ms.modes])
         eps_op = _density_operator(amps, _annihilators(2))
         assert abs(eps_op[0, 0]) == 0.0
 
@@ -371,6 +371,15 @@ class TestFockOracle:
         c = np.ones(4) / 2.0
         with pytest.raises(ValidationError, match="overflow|3 modes"):
             DiscreteModeSet(modes=modes, coeffs=tuple(c))
+
+    def test_polarization_not_transverse_rejected(self):
+        with pytest.raises(ValidationError, match="polarization: must be transverse to k"):
+            PlaneWaveMode(k=(1.0, 0.0, 0.0), polarization=(1.0, 1.0, 0.0))
+
+    def test_coefficient_count_must_match_modes(self, rng):
+        ms = random_mode_set(rng, 2)
+        with pytest.raises(ValidationError, match="one coefficient per mode required"):
+            DiscreteModeSet(modes=ms.modes, coeffs=(1.0,))
 
     def test_unnormalized_coefficients_rejected(self, rng):
         ms = random_mode_set(rng, 2)

@@ -597,13 +597,16 @@ class TestFrameEmission:
         assert loaded["dx"] == frame.grid.dx
         np.testing.assert_array_equal(loaded["eps"], frame.eps)
 
-    def test_binary_magic_validated(self, frame, tmp_path):
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: b"XXXX" + blob[4:], "bad magic"),
+        (lambda blob: blob[:8] + (2).to_bytes(4, "little") + blob[12:], "unsupported version 2"),  # after the magic
+        (lambda blob: blob[:20], "truncated header"),
+    ], ids=["magic", "version", "truncated-header"])
+    def test_binary_header_validated(self, frame, tmp_path, damage, message):
         path = tmp_path / "frame.bin"
         emit_frame_binary(frame, path)
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"XXXX"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="magic"):
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
             load_frame_binary(path)
 
     def test_binary_truncation_detected(self, frame, tmp_path):

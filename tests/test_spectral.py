@@ -289,6 +289,17 @@ class TestOverlapKernel:
             overlap_kernel(narrow, narrow, 1.0)
 
     @pytest.mark.parametrize(
+        "f1, f2, cause",
+        [(CurlGaussian(1.0, 1.0), CurlGaussian(1.0, 1e-120), "widths sigma = 1.0 and 1e-120"),
+         (CurlGaussian(1e160, 1.0), CurlGaussian(1e160, 1.0), "amplitudes 1e+160 and 1e+160")],
+        ids=["width-factor-underflows", "amplitude-product-overflows"],
+    )
+    def test_prefactor_past_the_float_range_names_its_cause(self, f1, f2, cause):
+        # (2 pi sigma^2)^(3/2) of the narrow width underflows to 0; 1e160 * 1e160 is inf
+        with pytest.raises(ValidationError, match=re.escape(f"{cause}: the K(T) prefactor leaves the float range")):
+            overlap_kernel(f1, f2, 40.0)
+
+    @pytest.mark.parametrize(
         "dist, sigma, earlier",
         [(1.0, 1e-4, 1.241123415338954e-22), (1.25, 1e-4, 4.466241633932964e-22),
          (1.3, 1e-4, None), (1.0, 1e-8, None)],
