@@ -16,9 +16,10 @@ P = psi_rr - psi_r/r, Q = psi_rr + psi_r/r, and the density
 is a radial profile blended by the axis angle.  A frame's grid is centred
 on the source, so each node sits at an integer lattice vector L times one
 step and its squared radius is |L|^2 steps^2: the profile is evaluated once
-per distinct |L|^2, and the blend node by node, plane by plane.  Wave
-packets leave the source region on the light cone and the grid sum of the
-density conserves the input energy.
+per distinct |L|^2, and the blend node by node, for half the planes; the
+other half are their mirrors through the source, bit for bit.  Wave packets
+leave the source region on the light cone and the grid sum of the density
+conserves the input energy.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ def _radial_profile(tau: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return across, along
 
 
-def _blend(across, along, w2, r2, out=None) -> np.ndarray:
-    """eps = across + mu^2 (along - across), mu^2 = w2/r2 clamped to [0, 1] and 0 at r2 = 0."""
-    mu2 = np.divide(w2, r2, out=np.zeros(np.shape(w2)), where=r2 > 0)
+def _blend(across, diff, w2, r2, out=None, origin=True) -> np.ndarray:
+    """eps = across + mu^2 diff, diff = along - across, mu^2 = w2/r2 clamped to [0, 1], written over w2.
+
+    mu^2 is 0 at r2 = 0 (where w2 is 0 too), which only an `origin` call may hold."""
+    mu2 = np.divide(w2, r2, out=w2, where=r2 > 0 if origin else True)
     np.clip(mu2, 0.0, 1.0, out=mu2)
-    mu2 *= along - across
+    mu2 *= diff
     return np.add(mu2, across, out=out)
 
 
@@ -191,16 +194,24 @@ def energy_density_frame(a_m: CurlGaussian, t: float, grid: FrameGrid) -> Densit
     L = (2 * np.arange(n) - n) // (2 - half_steps)
     step = grid.dx / sigma / (1 + half_steps)
     L2 = L * L
-    across, along = _radial_profile(t / sigma, np.arange(3 * int(L2.max()) + 1) * (step * step))
+    across, diff = _radial_profile(t / sigma, np.arange(3 * int(L2.max()) + 1) * (step * step))
     across *= scale
-    along *= scale
+    diff *= scale
+    diff -= across  # along - across
     nx, ny, nz = a_m.axis_vec
     m_yz = L2[:, None] + L2[None, :]
     w_yz = ny * L[:, None] + nz * L[None, :]
     for i in range(n):
-        m = m_yz + L2[i]
-        w = w_yz + nx * L[i]
-        _blend(across[m], along[m], w * w, m, out=eps[i])
+        # L[n - i] = -L[i] for i >= 1 and m, w^2 keep their bits under L -> -L, so a
+        # far plane is its near mirror turned through the source, but for row and column 0
+        parts = [(slice(None),) * 2]
+        if 2 * i > n:
+            eps[i, 1:, 1:] = eps[n - i, :0:-1, :0:-1]
+            parts = [(0, slice(None)), (slice(1, None), 0)]
+        for yz in parts:
+            m = m_yz[yz] + L2[i]
+            w = w_yz[yz] + nx * L[i]
+            _blend(across[m], diff[m], np.square(w, out=w), m, out=eps[i][yz], origin=2 * i == n)
     return DensityFrame(t=t, grid=grid, center=a_m.center, eps=eps)
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from qetlab import (
     energy_density_frame,
 )
 from qetlab import dynamics
+from qetlab.cli import main
 from qetlab.dynamics import _blend, _radial_profile, default_frame_grid
 from qetlab.errors import ValidationError
 
@@ -24,6 +28,19 @@ from oracles import (
 )
 
 DISPLACED_TILTED = CurlGaussian(1.3, 0.9, center=(0.4, -0.2, 0.1), axis=(1.0, 2.0, -1.0))
+CANONICAL_YAML = Path(__file__).resolve().parents[1] / "scenarios" / "canonical.yaml"
+
+# sha256 of DISPLACED_TILTED's eps.tobytes() on even and odd grids, pinned on
+# numpy 2.4.6 and Python 3.11.7.  At t = 4 its light shell needs a half extent
+# of 8.74, which the Nyquist gate admits from n = 50 on, so t = 4 runs at 50/51.
+FRAME_PINS = {
+    (36, 5.8, 0.0): "062d864d7188dfa0f6f85e6a7a1c7bea198b82855f6de342b54a2061dd2f3d2c",
+    (36, 5.8, 0.5): "930123c7bfff26c2834341524ca99084827e45bdd457f6ae6f77aae9e799049d",
+    (50, 8.8, 4.0): "41b39b0b9be8f102de4af9fb1a947a005b14c22d2cacc08b7924b1e5131d7894",
+    (33, 5.8, 0.0): "4b1333ef77425ac583d235fe6d8f4c25aa9828190e7a41c6f4d287c899817e28",
+    (33, 5.8, 0.5): "410a623cceda304e7ecd0ea02eaaec013cd183254fa43f784346ac9757a66db5",
+    (51, 8.8, 4.0): "680981d5e5b0aa73b97864324e4dcd9d146dfd4484333c37ad605c0bb0fce9b1",
+}
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +176,7 @@ class TestFrameConstruction:
         u = (points - field.center_vec) / field.sigma
         r2 = np.sum(u * u, axis=1)
         across, along = _radial_profile(t / field.sigma, r2)
-        got = field.amplitude**2 / field.sigma**4 * _blend(across, along, (u @ n) ** 2, r2)
+        got = field.amplitude**2 / field.sigma**4 * _blend(across, along - across, (u @ n) ** 2, r2)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * ref.max())
 
     def test_rejects_shell_escaping_grid(self, source):
@@ -169,6 +186,43 @@ class TestFrameConstruction:
     def test_rejects_underresolved_grid(self, source):
         with pytest.raises(ValidationError, match="grid Nyquist .* under-resolves sigma"):
             energy_density_frame(source, 2.0, FrameGrid(n=16, half_extent=12.0))
+
+
+class TestFrameBits:
+    @pytest.mark.parametrize("n, half, t", list(FRAME_PINS), ids=[f"n{n}-t{t}" for n, _, t in FRAME_PINS])
+    def test_frame_bits_are_pinned(self, n, half, t):
+        eps = energy_density_frame(DISPLACED_TILTED, t, FrameGrid(n=n, half_extent=half)).eps
+        assert hashlib.sha256(eps.tobytes()).hexdigest() == FRAME_PINS[n, half, t]
+
+    def test_canonical_binary_frames_are_pinned(self, tmp_path):
+        # the bytes of the canonical density run, pinned on numpy 2.4.6 and Python 3.11.7
+        args = ["density", "--scenario", str(CANONICAL_YAML), "--out", str(tmp_path), "--format", "binary"]
+        assert main(args) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == {
+            "frame_t0.bin": "558f8494a7a6b0192c1ea5bc31555a5d2c8151b879ea7bc54ad33af16ef92635",
+            "frame_t4.bin": "77073284e3bc5d20700be42a332a2512be90b76810bfa2bc533fbef241e1e4f1",
+            "frame_t8.bin": "fe89fdfe31a2d6dd038530c4572860e7e95d1f1a07a1eb22b78f4dc2fbe4141e",
+        }
+
+    @pytest.mark.parametrize("n, half, t", list(FRAME_PINS), ids=[f"n{n}-t{t}" for n, _, t in FRAME_PINS])
+    def test_frame_is_exactly_inverted_through_the_source(self, n, half, t):
+        # node (i, j, k) sits at -L of node (n - i, n - j, n - k) for i, j, k >= 1,
+        # and the density is even in L to the bit
+        eps = energy_density_frame(DISPLACED_TILTED, t, FrameGrid(n=n, half_extent=half)).eps
+        assert np.array_equal(eps[1:, 1:, 1:], eps[:0:-1, :0:-1, :0:-1])
+
+    def test_build_stays_within_its_frame(self):
+        # past eps itself, the build holds its radius tables and one plane's
+        # temporaries: no frame-sized intermediate
+        grid = default_frame_grid(DISPLACED_TILTED, 0.5, n=64)
+        tracemalloc.start()
+        try:
+            eps = energy_density_frame(DISPLACED_TILTED, 0.5, grid).eps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= eps.nbytes + 0.5e6
 
 
 class TestConservationAndCausality:
